@@ -20,11 +20,11 @@ import numpy as np
 
 from . import __version__
 from .evolution import (
+    EvolutionTrace,
     compare,
     complete_basis_finals,
     one_spin_finals,
     simulator_trace,
-    symmetric_state_two_spin,
     trace,
     two_spin_finals,
 )
@@ -245,18 +245,16 @@ def _build_target(spec: dict, ctx: str = "target"):
     kind = _require(spec, "kind", str, ctx)
     if kind == "one-spin":
         c = TargetCouplings(u=_require(spec, "U", float, ctx), x=_require(spec, "X", float, ctx))
-        h = build_h1t(c)
-        initials = {f"m={m}": StateVector.basis(3, i) for i, m in enumerate((1, 0, -1))}
-        return h, initials, one_spin_finals(), {"U": c.u, "X": c.x}
+        finals = one_spin_finals()
+        return build_h1t(c), dict(finals), finals, {"U": c.u, "X": c.x}
     if kind == "two-spin":
         c = TargetCouplings(
             u=_require(spec, "U", float, ctx),
             x=_require(spec, "X", float, ctx),
             y=_require(spec, "Y", float, ctx),
         )
-        h = build_h2t(c)
-        initials = {"00": StateVector.basis(9, 4), "S": symmetric_state_two_spin()}
-        return h, initials, two_spin_finals(), {"U": c.u, "X": c.x, "Y": c.y}
+        finals = two_spin_finals()
+        return build_h2t(c), dict(finals), finals, {"U": c.u, "X": c.x, "Y": c.y}
     if kind == "chain":
         c = TargetCouplings(
             u=_require(spec, "U", float, ctx),
@@ -301,6 +299,10 @@ def _build_simulator(spec: dict, ctx: str = "simulator"):
             rho = _require(spec, "rho", float, ctx)
         else:
             v1 = _require(spec, "v1", float, ctx)
+            if v0 == 0:
+                raise ConfigError(f"field {ctx}.v0 must be nonzero to derive rho from {ctx}.v1")
+            if not 0 < v1 / v0 < 1:
+                raise ConfigError(f"field {ctx}.v1 must give 0 < v1/v0 < 1, got {v1 / v0!r}")
             rho = (v1 / v0) ** (1.0 / 6.0)
         override = spec.get("v2_override")
         system = four_atom_system(
@@ -320,6 +322,9 @@ def _build_simulator(spec: dict, ctx: str = "simulator"):
             include_middle_pair=bool(spec.get("include_middle_pair", True)),
         )
     elif kind == "custom":
+        _require(spec, "positions", list, ctx)
+        for key in ("scale", "omega", "delta"):
+            _require(spec, key, float, ctx)
         geom, params = system_from_json_obj(spec)
         system = SimulatorSystem(
             geometry=geom, params=params, spin_map=None, mirror=(), derived={}
@@ -341,12 +346,8 @@ def _simulator_run_pieces(system: SimulatorSystem, initial: str, ctx: str):
     """Embedded initial state, observables and physical indices for a system."""
     if system.spin_map is None:
         raise ConfigError(f"field {ctx}: custom simulators run in evolve mode only")
-    if system.spin_map.is_two_spin:
-        initials = {"00": StateVector.basis(9, 4), "S": symmetric_state_two_spin()}
-        finals = two_spin_finals()
-    else:
-        initials = {f"m={m}": StateVector.basis(3, i) for i, m in enumerate((1, 0, -1))}
-        finals = one_spin_finals()
+    finals = two_spin_finals() if system.spin_map.is_two_spin else one_spin_finals()
+    initials = dict(finals)
     if initial not in initials:
         raise ConfigError(f"field initial: {initial!r} not available for this simulator")
     psi0 = system.embed(initials[initial])
@@ -560,20 +561,17 @@ def _run_trotter(cfg: ExperimentConfig) -> int:
     seed = cfg.seed if cfg.seed is not None else 0
 
     system = two_atom_system(omega, delta, v0)
-    h = system.hamiltonian()
-    psi0 = system.embed(StateVector.basis(3, 0))
-    observables = [(label, system.embed(state)) for label, state in one_spin_finals()]
-    physical = system.spin_map.physical_indices()
+    psi0, observables, physical = _simulator_run_pieces(system, "m=1", ctx)
 
     n_steps = int(round(t_max / dt))
     times = np.array([k * dt for k in range(n_steps + 1)])
-    exact = simulator_trace(h, psi0, observables, physical, times, system_tag="exact")
+    exact = simulator_trace(
+        system.hamiltonian(), psi0, observables, physical, times, system_tag="exact"
+    )
 
     step = trotter_step_h2r(omega, delta, v0, dt)
     labels = [label for label, _ in observables] + ["leakage"]
-    label_bits = {
-        f"m={m}": format(system.spin_map.spin_states[m], "02b") for m in (1, 0, -1)
-    }
+    label_bits = {f"m={m}": format(b, "02b") for m, b in system.spin_map.spin_states.items()}
     trot_series = {label: [] for label in labels}
     shot_series = {label: [] for label in labels}
     counts_log = []
@@ -582,18 +580,15 @@ def _run_trotter(cfg: ExperimentConfig) -> int:
         if k > 0:
             psi = apply_circuit(step, psi)
         probs = np.abs(psi.amplitudes) ** 2
-        spin_total = 0.0
         for label, state in observables:
-            p = float(np.abs(state.amplitudes.conj() @ psi.amplitudes) ** 2)
-            trot_series[label].append(p)
-            spin_total += p
+            trot_series[label].append(float(np.abs(state.amplitudes.conj() @ psi.amplitudes) ** 2))
         trot_series["leakage"].append(
             float(sum(probs[b] for b in range(4) if b not in physical))
         )
         result = sample_shots(psi, shots, seed + k)
         counts_log.append({"t": float(times[k]), "seed": seed + k, "counts": result.counts})
-        for m in (1, 0, -1):
-            shot_series[f"m={m}"].append(result.frequency(label_bits[f"m={m}"]))
+        for label, bits in label_bits.items():
+            shot_series[label].append(result.frequency(bits))
         shot_series["leakage"].append(
             sum(
                 count / shots
@@ -602,21 +597,13 @@ def _run_trotter(cfg: ExperimentConfig) -> int:
             )
         )
 
-    fmt = f"{{:.{CSV_DIGITS}g}}"
-    header = ["t"]
+    columns = {}
     for label in labels:
-        header += [f"{label}:exact", f"{label}:trotter", f"{label}:shots"]
-    lines = [",".join(header)]
-    for k, t in enumerate(times):
-        row = [fmt.format(t)]
-        for label in labels:
-            row += [
-                fmt.format(exact.series[label][k]),
-                fmt.format(trot_series[label][k]),
-                fmt.format(shot_series[label][k]),
-            ]
-        lines.append(",".join(row))
-    _write_text(cfg.out_dir / "trotter.csv", "\n".join(lines) + "\n")
+        columns[f"{label}:exact"] = exact.series[label]
+        columns[f"{label}:trotter"] = trot_series[label]
+        columns[f"{label}:shots"] = shot_series[label]
+    csv_text = EvolutionTrace(times, columns).to_csv_text(CSV_DIGITS)
+    _write_text(cfg.out_dir / "trotter.csv", csv_text)
     _write_json(
         cfg.out_dir / "counts.json",
         {"shots": shots, "base_seed": seed, "per_time": counts_log},

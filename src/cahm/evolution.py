@@ -92,15 +92,6 @@ class TraceComparison:
         }
 
 
-def _spectral_amplitudes(op, psi0, final_states, times):
-    """<f| exp(-iHt) |psi0> for all finals and times, via one eigendecomposition."""
-    spec = eig_hermitian(op)
-    c = spec.eigenvectors.conj().T @ psi0.amplitudes
-    w = np.vstack([f.amplitudes.conj() @ spec.eigenvectors for f in final_states])
-    phases = np.exp(-1j * np.outer(spec.eigenvalues, np.asarray(times, dtype=np.float64)))
-    return w @ (phases * c[:, None])
-
-
 def trace(
     op: HermitianOperator,
     psi0: StateVector,
@@ -110,13 +101,7 @@ def trace(
 ) -> EvolutionTrace:
     """Transition probabilities |<f|U(t)|psi0>|^2 for each labeled final state."""
     times = np.asarray(times, dtype=np.float64)
-    for label, f in finals:
-        if f.dim != op.dim:
-            raise ValueError(f"final state {label!r} dimension {f.dim} does not match H ({op.dim})")
-    if psi0.dim != op.dim:
-        raise ValueError(f"initial state dimension {psi0.dim} does not match H ({op.dim})")
-    amps = _spectral_amplitudes(op, psi0, [f for _, f in finals], times)
-    probs = np.abs(amps) ** 2
+    probs = np.abs(eig_hermitian(op).propagate(psi0, times, [f for _, f in finals])) ** 2
     return EvolutionTrace(
         times=times,
         series={label: probs[i] for i, (label, _) in enumerate(finals)},
@@ -126,13 +111,7 @@ def trace(
 
 def state_probabilities(op: HermitianOperator, psi0: StateVector, times) -> np.ndarray:
     """Full basis-state probability matrix |psi_b(t)|^2 with shape (dim, n_times)."""
-    if psi0.dim != op.dim:
-        raise ValueError("initial state dimension does not match H")
-    spec = eig_hermitian(op)
-    c = spec.eigenvectors.conj().T @ psi0.amplitudes
-    phases = np.exp(-1j * np.outer(spec.eigenvalues, np.asarray(times, dtype=np.float64)))
-    psi = spec.eigenvectors @ (phases * c[:, None])
-    return np.abs(psi) ** 2
+    return np.abs(eig_hermitian(op).propagate(psi0, times)) ** 2
 
 
 def simulator_trace(
@@ -149,11 +128,12 @@ def simulator_trace(
     `physical_indices` (the encoded spin subspace).
     """
     times = np.asarray(times, dtype=np.float64)
-    tr = trace(op, psi0, observables, times, system_tag)
-    probs = state_probabilities(op, psi0, times)
+    spec = eig_hermitian(op)
+    probs = np.abs(spec.propagate(psi0, times, [f for _, f in observables])) ** 2
+    series = {label: probs[i] for i, (label, _) in enumerate(observables)}
     outside = [b for b in range(op.dim) if b not in set(physical_indices)]
-    series = dict(tr.series)
-    series["leakage"] = probs[outside].sum(axis=0) if outside else np.zeros_like(times)
+    basis_probs = np.abs(spec.propagate(psi0, times)) ** 2
+    series["leakage"] = basis_probs[outside].sum(axis=0) if outside else np.zeros_like(times)
     return EvolutionTrace(times=times, series=series, system_tag=system_tag)
 
 

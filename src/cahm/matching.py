@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .evolution import symmetric_state_two_spin, trace, two_spin_finals
+from .evolution import trace, two_spin_finals
 from .numerics import HermitianOperator, StateVector, eig_hermitian
 from .rydberg_models import (
     RydbergParams,
@@ -496,14 +496,11 @@ def fit_time_rescale(
     if not used:
         raise ValueError("no shared labels between the finals and the simulator trace")
     spec = eig_hermitian(target_op)
-    c = spec.eigenvectors.conj().T @ psi0.amplitudes
-    w = np.vstack([f.amplitudes.conj() @ spec.eigenvectors for _, f in used])
+    used_finals = [f for _, f in used]
     sim_vals = np.vstack([sim_trace.series[label] for label, _ in used])
-    s_times = sim_trace.times
 
     def rms(k: float) -> float:
-        phases = np.exp(-1j * np.outer(spec.eigenvalues, k * s_times))
-        probs = np.abs(w @ (phases * c[:, None])) ** 2
+        probs = np.abs(spec.propagate(psi0, k * sim_trace.times, used_finals)) ** 2
         return float(np.sqrt(np.mean((probs - sim_vals) ** 2)))
 
     ks = np.linspace(lo, hi, scan_points)
@@ -596,13 +593,13 @@ def match_six_atom(
     notes.append("Delta0 = 0: the electric splitting emerges from second-order level repulsion")
 
     target = build_h2t(c)
-    psi0_t = StateVector.basis(9, 4)
     finals_t = two_spin_finals()
-    h_sim = system.hamiltonian()
-    psi0_s = system.embed(psi0_t)
-    finals_s = [("00", system.embed(StateVector.basis(9, 4))), ("S", system.embed(symmetric_state_two_spin()))]
+    psi0_t = dict(finals_t)["00"]
+    finals_s = [(label, system.embed(state)) for label, state in finals_t]
     times = np.linspace(0.0, t_max, n_times)
-    sim_tr = trace(h_sim, psi0_s, finals_s, times, system_tag="six-atom")
+    sim_tr = trace(
+        system.hamiltonian(), system.embed(psi0_t), finals_s, times, system_tag="six-atom"
+    )
     bracket = k_bracket if k_bracket is not None else (0.5 * abs(k_e), 1.5 * abs(k_e))
     k_opt, k_rms = fit_time_rescale(target, psi0_t, finals_t, sim_tr, bracket)
     residuals["trace_rms"] = k_rms

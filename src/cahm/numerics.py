@@ -25,6 +25,7 @@ ORTHO_ATOL = 1e-10
 # Per-vector eigen-residual tolerance, relative to the Frobenius norm of H.
 RESIDUAL_RTOL = 1e-9
 
+# The one cap on every Hilbert-space dimension the package builds.
 MAX_DIM = 4096
 
 
@@ -136,6 +137,32 @@ class Spectrum:
     def dim(self) -> int:
         return self.eigenvalues.shape[0]
 
+    def propagate(self, psi0: StateVector, times, finals=None) -> np.ndarray:
+        """Amplitudes <f| exp(-iHt) |psi0>, shape (rows, len(times)).
+
+        One row per state in `finals`, or one per basis state when `finals`
+        is None.
+        """
+        if any(s.dim != self.dim for s in [psi0, *(finals or ())]):
+            raise ContractViolationError(f"state dimension does not match H ({self.dim})")
+        v = self.eigenvectors
+        c = v.conj().T @ psi0.amplitudes
+        rows = v if finals is None else np.vstack([f.amplitudes.conj() @ v for f in finals])
+        phases = np.exp(-1j * np.outer(self.eigenvalues, np.asarray(times, dtype=np.float64)))
+        return rows @ (phases * c[:, None])
+
+
+def capped_dim(base: int, n: int, field: str) -> int:
+    """base**n, or a ValueError naming `field` when that exceeds MAX_DIM.
+
+    A large n is rejected before the power is formed (base >= 2).
+    """
+    if n > MAX_DIM.bit_length() or base**n > MAX_DIM:
+        raise ValueError(
+            f"{field} = {n} gives dimension {base}**{n}, above the supported maximum {MAX_DIM}"
+        )
+    return base**n
+
 
 def _canonical_subspace_basis(block: np.ndarray) -> np.ndarray:
     """Deterministic orthonormal basis of the span of `block`.
@@ -208,12 +235,7 @@ def eig_hermitian(op: HermitianOperator) -> Spectrum:
 
 def evolve(op: HermitianOperator, t: float, psi0: StateVector) -> StateVector:
     """Apply U(t) = exp(-iHt) to psi0 through the spectral decomposition."""
-    if op.dim != psi0.dim:
-        raise ContractViolationError(f"dimension mismatch: H is {op.dim}, state is {psi0.dim}")
-    s = eig_hermitian(op)
-    c = s.eigenvectors.conj().T @ psi0.amplitudes
-    amplitudes = s.eigenvectors @ (np.exp(-1j * s.eigenvalues * float(t)) * c)
-    return StateVector(amplitudes)
+    return StateVector(eig_hermitian(op).propagate(psi0, [float(t)])[:, 0])
 
 
 def kron(a, b) -> np.ndarray:

@@ -19,9 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .numerics import HermitianOperator, StateVector
-
-MAX_ATOMS = 12
+from .numerics import HermitianOperator, StateVector, capped_dim
 
 # Spin value -> excited atom bit pattern, one column, top atom first.
 _SINGLE_MAPS = {
@@ -111,8 +109,7 @@ class RydbergParams:
 def build_rydberg_h(geom: AtomGeometry, params: RydbergParams) -> HermitianOperator:
     """Dense 2^n Hamiltonian of the driven interacting array."""
     n = geom.n_atoms
-    if n > MAX_ATOMS:
-        raise ValueError(f"{n} atoms exceed the supported maximum {MAX_ATOMS}")
+    dim = capped_dim(2, n, "number of positions")
     for i in params.delta0_atoms:
         if not 0 <= i < n:
             raise ValueError(f"delta0 atom index {i} outside 0..{n - 1}")
@@ -123,7 +120,6 @@ def build_rydberg_h(geom: AtomGeometry, params: RydbergParams) -> HermitianOpera
                 raise ValueError(f"pair override ({i}, {j}) outside 0..{n - 1}")
         couplings.update(params.pair_overrides)
 
-    dim = 1 << n
     h = np.zeros((dim, dim), dtype=np.complex128)
     extra = set(params.delta0_atoms)
     for b in range(dim):

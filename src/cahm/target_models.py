@@ -15,13 +15,11 @@ U+-|+-m_max> = 0; for spin-1, Ux = Lx / sqrt(2).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .numerics import HermitianOperator, identity, kron
-
-MAX_CHAIN_DIM = 4096
+from .numerics import HermitianOperator, capped_dim
 
 
 @dataclass(frozen=True)
@@ -123,11 +121,38 @@ def op_charge_conjugation(trunc: SpinTruncation = SPIN1) -> np.ndarray:
     return np.fliplr(np.eye(trunc.dim, dtype=np.complex128)).copy()
 
 
+def _chain_h(
+    c: TargetCouplings, trunc: SpinTruncation, n_links: int, end_terms: bool
+) -> HermitianOperator:
+    """N-link chain from the mixed-radix digits of the basis index.
+
+    The diagonal is (U/2) sum m_i^2 + (Y/2) charge, where charge sums the
+    neighbor differences (closed into a ring for periodic couplings) plus,
+    with `end_terms`, m_1^2 + m_N^2.  Ux_i links index b to b + d^(N-1-i)
+    wherever link i can still lower m.
+    """
+    d = trunc.dim
+    dim = capped_dim(d, n_links, "n_links")
+    index = np.arange(dim)
+    strides = d ** np.arange(n_links - 1, -1, -1)
+    digits = (index[:, None] // strides) % d
+    m = trunc.m_values()[digits]
+    neighbors = np.roll(m, -1, axis=1) - m if c.boundary == "periodic" else np.diff(m, axis=1)
+    charge = (neighbors**2).sum(axis=1)
+    if end_terms:
+        charge += m[:, 0] ** 2 + m[:, -1] ** 2
+    h = np.zeros((dim, dim), dtype=np.complex128)
+    h[index, index] = 0.5 * c.u * (m**2).sum(axis=1) + 0.5 * c.y * charge
+    for i, stride in enumerate(strides):
+        lower = index[digits[:, i] < d - 1]
+        h[lower, lower + stride] = -0.5 * c.x
+        h[lower + stride, lower] = -0.5 * c.x
+    return HermitianOperator(h)
+
+
 def build_h1t(c: TargetCouplings, trunc: SpinTruncation = SPIN1) -> HermitianOperator:
     """One-spin target Hamiltonian (U/2) Lz^2 - X Ux."""
-    lz = op_lz(trunc).matrix
-    ux = op_ux(trunc).matrix
-    return HermitianOperator(0.5 * c.u * (lz @ lz) - c.x * ux)
+    return _chain_h(c, trunc, 1, end_terms=False)
 
 
 def analytic_one_spin(c: TargetCouplings) -> OneSpinSpectrum:
@@ -165,19 +190,7 @@ def build_h2t(c: TargetCouplings) -> HermitianOperator:
     No boundary Lz^2 terms are included here; `build_chain_h` with two links
     and open boundaries adds them.
     """
-    h1 = build_h1t(c, SPIN1).matrix
-    lz = op_lz(SPIN1).matrix
-    one = identity(3)
-    diff = kron(lz, one) - kron(one, lz)
-    h = kron(h1, one) + kron(one, h1) + 0.5 * c.y * (diff @ diff)
-    return HermitianOperator(h)
-
-
-def _site_operator(opmat: np.ndarray, site: int, n_sites: int, dim: int) -> np.ndarray:
-    out = np.ones((1, 1), dtype=np.complex128)
-    for i in range(n_sites):
-        out = kron(out, opmat if i == site else identity(dim))
-    return out
+    return _chain_h(replace(c, boundary="open"), SPIN1, 2, end_terms=False)
 
 
 def build_chain_h(c: TargetCouplings, trunc: SpinTruncation, n_links: int) -> HermitianOperator:
@@ -190,29 +203,7 @@ def build_chain_h(c: TargetCouplings, trunc: SpinTruncation, n_links: int) -> He
     """
     if n_links < 1:
         raise ValueError(f"n_links must be >= 1, got {n_links}")
-    dim = trunc.dim
-    if dim**n_links > MAX_CHAIN_DIM:
-        raise ValueError(
-            f"chain dimension {dim}**{n_links} exceeds the supported maximum {MAX_CHAIN_DIM}"
-        )
-    lz = op_lz(trunc).matrix
-    ux = op_ux(trunc).matrix
-    lz_i = [_site_operator(lz, i, n_links, dim) for i in range(n_links)]
-    total = np.zeros((dim**n_links, dim**n_links), dtype=np.complex128)
-    for i in range(n_links):
-        total += 0.5 * c.u * (lz_i[i] @ lz_i[i])
-        total -= c.x * _site_operator(ux, i, n_links, dim)
-    if c.boundary == "open":
-        for i in range(n_links - 1):
-            d = lz_i[i + 1] - lz_i[i]
-            total += 0.5 * c.y * (d @ d)
-        total += 0.5 * c.y * (lz_i[0] @ lz_i[0])
-        total += 0.5 * c.y * (lz_i[-1] @ lz_i[-1])
-    else:
-        for i in range(n_links):
-            d = lz_i[(i + 1) % n_links] - lz_i[i]
-            total += 0.5 * c.y * (d @ d)
-    return HermitianOperator(total)
+    return _chain_h(c, trunc, n_links, end_terms=c.boundary == "open")
 
 
 def couplings_from_lagrangian(lag: LagrangianCouplings) -> TargetCouplings:

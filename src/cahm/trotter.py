@@ -15,9 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import StateVector
-
-MAX_QUBITS = 12
+from .numerics import StateVector, capped_dim
 
 GATE_KINDS = ("RX", "P", "CP")
 
@@ -66,14 +64,15 @@ class Gate:
 
 @dataclass(frozen=True)
 class Circuit:
-    """An ordered gate list on n_qubits <= 12."""
+    """An ordered gate list on 2**n_qubits <= MAX_DIM amplitudes."""
 
     n_qubits: int
     gates: tuple[Gate, ...]
 
     def __post_init__(self):
-        if not 1 <= self.n_qubits <= MAX_QUBITS:
-            raise ValueError(f"n_qubits must be in 1..{MAX_QUBITS}")
+        if self.n_qubits < 1:
+            raise ValueError(f"n_qubits must be >= 1, got {self.n_qubits}")
+        capped_dim(2, self.n_qubits, "n_qubits")
         gates = tuple(self.gates)
         for g in gates:
             for q in g.qubits:

@@ -4,6 +4,7 @@ import numpy as np
 
 from cahm import StateVector, TargetCouplings
 from cahm.evolution import one_spin_finals, simulator_trace, two_spin_finals
+from cahm.target_models import op_lz, op_ux
 
 
 def expm_taylor(a, tol=1e-16, max_terms=80):
@@ -111,3 +112,36 @@ def two_spin_sim_trace(system, times):
 
 def fig7_target_couplings():
     return TargetCouplings(u=1.0, x=1.2, y=0.2)
+
+
+def kron_chain_h(c, trunc, n_links, end_terms=True):
+    """Chain Hamiltonian summed term by term from Kronecker site operators.
+
+    Periodic couplings close the neighbor terms into a ring; open ones add
+    the end terms (Y/2)[(Lz_1)^2 + (Lz_N)^2] when `end_terms` is set.
+    """
+    d = trunc.dim
+
+    def site(opmat, i):
+        out = np.ones((1, 1), dtype=np.complex128)
+        for j in range(n_links):
+            out = np.kron(out, opmat if j == i else np.eye(d, dtype=np.complex128))
+        return out
+
+    lz_i = [site(op_lz(trunc).matrix, i) for i in range(n_links)]
+    total = np.zeros((d**n_links, d**n_links), dtype=np.complex128)
+    for i in range(n_links):
+        total += 0.5 * c.u * (lz_i[i] @ lz_i[i])
+        total -= c.x * site(op_ux(trunc).matrix, i)
+    if c.boundary == "open":
+        for i in range(n_links - 1):
+            diff = lz_i[i + 1] - lz_i[i]
+            total += 0.5 * c.y * (diff @ diff)
+        if end_terms:
+            total += 0.5 * c.y * (lz_i[0] @ lz_i[0])
+            total += 0.5 * c.y * (lz_i[-1] @ lz_i[-1])
+    else:
+        for i in range(n_links):
+            diff = lz_i[(i + 1) % n_links] - lz_i[i]
+            total += 0.5 * c.y * (diff @ diff)
+    return total

@@ -262,3 +262,52 @@ def test_preset_config_payload_is_copied():
     a.payload["target"]["U"] = 99.0
     b = preset_config("fig3-top")
     assert b.payload["target"]["U"] == 1.0
+
+
+FOUR_ATOM_COMPARE = {
+    "mode": "compare",
+    "target": {"kind": "two-spin", "U": 1.0, "X": 1.2, "Y": 0.2},
+    "simulator": {"kind": "four-atom", "omega": -1.2, "delta": -0.6, "v0": 64.0, "v1": 0.2},
+    "initial": "00",
+    "times": {"start": 0.0, "stop": 1.0, "num": 11},
+}
+
+
+def _run_config(tmp_path, config):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(config))
+    return main([config["mode"], "--config", str(cfg), "--out", str(tmp_path / "out")])
+
+
+def test_four_atom_negative_v1_over_v0_names_field(tmp_path, capsys):
+    config = json.loads(json.dumps(FOUR_ATOM_COMPARE))
+    config["simulator"]["v1"] = -0.2
+    assert _run_config(tmp_path, config) == EXIT_CONFIG
+    assert "simulator.v1" in capsys.readouterr().err
+
+
+def test_four_atom_zero_v0_names_field(tmp_path, capsys):
+    config = json.loads(json.dumps(FOUR_ATOM_COMPARE))
+    config["simulator"]["v0"] = 0.0
+    assert _run_config(tmp_path, config) == EXIT_CONFIG
+    assert "simulator.v0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("missing", ["positions", "scale", "omega", "delta"])
+def test_custom_simulator_missing_field_names_it(tmp_path, capsys, missing):
+    simulator = {
+        "kind": "custom",
+        "positions": [[0.0, 1.0], [0.0, 0.0]],
+        "scale": 32.0,
+        "omega": -0.5,
+        "delta": -0.5,
+    }
+    del simulator[missing]
+    config = {
+        "mode": "evolve",
+        "simulator": simulator,
+        "initial": "10",
+        "times": {"start": 0.0, "stop": 1.0, "num": 11},
+    }
+    assert _run_config(tmp_path, config) == EXIT_CONFIG
+    assert f"simulator.{missing}" in capsys.readouterr().err

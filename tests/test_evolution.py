@@ -139,6 +139,19 @@ def test_simulator_trace_leakage_column():
     assert np.max(np.abs(spin_total + tr.series["leakage"] - 1.0)) <= 1e-9
 
 
+def test_simulator_trace_diagonalizes_once(monkeypatch):
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counting_eigh(h):
+        calls.append(h.shape)
+        return eigh(h)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    one_spin_sim_trace(two_atom_system(-0.5, -0.5, 32.0), np.linspace(0, 10, 11))
+    assert calls == [(4, 4)]
+
+
 def test_compare_identical_and_errors():
     h = build_h1t(TargetCouplings(u=1.0, x=0.5))
     times = np.linspace(0, 10, 101)

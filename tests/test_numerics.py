@@ -11,7 +11,9 @@ from cahm import (
     kron,
 )
 from cahm.numerics import identity
-from cahm.target_models import SPIN1, TargetCouplings, op_lz
+from cahm.rydberg_models import AtomGeometry, RydbergParams, build_rydberg_h
+from cahm.target_models import SPIN1, TargetCouplings, build_chain_h, op_lz
+from cahm.trotter import Circuit
 
 from helpers import expm_taylor, random_hermitian
 
@@ -120,6 +122,20 @@ def test_evolve_dimension_mismatch():
     h = HermitianOperator(np.eye(3, dtype=complex))
     with pytest.raises(ContractViolationError):
         evolve(h, 1.0, StateVector.basis(4, 0))
+
+
+def test_one_dimension_cap_rejects_before_allocating(monkeypatch):
+    def no_allocation(*args, **kwargs):
+        raise AssertionError("allocated past the dimension cap")
+
+    atoms = AtomGeometry(np.column_stack([np.arange(13.0), np.zeros(13)]), 1.0)
+    monkeypatch.setattr(np, "zeros", no_allocation)
+    with pytest.raises(ValueError, match="positions"):
+        build_rydberg_h(atoms, RydbergParams(omega=1.0, delta=0.0))
+    with pytest.raises(ValueError, match="n_qubits"):
+        Circuit(n_qubits=13, gates=())
+    with pytest.raises(ValueError, match="n_links"):
+        build_chain_h(TargetCouplings(u=1.0, x=0.5, y=0.2), SPIN1, 8)
 
 
 def test_kron_identities():

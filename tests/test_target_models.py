@@ -20,6 +20,8 @@ from cahm import (
 )
 from cahm.numerics import identity
 
+from helpers import kron_chain_h
+
 
 def test_op_lz_values():
     assert np.array_equal(np.diag(op_lz(SPIN1).matrix).real, [1.0, 0.0, -1.0])
@@ -181,6 +183,26 @@ def test_chain_periodic_ring():
     c_site = op_charge_conjugation(SPIN1)
     c_global = kron(kron(c_site, c_site), c_site)
     assert np.max(np.abs(c_global @ h - h @ c_global)) <= 1e-14
+
+
+@pytest.mark.parametrize("boundary", ["open", "periodic"])
+@pytest.mark.parametrize("m_max,n_links", [(1, 3), (2, 3), (3, 2)])
+def test_chain_matches_kron_reference(m_max, n_links, boundary):
+    rng = np.random.default_rng(100 * m_max + n_links)
+    trunc = SpinTruncation(m_max)
+    for _ in range(3):
+        u, x, y = rng.uniform(-2, 2, size=3)
+        c = TargetCouplings(u=u, x=x, y=y, boundary=boundary)
+        h = build_chain_h(c, trunc, n_links).matrix
+        assert np.max(np.abs(h - kron_chain_h(c, trunc, n_links))) <= 1e-12
+
+
+def test_h2t_is_the_kron_chain_without_end_terms():
+    rng = np.random.default_rng(5)
+    for _ in range(5):
+        u, x, y = rng.uniform(-2, 2, size=3)
+        c = TargetCouplings(u=u, x=x, y=y)
+        assert np.array_equal(build_h2t(c).matrix, kron_chain_h(c, SPIN1, 2, end_terms=False))
 
 
 def test_chain_dimension_guard():
