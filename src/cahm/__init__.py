@@ -10,7 +10,6 @@ from .numerics import (
     StateVector,
     eig_hermitian,
     evolve,
-    kron,
 )
 from .target_models import (
     SPIN1,

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -21,6 +22,7 @@ import numpy as np
 from . import __version__
 from .evolution import (
     EvolutionTrace,
+    basis_trace,
     compare,
     complete_basis_finals,
     one_spin_finals,
@@ -38,7 +40,7 @@ from .matching import (
     match_two_atom,
     solve_three_atom_newton,
 )
-from .numerics import StateVector, eig_hermitian
+from .numerics import StateVector, capped_dim, eig_hermitian
 from .rydberg_models import (
     SimulatorSystem,
     four_atom_system,
@@ -64,8 +66,6 @@ EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 
 MODES = ("spectrum", "match", "evolve", "compare", "trotter")
-
-CSV_DIGITS = 12
 
 
 class ConfigError(ValueError):
@@ -240,45 +240,47 @@ def _time_grid(obj: dict, ctx: str) -> np.ndarray:
     return np.linspace(start, stop, num)
 
 
-def _build_target(spec: dict, ctx: str = "target"):
-    """Return (hamiltonian, initial-state lookup, finals, resolved params)."""
+# Coupling fields read by each target kind and each match kind.
+_COUPLING_FIELDS = {
+    "one-spin": "UX",
+    "two-spin": "UXY",
+    "chain": "UXY",
+    "two-atom": "UX",
+    "three-atom-newton": "UX",
+    "four-atom": "UXY",
+    "six-atom": "UXY",
+}
+
+
+def _couplings(spec: dict, ctx: str, kind: str) -> TargetCouplings:
+    """TargetCouplings from the U/X/Y fields of `kind`; chains also read `boundary`."""
+    values = [_require(spec, name, float, ctx) for name in _COUPLING_FIELDS[kind]]
+    return TargetCouplings(
+        *values, boundary=spec.get("boundary", "open") if kind == "chain" else "open"
+    )
+
+
+def _build_target(spec: dict):
+    """Return (hamiltonian, labeled finals, couplings, resolved params)."""
+    ctx = "target"
     kind = _require(spec, "kind", str, ctx)
+    if kind not in ("one-spin", "two-spin", "chain"):
+        raise ConfigError(f"field {ctx}.kind has unknown value {kind!r}")
+    c = _couplings(spec, ctx, kind)
+    resolved = {name: getattr(c, name.lower()) for name in _COUPLING_FIELDS[kind]}
     if kind == "one-spin":
-        c = TargetCouplings(u=_require(spec, "U", float, ctx), x=_require(spec, "X", float, ctx))
-        finals = one_spin_finals()
-        return build_h1t(c), dict(finals), finals, {"U": c.u, "X": c.x}
+        return build_h1t(c), one_spin_finals(), c, resolved
     if kind == "two-spin":
-        c = TargetCouplings(
-            u=_require(spec, "U", float, ctx),
-            x=_require(spec, "X", float, ctx),
-            y=_require(spec, "Y", float, ctx),
-        )
-        finals = two_spin_finals()
-        return build_h2t(c), dict(finals), finals, {"U": c.u, "X": c.x, "Y": c.y}
-    if kind == "chain":
-        c = TargetCouplings(
-            u=_require(spec, "U", float, ctx),
-            x=_require(spec, "X", float, ctx),
-            y=_require(spec, "Y", float, ctx),
-            boundary=spec.get("boundary", "open"),
-        )
-        trunc = SpinTruncation(_require(spec, "m_max", int, ctx))
-        n_links = _require(spec, "n_links", int, ctx)
-        h = build_chain_h(c, trunc, n_links)
-        resolved = {
-            "U": c.u,
-            "X": c.x,
-            "Y": c.y,
-            "m_max": trunc.m_max,
-            "n_links": n_links,
-            "boundary": c.boundary,
-        }
-        return h, {}, [], resolved
-    raise ConfigError(f"field {ctx}.kind has unknown value {kind!r}")
+        return build_h2t(c), two_spin_finals(), c, resolved
+    trunc = SpinTruncation(_require(spec, "m_max", int, ctx))
+    n_links = _require(spec, "n_links", int, ctx)
+    resolved.update(m_max=trunc.m_max, n_links=n_links, boundary=c.boundary)
+    return build_chain_h(c, trunc, n_links), [], c, resolved
 
 
-def _build_simulator(spec: dict, ctx: str = "simulator"):
-    """Return (SimulatorSystem or (geom, params), resolved params dict)."""
+def _build_simulator(spec: dict):
+    """Return (SimulatorSystem, resolved params dict)."""
+    ctx = "simulator"
     kind = _require(spec, "kind", str, ctx)
     if kind == "two-atom":
         system = two_atom_system(
@@ -322,37 +324,61 @@ def _build_simulator(spec: dict, ctx: str = "simulator"):
             include_middle_pair=bool(spec.get("include_middle_pair", True)),
         )
     elif kind == "custom":
-        _require(spec, "positions", list, ctx)
-        for key in ("scale", "omega", "delta"):
-            _require(spec, key, float, ctx)
+        _check_custom_layout(spec, ctx)
         geom, params = system_from_json_obj(spec)
         system = SimulatorSystem(
             geometry=geom, params=params, spin_map=None, mirror=(), derived={}
         )
     else:
         raise ConfigError(f"field {ctx}.kind has unknown value {kind!r}")
-    resolved = {
-        k: v for k, v in spec.items() if k not in ("kind",)
-    }
-    resolved.update({k: float(v) for k, v in system.derived.items()})
-    resolved["kind"] = kind
-    resolved["omega"] = system.params.omega
-    resolved["delta"] = system.params.delta
-    resolved["delta0"] = system.params.delta0
+    p = system.params
+    resolved = {**spec, **{k: float(v) for k, v in system.derived.items()}}
+    resolved.update(omega=p.omega, delta=p.delta, delta0=p.delta0)
     return system, resolved
 
 
-def _simulator_run_pieces(system: SimulatorSystem, initial: str, ctx: str):
-    """Embedded initial state, observables and physical indices for a system."""
+def _check_custom_layout(spec: dict, ctx: str) -> None:
+    """Reject a custom layout's bad field by name, before any atom is placed."""
+    capped_dim(2, len(_require(spec, "positions", list, ctx)), "number of positions")
+    for key in ("scale", "omega", "delta"):
+        _require(spec, key, float, ctx)
+    if "delta0" in spec:
+        _require(spec, "delta0", float, ctx)
+    atoms = spec.get("delta0_atoms", [])
+    if not isinstance(atoms, list) or any(type(i) is not int for i in atoms):
+        raise ConfigError(f"field {ctx}.delta0_atoms must list atom indices, got {atoms!r}")
+    overrides = spec.get("overrides") or {}
+    if not isinstance(overrides, dict):
+        raise ConfigError(f"field {ctx}.overrides must map 'i-j' pairs to numbers")
+    for key in overrides:
+        if re.fullmatch(r"\d+-\d+", key) is None:
+            raise ConfigError(f"field {ctx}.overrides key {key!r} must read 'i-j'")
+        _require(overrides, key, float, f"{ctx}.overrides")
+
+
+def _initial_state(finals, initial: str) -> StateVector:
+    """The labeled state named by the `initial` field."""
+    states = dict(finals)
+    if initial not in states:
+        raise ConfigError(f"field initial: {initial!r} is not one of {list(states)}")
+    return states[initial]
+
+
+def _target_trace(payload: dict, initial: str, times):
+    """Target trace from the labeled initial state, plus the resolved target params."""
+    h, finals, _, resolved = _build_target(_require(payload, "target", dict, "payload"))
+    return trace(h, _initial_state(finals, initial), finals, times), resolved
+
+
+def _spin_simulator_trace(system: SimulatorSystem, initial: str, times):
+    """Embedded initial state and the simulator trace of the encoded spin observables."""
     if system.spin_map is None:
-        raise ConfigError(f"field {ctx}: custom simulators run in evolve mode only")
+        raise ConfigError("field payload.simulator: custom simulators run in evolve mode only")
     finals = two_spin_finals() if system.spin_map.is_two_spin else one_spin_finals()
-    initials = dict(finals)
-    if initial not in initials:
-        raise ConfigError(f"field initial: {initial!r} not available for this simulator")
-    psi0 = system.embed(initials[initial])
+    psi0 = system.embed(_initial_state(finals, initial))
     observables = [(label, system.embed(state)) for label, state in finals]
-    return psi0, observables, system.spin_map.physical_indices()
+    physical = system.spin_map.physical_indices()
+    return psi0, simulator_trace(system.hamiltonian(), psi0, observables, physical, times)
 
 
 def _jsonable(value):
@@ -392,16 +418,12 @@ def _write_manifest(cfg: ExperimentConfig, parameters: dict, outputs: list[str])
 
 def _run_spectrum(cfg: ExperimentConfig) -> int:
     target = _require(cfg.payload, "target", dict, "payload")
-    h, _, _, resolved = _build_target(target)
-    spec = eig_hermitian(h)
-    out = {"eigenvalues": [float(w) for w in spec.eigenvalues]}
-    if target.get("kind") == "one-spin":
-        c = TargetCouplings(u=resolved["U"], x=resolved["X"])
-        s = analytic_one_spin(c)
-        out["analytic"] = {"e0": s.e0, "eplus": s.eplus, "eminus": s.eminus, "phi": s.phi}
+    h, _, c, resolved = _build_target(target)
+    out = {"eigenvalues": [float(w) for w in eig_hermitian(h).eigenvalues]}
+    if target["kind"] == "one-spin":
+        out["analytic"] = analytic_one_spin(c).to_json_obj()
         if c.u != 0:
-            p = perturbative_one_spin(c)
-            out["perturbative"] = {"e0": p.e0, "eplus": p.eplus, "eminus": p.eminus, "phi": p.phi}
+            out["perturbative"] = perturbative_one_spin(c).to_json_obj()
     _write_json(cfg.out_dir / "spectrum.json", out)
     _write_manifest(cfg, {"target": resolved}, ["spectrum.json"])
     return EXIT_OK
@@ -412,12 +434,12 @@ def _run_match(cfg: ExperimentConfig) -> int:
     kind = _require(spec, "kind", str, "payload.match")
     ctx = "payload.match"
     if kind == "two-atom":
-        c = TargetCouplings(u=_require(spec, "U", float, ctx), x=_require(spec, "X", float, ctx))
-        report = match_two_atom(c, blockade_ratio=float(spec.get("blockade_ratio", 64.0)))
+        report = match_two_atom(
+            _couplings(spec, ctx, kind), blockade_ratio=float(spec.get("blockade_ratio", 64.0))
+        )
     elif kind == "three-atom-newton":
-        c = TargetCouplings(u=_require(spec, "U", float, ctx), x=_require(spec, "X", float, ctx))
         problem = NewtonProblem(
-            targets=c,
+            targets=_couplings(spec, ctx, kind),
             unknowns=tuple(_require(spec, "unknowns", list, ctx)),
             fixed={k: float(v) for k, v in _require(spec, "fixed", dict, ctx).items()},
             initial_guess=(
@@ -431,20 +453,10 @@ def _run_match(cfg: ExperimentConfig) -> int:
             _require(spec, "omega", float, ctx), _require(spec, "delta", float, ctx)
         )
     elif kind == "four-atom":
-        c = TargetCouplings(
-            u=_require(spec, "U", float, ctx),
-            x=_require(spec, "X", float, ctx),
-            y=_require(spec, "Y", float, ctx),
-        )
-        report = match_four_atom(c, _require(spec, "v0", float, ctx))
+        report = match_four_atom(_couplings(spec, ctx, kind), _require(spec, "v0", float, ctx))
     elif kind == "six-atom":
-        c = TargetCouplings(
-            u=_require(spec, "U", float, ctx),
-            x=_require(spec, "X", float, ctx),
-            y=_require(spec, "Y", float, ctx),
-        )
         report = match_six_atom(
-            c,
+            _couplings(spec, ctx, kind),
             _require(spec, "omega", float, ctx),
             _require(spec, "delta", float, ctx),
             _require(spec, "v0", float, ctx),
@@ -459,17 +471,14 @@ def _run_match(cfg: ExperimentConfig) -> int:
 
 
 def _run_evolve(cfg: ExperimentConfig) -> int:
-    times = _time_grid(_require(cfg.payload, "times", dict, "payload"), "payload.times")
-    initial = _require(cfg.payload, "initial", str, "payload")
-    resolved: dict = {"initial": initial, "times": cfg.payload["times"]}
-    if "target" in cfg.payload:
-        h, initials, finals, params = _build_target(cfg.payload["target"])
-        if initial not in initials:
-            raise ConfigError(f"field initial: {initial!r} not available for this target")
-        tr = trace(h, initials[initial], finals, times, system_tag="target")
-        resolved["target"] = params
-    elif "simulator" in cfg.payload:
-        system, params = _build_simulator(cfg.payload["simulator"])
+    payload = cfg.payload
+    times = _time_grid(_require(payload, "times", dict, "payload"), "payload.times")
+    initial = _require(payload, "initial", str, "payload")
+    resolved: dict = {"initial": initial, "times": payload["times"]}
+    if "target" in payload:
+        tr, resolved["target"] = _target_trace(payload, initial, times)
+    elif "simulator" in payload:
+        system, resolved["simulator"] = _build_simulator(payload["simulator"])
         if system.spin_map is None:
             # Custom layout: the initial state is a |g>/|r> bitstring and the
             # trace covers the complete product basis.
@@ -479,25 +488,13 @@ def _run_evolve(cfg: ExperimentConfig) -> int:
                     f"field initial: custom simulators take a bitstring of {n} atoms"
                 )
             psi0 = StateVector.basis(1 << n, int(initial, 2))
-            tr = trace(
-                system.hamiltonian(),
-                psi0,
-                complete_basis_finals(1 << n),
-                times,
-                system_tag="simulator",
-            )
+            tr = trace(system.hamiltonian(), psi0, complete_basis_finals(1 << n), times)
         else:
-            psi0, observables, physical = _simulator_run_pieces(
-                system, initial, "payload.simulator"
-            )
-            tr = simulator_trace(
-                system.hamiltonian(), psi0, observables, physical, times, system_tag="simulator"
-            )
-        resolved["simulator"] = params
+            _, tr = _spin_simulator_trace(system, initial, times)
         resolved["geometry"] = system_to_json_obj(system.geometry, system.params)
     else:
         raise ConfigError("missing field payload.target or payload.simulator")
-    _write_text(cfg.out_dir / "trace.csv", tr.to_csv_text(CSV_DIGITS))
+    _write_text(cfg.out_dir / "trace.csv", tr.to_csv_text())
     _write_manifest(cfg, resolved, ["trace.csv"])
     return EXIT_OK
 
@@ -511,22 +508,13 @@ def _run_compare(cfg: ExperimentConfig) -> int:
     initial = _require(payload, "initial", str, "payload")
     rescale_k = payload.get("rescale_k")
 
-    h_t, initials_t, finals_t, target_params = _build_target(
-        _require(payload, "target", dict, "payload")
-    )
-    if initial not in initials_t:
-        raise ConfigError(f"field initial: {initial!r} not available for this target")
-    target_trace = trace(h_t, initials_t[initial], finals_t, times, system_tag="target")
-
+    target_trace, target_params = _target_trace(payload, initial, times)
     system, sim_params = _build_simulator(_require(payload, "simulator", dict, "payload"))
-    psi0, observables, physical = _simulator_run_pieces(system, initial, "payload.simulator")
-    sim_trace = simulator_trace(
-        system.hamiltonian(), psi0, observables, physical, sim_times, system_tag="simulator"
-    )
+    _, sim_trace = _spin_simulator_trace(system, initial, sim_times)
 
     comparison = compare(target_trace, sim_trace, rescale_k=rescale_k)
-    _write_text(cfg.out_dir / "target.csv", target_trace.to_csv_text(CSV_DIGITS))
-    _write_text(cfg.out_dir / "simulator.csv", sim_trace.to_csv_text(CSV_DIGITS))
+    _write_text(cfg.out_dir / "target.csv", target_trace.to_csv_text())
+    _write_text(cfg.out_dir / "simulator.csv", sim_trace.to_csv_text())
     _write_json(cfg.out_dir / "comparison.json", comparison.to_json_obj())
     resolved = {
         "target": target_params,
@@ -561,49 +549,32 @@ def _run_trotter(cfg: ExperimentConfig) -> int:
     seed = cfg.seed if cfg.seed is not None else 0
 
     system = two_atom_system(omega, delta, v0)
-    psi0, observables, physical = _simulator_run_pieces(system, "m=1", ctx)
-
     n_steps = int(round(t_max / dt))
     times = np.array([k * dt for k in range(n_steps + 1)])
-    exact = simulator_trace(
-        system.hamiltonian(), psi0, observables, physical, times, system_tag="exact"
-    )
+    psi, exact = _spin_simulator_trace(system, "m=1", times)
 
     step = trotter_step_h2r(omega, delta, v0, dt)
-    labels = [label for label, _ in observables] + ["leakage"]
-    label_bits = {f"m={m}": format(b, "02b") for m, b in system.spin_map.spin_states.items()}
-    trot_series = {label: [] for label in labels}
-    shot_series = {label: [] for label in labels}
-    counts_log = []
-    psi = psi0
+    states, frequencies, counts_log = [], [], []
     for k in range(n_steps + 1):
         if k > 0:
             psi = apply_circuit(step, psi)
-        probs = np.abs(psi.amplitudes) ** 2
-        for label, state in observables:
-            trot_series[label].append(float(np.abs(state.amplitudes.conj() @ psi.amplitudes) ** 2))
-        trot_series["leakage"].append(
-            float(sum(probs[b] for b in range(4) if b not in physical))
-        )
         result = sample_shots(psi, shots, seed + k)
+        states.append(psi.amplitudes)
+        frequencies.append([result.frequency(f"{b:02b}") for b in range(4)])
         counts_log.append({"t": float(times[k]), "seed": seed + k, "counts": result.counts})
-        for label, bits in label_bits.items():
-            shot_series[label].append(result.frequency(bits))
-        shot_series["leakage"].append(
-            sum(
-                count / shots
-                for bits, count in result.counts.items()
-                if int(bits, 2) not in physical
-            )
-        )
 
-    columns = {}
-    for label in labels:
-        columns[f"{label}:exact"] = exact.series[label]
-        columns[f"{label}:trotter"] = trot_series[label]
-        columns[f"{label}:shots"] = shot_series[label]
-    csv_text = EvolutionTrace(times, columns).to_csv_text(CSV_DIGITS)
-    _write_text(cfg.out_dir / "trotter.csv", csv_text)
+    # The two-atom encoding maps every spin state to one basis state.
+    observables = {f"m={m}": b for m, b in system.spin_map.spin_states.items()}
+    physical = system.spin_map.physical_indices()
+    runs = {
+        "exact": exact,
+        "trotter": basis_trace(times, np.abs(np.array(states).T) ** 2, observables, physical),
+        "shots": basis_trace(times, np.array(frequencies).T, observables, physical),
+    }
+    columns = {
+        f"{label}:{run}": tr.series[label] for label in exact.labels for run, tr in runs.items()
+    }
+    _write_text(cfg.out_dir / "trotter.csv", EvolutionTrace(times, columns).to_csv_text())
     _write_json(
         cfg.out_dir / "counts.json",
         {"shots": shots, "base_seed": seed, "per_time": counts_log},

@@ -16,6 +16,8 @@ from .numerics import HermitianOperator, StateVector, eig_hermitian
 
 # Complete-basis probability series must sum to 1 within this tolerance.
 COMPLETENESS_ATOL = 1e-9
+# Significant digits of every CSV value.
+CSV_DIGITS = 12
 
 
 @dataclass(frozen=True)
@@ -24,7 +26,6 @@ class EvolutionTrace:
 
     times: np.ndarray
     series: dict
-    system_tag: str = ""
 
     def __post_init__(self):
         t = np.array(self.times, dtype=np.float64)
@@ -49,21 +50,14 @@ class EvolutionTrace:
     def labels(self) -> tuple[str, ...]:
         return tuple(self.series)
 
-    def to_csv_text(self, digits: int = 12) -> str:
-        """CSV with header t,label1,label2,...; fixed significant digits, LF endings."""
-        fmt = f"{{:.{digits}g}}"
+    def to_csv_text(self) -> str:
+        """CSV with header t,label1,label2,...; CSV_DIGITS significant digits, LF endings."""
+        fmt = f"{{:.{CSV_DIGITS}g}}"
         lines = [",".join(["t", *self.series])]
         for k, t in enumerate(self.times):
             row = [fmt.format(t)] + [fmt.format(v[k]) for v in self.series.values()]
             lines.append(",".join(row))
         return "\n".join(lines) + "\n"
-
-    def to_json_obj(self) -> dict:
-        return {
-            "system_tag": self.system_tag,
-            "times": [float(t) for t in self.times],
-            "series": {label: [float(p) for p in v] for label, v in self.series.items()},
-        }
 
 
 @dataclass(frozen=True)
@@ -97,16 +91,12 @@ def trace(
     psi0: StateVector,
     finals: list[tuple[str, StateVector]],
     times,
-    system_tag: str = "",
 ) -> EvolutionTrace:
     """Transition probabilities |<f|U(t)|psi0>|^2 for each labeled final state."""
     times = np.asarray(times, dtype=np.float64)
     probs = np.abs(eig_hermitian(op).propagate(psi0, times, [f for _, f in finals])) ** 2
-    return EvolutionTrace(
-        times=times,
-        series={label: probs[i] for i, (label, _) in enumerate(finals)},
-        system_tag=system_tag,
-    )
+    series = {label: probs[i] for i, (label, _) in enumerate(finals)}
+    return EvolutionTrace(times=times, series=series)
 
 
 def state_probabilities(op: HermitianOperator, psi0: StateVector, times) -> np.ndarray:
@@ -120,7 +110,6 @@ def simulator_trace(
     observables: list[tuple[str, StateVector]],
     physical_indices,
     times,
-    system_tag: str = "",
 ) -> EvolutionTrace:
     """Observable probabilities plus a 'leakage' series.
 
@@ -131,18 +120,37 @@ def simulator_trace(
     spec = eig_hermitian(op)
     probs = np.abs(spec.propagate(psi0, times, [f for _, f in observables])) ** 2
     series = {label: probs[i] for i, (label, _) in enumerate(observables)}
-    outside = [b for b in range(op.dim) if b not in set(physical_indices)]
     basis_probs = np.abs(spec.propagate(psi0, times)) ** 2
+    return _with_leakage(times, series, basis_probs, physical_indices)
+
+
+def basis_trace(
+    times,
+    basis_probs: np.ndarray,
+    observables: dict[str, int],
+    physical_indices,
+) -> EvolutionTrace:
+    """Probabilities of labeled basis states plus the 'leakage' series of `simulator_trace`.
+
+    `basis_probs` has one row per basis state and one column per time (for
+    instance a statevector's |amplitudes|^2 or measured shot frequencies);
+    `observables` maps each label to its basis index.
+    """
+    times = np.asarray(times, dtype=np.float64)
+    series = {label: basis_probs[b] for label, b in observables.items()}
+    return _with_leakage(times, series, basis_probs, physical_indices)
+
+
+def _with_leakage(times, series: dict, basis_probs, physical_indices) -> EvolutionTrace:
+    outside = [b for b in range(len(basis_probs)) if b not in set(physical_indices)]
     series["leakage"] = basis_probs[outside].sum(axis=0) if outside else np.zeros_like(times)
-    return EvolutionTrace(times=times, series=series, system_tag=system_tag)
+    return EvolutionTrace(times=times, series=series)
 
 
-def complete_basis_finals(dim: int, labels=None) -> list[tuple[str, StateVector]]:
-    """One final state per basis vector; default labels are the indices as bitstrings."""
-    if labels is None:
-        n_bits = max(1, (dim - 1).bit_length())
-        labels = [format(b, f"0{n_bits}b") for b in range(dim)]
-    return [(labels[b], StateVector.basis(dim, b)) for b in range(dim)]
+def complete_basis_finals(dim: int) -> list[tuple[str, StateVector]]:
+    """One final state per basis vector, labeled by its index as a bitstring."""
+    n_bits = max(1, (dim - 1).bit_length())
+    return [(format(b, f"0{n_bits}b"), StateVector.basis(dim, b)) for b in range(dim)]
 
 
 def one_spin_finals() -> list[tuple[str, StateVector]]:

@@ -11,31 +11,37 @@ time-rescale factor K numerically.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .evolution import trace, two_spin_finals
 from .numerics import HermitianOperator, StateVector, eig_hermitian
 from .rydberg_models import (
-    RydbergParams,
-    SimulatorSystem,
     atom_permutation_matrix,
     ladder_cross_couplings,
     six_atom_system,
     three_atom_system,
 )
-from .target_models import (
-    OneSpinSpectrum,
-    TargetCouplings,
-    analytic_one_spin,
-    build_h2t,
-)
+from .target_models import TargetCouplings, analytic_one_spin, build_h2t
 
 _SQRT2 = math.sqrt(2.0)
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 PARAM_NAMES = ("omega", "delta", "delta0", "v0")
+
+# Newton stops once every residual is within NEWTON_TOL; a golden-section
+# search takes at most GOLDEN_MAX_ITER steps.
+NEWTON_TOL = 1e-10
+NEWTON_MAX_ITER = 100
+GOLDEN_MAX_ITER = 300
+# The time-rescale fit scans K_SCAN_POINTS over the bracket, then refines
+# by golden section to K_TOL.
+K_SCAN_POINTS = 41
+K_TOL = 1e-9
+# The six-atom match fits K on linspace(0, SIX_ATOM_T_MAX, SIX_ATOM_N_TIMES).
+SIX_ATOM_T_MAX = 100.0
+SIX_ATOM_N_TIMES = 1001
 
 
 class SingularDenominatorError(ZeroDivisionError):
@@ -78,16 +84,12 @@ class MatchReport:
         }
 
 
-def _spectrum_dict(s: OneSpinSpectrum) -> dict:
-    return {"e0": s.e0, "eplus": s.eplus, "eminus": s.eminus, "phi": s.phi}
-
-
-def _golden_min(f, a: float, b: float, tol: float = 1e-9, max_iter: int = 300) -> float:
+def _golden_min(f, a: float, b: float, tol: float) -> float:
     """Golden-section minimum of a unimodal function on [a, b]."""
     c = b - _INV_PHI * (b - a)
     d = a + _INV_PHI * (b - a)
     fc, fd = f(c), f(d)
-    for _ in range(max_iter):
+    for _ in range(GOLDEN_MAX_ITER):
         if b - a <= tol:
             break
         if fc < fd:
@@ -121,7 +123,7 @@ def match_two_atom(c: TargetCouplings, blockade_ratio: float = 64.0) -> MatchRep
     return MatchReport(
         simulator_params={"omega": omega, "delta": delta, "v0": v0},
         residuals={"splitting": 0.0, "drive": 0.0},
-        predicted=_spectrum_dict(analytic_one_spin(c)),
+        predicted=analytic_one_spin(c).to_json_obj(),
         notes=tuple(notes),
     )
 
@@ -210,11 +212,7 @@ def _default_guess(prob: NewtonProblem) -> dict:
     return guess
 
 
-def solve_three_atom_newton(
-    prob: NewtonProblem,
-    tolerance: float = 1e-10,
-    max_iterations: int = 100,
-) -> MatchReport:
+def solve_three_atom_newton(prob: NewtonProblem) -> MatchReport:
     """Damped Newton iteration on the selected matching equations.
 
     Jacobian by central finite differences (step 1e-6 * max(1, |x|)); each step
@@ -272,8 +270,8 @@ def solve_three_atom_newton(
     except (SingularDenominatorError, ValueError) as exc:
         return diagnostic(f"residuals not evaluable at the initial guess: {exc}", x, None)
 
-    for _ in range(max_iterations):
-        if float(np.max(np.abs(r))) <= tolerance:
+    for _ in range(NEWTON_MAX_ITER):
+        if float(np.max(np.abs(r))) <= NEWTON_TOL:
             break
         jac = np.zeros((len(r), len(x)))
         for j in range(len(x)):
@@ -306,8 +304,8 @@ def solve_three_atom_newton(
         if not improved:
             return diagnostic("line search failed to reduce the residual norm", x, r)
     else:
-        if float(np.max(np.abs(r))) > tolerance:
-            return diagnostic(f"no convergence within {max_iterations} iterations", x, r)
+        if float(np.max(np.abs(r))) > NEWTON_TOL:
+            return diagnostic(f"no convergence within {NEWTON_MAX_ITER} iterations", x, r)
 
     params = dict(prob.fixed)
     params.update({name: float(v) for name, v in zip(prob.unknowns, x)})
@@ -469,7 +467,7 @@ def match_four_atom(c: TargetCouplings, v0: float) -> MatchReport:
             "v1_condition": v1 - c.y,
             "v2_condition": v2 - (-c.y),
         },
-        predicted=_spectrum_dict(analytic_one_spin(c)),
+        predicted=analytic_one_spin(c).to_json_obj(),
         notes=tuple(notes),
     )
 
@@ -480,8 +478,6 @@ def fit_time_rescale(
     finals: list[tuple[str, StateVector]],
     sim_trace,
     bracket: tuple[float, float],
-    tol: float = 1e-9,
-    scan_points: int = 41,
 ) -> tuple[float, float]:
     """K minimizing the RMS between target(K * t_sim) and the simulator trace.
 
@@ -503,12 +499,12 @@ def fit_time_rescale(
         probs = np.abs(spec.propagate(psi0, k * sim_trace.times, used_finals)) ** 2
         return float(np.sqrt(np.mean((probs - sim_vals) ** 2)))
 
-    ks = np.linspace(lo, hi, scan_points)
+    ks = np.linspace(lo, hi, K_SCAN_POINTS)
     values = [rms(float(k)) for k in ks]
     best = int(np.argmin(values))
     a = float(ks[max(best - 1, 0)])
-    b = float(ks[min(best + 1, scan_points - 1)])
-    k_opt = _golden_min(rms, a, b, tol=tol)
+    b = float(ks[min(best + 1, K_SCAN_POINTS - 1)])
+    k_opt = _golden_min(rms, a, b, K_TOL)
     return k_opt, rms(k_opt)
 
 
@@ -519,9 +515,6 @@ def match_six_atom(
     v0: float,
     rho_hint: float | None = None,
     include_middle_pair: bool = True,
-    t_max: float = 100.0,
-    n_times: int = 1001,
-    k_bracket: tuple[float, float] | None = None,
 ) -> MatchReport:
     """Approximate two-spin match on the 3x2 ladder.
 
@@ -547,19 +540,7 @@ def match_six_atom(
         overrides = {
             (i, j): 0.0 for (i, j) in base.geometry.couplings() if (i < 3) != (j < 3)
         }
-        system = SimulatorSystem(
-            geometry=base.geometry,
-            params=RydbergParams(
-                omega=omega,
-                delta=delta,
-                delta0=0.0,
-                delta0_atoms=(1, 4),
-                pair_overrides=overrides,
-            ),
-            spin_map=base.spin_map,
-            mirror=base.mirror,
-            derived={"v0": v0, "rho": 0.0, "v1": 0.0, "v2": 0.0, "v3": 0.0},
-        )
+        system = replace(base, params=replace(base.params, pair_overrides=overrides))
         v1 = v2 = v3 = 0.0
     else:
         weight = k_e * c.y
@@ -574,7 +555,7 @@ def match_six_atom(
             lo, hi = 0.05, 0.95
         else:
             lo, hi = max(0.02, 0.7 * rho_hint), min(0.98, 1.3 * rho_hint)
-        rho = _golden_min(objective, lo, hi, tol=1e-7)
+        rho = _golden_min(objective, lo, hi, 1e-7)
         if min(rho - lo, hi - rho) < 1e-4:
             raise MatchingError(
                 f"rho tuner pinned at the bracket edge ({rho:.6f} in [{lo}, {hi}]); "
@@ -596,11 +577,9 @@ def match_six_atom(
     finals_t = two_spin_finals()
     psi0_t = dict(finals_t)["00"]
     finals_s = [(label, system.embed(state)) for label, state in finals_t]
-    times = np.linspace(0.0, t_max, n_times)
-    sim_tr = trace(
-        system.hamiltonian(), system.embed(psi0_t), finals_s, times, system_tag="six-atom"
-    )
-    bracket = k_bracket if k_bracket is not None else (0.5 * abs(k_e), 1.5 * abs(k_e))
+    times = np.linspace(0.0, SIX_ATOM_T_MAX, SIX_ATOM_N_TIMES)
+    sim_tr = trace(system.hamiltonian(), system.embed(psi0_t), finals_s, times)
+    bracket = (0.5 * abs(k_e), 1.5 * abs(k_e))
     k_opt, k_rms = fit_time_rescale(target, psi0_t, finals_t, sim_tr, bracket)
     residuals["trace_rms"] = k_rms
 

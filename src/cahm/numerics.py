@@ -2,9 +2,9 @@
 
 Every operator in this package is an explicit dense matrix (dim <= 4096).
 This module provides the shared primitives: validated Hermitian operators
-and state vectors, a deterministic Hermitian eigendecomposition, spectral
-time evolution exp(-iHt), and Kronecker products.  All values are immutable
-after construction and every operation is a pure function.
+and state vectors, a deterministic Hermitian eigendecomposition and spectral
+time evolution exp(-iHt).  All values are immutable after construction and
+every operation is a pure function.
 """
 
 from __future__ import annotations
@@ -236,14 +236,3 @@ def eig_hermitian(op: HermitianOperator) -> Spectrum:
 def evolve(op: HermitianOperator, t: float, psi0: StateVector) -> StateVector:
     """Apply U(t) = exp(-iHt) to psi0 through the spectral decomposition."""
     return StateVector(eig_hermitian(op).propagate(psi0, [float(t)])[:, 0])
-
-
-def kron(a, b) -> np.ndarray:
-    """Kronecker product of two square complex matrices (dim = dimA * dimB)."""
-    am = a.matrix if isinstance(a, HermitianOperator) else np.asarray(a, dtype=np.complex128)
-    bm = b.matrix if isinstance(b, HermitianOperator) else np.asarray(b, dtype=np.complex128)
-    return np.kron(am, bm)
-
-
-def identity(dim: int) -> np.ndarray:
-    return np.eye(dim, dtype=np.complex128)

@@ -55,10 +55,13 @@ class AtomGeometry:
             raise ValueError(f"positions must be an (n, 2) array, got shape {p.shape}")
         if not np.all(np.isfinite(p)) or not math.isfinite(self.interaction_scale):
             raise ValueError("positions and interaction scale must be finite")
-        for i in range(p.shape[0]):
-            for j in range(i + 1, p.shape[0]):
-                if np.hypot(*(p[i] - p[j])) == 0.0:
-                    raise ValueError(f"atoms {i} and {j} coincide")
+        # Coinciding atoms are neighbors once the rows are sorted.
+        order = np.lexsort(p.T[::-1])
+        same = np.all(p[order[1:]] == p[order[:-1]], axis=1)
+        if same.any():
+            k = int(np.argmax(same))
+            i, j = sorted(order[k : k + 2])
+            raise ValueError(f"atoms {i} and {j} coincide")
         p.setflags(write=False)
         object.__setattr__(self, "positions", p)
 

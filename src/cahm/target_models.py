@@ -78,6 +78,9 @@ class OneSpinSpectrum:
         if self.e0 > self.eplus + 1e-12 * max(1.0, abs(self.eplus)):
             raise ValueError("one-spin spectrum requires E0 <= E+")
 
+    def to_json_obj(self) -> dict:
+        return {"e0": self.e0, "eplus": self.eplus, "eminus": self.eminus, "phi": self.phi}
+
 
 @dataclass(frozen=True)
 class LagrangianCouplings:

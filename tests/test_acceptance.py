@@ -22,7 +22,6 @@ from cahm import (
     eig_hermitian,
     evolve,
     four_atom_system,
-    kron,
     match_six_atom,
     repeat_circuit,
     sample_shots,
@@ -285,13 +284,13 @@ def test_criterion_9_symmetry_suite():
             n_sites = round(np.log(h.dim) / np.log(3))
             c_global = np.ones((1, 1), dtype=complex)
             for _ in range(n_sites):
-                c_global = kron(c_global, c_site)
+                c_global = np.kron(c_global, c_site)
             if np.max(np.abs(c_global @ h.matrix - h.matrix @ c_global)) > 1e-14:
                 failures.append(f"[C,{tag}] != 0")
         trunc2 = SpinTruncation(2)
         h5 = build_chain_h(c, trunc2, 2)
         c_site2 = op_charge_conjugation(trunc2)
-        c_global2 = kron(c_site2, c_site2)
+        c_global2 = np.kron(c_site2, c_site2)
         if np.max(np.abs(c_global2 @ h5.matrix - h5.matrix @ c_global2)) > 1e-14:
             failures.append("[C,chain m_max=2] != 0")
 

@@ -92,6 +92,17 @@ def test_fig10_run_and_determinism(tmp_path):
     assert manifest["parameters"]["dt"] == 0.1
 
 
+def test_fig10_spin_columns_and_leakage_sum_to_one(tmp_path):
+    assert main(["trotter", "--preset", "fig10", "--out", str(tmp_path)]) == EXIT_OK
+    lines = (tmp_path / "trotter.csv").read_text().splitlines()
+    header = lines[0].split(",")
+    rows = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
+    assert len(rows) == 31
+    for run in ("exact", "trotter", "shots"):
+        parts = [header.index(f"{label}:{run}") for label in ("m=1", "m=0", "m=-1", "leakage")]
+        assert np.max(np.abs(rows[:, parts].sum(axis=1) - 1.0)) <= 1e-9
+
+
 def test_seed_flag_overrides_preset(tmp_path):
     out1, out2 = tmp_path / "a", tmp_path / "b"
     assert main(["trotter", "--preset", "fig10", "--out", str(out1), "--seed", "1"]) == EXIT_OK
@@ -311,3 +322,56 @@ def test_custom_simulator_missing_field_names_it(tmp_path, capsys, missing):
     }
     assert _run_config(tmp_path, config) == EXIT_CONFIG
     assert f"simulator.{missing}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "field,value",
+    [
+        ("delta0", "a"),
+        ("overrides", {"0_1": 1.0}),
+        ("overrides", {"0-1": "a"}),
+        ("overrides", [1.0]),
+        ("delta0_atoms", ["x"]),
+        ("delta0_atoms", 1),
+    ],
+    ids=["delta0", "override-key", "override-value", "overrides-list", "atom", "atoms-int"],
+)
+def test_custom_simulator_bad_field_names_it(tmp_path, capsys, field, value):
+    config = {
+        "mode": "evolve",
+        "simulator": {
+            "kind": "custom",
+            "positions": [[0.0, 1.0], [0.0, 0.0]],
+            "scale": 32.0,
+            "omega": -0.5,
+            "delta": -0.5,
+            field: value,
+        },
+        "initial": "10",
+        "times": {"start": 0.0, "stop": 1.0, "num": 11},
+    }
+    assert _run_config(tmp_path, config) == EXIT_CONFIG
+    assert f"simulator.{field}" in capsys.readouterr().err
+
+
+def test_custom_simulator_positions_capped_before_geometry(tmp_path, capsys, monkeypatch):
+    from cahm.rydberg_models import AtomGeometry
+
+    def unreachable(self):
+        raise AssertionError("the geometry of an over-cap layout was built")
+
+    monkeypatch.setattr(AtomGeometry, "__post_init__", unreachable)
+    config = {
+        "mode": "evolve",
+        "simulator": {
+            "kind": "custom",
+            "positions": [[float(k), 0.0] for k in range(5000)],
+            "scale": 32.0,
+            "omega": -0.5,
+            "delta": -0.5,
+        },
+        "initial": "0" * 5000,
+        "times": {"start": 0.0, "stop": 1.0, "num": 11},
+    }
+    assert _run_config(tmp_path, config) == EXIT_CONFIG
+    assert "number of positions" in capsys.readouterr().err

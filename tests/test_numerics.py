@@ -8,11 +8,9 @@ from cahm import (
     build_h1t,
     eig_hermitian,
     evolve,
-    kron,
 )
-from cahm.numerics import identity
 from cahm.rydberg_models import AtomGeometry, RydbergParams, build_rydberg_h
-from cahm.target_models import SPIN1, TargetCouplings, build_chain_h, op_lz
+from cahm.target_models import SPIN1, TargetCouplings, build_chain_h
 from cahm.trotter import Circuit
 
 from helpers import expm_taylor, random_hermitian
@@ -136,16 +134,6 @@ def test_one_dimension_cap_rejects_before_allocating(monkeypatch):
         Circuit(n_qubits=13, gates=())
     with pytest.raises(ValueError, match="n_links"):
         build_chain_h(TargetCouplings(u=1.0, x=0.5, y=0.2), SPIN1, 8)
-
-
-def test_kron_identities():
-    assert np.array_equal(kron(identity(2), identity(3)), identity(6))
-    lz = op_lz(SPIN1).matrix
-    total = kron(lz, identity(3)) + kron(identity(3), lz)
-    idx = 3 * 0 + 2  # |m_L=1, m_R=-1>
-    assert total[idx, idx] == 0.0
-    diff = kron(lz, identity(3)) - kron(identity(3), lz)
-    assert (diff @ diff)[idx, idx] == 4.0
 
 
 def test_statevector_contracts():

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -205,6 +207,28 @@ def test_geometry_validation():
         geometry_mirrored_ladder(4, 1.0, 2.0, 1.0)
     with pytest.raises(ValueError):
         four_atom_system(1.0, 1.0, 64.0, 1.5)
+
+
+def test_coinciding_atoms_match_the_pairwise_reference():
+    # Small integer grids (and a signed zero) force coincidences; the sorted
+    # check must agree with the pairwise loop and name a coinciding pair.
+    rng = np.random.default_rng(5)
+    layouts = [rng.integers(0, 3, size=(n, 2)).astype(float) for n in range(1, 9) for _ in range(6)]
+    layouts.append(np.array([[0.0, 1.0], [-0.0, 1.0]]))
+    for p in layouts:
+        pairs = [
+            (i, j)
+            for i in range(len(p))
+            for j in range(i + 1, len(p))
+            if np.hypot(*(p[i] - p[j])) == 0.0
+        ]
+        if not pairs:
+            assert AtomGeometry(p, 1.0).n_atoms == len(p)
+            continue
+        with pytest.raises(ValueError, match="coincide") as err:
+            AtomGeometry(p, 1.0)
+        named = re.search(r"atoms (\d+) and (\d+)", str(err.value)).groups()
+        assert tuple(map(int, named)) in pairs
 
 
 def test_system_json_round_trip():

@@ -12,13 +12,11 @@ from cahm import (
     build_h2t,
     couplings_from_lagrangian,
     eig_hermitian,
-    kron,
     op_charge_conjugation,
     op_lz,
     op_ux,
     perturbative_one_spin,
 )
-from cahm.numerics import identity
 
 from helpers import kron_chain_h
 
@@ -138,7 +136,7 @@ def test_h2t_diagonal_and_symmetry():
     assert h[idx_1m1, idx_1m1] == 1.0 + 2 * 0.2
     assert h[idx_00, idx_00] == 0.0
     c_op = op_charge_conjugation(SPIN1)
-    cc = kron(c_op, c_op)
+    cc = np.kron(c_op, c_op)
     h = build_h2t(TargetCouplings(u=1.1, x=0.7, y=0.3)).matrix
     assert np.max(np.abs(cc @ h - h @ cc)) <= 1e-14
 
@@ -158,7 +156,7 @@ def test_chain_two_links_diagonal_and_h2t_relation():
     assert abs(h[0, 0] - (c.u + c.y)) < 1e-14
     lz = op_lz(SPIN1).matrix
     lz2 = lz @ lz
-    boundary = 0.5 * c.y * (kron(lz2, identity(3)) + kron(identity(3), lz2))
+    boundary = 0.5 * c.y * (np.kron(lz2, np.eye(3)) + np.kron(np.eye(3), lz2))
     assert np.allclose(h, build_h2t(c).matrix + boundary, atol=1e-14)
 
 
@@ -173,7 +171,7 @@ def test_chain_charge_conjugation_all_sizes():
             h = build_chain_h(c, trunc, n).matrix
             c_global = np.ones((1, 1), dtype=complex)
             for _ in range(n):
-                c_global = kron(c_global, c_site)
+                c_global = np.kron(c_global, c_site)
             assert np.max(np.abs(c_global @ h - h @ c_global)) <= 1e-14
 
 
@@ -181,7 +179,7 @@ def test_chain_periodic_ring():
     c = TargetCouplings(u=1.0, x=0.5, y=0.3, boundary="periodic")
     h = build_chain_h(c, SPIN1, 3).matrix
     c_site = op_charge_conjugation(SPIN1)
-    c_global = kron(kron(c_site, c_site), c_site)
+    c_global = np.kron(np.kron(c_site, c_site), c_site)
     assert np.max(np.abs(c_global @ h - h @ c_global)) <= 1e-14
 
 
