@@ -24,9 +24,9 @@ from .evolution import (
     EvolutionTrace,
     basis_trace,
     compare,
-    complete_basis_finals,
     one_spin_finals,
     simulator_trace,
+    state_probabilities,
     trace,
     two_spin_finals,
 )
@@ -40,7 +40,7 @@ from .matching import (
     match_two_atom,
     solve_three_atom_newton,
 )
-from .numerics import StateVector, capped_dim, eig_hermitian
+from .numerics import StateVector, bitstring_labels, capped_dim, eig_hermitian
 from .rydberg_models import (
     SimulatorSystem,
     four_atom_system,
@@ -66,6 +66,10 @@ EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 
 MODES = ("spectrum", "match", "evolve", "compare", "trotter")
+
+# Cap on the points of every time grid (`num` of times and sim_times, and the
+# t_max/dt + 1 Trotter steps); the presets use 1001.
+MAX_TIMES = 10_001
 
 
 class ConfigError(ValueError):
@@ -214,21 +218,42 @@ def preset_config(name: str, out_dir="out", seed: int | None = None) -> Experime
     )
 
 
-def _require(obj: dict, key: str, kinds, ctx: str):
-    if key not in obj:
-        raise ConfigError(f"missing field {ctx}.{key}")
-    value = obj[key]
+def _typed(value, kinds, name: str):
+    """`value` read as a finite float, an int or an instance of `kinds`.
+
+    A value of another type raises a ConfigError naming the field `name`.
+    """
     if kinds is float:
         if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ConfigError(f"field {ctx}.{key} must be a number, got {value!r}")
+            raise ConfigError(f"field {name} must be a number, got {value!r}")
+        if not abs(value) <= sys.float_info.max:
+            raise ConfigError(f"field {name} must be a finite float, got {value!r}")
         return float(value)
     if kinds is int:
         if isinstance(value, bool) or not isinstance(value, int):
-            raise ConfigError(f"field {ctx}.{key} must be an integer, got {value!r}")
+            raise ConfigError(f"field {name} must be an integer, got {value!r}")
         return value
     if not isinstance(value, kinds):
-        raise ConfigError(f"field {ctx}.{key} has the wrong type: {value!r}")
+        raise ConfigError(f"field {name} has the wrong type: {value!r}")
     return value
+
+
+def _require(obj: dict, key: str, kinds, ctx: str):
+    if key not in obj:
+        raise ConfigError(f"missing field {ctx}.{key}")
+    return _typed(obj[key], kinds, f"{ctx}.{key}")
+
+
+def _optional(obj: dict, key: str, kinds, ctx: str, default):
+    """`_require` for a field that may be absent or null, which gives `default`."""
+    return default if obj.get(key) is None else _require(obj, key, kinds, ctx)
+
+
+def _entries(values, kinds, name: str):
+    """Every entry of a JSON list or object read by `_typed`, named name[k] or name.key."""
+    if isinstance(values, dict):
+        return {k: _typed(v, kinds, f"{name}.{k}") for k, v in values.items()}
+    return [_typed(v, kinds, f"{name}[{k}]") for k, v in enumerate(values)]
 
 
 def _time_grid(obj: dict, ctx: str) -> np.ndarray:
@@ -237,6 +262,8 @@ def _time_grid(obj: dict, ctx: str) -> np.ndarray:
     num = _require(obj, "num", int, ctx)
     if num < 2 or stop <= start:
         raise ConfigError(f"field {ctx} must satisfy stop > start and num >= 2")
+    if num > MAX_TIMES:
+        raise ConfigError(f"field {ctx}.num = {num} is above the cap of {MAX_TIMES} time points")
     return np.linspace(start, stop, num)
 
 
@@ -255,9 +282,8 @@ _COUPLING_FIELDS = {
 def _couplings(spec: dict, ctx: str, kind: str) -> TargetCouplings:
     """TargetCouplings from the U/X/Y fields of `kind`; chains also read `boundary`."""
     values = [_require(spec, name, float, ctx) for name in _COUPLING_FIELDS[kind]]
-    return TargetCouplings(
-        *values, boundary=spec.get("boundary", "open") if kind == "chain" else "open"
-    )
+    boundary = _optional(spec, "boundary", str, ctx, "open") if kind == "chain" else "open"
+    return TargetCouplings(*values, boundary=boundary)
 
 
 def _build_target(spec: dict):
@@ -306,13 +332,12 @@ def _build_simulator(spec: dict):
             if not 0 < v1 / v0 < 1:
                 raise ConfigError(f"field {ctx}.v1 must give 0 < v1/v0 < 1, got {v1 / v0!r}")
             rho = (v1 / v0) ** (1.0 / 6.0)
-        override = spec.get("v2_override")
         system = four_atom_system(
             _require(spec, "omega", float, ctx),
             _require(spec, "delta", float, ctx),
             v0,
             rho,
-            v2_override=None if override is None else float(override),
+            v2_override=_optional(spec, "v2_override", float, ctx, None),
         )
     elif kind == "six-atom":
         system = six_atom_system(
@@ -320,8 +345,8 @@ def _build_simulator(spec: dict):
             _require(spec, "delta", float, ctx),
             _require(spec, "v0", float, ctx),
             _require(spec, "rho", float, ctx),
-            delta0=float(spec.get("delta0", 0.0)),
-            include_middle_pair=bool(spec.get("include_middle_pair", True)),
+            delta0=_optional(spec, "delta0", float, ctx, 0.0),
+            include_middle_pair=_optional(spec, "include_middle_pair", bool, ctx, True),
         )
     elif kind == "custom":
         _check_custom_layout(spec, ctx)
@@ -339,7 +364,12 @@ def _build_simulator(spec: dict):
 
 def _check_custom_layout(spec: dict, ctx: str) -> None:
     """Reject a custom layout's bad field by name, before any atom is placed."""
-    capped_dim(2, len(_require(spec, "positions", list, ctx)), "number of positions")
+    positions = _require(spec, "positions", list, ctx)
+    capped_dim(2, len(positions), "number of positions")
+    for k, row in enumerate(positions):
+        if not isinstance(row, list) or len(row) != 2:
+            raise ConfigError(f"field {ctx}.positions[{k}] must be an [x, y] pair, got {row!r}")
+        _entries(row, float, f"{ctx}.positions[{k}]")
     for key in ("scale", "omega", "delta"):
         _require(spec, key, float, ctx)
     if "delta0" in spec:
@@ -435,17 +465,19 @@ def _run_match(cfg: ExperimentConfig) -> int:
     ctx = "payload.match"
     if kind == "two-atom":
         report = match_two_atom(
-            _couplings(spec, ctx, kind), blockade_ratio=float(spec.get("blockade_ratio", 64.0))
+            _couplings(spec, ctx, kind),
+            blockade_ratio=_optional(spec, "blockade_ratio", float, ctx, 64.0),
         )
     elif kind == "three-atom-newton":
+        unknowns = _require(spec, "unknowns", list, ctx)
+        guess = _optional(spec, "guess", dict, ctx, None)
+        equations = _optional(spec, "equations", list, ctx, [1, 2, 3])
         problem = NewtonProblem(
             targets=_couplings(spec, ctx, kind),
-            unknowns=tuple(_require(spec, "unknowns", list, ctx)),
-            fixed={k: float(v) for k, v in _require(spec, "fixed", dict, ctx).items()},
-            initial_guess=(
-                {k: float(v) for k, v in spec["guess"].items()} if "guess" in spec else None
-            ),
-            equations=tuple(spec.get("equations", (1, 2, 3))),
+            unknowns=tuple(_entries(unknowns, str, f"{ctx}.unknowns")),
+            fixed=_entries(_require(spec, "fixed", dict, ctx), float, f"{ctx}.fixed"),
+            initial_guess=None if guess is None else _entries(guess, float, f"{ctx}.guess"),
+            equations=tuple(_entries(equations, int, f"{ctx}.equations")),
         )
         report = solve_three_atom_newton(problem)
     elif kind == "three-atom-approx":
@@ -460,8 +492,8 @@ def _run_match(cfg: ExperimentConfig) -> int:
             _require(spec, "omega", float, ctx),
             _require(spec, "delta", float, ctx),
             _require(spec, "v0", float, ctx),
-            rho_hint=spec.get("rho_hint"),
-            include_middle_pair=bool(spec.get("include_middle_pair", True)),
+            rho_hint=_optional(spec, "rho_hint", float, ctx, None),
+            include_middle_pair=_optional(spec, "include_middle_pair", bool, ctx, True),
         )
     else:
         raise ConfigError(f"field {ctx}.kind has unknown value {kind!r}")
@@ -478,17 +510,18 @@ def _run_evolve(cfg: ExperimentConfig) -> int:
     if "target" in payload:
         tr, resolved["target"] = _target_trace(payload, initial, times)
     elif "simulator" in payload:
-        system, resolved["simulator"] = _build_simulator(payload["simulator"])
+        spec = _require(payload, "simulator", dict, "payload")
+        system, resolved["simulator"] = _build_simulator(spec)
         if system.spin_map is None:
             # Custom layout: the initial state is a |g>/|r> bitstring and the
             # trace covers the complete product basis.
             n = system.geometry.n_atoms
-            if len(initial) != n or set(initial) - {"0", "1"}:
-                raise ConfigError(
-                    f"field initial: custom simulators take a bitstring of {n} atoms"
-                )
-            psi0 = StateVector.basis(1 << n, int(initial, 2))
-            tr = trace(system.hamiltonian(), psi0, complete_basis_finals(1 << n), times)
+            labels = bitstring_labels(1 << n)
+            if initial not in labels:
+                raise ConfigError(f"field initial: custom simulators take a bitstring of {n} atoms")
+            psi0 = StateVector.basis(len(labels), labels.index(initial))
+            probs = state_probabilities(system.hamiltonian(), psi0, times)
+            tr = EvolutionTrace(times, dict(zip(labels, probs)))
         else:
             _, tr = _spin_simulator_trace(system, initial, times)
         resolved["geometry"] = system_to_json_obj(system.geometry, system.params)
@@ -502,11 +535,10 @@ def _run_evolve(cfg: ExperimentConfig) -> int:
 def _run_compare(cfg: ExperimentConfig) -> int:
     payload = cfg.payload
     times = _time_grid(_require(payload, "times", dict, "payload"), "payload.times")
-    sim_times = (
-        _time_grid(payload["sim_times"], "payload.sim_times") if "sim_times" in payload else times
-    )
+    sim_grid = _optional(payload, "sim_times", dict, "payload", None)
+    sim_times = times if sim_grid is None else _time_grid(sim_grid, "payload.sim_times")
     initial = _require(payload, "initial", str, "payload")
-    rescale_k = payload.get("rescale_k")
+    rescale_k = _optional(payload, "rescale_k", float, "payload", None)
 
     target_trace, target_params = _target_trace(payload, initial, times)
     system, sim_params = _build_simulator(_require(payload, "simulator", dict, "payload"))
@@ -521,7 +553,7 @@ def _run_compare(cfg: ExperimentConfig) -> int:
         "simulator": sim_params,
         "initial": initial,
         "times": payload["times"],
-        "sim_times": payload.get("sim_times", payload["times"]),
+        "sim_times": payload["times"] if sim_grid is None else sim_grid,
         "rescale_k": rescale_k,
         "geometry": system_to_json_obj(system.geometry, system.params),
     }
@@ -546,11 +578,15 @@ def _run_trotter(cfg: ExperimentConfig) -> int:
     shots = _require(payload, "shots", int, ctx)
     if dt <= 0 or t_max < 0:
         raise ConfigError("field payload.dt must be positive and payload.t_max nonnegative")
+    n_steps = round(min(t_max / dt, MAX_TIMES))
+    if n_steps + 1 > MAX_TIMES:
+        raise ConfigError(
+            f"fields payload.t_max / payload.dt give more than the cap of {MAX_TIMES} time points"
+        )
     seed = cfg.seed if cfg.seed is not None else 0
 
     system = two_atom_system(omega, delta, v0)
-    n_steps = int(round(t_max / dt))
-    times = np.array([k * dt for k in range(n_steps + 1)])
+    times = np.arange(n_steps + 1) * dt
     psi, exact = _spin_simulator_trace(system, "m=1", times)
 
     step = trotter_step_h2r(omega, delta, v0, dt)
@@ -560,7 +596,7 @@ def _run_trotter(cfg: ExperimentConfig) -> int:
             psi = apply_circuit(step, psi)
         result = sample_shots(psi, shots, seed + k)
         states.append(psi.amplitudes)
-        frequencies.append([result.frequency(f"{b:02b}") for b in range(4)])
+        frequencies.append([result.frequency(label) for label in bitstring_labels(psi.dim)])
         counts_log.append({"t": float(times[k]), "seed": seed + k, "counts": result.counts})
 
     # The two-atom encoding maps every spin state to one basis state.
@@ -662,7 +698,9 @@ def main(argv=None) -> int:
             if mode != args.mode:
                 raise ConfigError(f"config mode {mode!r} does not match subcommand {args.mode!r}")
             payload = {k: v for k, v in obj.items() if k not in ("mode", "seed")}
-            seed = args.seed if args.seed is not None else obj.get("seed")
+            seed = args.seed
+            if seed is None:
+                seed = _optional(obj, "seed", int, "config", None)
             cfg = ExperimentConfig(
                 mode=args.mode, payload=payload, out_dir=Path(args.out), seed=seed
             )

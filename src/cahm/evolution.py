@@ -12,7 +12,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .numerics import HermitianOperator, StateVector, eig_hermitian
+from .numerics import HermitianOperator, StateVector, basis_digits, bitstring_labels, eig_hermitian
+from .target_models import SPIN1
 
 # Complete-basis probability series must sum to 1 within this tolerance.
 COMPLETENESS_ATOL = 1e-9
@@ -142,15 +143,13 @@ def basis_trace(
 
 
 def _with_leakage(times, series: dict, basis_probs, physical_indices) -> EvolutionTrace:
-    outside = [b for b in range(len(basis_probs)) if b not in set(physical_indices)]
-    series["leakage"] = basis_probs[outside].sum(axis=0) if outside else np.zeros_like(times)
+    series["leakage"] = np.delete(basis_probs, list(physical_indices), axis=0).sum(axis=0)
     return EvolutionTrace(times=times, series=series)
 
 
 def complete_basis_finals(dim: int) -> list[tuple[str, StateVector]]:
     """One final state per basis vector, labeled by its index as a bitstring."""
-    n_bits = max(1, (dim - 1).bit_length())
-    return [(format(b, f"0{n_bits}b"), StateVector.basis(dim, b)) for b in range(dim)]
+    return [(label, StateVector.basis(dim, b)) for b, label in enumerate(bitstring_labels(dim))]
 
 
 def one_spin_finals() -> list[tuple[str, StateVector]]:
@@ -160,10 +159,8 @@ def one_spin_finals() -> list[tuple[str, StateVector]]:
 
 def symmetric_state_two_spin() -> StateVector:
     """(|0,1> + |0,-1> + |1,0> + |-1,0>) / 2 in the 9-state two-spin basis."""
-    a = np.zeros(9, dtype=np.complex128)
-    for ml, mr in ((0, 1), (0, -1), (1, 0), (-1, 0)):
-        a[3 * (1 - ml) + (1 - mr)] = 0.5
-    return StateVector(a)
+    m = SPIN1.m_values()[basis_digits(3, 2, "two spins")]
+    return StateVector(0.5 * (np.abs(m).sum(axis=1) == 1))
 
 
 def two_spin_finals() -> list[tuple[str, StateVector]]:

@@ -10,6 +10,7 @@ time-rescale factor K numerically.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -50,6 +51,27 @@ class SingularDenominatorError(ZeroDivisionError):
 
 class MatchingError(RuntimeError):
     """A matching procedure cannot produce a usable result."""
+
+
+def _overflow_as_matching_error(match):
+    """Report a float overflow or a plain zero division inside `match` as a MatchingError.
+
+    The perturbative conditions square energies and divide by their products,
+    so parameters near the ends of the float range overflow Python floats.
+    """
+
+    @functools.wraps(match)
+    def checked(*args, **kwargs):
+        try:
+            return match(*args, **kwargs)
+        except SingularDenominatorError:
+            raise
+        except (OverflowError, ZeroDivisionError) as exc:
+            raise MatchingError(
+                f"{match.__name__}: the parameters leave the float range ({exc})"
+            ) from exc
+
+    return checked
 
 
 @dataclass
@@ -199,6 +221,8 @@ class NewtonProblem:
             raise ValueError("need as many equations as unknowns")
         if any(e not in (1, 2, 3) for e in self.equations):
             raise ValueError("equations are numbered 1..3")
+        if self.initial_guess is not None and set(unknowns) - set(self.initial_guess):
+            raise ValueError(f"initial_guess must give every unknown of {unknowns}")
 
 
 def _default_guess(prob: NewtonProblem) -> dict:
@@ -212,6 +236,7 @@ def _default_guess(prob: NewtonProblem) -> dict:
     return guess
 
 
+@_overflow_as_matching_error
 def solve_three_atom_newton(prob: NewtonProblem) -> MatchReport:
     """Damped Newton iteration on the selected matching equations.
 
@@ -381,6 +406,7 @@ def three_atom_low_sector(omega: float, delta: float, delta0: float, v0: float) 
     }
 
 
+@_overflow_as_matching_error
 def approx_three_atom_match(omega: float, delta: float) -> MatchReport:
     """Degenerate-level match at Delta0 = 0, V0 = 2 Delta.
 
@@ -508,6 +534,7 @@ def fit_time_rescale(
     return k_opt, rms(k_opt)
 
 
+@_overflow_as_matching_error
 def match_six_atom(
     c: TargetCouplings,
     omega: float,

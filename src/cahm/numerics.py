@@ -2,13 +2,14 @@
 
 Every operator in this package is an explicit dense matrix (dim <= 4096).
 This module provides the shared primitives: validated Hermitian operators
-and state vectors, a deterministic Hermitian eigendecomposition and spectral
-time evolution exp(-iHt).  All values are immutable after construction and
-every operation is a pure function.
+and state vectors, a deterministic Hermitian eigendecomposition, spectral
+time evolution exp(-iHt) and the digit layout of product bases.  All values
+are immutable after construction and every operation is a pure function.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -162,6 +163,23 @@ def capped_dim(base: int, n: int, field: str) -> int:
             f"{field} = {n} gives dimension {base}**{n}, above the supported maximum {MAX_DIM}"
         )
     return base**n
+
+
+def basis_digits(base: int, n: int, field: str) -> np.ndarray:
+    """(base**n, n) digits of every basis index, site 0 most significant; capped first."""
+    return (np.arange(capped_dim(base, n, field))[:, None] // site_strides(base, n)) % base
+
+
+def site_strides(base: int, n: int) -> np.ndarray:
+    """Index step of each site's digit, base**(n - 1 - i): `digits @ strides` is the index."""
+    return base ** np.arange(n - 1, -1, -1)
+
+
+@functools.lru_cache(maxsize=64)
+def bitstring_labels(dim: int) -> tuple[str, ...]:
+    """Bitstring labels of the basis indices 0..dim-1, all of one width."""
+    digits = basis_digits(2, max(1, (dim - 1).bit_length()), "number of bits")
+    return tuple("".join(map(str, row)) for row in digits[:dim].tolist())
 
 
 def _canonical_subspace_basis(block: np.ndarray) -> np.ndarray:

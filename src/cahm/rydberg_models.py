@@ -6,8 +6,8 @@ Atoms are two-level systems |g>, |r| at fixed 2D positions with repulsive
     H = (Omega/2) sum_i (|g_i><r_i| + |r_i><g_i|) - Delta sum_i n_i
         - Delta0 sum_{i in designated} n_i + sum_{i<j} V_ij n_i n_j.
 
-The 2^n product basis orders atom 0 as the most significant bit with |g> = 0
-and |r> = 1.  Standard layouts: a vertical pair, three equidistant atoms on a
+The 2^n product basis is the bit table of `numerics.basis_digits` (atom 0 is
+the most significant bit) with |g> = 0 and |r> = 1.  Standard layouts: a vertical pair, three equidistant atoms on a
 vertical line, and mirrored two-column ladders whose reflection symmetry
 realizes charge conjugation (spin sign flip) geometrically.
 """
@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .numerics import HermitianOperator, StateVector, capped_dim
+from .numerics import HermitianOperator, StateVector, basis_digits, site_strides
 
 # Spin value -> excited atom bit pattern, one column, top atom first.
 _SINGLE_MAPS = {
@@ -36,10 +36,21 @@ _MIRROR_PERMS = {
 
 
 def pair_interaction(scale: float, r: float) -> float:
-    """Van der Waals pair energy scale / r^6; `scale` is the energy at unit distance."""
+    """Van der Waals pair energy scale / r^6; `scale` is the energy at unit distance.
+
+    A pair whose r^6 overflows does not interact; a pair so close that the
+    energy is not finite is rejected.
+    """
     if not r > 0:
         raise ValueError(f"pair distance must be positive, got {r!r}")
-    return scale / r**6
+    try:
+        r6 = r**6
+    except OverflowError:
+        return 0.0
+    v = scale / r6 if r6 > 0.0 else math.inf
+    if not math.isfinite(v):
+        raise ValueError(f"pair distance {r!r} gives an infinite interaction at scale {scale!r}")
+    return v
 
 
 @dataclass(frozen=True)
@@ -110,9 +121,9 @@ class RydbergParams:
 
 
 def build_rydberg_h(geom: AtomGeometry, params: RydbergParams) -> HermitianOperator:
-    """Dense 2^n Hamiltonian of the driven interacting array."""
+    """Dense 2^n Hamiltonian of the driven interacting array, from the basis bit table."""
     n = geom.n_atoms
-    dim = capped_dim(2, n, "number of positions")
+    bits = basis_digits(2, n, "number of positions")
     for i in params.delta0_atoms:
         if not 0 <= i < n:
             raise ValueError(f"delta0 atom index {i} outside 0..{n - 1}")
@@ -123,17 +134,15 @@ def build_rydberg_h(geom: AtomGeometry, params: RydbergParams) -> HermitianOpera
                 raise ValueError(f"pair override ({i}, {j}) outside 0..{n - 1}")
         couplings.update(params.pair_overrides)
 
-    h = np.zeros((dim, dim), dtype=np.complex128)
-    extra = set(params.delta0_atoms)
-    for b in range(dim):
-        bits = [(b >> (n - 1 - i)) & 1 for i in range(n)]
-        energy = -params.delta * sum(bits) - params.delta0 * sum(bits[i] for i in extra)
-        for (i, j), v in couplings.items():
-            if bits[i] and bits[j]:
-                energy += v
-        h[b, b] = energy
-        for i in range(n):
-            h[b, b ^ (1 << (n - 1 - i))] += 0.5 * params.omega
+    n_excited = bits.sum(axis=1, dtype=np.float64)
+    n_extra = bits[:, sorted(set(params.delta0_atoms))].sum(axis=1, dtype=np.float64)
+    energy = -params.delta * n_excited - params.delta0 * n_extra
+    for (i, j), v in couplings.items():
+        energy[(bits[:, i] & bits[:, j]).astype(bool)] += v
+    h = np.diag(energy.astype(np.complex128))
+    index = np.arange(len(bits))
+    for stride in site_strides(2, n):
+        h[index, index ^ stride] += 0.5 * params.omega
     return HermitianOperator(h)
 
 
@@ -233,10 +242,9 @@ def two_spin_ladder_map(encoding: str) -> SpinAtomMap:
     n = 2 * n_col
     combined = {}
     for ml, left_bits in states.items():
-        # Right column is vertically mirrored: reverse its bit pattern.
-        for mr, right_bits in states.items():
-            mirrored = int(format(right_bits, f"0{n_col}b")[::-1], 2)
-            combined[(ml, mr)] = (left_bits << n_col) | mirrored
+        # The right column is vertically mirrored: m there has the pattern of -m.
+        for mr in states:
+            combined[(ml, mr)] = (left_bits << n_col) | states[-mr]
     return SpinAtomMap(n_atoms=n, encoding=encoding, spin_states=combined)
 
 
@@ -260,18 +268,13 @@ def embed_spin_state(spin_map: SpinAtomMap, state: StateVector) -> StateVector:
 
 def atom_permutation_matrix(perm) -> np.ndarray:
     """Basis permutation moving the excitation of atom i to atom perm[i]."""
-    perm = tuple(int(p) for p in perm)
+    perm = [int(p) for p in perm]
     n = len(perm)
     if sorted(perm) != list(range(n)):
-        raise ValueError(f"{perm} is not a permutation of 0..{n - 1}")
-    dim = 1 << n
-    m = np.zeros((dim, dim), dtype=np.complex128)
-    for b in range(dim):
-        b2 = 0
-        for i in range(n):
-            if (b >> (n - 1 - i)) & 1:
-                b2 |= 1 << (n - 1 - perm[i])
-        m[b2, b] = 1.0
+        raise ValueError(f"{tuple(perm)} is not a permutation of 0..{n - 1}")
+    bits = basis_digits(2, n, "permutation length")
+    m = np.zeros((len(bits), len(bits)), dtype=np.complex128)
+    m[bits[:, np.argsort(perm)] @ site_strides(2, n), np.arange(len(bits))] = 1.0
     return m
 
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .numerics import HermitianOperator, capped_dim
+from .numerics import HermitianOperator, basis_digits, site_strides
 
 
 @dataclass(frozen=True)
@@ -135,18 +135,15 @@ def _chain_h(
     wherever link i can still lower m.
     """
     d = trunc.dim
-    dim = capped_dim(d, n_links, "n_links")
-    index = np.arange(dim)
-    strides = d ** np.arange(n_links - 1, -1, -1)
-    digits = (index[:, None] // strides) % d
+    digits = basis_digits(d, n_links, "n_links")
+    index = np.arange(len(digits))
     m = trunc.m_values()[digits]
     neighbors = np.roll(m, -1, axis=1) - m if c.boundary == "periodic" else np.diff(m, axis=1)
     charge = (neighbors**2).sum(axis=1)
     if end_terms:
         charge += m[:, 0] ** 2 + m[:, -1] ** 2
-    h = np.zeros((dim, dim), dtype=np.complex128)
-    h[index, index] = 0.5 * c.u * (m**2).sum(axis=1) + 0.5 * c.y * charge
-    for i, stride in enumerate(strides):
+    h = np.diag((0.5 * c.u * (m**2).sum(axis=1) + 0.5 * c.y * charge).astype(np.complex128))
+    for i, stride in enumerate(site_strides(d, n_links)):
         lower = index[digits[:, i] < d - 1]
         h[lower, lower + stride] = -0.5 * c.x
         h[lower + stride, lower] = -0.5 * c.x

@@ -15,9 +15,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import StateVector, capped_dim
+from .numerics import StateVector, basis_digits, bitstring_labels, capped_dim
 
 GATE_KINDS = ("RX", "P", "CP")
+# numpy's multinomial draw counts in 64-bit integers.
+MAX_SHOTS = 2**63 - 1
 
 
 def rx_matrix(angle: float) -> np.ndarray:
@@ -151,16 +153,12 @@ def apply_circuit(circuit: Circuit, psi0: StateVector) -> StateVector:
         raise ValueError(f"state dimension {psi0.dim} does not match {circuit.n_qubits} qubits")
     state = psi0.amplitudes.astype(np.complex128, copy=True)
     n = circuit.n_qubits
+    bits = basis_digits(2, n, "n_qubits")
     for g in circuit.gates:
         if g.kind == "CP":
             # Diagonal gate: phase the amplitudes with both qubits excited.
             i, j = g.qubits
-            psi = state.reshape([2] * n)
-            idx = [slice(None)] * n
-            idx[i] = 1
-            idx[j] = 1
-            psi[tuple(idx)] *= np.exp(1j * g.angle)
-            state = psi.reshape(-1)
+            state[(bits[:, i] & bits[:, j]).astype(bool)] *= np.exp(1j * g.angle)
         else:
             state = _apply_single(state, g.matrix(), g.qubits[0], n)
     return StateVector(state)
@@ -204,14 +202,11 @@ def sample_shots(psi: StateVector, shots: int, seed: int) -> ShotResult:
     Uses numpy's PCG64 generator seeded with `seed`; identical
     (psi, shots, seed) always reproduce identical counts.
     """
-    if shots <= 0:
-        raise ValueError("shots must be positive")
+    if not 0 < shots <= MAX_SHOTS:
+        raise ValueError(f"shots must lie in 1..{MAX_SHOTS}, got {shots}")
     probs = np.abs(psi.amplitudes) ** 2
     probs = probs / probs.sum()
     rng = np.random.default_rng(seed)
     draws = rng.multinomial(shots, probs)
-    n_bits = max(1, (psi.dim - 1).bit_length())
-    counts = {
-        format(b, f"0{n_bits}b"): int(k) for b, k in enumerate(draws) if k > 0
-    }
+    counts = {label: int(k) for label, k in zip(bitstring_labels(psi.dim), draws) if k > 0}
     return ShotResult(counts=counts, shots=shots, seed=seed)

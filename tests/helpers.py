@@ -145,3 +145,37 @@ def kron_chain_h(c, trunc, n_links, end_terms=True):
             diff = lz_i[(i + 1) % n_links] - lz_i[i]
             total += 0.5 * c.y * (diff @ diff)
     return total
+
+
+def loop_rydberg_h(geom, params):
+    """Array Hamiltonian summed state by state over the 2^n basis (atom 0 most significant)."""
+    n = geom.n_atoms
+    dim = 1 << n
+    couplings = geom.couplings()
+    couplings.update(params.pair_overrides or {})
+    h = np.zeros((dim, dim), dtype=np.complex128)
+    extra = set(params.delta0_atoms)
+    for b in range(dim):
+        bits = [(b >> (n - 1 - i)) & 1 for i in range(n)]
+        energy = -params.delta * sum(bits) - params.delta0 * sum(bits[i] for i in extra)
+        for (i, j), v in couplings.items():
+            if bits[i] and bits[j]:
+                energy += v
+        h[b, b] = energy
+        for i in range(n):
+            h[b, b ^ (1 << (n - 1 - i))] += 0.5 * params.omega
+    return h
+
+
+def loop_permutation_matrix(perm):
+    """Basis permutation built state by state: atom i's excitation moves to atom perm[i]."""
+    n = len(perm)
+    dim = 1 << n
+    m = np.zeros((dim, dim), dtype=np.complex128)
+    for b in range(dim):
+        b2 = 0
+        for i in range(n):
+            if (b >> (n - 1 - i)) & 1:
+                b2 |= 1 << (n - 1 - perm[i])
+        m[b2, b] = 1.0
+    return m

@@ -1,20 +1,31 @@
 import json
+import os
 import shutil
 import subprocess
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from cahm import StateVector
 from cahm.cli import (
     EXIT_CONFIG,
     EXIT_NUMERICAL,
     EXIT_OK,
+    MAX_TIMES,
     ConfigError,
     main,
     preset_config,
     presets,
     run,
 )
+
+# Examples per payload in the derandomized fuzz test; raise CAHM_FUZZ_EXAMPLES
+# for a longer search.
+FUZZ_EXAMPLES = int(os.environ.get("CAHM_FUZZ_EXAMPLES", "20"))
 
 EXPECTED_PRESETS = ["fig3-top", "fig3-bottom", "fig4", "fig7-top", "fig7-bottom", "fig8", "fig10"]
 
@@ -375,3 +386,263 @@ def test_custom_simulator_positions_capped_before_geometry(tmp_path, capsys, mon
     }
     assert _run_config(tmp_path, config) == EXIT_CONFIG
     assert "number of positions" in capsys.readouterr().err
+
+
+# Payloads the fuzz test perturbs: every preset, one config per match kind
+# that sets each optional field, and spectrum and evolve configs.
+MATCH_CONFIGS = {
+    "two-atom": {"kind": "two-atom", "U": 1.0, "X": 0.5, "blockade_ratio": 64.0},
+    "three-atom-newton": {
+        "kind": "three-atom-newton",
+        "U": 5.12169,
+        "X": 0.07421,
+        "unknowns": ["omega", "delta", "delta0"],
+        "fixed": {"v0": 30.0},
+        "guess": {"omega": 1.01, "delta": 14.9, "delta0": 2.56},
+        "equations": [1, 2, 3],
+    },
+    "three-atom-approx": {"kind": "three-atom-approx", "omega": 1.0, "delta": 15.0},
+    "four-atom": {"kind": "four-atom", "U": 1.0, "X": 1.2, "Y": 0.2, "v0": 64.0},
+    "six-atom": {
+        "kind": "six-atom",
+        "U": 1.0,
+        "X": 1.2,
+        "Y": 0.2,
+        "omega": 1.0,
+        "delta": 15.0,
+        "v0": 30.0,
+        "rho_hint": 0.33,
+        "include_middle_pair": True,
+    },
+}
+
+
+OTHER_CONFIGS = {
+    "spectrum-one-spin": {"mode": "spectrum", "target": {"kind": "one-spin", "U": 1.0, "X": 0.5}},
+    "spectrum-chain": {
+        "mode": "spectrum",
+        "target": {
+            "kind": "chain",
+            "U": 1.0,
+            "X": 0.3,
+            "Y": 0.2,
+            "m_max": 1,
+            "n_links": 2,
+            "boundary": "open",
+        },
+    },
+    "evolve-two-spin": {
+        "mode": "evolve",
+        "target": {"kind": "two-spin", "U": 1.0, "X": 1.2, "Y": 0.2},
+        "initial": "00",
+        "times": {"start": 0.0, "stop": 1.0, "num": 11},
+    },
+    "evolve-custom": {
+        "mode": "evolve",
+        "simulator": {
+            "kind": "custom",
+            "positions": [[0.0, 1.0], [0.0, 0.0], [1.5, 0.5]],
+            "scale": 32.0,
+            "omega": -0.5,
+            "delta": -0.5,
+            "delta0": 0.3,
+            "delta0_atoms": [1],
+            "overrides": {"0-2": 0.1},
+        },
+        "initial": "100",
+        "times": {"start": 0.0, "stop": 1.0, "num": 11},
+    },
+}
+
+
+def _fuzz_configs() -> dict:
+    configs = {}
+    for name in presets():
+        cfg = preset_config(name)
+        seed = {} if cfg.seed is None else {"seed": cfg.seed}
+        configs[name] = {"mode": cfg.mode, **cfg.payload, **seed}
+    for kind, spec in MATCH_CONFIGS.items():
+        configs[f"match-{kind}"] = {"mode": "match", "match": spec}
+    configs.update(OTHER_CONFIGS)
+    return configs
+
+
+def _field_paths(obj: dict, prefix=()):
+    for key, value in obj.items():
+        if key == "mode":
+            continue
+        yield prefix + (key,)
+        if isinstance(value, dict):
+            yield from _field_paths(value, prefix + (key,))
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=4,
+)
+
+
+@pytest.mark.parametrize("name", list(_fuzz_configs()))
+@settings(max_examples=FUZZ_EXAMPLES, derandomize=True, deadline=None, database=None)
+@given(data=st.data())
+def test_any_one_bad_field_exits_with_a_code(name, data):
+    config = json.loads(json.dumps(_fuzz_configs()[name]))
+    path = data.draw(st.sampled_from(sorted(_field_paths(config))), label="field")
+    value = data.draw(JSON_VALUES, label="value")
+    parent = config
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    with tempfile.TemporaryDirectory() as work:
+        cfg = Path(work) / "config.json"
+        cfg.write_text(json.dumps(config))
+        code = main([config["mode"], "--config", str(cfg), "--out", str(Path(work) / "out")])
+    assert code in (EXIT_OK, EXIT_CONFIG, EXIT_NUMERICAL)
+
+
+SIX_ATOM_COMPARE = {
+    "mode": "compare",
+    "target": {"kind": "two-spin", "U": 1.0, "X": 1.2, "Y": 0.2},
+    "simulator": {"kind": "six-atom", "omega": 1.0, "delta": 15.0, "v0": 30.0, "rho": 0.326},
+    "initial": "00",
+    "times": {"start": 0.0, "stop": 1.0, "num": 11},
+}
+CUSTOM_EVOLVE = {
+    "mode": "evolve",
+    "simulator": {
+        "kind": "custom",
+        "positions": [[0.0, 1.0], [0.0, 0.0]],
+        "scale": 32.0,
+        "omega": -0.5,
+        "delta": -0.5,
+    },
+    "initial": "10",
+    "times": {"start": 0.0, "stop": 1.0, "num": 11},
+}
+
+
+def _with_field(config: dict, path: tuple, value) -> dict:
+    out = json.loads(json.dumps(config))
+    parent = out
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    return out
+
+
+@pytest.mark.parametrize(
+    "config,path,value,name",
+    [
+        ({"mode": "match", "match": MATCH_CONFIGS["six-atom"]}, ("match", "rho_hint"), "a",
+         "match.rho_hint"),
+        ({"mode": "match", "match": MATCH_CONFIGS["six-atom"]}, ("match", "include_middle_pair"),
+         1, "match.include_middle_pair"),
+        ({"mode": "match", "match": MATCH_CONFIGS["two-atom"]}, ("match", "blockade_ratio"), "a",
+         "match.blockade_ratio"),
+        ({"mode": "match", "match": MATCH_CONFIGS["three-atom-newton"]}, ("match", "equations"),
+         5, "match.equations"),
+        ({"mode": "match", "match": MATCH_CONFIGS["three-atom-newton"]}, ("match", "guess"),
+         [1, 2], "match.guess"),
+        ({"mode": "match", "match": MATCH_CONFIGS["three-atom-newton"]},
+         ("match", "fixed", "v0"), "a", "match.fixed.v0"),
+        ({"mode": "match", "match": MATCH_CONFIGS["three-atom-newton"]}, ("match", "unknowns"),
+         [["omega"]], "match.unknowns[0]"),
+        (FOUR_ATOM_COMPARE, ("simulator", "v2_override"), [1], "simulator.v2_override"),
+        (FOUR_ATOM_COMPARE, ("sim_times",), 5, "payload.sim_times"),
+        (FOUR_ATOM_COMPARE, ("rescale_k",), "a", "payload.rescale_k"),
+        (SIX_ATOM_COMPARE, ("simulator", "delta0"), "a", "simulator.delta0"),
+        (SIX_ATOM_COMPARE, ("simulator", "include_middle_pair"), "no",
+         "simulator.include_middle_pair"),
+        (CUSTOM_EVOLVE, ("simulator", "positions"), [["a", 0.0], [0.0, 0.0]],
+         "simulator.positions[0]"),
+        (CUSTOM_EVOLVE, ("simulator", "positions"), [[0.0, 1.0, 2.0], [0.0, 0.0]],
+         "simulator.positions[0]"),
+        (CUSTOM_EVOLVE, ("simulator", "positions"), [[0.0, 1.0], 3.0],
+         "simulator.positions[1]"),
+        (CUSTOM_EVOLVE, ("simulator", "omega"), 10**400, "simulator.omega"),
+        (CUSTOM_EVOLVE, ("times", "stop"), float("inf"), "payload.times.stop"),
+    ],
+    ids=[
+        "rho_hint", "match-middle-pair", "blockade_ratio", "equations", "guess", "fixed",
+        "unknowns", "v2_override", "sim_times", "rescale_k", "six-atom-delta0",
+        "simulator-middle-pair", "position-entry", "position-ragged", "position-row",
+        "huge-int", "infinite",
+    ],
+)
+def test_bad_field_value_names_it(tmp_path, capsys, config, path, value, name):
+    assert _run_config(tmp_path, _with_field(config, path, value)) == EXIT_CONFIG
+    assert name in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "config,path,value",
+    [
+        (CUSTOM_EVOLVE, ("times", "num"), MAX_TIMES + 1),
+        (FOUR_ATOM_COMPARE, ("sim_times",), {"start": 0.0, "stop": 1.0, "num": 10**9}),
+        (
+            {"mode": "trotter", "omega": -1.5, "delta": -0.5, "v0": 10.0, "t_max": 3.0,
+             "shots": 10},
+            ("dt",),
+            1e-9,
+        ),
+        (
+            {"mode": "trotter", "omega": -1.5, "delta": -0.5, "v0": 10.0, "t_max": 1e300,
+             "shots": 10},
+            ("dt",),
+            1e-300,
+        ),
+    ],
+    ids=["times", "sim_times", "trotter-steps", "trotter-overflow"],
+)
+def test_time_points_capped_before_allocating(tmp_path, capsys, monkeypatch, config, path, value):
+    def guarded(allocate):
+        def call(*args, **kwargs):
+            size = args[2] if allocate is np.linspace else args[0]
+            assert size <= MAX_TIMES, f"asked for {size} time points"
+            return allocate(*args, **kwargs)
+
+        return call
+
+    monkeypatch.setattr(np, "linspace", guarded(np.linspace))
+    monkeypatch.setattr(np, "arange", guarded(np.arange))
+    assert _run_config(tmp_path, _with_field(config, path, value)) == EXIT_CONFIG
+    assert "time points" in capsys.readouterr().err
+
+
+def test_far_apart_atoms_give_a_finite_hamiltonian(tmp_path):
+    far = _with_field(CUSTOM_EVOLVE, ("simulator", "positions"), [[1e100, 0.0], [0.0, 0.0]])
+    assert _run_config(tmp_path, far) == EXIT_OK
+    thin = _with_field(SIX_ATOM_COMPARE, ("simulator", "rho"), 1e-80)
+    assert _run_config(tmp_path, thin) == EXIT_OK
+
+
+def test_custom_evolve_matches_the_complete_basis_trace(tmp_path):
+    from cahm.evolution import complete_basis_finals, trace
+    from cahm.rydberg_models import build_rydberg_h, system_from_json_obj
+
+    rng = np.random.default_rng(8)
+    simulator = {
+        "kind": "custom",
+        "positions": rng.uniform(0.0, 3.0, size=(8, 2)).tolist(),
+        "scale": 20.0,
+        "omega": 1.0,
+        "delta": 0.7,
+        "delta0": 1.3,
+        "delta0_atoms": [1, 6],
+        "overrides": {"0-7": -0.4, "5-2": 0.9},
+    }
+    config = {
+        "mode": "evolve",
+        "simulator": simulator,
+        "initial": "10010010",
+        "times": {"start": 0.0, "stop": 4.0, "num": 41},
+    }
+    assert _run_config(tmp_path, config) == EXIT_OK
+    geom, params = system_from_json_obj(simulator)
+    psi0 = StateVector.basis(256, 0b10010010)
+    expected = trace(
+        build_rydberg_h(geom, params), psi0, complete_basis_finals(256), np.linspace(0.0, 4.0, 41)
+    )
+    assert (tmp_path / "out" / "trace.csv").read_text() == expected.to_csv_text()

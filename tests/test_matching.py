@@ -166,6 +166,14 @@ def test_newton_problem_validation():
                 fixed={"delta0": 0.5},
             )
         )
+    with pytest.raises(ValueError, match="initial_guess"):
+        NewtonProblem(
+            targets=c,
+            unknowns=("omega", "delta"),
+            fixed={"delta0": 2.5, "v0": 30.0},
+            initial_guess={"omega": 1.0},
+            equations=(1, 2),
+        )
 
 
 def test_degenerate_matrix_closed_form():
@@ -270,3 +278,20 @@ def test_match_six_atom_y0_decouples():
 def test_match_six_atom_bracket_failure():
     with pytest.raises(MatchingError):
         match_six_atom(TargetCouplings(u=1.0, x=0.0, y=400.0), 1.0, 15.0, 30.0)
+
+
+def test_float_overflow_is_a_matching_error():
+    with pytest.raises(MatchingError, match="float range"):
+        match_six_atom(TargetCouplings(u=1.0, x=1.2, y=0.2), 1e160, 15.0, 30.0)
+    with pytest.raises(MatchingError, match="float range"):
+        match_six_atom(TargetCouplings(u=3e-297, x=1.2, y=0.2), 1.0, 15.0, 30.0)
+    with pytest.raises(MatchingError, match="float range"):
+        approx_three_atom_match(1e160, 15.0)
+    problem = NewtonProblem(
+        targets=TargetCouplings(u=1.0, x=1e200),
+        unknowns=("omega",),
+        fixed={"delta": 15.0, "delta0": 2.5, "v0": 30.0},
+        equations=(1,),
+    )
+    with pytest.raises(MatchingError, match="float range"):
+        solve_three_atom_newton(problem)

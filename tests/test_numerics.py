@@ -9,7 +9,13 @@ from cahm import (
     eig_hermitian,
     evolve,
 )
-from cahm.rydberg_models import AtomGeometry, RydbergParams, build_rydberg_h
+from cahm.numerics import MAX_DIM, basis_digits, bitstring_labels, site_strides
+from cahm.rydberg_models import (
+    AtomGeometry,
+    RydbergParams,
+    atom_permutation_matrix,
+    build_rydberg_h,
+)
 from cahm.target_models import SPIN1, TargetCouplings, build_chain_h
 from cahm.trotter import Circuit
 
@@ -134,6 +140,28 @@ def test_one_dimension_cap_rejects_before_allocating(monkeypatch):
         Circuit(n_qubits=13, gates=())
     with pytest.raises(ValueError, match="n_links"):
         build_chain_h(TargetCouplings(u=1.0, x=0.5, y=0.2), SPIN1, 8)
+
+
+def test_basis_digits_put_site_zero_first():
+    digits = basis_digits(3, 2, "n")
+    assert digits.tolist() == [[a, b] for a in range(3) for b in range(3)]
+    assert np.array_equal(digits @ site_strides(3, 2), np.arange(9))
+    assert np.array_equal(basis_digits(2, 12, "n") @ site_strides(2, 12), np.arange(MAX_DIM))
+    assert bitstring_labels(5) == ("000", "001", "010", "011", "100")
+    assert bitstring_labels(1) == ("0",)
+
+
+def test_basis_digits_capped_before_allocating(monkeypatch):
+    def no_allocation(*args, **kwargs):
+        raise AssertionError("allocated past the dimension cap")
+
+    monkeypatch.setattr(np, "arange", no_allocation)
+    with pytest.raises(ValueError, match="sites"):
+        basis_digits(2, 13, "sites")
+    with pytest.raises(ValueError, match="number of bits"):
+        bitstring_labels(MAX_DIM + 1)
+    with pytest.raises(ValueError, match="permutation length"):
+        atom_permutation_matrix(range(13))
 
 
 def test_statevector_contracts():

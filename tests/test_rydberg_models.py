@@ -1,3 +1,4 @@
+import itertools
 import re
 
 import numpy as np
@@ -29,6 +30,7 @@ from cahm.rydberg_models import (
     system_from_json_obj,
     system_to_json_obj,
 )
+from helpers import loop_permutation_matrix, loop_rydberg_h
 
 
 def test_pair_interaction_power_law():
@@ -37,6 +39,11 @@ def test_pair_interaction_power_law():
     assert abs(pair_interaction(32.0, 10.0) - v0 / 1e6) < 1e-18
     with pytest.raises(ValueError):
         pair_interaction(1.0, 0.0)
+    # Beyond the float range of r^6: no interaction, or an infinite one rejected.
+    assert pair_interaction(32.0, 1e100) == 0.0
+    for r in (1e-60, 1e-55):
+        with pytest.raises(ValueError, match="infinite"):
+            pair_interaction(32.0, r)
 
 
 def test_pair_interaction_diagonal_distance():
@@ -240,3 +247,51 @@ def test_system_json_round_trip():
     h1 = build_rydberg_h(system.geometry, system.params).matrix
     h2 = build_rydberg_h(geom, params).matrix
     assert np.array_equal(h1, h2)
+
+
+def _preset_systems():
+    """The simulator of every preset, plus the six-atom ladder without its middle pair."""
+    from cahm.cli import _build_simulator, preset_config, presets
+
+    systems = {}
+    for name in presets():
+        payload = preset_config(name).payload
+        if "simulator" in payload:
+            systems[name] = _build_simulator(payload["simulator"])[0]
+        else:
+            systems[name] = two_atom_system(payload["omega"], payload["delta"], payload["v0"])
+    systems["six-atom-truncated"] = six_atom_system(
+        1.0, 15.0, 30.0, 0.326, include_middle_pair=False
+    )
+    systems["six-atom-delta0"] = six_atom_system(1.0, 15.0, 30.0, 0.326, delta0=2.5)
+    return systems
+
+
+@pytest.mark.parametrize("name,system", list(_preset_systems().items()))
+def test_preset_hamiltonians_equal_the_loop_reference_bitwise(name, system):
+    h = system.hamiltonian().matrix
+    assert h.tobytes() == loop_rydberg_h(system.geometry, system.params).tobytes()
+
+
+@pytest.mark.parametrize("n_atoms", range(1, 11))
+def test_custom_hamiltonians_equal_the_loop_reference_bitwise(n_atoms):
+    rng = np.random.default_rng(100 + n_atoms)
+    for _ in range(3):
+        geom = AtomGeometry(rng.uniform(-3.0, 3.0, size=(n_atoms, 2)), rng.uniform(1.0, 50.0))
+        extra = rng.integers(0, n_atoms, size=rng.integers(0, 4))
+        pairs = [tuple(rng.choice(n_atoms, size=2, replace=False)) for _ in range(n_atoms // 2)]
+        params = RydbergParams(
+            omega=rng.uniform(-2.0, 2.0),
+            delta=rng.uniform(-5.0, 20.0),
+            delta0=rng.uniform(-3.0, 3.0),
+            delta0_atoms=tuple(int(i) for i in extra),
+            pair_overrides={(int(i), int(j)): rng.uniform(-1.0, 1.0) for i, j in pairs},
+        )
+        h = build_rydberg_h(geom, params).matrix
+        assert h.tobytes() == loop_rydberg_h(geom, params).tobytes()
+
+
+def test_atom_permutations_equal_the_loop_reference():
+    for n in range(1, 6):
+        for perm in itertools.permutations(range(n)):
+            assert np.array_equal(atom_permutation_matrix(perm), loop_permutation_matrix(perm))

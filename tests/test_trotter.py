@@ -150,6 +150,14 @@ def test_sample_shots_basis_state():
     assert res.frequency("10") == 1.0
 
 
+def test_sample_shots_counts_fit_numpy_integers():
+    psi = StateVector.basis(3, 1)
+    assert sample_shots(psi, 2**63 - 1, 7).counts == {"01": 2**63 - 1}
+    for shots in (0, 2**63):
+        with pytest.raises(ValueError, match="shots"):
+            sample_shots(psi, shots, 7)
+
+
 def test_sample_shots_uniform_within_5_sigma():
     psi = StateVector.normalized(np.ones(4))
     res = sample_shots(psi, 1000, 20240811)
