@@ -349,8 +349,7 @@ def _build_simulator(spec: dict):
             include_middle_pair=_optional(spec, "include_middle_pair", bool, ctx, True),
         )
     elif kind == "custom":
-        _check_custom_layout(spec, ctx)
-        geom, params = system_from_json_obj(spec)
+        geom, params = system_from_json_obj(_custom_layout(spec, ctx))
         system = SimulatorSystem(
             geometry=geom, params=params, spin_map=None, mirror=(), derived={}
         )
@@ -362,28 +361,27 @@ def _build_simulator(spec: dict):
     return system, resolved
 
 
-def _check_custom_layout(spec: dict, ctx: str) -> None:
-    """Reject a custom layout's bad field by name, before any atom is placed."""
+def _custom_layout(spec: dict, ctx: str) -> dict:
+    """A custom layout's fields, each read by name before any atom is placed."""
     positions = _require(spec, "positions", list, ctx)
     capped_dim(2, len(positions), "number of positions")
     for k, row in enumerate(positions):
         if not isinstance(row, list) or len(row) != 2:
             raise ConfigError(f"field {ctx}.positions[{k}] must be an [x, y] pair, got {row!r}")
         _entries(row, float, f"{ctx}.positions[{k}]")
-    for key in ("scale", "omega", "delta"):
-        _require(spec, key, float, ctx)
-    if "delta0" in spec:
-        _require(spec, "delta0", float, ctx)
-    atoms = spec.get("delta0_atoms", [])
-    if not isinstance(atoms, list) or any(type(i) is not int for i in atoms):
-        raise ConfigError(f"field {ctx}.delta0_atoms must list atom indices, got {atoms!r}")
-    overrides = spec.get("overrides") or {}
-    if not isinstance(overrides, dict):
-        raise ConfigError(f"field {ctx}.overrides must map 'i-j' pairs to numbers")
-    for key in overrides:
+    atoms = _optional(spec, "delta0_atoms", list, ctx, [])
+    overrides = _optional(spec, "overrides", dict, ctx, {})
+    layout = {
+        **{key: _require(spec, key, float, ctx) for key in ("scale", "omega", "delta")},
+        "positions": positions,
+        "delta0": _optional(spec, "delta0", float, ctx, 0.0),
+        "delta0_atoms": _entries(atoms, int, f"{ctx}.delta0_atoms"),
+        "overrides": _entries(overrides, float, f"{ctx}.overrides"),
+    }
+    for key in layout["overrides"]:
         if re.fullmatch(r"\d+-\d+", key) is None:
             raise ConfigError(f"field {ctx}.overrides key {key!r} must read 'i-j'")
-        _require(overrides, key, float, f"{ctx}.overrides")
+    return layout
 
 
 def _initial_state(finals, initial: str) -> StateVector:
@@ -590,13 +588,14 @@ def _run_trotter(cfg: ExperimentConfig) -> int:
     psi, exact = _spin_simulator_trace(system, "m=1", times)
 
     step = trotter_step_h2r(omega, delta, v0, dt)
+    labels = bitstring_labels(psi.dim)
     states, frequencies, counts_log = [], [], []
     for k in range(n_steps + 1):
         if k > 0:
             psi = apply_circuit(step, psi)
         result = sample_shots(psi, shots, seed + k)
         states.append(psi.amplitudes)
-        frequencies.append([result.frequency(label) for label in bitstring_labels(psi.dim)])
+        frequencies.append([result.frequency(label) for label in labels])
         counts_log.append({"t": float(times[k]), "seed": seed + k, "counts": result.counts})
 
     # The two-atom encoding maps every spin state to one basis state.

@@ -9,7 +9,6 @@ are immutable after construction and every operation is a pure function.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -175,7 +174,6 @@ def site_strides(base: int, n: int) -> np.ndarray:
     return base ** np.arange(n - 1, -1, -1)
 
 
-@functools.lru_cache(maxsize=64)
 def bitstring_labels(dim: int) -> tuple[str, ...]:
     """Bitstring labels of the basis indices 0..dim-1, all of one width."""
     digits = basis_digits(2, max(1, (dim - 1).bit_length()), "number of bits")

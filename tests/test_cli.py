@@ -1,14 +1,9 @@
 import json
-import os
 import shutil
 import subprocess
-import tempfile
-from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from cahm import StateVector
 from cahm.cli import (
@@ -22,10 +17,6 @@ from cahm.cli import (
     presets,
     run,
 )
-
-# Examples per payload in the derandomized fuzz test; raise CAHM_FUZZ_EXAMPLES
-# for a longer search.
-FUZZ_EXAMPLES = int(os.environ.get("CAHM_FUZZ_EXAMPLES", "20"))
 
 EXPECTED_PRESETS = ["fig3-top", "fig3-bottom", "fig4", "fig7-top", "fig7-bottom", "fig8", "fig10"]
 
@@ -388,8 +379,7 @@ def test_custom_simulator_positions_capped_before_geometry(tmp_path, capsys, mon
     assert "number of positions" in capsys.readouterr().err
 
 
-# Payloads the fuzz test perturbs: every preset, one config per match kind
-# that sets each optional field, and spectrum and evolve configs.
+# One config per match kind that sets each optional field.
 MATCH_CONFIGS = {
     "two-atom": {"kind": "two-atom", "U": 1.0, "X": 0.5, "blockade_ratio": 64.0},
     "three-atom-newton": {
@@ -416,90 +406,6 @@ MATCH_CONFIGS = {
     },
 }
 
-
-OTHER_CONFIGS = {
-    "spectrum-one-spin": {"mode": "spectrum", "target": {"kind": "one-spin", "U": 1.0, "X": 0.5}},
-    "spectrum-chain": {
-        "mode": "spectrum",
-        "target": {
-            "kind": "chain",
-            "U": 1.0,
-            "X": 0.3,
-            "Y": 0.2,
-            "m_max": 1,
-            "n_links": 2,
-            "boundary": "open",
-        },
-    },
-    "evolve-two-spin": {
-        "mode": "evolve",
-        "target": {"kind": "two-spin", "U": 1.0, "X": 1.2, "Y": 0.2},
-        "initial": "00",
-        "times": {"start": 0.0, "stop": 1.0, "num": 11},
-    },
-    "evolve-custom": {
-        "mode": "evolve",
-        "simulator": {
-            "kind": "custom",
-            "positions": [[0.0, 1.0], [0.0, 0.0], [1.5, 0.5]],
-            "scale": 32.0,
-            "omega": -0.5,
-            "delta": -0.5,
-            "delta0": 0.3,
-            "delta0_atoms": [1],
-            "overrides": {"0-2": 0.1},
-        },
-        "initial": "100",
-        "times": {"start": 0.0, "stop": 1.0, "num": 11},
-    },
-}
-
-
-def _fuzz_configs() -> dict:
-    configs = {}
-    for name in presets():
-        cfg = preset_config(name)
-        seed = {} if cfg.seed is None else {"seed": cfg.seed}
-        configs[name] = {"mode": cfg.mode, **cfg.payload, **seed}
-    for kind, spec in MATCH_CONFIGS.items():
-        configs[f"match-{kind}"] = {"mode": "match", "match": spec}
-    configs.update(OTHER_CONFIGS)
-    return configs
-
-
-def _field_paths(obj: dict, prefix=()):
-    for key, value in obj.items():
-        if key == "mode":
-            continue
-        yield prefix + (key,)
-        if isinstance(value, dict):
-            yield from _field_paths(value, prefix + (key,))
-
-
-JSON_VALUES = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
-    lambda inner: st.lists(inner, max_size=3)
-    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
-    max_leaves=4,
-)
-
-
-@pytest.mark.parametrize("name", list(_fuzz_configs()))
-@settings(max_examples=FUZZ_EXAMPLES, derandomize=True, deadline=None, database=None)
-@given(data=st.data())
-def test_any_one_bad_field_exits_with_a_code(name, data):
-    config = json.loads(json.dumps(_fuzz_configs()[name]))
-    path = data.draw(st.sampled_from(sorted(_field_paths(config))), label="field")
-    value = data.draw(JSON_VALUES, label="value")
-    parent = config
-    for key in path[:-1]:
-        parent = parent[key]
-    parent[path[-1]] = value
-    with tempfile.TemporaryDirectory() as work:
-        cfg = Path(work) / "config.json"
-        cfg.write_text(json.dumps(config))
-        code = main([config["mode"], "--config", str(cfg), "--out", str(Path(work) / "out")])
-    assert code in (EXIT_OK, EXIT_CONFIG, EXIT_NUMERICAL)
 
 
 SIX_ATOM_COMPARE = {
@@ -616,6 +522,26 @@ def test_far_apart_atoms_give_a_finite_hamiltonian(tmp_path):
     assert _run_config(tmp_path, far) == EXIT_OK
     thin = _with_field(SIX_ATOM_COMPARE, ("simulator", "rho"), 1e-80)
     assert _run_config(tmp_path, thin) == EXIT_OK
+
+
+@pytest.mark.parametrize(
+    "config,field,output",
+    [
+        (CUSTOM_EVOLVE, "delta0", "trace.csv"),
+        (CUSTOM_EVOLVE, "delta0_atoms", "trace.csv"),
+        (CUSTOM_EVOLVE, "overrides", "trace.csv"),
+        (SIX_ATOM_COMPARE, "delta0", "simulator.csv"),
+        (SIX_ATOM_COMPARE, "include_middle_pair", "simulator.csv"),
+    ],
+    ids=["custom-delta0", "custom-atoms", "custom-overrides", "six-delta0", "six-middle-pair"],
+)
+def test_null_optional_field_reads_as_absent(tmp_path, config, field, output):
+    absent, null = tmp_path / "absent", tmp_path / "null"
+    absent.mkdir()
+    null.mkdir()
+    assert _run_config(absent, config) == EXIT_OK
+    assert _run_config(null, _with_field(config, ("simulator", field), None)) == EXIT_OK
+    assert (null / "out" / output).read_bytes() == (absent / "out" / output).read_bytes()
 
 
 def test_custom_evolve_matches_the_complete_basis_trace(tmp_path):
