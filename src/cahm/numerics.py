@@ -181,16 +181,18 @@ def bitstring_labels(dim: int) -> tuple[str, ...]:
 
 
 def _canonical_subspace_basis(block: np.ndarray) -> np.ndarray:
-    """Deterministic orthonormal basis of the span of `block`.
+    """Deterministic orthonormal basis of the span of the isometry `block` (d x k).
 
     Column-pivoted Gram-Schmidt on the projector columns P e_0, P e_1, ...
-    (largest residual norm first, ties broken by index order), so the result
-    depends only on the subspace, not on the arbitrary orientation the
-    eigensolver returned.
+    (largest residual norm first, ties broken by index order).  With
+    P = block @ block^H, column j is block @ c_j for the j-th column c_j of
+    block^H, and block is an isometry, so norms and projections are those of
+    the c_j: the pivoting runs on the k x d coordinates in O(k^2 d), and no
+    d x d projector is formed.  Deterministic for identical input; on exact
+    ties between column norms the pick follows the solver's orientation.
     """
-    d, k = block.shape
-    projector = block @ block.conj().T
-    residual = projector.copy()
+    k = block.shape[1]
+    residual = block.conj().T
     chosen: list[np.ndarray] = []
     for _ in range(k):
         norms = np.linalg.norm(residual, axis=0)
@@ -200,19 +202,15 @@ def _canonical_subspace_basis(block: np.ndarray) -> np.ndarray:
         u = residual[:, pick] / norms[pick]
         chosen.append(u)
         residual = residual - np.outer(u, u.conj() @ residual)
-    return np.column_stack(chosen)
+    return block @ np.column_stack(chosen)
 
 
 def _fix_column_phases(v: np.ndarray) -> np.ndarray:
-    """Rotate each column so its largest-magnitude entry is real positive."""
-    out = v.copy()
-    for j in range(out.shape[1]):
-        col = out[:, j]
-        i = int(np.argmax(np.abs(col)))
-        mag = abs(col[i])
-        if mag > 0.0:
-            out[:, j] = col * (col[i].conjugate() / mag)
-    return out
+    """Rotate each column so its (first) largest-magnitude entry is real positive."""
+    peak = v[np.argmax(np.abs(v), axis=0), np.arange(v.shape[1])]
+    # hypot rounds as abs() of one complex scalar; np.abs of an array may not.
+    mag = np.hypot(peak.real, peak.imag)
+    return v * np.divide(peak.conj(), mag, out=np.ones_like(peak), where=mag > 0.0)
 
 
 def eig_hermitian(op: HermitianOperator) -> Spectrum:
@@ -221,26 +219,36 @@ def eig_hermitian(op: HermitianOperator) -> Spectrum:
     Deterministic for identical input: eigenvalues ascending, eigenvectors
     within each (near-)degenerate cluster re-oriented by column-pivoted
     Gram-Schmidt in index order, and every column phase-fixed so that its
-    largest entry is real positive.
+    largest entry is real positive.  Where a symmetry makes pivot norms or
+    entry magnitudes tie exactly, the solver's roundoff picks among them, so
+    the vectors are not independent of the eigensolver.
+
+    Raises ContractViolationError when an eigenvalue, ||H|| or the
+    eigen-residual is not finite, or the residual exceeds
+    RESIDUAL_RTOL * ||H||.
     """
     if not isinstance(op, HermitianOperator):
         op = HermitianOperator(op)
-    h = 0.5 * (op.matrix + op.matrix.conj().T)
+    h = 0.5 * op.matrix + 0.5 * op.matrix.conj().T
     w, v = np.linalg.eigh(h)
 
     scale = max(abs(float(w[0])), abs(float(w[-1])), np.finfo(float).tiny)
     tol = DEGENERACY_RTOL * scale
-    start = 0
-    v = v.copy()
-    for i in range(1, w.size + 1):
-        if i == w.size or w[i] - w[i - 1] > tol:
-            if i - start > 1:
-                v[:, start:i] = _canonical_subspace_basis(v[:, start:i])
-            start = i
+    edges = [0, *(np.flatnonzero(np.diff(w) > tol) + 1).tolist(), w.size]
+    for start, stop in zip(edges[:-1], edges[1:]):
+        if stop - start > 1:
+            v[:, start:stop] = _canonical_subspace_basis(v[:, start:stop])
     v = _fix_column_phases(v)
 
-    h_norm = float(np.linalg.norm(h))
+    # ||H||_F scaled by max|H| first, so entries near the float range do not overflow.
+    h_max = float(np.max(np.abs(h)))
+    h_norm = h_max * float(np.linalg.norm(h / h_max)) if h_max > 0.0 else 0.0
     residual = float(np.max(np.linalg.norm(h @ v - v * w, axis=0)))
+    if not (np.all(np.isfinite(w)) and np.isfinite(h_norm) and np.isfinite(residual)):
+        raise ContractViolationError(
+            "eigendecomposition is not finite: an eigenvalue, ||H|| or the residual "
+            "overflowed"
+        )
     if h_norm > 0.0 and residual > RESIDUAL_RTOL * h_norm:
         raise ContractViolationError(
             f"eigendecomposition residual {residual:.3e} exceeds "

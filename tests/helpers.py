@@ -179,3 +179,54 @@ def loop_permutation_matrix(perm):
                 b2 |= 1 << (n - 1 - perm[i])
         m[b2, b] = 1.0
     return m
+
+
+def projector_canonical_basis(block):
+    """Column-pivoted Gram-Schmidt on the d x d projector block @ block^H.
+
+    Pivots on the largest residual column norm (first index on exact ties)
+    and falls back to `block` when the largest norm drops below 1e-9.
+    """
+    k = block.shape[1]
+    projector = block @ block.conj().T
+    residual = projector.copy()
+    chosen = []
+    for _ in range(k):
+        norms = np.linalg.norm(residual, axis=0)
+        pick = int(np.argmax(norms))
+        if norms[pick] < 1e-9:
+            return block
+        u = residual[:, pick] / norms[pick]
+        chosen.append(u)
+        residual = residual - np.outer(u, u.conj() @ residual)
+    return np.column_stack(chosen)
+
+
+def loop_fix_column_phases(v):
+    """Rotate column by column so its first largest-magnitude entry is real positive."""
+    out = v.copy()
+    for j in range(out.shape[1]):
+        col = out[:, j]
+        i = int(np.argmax(np.abs(col)))
+        mag = abs(col[i])
+        if mag > 0.0:
+            out[:, j] = col * (col[i].conjugate() / mag)
+    return out
+
+
+def clustered_hermitian(rng, dim, cluster_sizes):
+    """Random complex Hermitian with one exactly repeated eigenvalue per cluster size.
+
+    The eigenbasis is a Haar-like random unitary, so no symmetry makes two
+    projector columns tie exactly.  The result is exactly Hermitian, so
+    eig_hermitian's symmetrised copy equals it bit for bit.
+    """
+    q, _ = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
+    w = np.sort(rng.uniform(-1.0, 1.0, size=dim))
+    start = 0
+    for size in cluster_sizes:
+        start += int(rng.integers(1, 4))
+        w[start : start + size] = w[start]
+        start += size
+    h = (q * w) @ q.conj().T
+    return 0.5 * h + 0.5 * h.conj().T

@@ -525,6 +525,24 @@ def test_far_apart_atoms_give_a_finite_hamiltonian(tmp_path):
 
 
 @pytest.mark.parametrize(
+    "config",
+    [
+        {"mode": "trotter", "omega": 1e308, "delta": -0.5, "v0": 10.0, "dt": 0.1, "t_max": 3.0,
+         "shots": 10},
+        {
+            "mode": "spectrum",
+            "target": {"kind": "chain", "U": 1e308, "X": 1e308, "Y": 0.2, "m_max": 1, "n_links": 2},
+        },
+    ],
+    ids=["trotter-omega", "chain-u-x"],
+)
+def test_overflowing_hamiltonian_fails_closed(tmp_path, config):
+    assert _run_config(tmp_path, config) in (EXIT_CONFIG, EXIT_NUMERICAL)
+    written = [p for p in (tmp_path / "out").rglob("*") if p.is_file()]
+    assert all("NaN" not in p.read_text() for p in written)
+
+
+@pytest.mark.parametrize(
     "config,field,output",
     [
         (CUSTOM_EVOLVE, "delta0", "trace.csv"),

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,15 @@ from cahm import (
     eig_hermitian,
     evolve,
 )
-from cahm.numerics import MAX_DIM, basis_digits, bitstring_labels, site_strides
+from cahm.numerics import (
+    DEGENERACY_RTOL,
+    MAX_DIM,
+    _canonical_subspace_basis,
+    _fix_column_phases,
+    basis_digits,
+    bitstring_labels,
+    site_strides,
+)
 from cahm.rydberg_models import (
     AtomGeometry,
     RydbergParams,
@@ -19,7 +29,13 @@ from cahm.rydberg_models import (
 from cahm.target_models import SPIN1, TargetCouplings, build_chain_h
 from cahm.trotter import Circuit
 
-from helpers import expm_taylor, random_hermitian
+from helpers import (
+    clustered_hermitian,
+    expm_taylor,
+    loop_fix_column_phases,
+    projector_canonical_basis,
+    random_hermitian,
+)
 
 
 def test_eig_diagonal():
@@ -55,6 +71,82 @@ def test_eig_deterministic_and_orientation_stable():
     s2 = eig_hermitian(h)
     assert np.array_equal(s1.eigenvalues, s2.eigenvalues)
     assert np.array_equal(s1.eigenvectors, s2.eigenvectors)
+
+
+def _clusters(w):
+    """(start, stop) of each run of eigenvalues closer than the degeneracy tolerance."""
+    tol = DEGENERACY_RTOL * max(abs(w[0]), abs(w[-1]))
+    edges = [0, *(np.flatnonzero(np.diff(w) > tol) + 1).tolist(), w.size]
+    return [(a, b) for a, b in zip(edges[:-1], edges[1:]) if b - a > 1]
+
+
+CLUSTER_CASES = [(16, (2, 5)), (64, (2, 3, 4, 8)), (256, (2, 3, 4, 5, 6, 7, 8))]
+
+
+@pytest.mark.parametrize("dim,sizes", CLUSTER_CASES)
+def test_canonical_basis_matches_the_projector_oracle(dim, sizes):
+    h = clustered_hermitian(np.random.default_rng(dim), dim, sizes)
+    w, v = np.linalg.eigh(h)
+    clusters = _clusters(w)
+    assert sorted(b - a for a, b in clusters) == sorted(sizes)
+    for a, b in clusters:
+        v[:, a:b] = projector_canonical_basis(v[:, a:b])
+    expected = loop_fix_column_phases(v)
+    s = eig_hermitian(HermitianOperator(h))
+    assert np.array_equal(s.eigenvalues, w)
+    assert np.max(np.abs(s.eigenvectors - expected)) <= 1e-12
+
+
+@pytest.mark.parametrize("dim,sizes", CLUSTER_CASES)
+def test_canonical_basis_ignores_the_solver_orientation(monkeypatch, dim, sizes):
+    rng = np.random.default_rng(dim + 1)
+    h = HermitianOperator(clustered_hermitian(rng, dim, sizes))
+    expected = eig_hermitian(h).eigenvectors
+    eigh = np.linalg.eigh
+
+    def rotated_eigh(m):
+        w, v = eigh(m)
+        for a, b in _clusters(w):
+            k = b - a
+            q, _ = np.linalg.qr(rng.normal(size=(k, k)) + 1j * rng.normal(size=(k, k)))
+            v[:, a:b] = v[:, a:b] @ q
+        return w, v
+
+    monkeypatch.setattr(np.linalg, "eigh", rotated_eigh)
+    assert np.max(np.abs(eig_hermitian(h).eigenvectors - expected)) <= 1e-12
+
+
+def test_canonical_basis_allocates_no_dim_squared_matrix():
+    d, k = 2048, 4
+    rng = np.random.default_rng(2048)
+    block, _ = np.linalg.qr(rng.normal(size=(d, k)) + 1j * rng.normal(size=(d, k)))
+    tracemalloc.start()
+    try:
+        basis = _canonical_subspace_basis(block)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.allclose(basis.conj().T @ basis, np.eye(k), atol=1e-12)
+    assert peak < d * d * 16 // 8
+
+
+def test_column_phases_equal_the_loop_reference_bitwise():
+    rng = np.random.default_rng(13)
+    tied = np.array([[1.0, 1j], [1j, 1.0]]) / np.sqrt(2.0)  # equal magnitudes: first entry wins
+    matrices = [tied, np.eye(3, dtype=complex)]
+    matrices += [np.linalg.eigh(random_hermitian(rng, dim))[1] for dim in (2, 5, 16, 64, 200)]
+    for v in matrices:
+        assert _fix_column_phases(v).tobytes() == loop_fix_column_phases(v).tobytes()
+
+
+def test_eig_rejects_an_overflowing_decomposition():
+    # Eigenvalues 0 and 2e308: the top one overflows, so the contract fails closed.
+    with pytest.raises(ContractViolationError, match="not finite"):
+        eig_hermitian(HermitianOperator(np.full((2, 2), 1e308, dtype=complex)))
+    # Entries at the edge of the float range with finite eigenvalues still pass.
+    for m in (np.diag([1e308, -1e308]), np.array([[0.0, 1e308], [1e308, 0.0]])):
+        s = eig_hermitian(HermitianOperator(m.astype(complex)))
+        assert np.array_equal(np.abs(s.eigenvalues), [1e308, 1e308])
 
 
 def test_eig_rejects_non_hermitian():
