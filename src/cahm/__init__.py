@@ -9,11 +9,9 @@ from .numerics import (
     Spectrum,
     StateVector,
     eig_hermitian,
-    evolve,
 )
 from .target_models import (
     SPIN1,
-    LagrangianCouplings,
     OneSpinSpectrum,
     SpinTruncation,
     TargetCouplings,
@@ -21,7 +19,6 @@ from .target_models import (
     build_chain_h,
     build_h1t,
     build_h2t,
-    couplings_from_lagrangian,
     op_charge_conjugation,
     op_lz,
     op_ux,
@@ -63,7 +60,6 @@ from .matching import (
 from .evolution import (
     EvolutionTrace,
     TraceComparison,
-    blockade_leakage,
     compare,
     symmetric_state_two_spin,
     trace,
@@ -73,9 +69,6 @@ from .trotter import (
     Gate,
     ShotResult,
     apply_circuit,
-    circuit_unitary,
-    repeat_circuit,
     sample_shots,
     trotter_step_h2r,
-    trotter_step_h4r,
 )

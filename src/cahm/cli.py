@@ -42,11 +42,11 @@ from .matching import (
 )
 from .numerics import StateVector, bitstring_labels, capped_dim, eig_hermitian
 from .rydberg_models import (
+    AtomGeometry,
+    RydbergParams,
     SimulatorSystem,
     four_atom_system,
     six_atom_system,
-    system_from_json_obj,
-    system_to_json_obj,
     three_atom_system,
     two_atom_system,
 )
@@ -349,10 +349,7 @@ def _build_simulator(spec: dict):
             include_middle_pair=_optional(spec, "include_middle_pair", bool, ctx, True),
         )
     elif kind == "custom":
-        geom, params = system_from_json_obj(_custom_layout(spec, ctx))
-        system = SimulatorSystem(
-            geometry=geom, params=params, spin_map=None, mirror=(), derived={}
-        )
+        system = _custom_layout(spec, ctx)
     else:
         raise ConfigError(f"field {ctx}.kind has unknown value {kind!r}")
     p = system.params
@@ -361,27 +358,51 @@ def _build_simulator(spec: dict):
     return system, resolved
 
 
-def _custom_layout(spec: dict, ctx: str) -> dict:
-    """A custom layout's fields, each read by name before any atom is placed."""
+def _custom_layout(spec: dict, ctx: str) -> SimulatorSystem:
+    """A custom layout without spin map, each field read by name before any atom is placed.
+
+    The fields are those `_geometry_json` writes into every array manifest.
+    """
     positions = _require(spec, "positions", list, ctx)
     capped_dim(2, len(positions), "number of positions")
+    rows = []
     for k, row in enumerate(positions):
         if not isinstance(row, list) or len(row) != 2:
             raise ConfigError(f"field {ctx}.positions[{k}] must be an [x, y] pair, got {row!r}")
-        _entries(row, float, f"{ctx}.positions[{k}]")
+        rows.append(_entries(row, float, f"{ctx}.positions[{k}]"))
+    scale, omega, delta = (_require(spec, key, float, ctx) for key in ("scale", "omega", "delta"))
     atoms = _optional(spec, "delta0_atoms", list, ctx, [])
     overrides = _optional(spec, "overrides", dict, ctx, {})
-    layout = {
-        **{key: _require(spec, key, float, ctx) for key in ("scale", "omega", "delta")},
-        "positions": positions,
-        "delta0": _optional(spec, "delta0", float, ctx, 0.0),
-        "delta0_atoms": _entries(atoms, int, f"{ctx}.delta0_atoms"),
-        "overrides": _entries(overrides, float, f"{ctx}.overrides"),
-    }
-    for key in layout["overrides"]:
-        if re.fullmatch(r"\d+-\d+", key) is None:
+    pairs = {}
+    for key, v in _entries(overrides, float, f"{ctx}.overrides").items():
+        pair = re.fullmatch(r"(\d+)-(\d+)", key)
+        if pair is None:
             raise ConfigError(f"field {ctx}.overrides key {key!r} must read 'i-j'")
-    return layout
+        pairs[(int(pair[1]), int(pair[2]))] = v
+    params = RydbergParams(
+        omega=omega,
+        delta=delta,
+        delta0=_optional(spec, "delta0", float, ctx, 0.0),
+        delta0_atoms=tuple(_entries(atoms, int, f"{ctx}.delta0_atoms")),
+        pair_overrides=pairs,
+    )
+    return SimulatorSystem(AtomGeometry(rows, scale), params, spin_map=None, mirror=())
+
+
+def _geometry_json(system: SimulatorSystem) -> dict:
+    """The `custom` simulator fields of an array: positions, scale, drive and overrides."""
+    geom, params = system.geometry, system.params
+    return {
+        "positions": [[float(x), float(y)] for x, y in geom.positions],
+        "scale": float(geom.interaction_scale),
+        "omega": float(params.omega),
+        "delta": float(params.delta),
+        "delta0": float(params.delta0),
+        "delta0_atoms": list(params.delta0_atoms),
+        "overrides": {
+            f"{i}-{j}": float(v) for (i, j), v in (params.pair_overrides or {}).items()
+        },
+    }
 
 
 def _initial_state(finals, initial: str) -> StateVector:
@@ -522,7 +543,7 @@ def _run_evolve(cfg: ExperimentConfig) -> int:
             tr = EvolutionTrace(times, dict(zip(labels, probs)))
         else:
             _, tr = _spin_simulator_trace(system, initial, times)
-        resolved["geometry"] = system_to_json_obj(system.geometry, system.params)
+        resolved["geometry"] = _geometry_json(system)
     else:
         raise ConfigError("missing field payload.target or payload.simulator")
     _write_text(cfg.out_dir / "trace.csv", tr.to_csv_text())
@@ -553,7 +574,7 @@ def _run_compare(cfg: ExperimentConfig) -> int:
         "times": payload["times"],
         "sim_times": payload["times"] if sim_grid is None else sim_grid,
         "rescale_k": rescale_k,
-        "geometry": system_to_json_obj(system.geometry, system.params),
+        "geometry": _geometry_json(system),
     }
     _write_manifest(cfg, resolved, ["target.csv", "simulator.csv", "comparison.json"])
     return EXIT_OK

@@ -168,21 +168,6 @@ def two_spin_finals() -> list[tuple[str, StateVector]]:
     return [("00", StateVector.basis(9, 4)), ("S", symmetric_state_two_spin())]
 
 
-def blockade_leakage(tr: EvolutionTrace, physical_labels) -> float:
-    """Largest total probability outside the physical labels of a complete trace."""
-    physical = set(physical_labels)
-    missing = physical - set(tr.series)
-    if missing:
-        raise ValueError(f"physical labels {sorted(missing)} not present in the trace")
-    total = np.sum(list(tr.series.values()), axis=0)
-    if float(np.max(np.abs(total - 1.0))) > 1e-6:
-        raise ValueError("blockade_leakage requires a complete-basis trace (series must sum to 1)")
-    outside = [v for label, v in tr.series.items() if label not in physical]
-    if not outside:
-        return 0.0
-    return float(np.max(np.sum(outside, axis=0)))
-
-
 def compare(
     target: EvolutionTrace,
     sim: EvolutionTrace,

@@ -39,7 +39,7 @@ def _as_square_matrix(entries) -> np.ndarray:
         raise ContractViolationError(f"expected a square matrix, got shape {m.shape}")
     if not 1 <= m.shape[0] <= MAX_DIM:
         raise ContractViolationError(f"dimension {m.shape[0]} outside 1..{MAX_DIM}")
-    if not np.all(np.isfinite(m.real)) or not np.all(np.isfinite(m.imag)):
+    if not np.isfinite(m).all():
         raise ContractViolationError("matrix entries must be finite")
     return m
 
@@ -77,7 +77,7 @@ class StateVector:
         a = np.array(self.amplitudes, dtype=np.complex128)
         if a.ndim != 1 or a.size == 0:
             raise ContractViolationError(f"expected a 1d amplitude vector, got shape {a.shape}")
-        if not np.all(np.isfinite(a.real)) or not np.all(np.isfinite(a.imag)):
+        if not np.isfinite(a).all():
             raise ContractViolationError("amplitudes must be finite")
         norm_sq = float(np.sum(np.abs(a) ** 2))
         if abs(norm_sq - 1.0) > NORM_ATOL:
@@ -227,9 +227,8 @@ def eig_hermitian(op: HermitianOperator) -> Spectrum:
     eigen-residual is not finite, or the residual exceeds
     RESIDUAL_RTOL * ||H||.
     """
-    if not isinstance(op, HermitianOperator):
-        op = HermitianOperator(op)
-    h = 0.5 * op.matrix + 0.5 * op.matrix.conj().T
+    # HermitianOperator validated the matrix once; eigh reads one triangle of it.
+    h = op.matrix
     w, v = np.linalg.eigh(h)
 
     scale = max(abs(float(w[0])), abs(float(w[-1])), np.finfo(float).tiny)
@@ -255,8 +254,3 @@ def eig_hermitian(op: HermitianOperator) -> Spectrum:
             f"{RESIDUAL_RTOL:.0e} * ||H|| = {RESIDUAL_RTOL * h_norm:.3e}"
         )
     return Spectrum(w, v)
-
-
-def evolve(op: HermitianOperator, t: float, psi0: StateVector) -> StateVector:
-    """Apply U(t) = exp(-iHt) to psi0 through the spectral decomposition."""
-    return StateVector(eig_hermitian(op).propagate(psi0, [float(t)])[:, 0])

@@ -27,13 +27,6 @@ _SINGLE_MAPS = {
     "three-atom": {3: {1: 0b100, 0: 0b010, -1: 0b001}},
 }
 
-_MIRROR_PERMS = {
-    "two-atom": (1, 0),
-    "three-atom": (2, 1, 0),
-    "four-atom": (1, 0, 3, 2),
-    "six-atom": (2, 1, 0, 5, 4, 3),
-}
-
 
 def pair_interaction(scale: float, r: float) -> float:
     """Van der Waals pair energy scale / r^6; `scale` is the energy at unit distance.
@@ -199,12 +192,9 @@ class SpinAtomMap:
     """
 
     n_atoms: int
-    encoding: str
     spin_states: dict
 
     def __post_init__(self):
-        if self.encoding not in ("two-atom", "three-atom"):
-            raise ValueError(f"unknown encoding {self.encoding!r}")
         values = list(self.spin_states.values())
         if len(set(values)) != len(values):
             raise ValueError("spin state map must be injective")
@@ -231,7 +221,7 @@ def single_spin_map(encoding: str) -> SpinAtomMap:
     if encoding not in _SINGLE_MAPS:
         raise ValueError(f"unknown encoding {encoding!r}")
     ((n, states),) = _SINGLE_MAPS[encoding].items()
-    return SpinAtomMap(n_atoms=n, encoding=encoding, spin_states=dict(states))
+    return SpinAtomMap(n_atoms=n, spin_states=dict(states))
 
 
 def two_spin_ladder_map(encoding: str) -> SpinAtomMap:
@@ -245,7 +235,7 @@ def two_spin_ladder_map(encoding: str) -> SpinAtomMap:
         # The right column is vertically mirrored: m there has the pattern of -m.
         for mr in states:
             combined[(ml, mr)] = (left_bits << n_col) | states[-mr]
-    return SpinAtomMap(n_atoms=n, encoding=encoding, spin_states=combined)
+    return SpinAtomMap(n_atoms=n, spin_states=combined)
 
 
 def embed_spin_state(spin_map: SpinAtomMap, state: StateVector) -> StateVector:
@@ -278,13 +268,6 @@ def atom_permutation_matrix(perm) -> np.ndarray:
     return m
 
 
-def mirror_permutation(kind: str) -> tuple[int, ...]:
-    """Atom permutation of the vertical mirror (charge conjugation) for a layout."""
-    if kind not in _MIRROR_PERMS:
-        raise ValueError(f"unknown layout {kind!r}")
-    return _MIRROR_PERMS[kind]
-
-
 @dataclass(frozen=True)
 class SimulatorSystem:
     """A ready-to-run array: geometry, drive parameters, spin map and mirror."""
@@ -308,7 +291,7 @@ def two_atom_system(omega: float, delta: float, v0: float) -> SimulatorSystem:
         geometry=geometry_two_atom(1.0, v0),
         params=RydbergParams(omega=omega, delta=delta),
         spin_map=single_spin_map("two-atom"),
-        mirror=mirror_permutation("two-atom"),
+        mirror=(1, 0),
         derived={"v0": v0},
     )
 
@@ -319,7 +302,7 @@ def three_atom_system(omega: float, delta: float, delta0: float, v0: float) -> S
         geometry=geometry_three_atom_line(1.0, v0),
         params=RydbergParams(omega=omega, delta=delta, delta0=delta0, delta0_atoms=(1,)),
         spin_map=single_spin_map("three-atom"),
-        mirror=mirror_permutation("three-atom"),
+        mirror=(2, 1, 0),
         derived={"v0": v0, "v0_far": v0 / 64.0},
     )
 
@@ -350,7 +333,7 @@ def four_atom_system(
         geometry=geom,
         params=RydbergParams(omega=omega, delta=delta, pair_overrides=overrides),
         spin_map=two_spin_ladder_map("two-atom"),
-        mirror=mirror_permutation("four-atom"),
+        mirror=(1, 0, 3, 2),
         derived=derived,
     )
 
@@ -393,40 +376,6 @@ def six_atom_system(
             pair_overrides=overrides,
         ),
         spin_map=two_spin_ladder_map("three-atom"),
-        mirror=mirror_permutation("six-atom"),
+        mirror=(2, 1, 0, 5, 4, 3),
         derived=derived,
     )
-
-
-def system_to_json_obj(geom: AtomGeometry, params: RydbergParams) -> dict:
-    """JSON-serializable description of a geometry plus drive parameters."""
-    return {
-        "positions": [[float(x), float(y)] for x, y in geom.positions],
-        "scale": float(geom.interaction_scale),
-        "omega": float(params.omega),
-        "delta": float(params.delta),
-        "delta0": float(params.delta0),
-        "delta0_atoms": list(params.delta0_atoms),
-        "overrides": {
-            f"{i}-{j}": float(v) for (i, j), v in (params.pair_overrides or {}).items()
-        },
-    }
-
-
-def system_from_json_obj(obj: dict) -> tuple[AtomGeometry, RydbergParams]:
-    """Inverse of `system_to_json_obj`."""
-    geom = AtomGeometry(np.array(obj["positions"], dtype=np.float64), float(obj["scale"]))
-    overrides = None
-    if obj.get("overrides"):
-        overrides = {}
-        for key, v in obj["overrides"].items():
-            i, j = key.split("-")
-            overrides[(int(i), int(j))] = float(v)
-    params = RydbergParams(
-        omega=float(obj["omega"]),
-        delta=float(obj["delta"]),
-        delta0=float(obj.get("delta0", 0.0)),
-        delta0_atoms=tuple(obj.get("delta0_atoms", ())),
-        pair_overrides=overrides,
-    )
-    return geom, params

@@ -82,28 +82,6 @@ class OneSpinSpectrum:
         return {"e0": self.e0, "eplus": self.eplus, "eminus": self.eminus, "phi": self.phi}
 
 
-@dataclass(frozen=True)
-class LagrangianCouplings:
-    """Euclidean-lattice couplings feeding the Hamiltonian limit.
-
-    beta_pl is the plaquette coupling, kappa_tau / kappa_s the temporal and
-    spatial hoppings, and a the temporal lattice spacing.
-    """
-
-    beta_pl: float
-    kappa_tau: float
-    kappa_s: float
-    a: float
-
-    def __post_init__(self):
-        if not self.a > 0:
-            raise ValueError(f"temporal lattice spacing must be positive, got {self.a!r}")
-        if self.kappa_tau == 0:
-            raise ValueError("kappa_tau must be nonzero")
-        if self.beta_pl == 0:
-            raise ValueError("beta_pl must be nonzero")
-
-
 def op_lz(trunc: SpinTruncation = SPIN1) -> HermitianOperator:
     """Diagonal angular momentum diag(m_max, ..., -m_max)."""
     return HermitianOperator(np.diag(trunc.m_values()).astype(np.complex128))
@@ -204,16 +182,3 @@ def build_chain_h(c: TargetCouplings, trunc: SpinTruncation, n_links: int) -> He
     if n_links < 1:
         raise ValueError(f"n_links must be >= 1, got {n_links}")
     return _chain_h(c, trunc, n_links, end_terms=c.boundary == "open")
-
-
-def couplings_from_lagrangian(lag: LagrangianCouplings) -> TargetCouplings:
-    """Hamiltonian couplings from the Euclidean-lattice ones.
-
-    U = 1/(beta_pl a),  Y = 1/(2 kappa_tau a),  X = 2 kappa_s / a; each
-    Hamiltonian coupling inherits the sign of its Lagrangian counterpart.
-    """
-    return TargetCouplings(
-        u=1.0 / (lag.beta_pl * lag.a),
-        x=2.0 * lag.kappa_s / lag.a,
-        y=1.0 / (2.0 * lag.kappa_tau * lag.a),
-    )

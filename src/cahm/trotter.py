@@ -31,12 +31,6 @@ def p_matrix(angle: float) -> np.ndarray:
     return np.array([[1.0, 0.0], [0.0, np.exp(1j * angle)]], dtype=np.complex128)
 
 
-def cp_matrix(angle: float) -> np.ndarray:
-    m = np.eye(4, dtype=np.complex128)
-    m[3, 3] = np.exp(1j * angle)
-    return m
-
-
 @dataclass(frozen=True)
 class Gate:
     """A single RX / P / CP gate acting on one or two qubits."""
@@ -55,13 +49,6 @@ class Gate:
             raise ValueError(f"{self.kind} acts on {expected} distinct qubit(s), got {qubits}")
         if not math.isfinite(self.angle):
             raise ValueError("gate angle must be finite")
-
-    def matrix(self) -> np.ndarray:
-        if self.kind == "RX":
-            return rx_matrix(self.angle)
-        if self.kind == "P":
-            return p_matrix(self.angle)
-        return cp_matrix(self.angle)
 
 
 @dataclass(frozen=True)
@@ -86,11 +73,6 @@ class Circuit:
         return [
             {"gate": g.kind, "q": list(g.qubits), "angle": float(g.angle)} for g in self.gates
         ]
-
-    @staticmethod
-    def from_json_obj(n_qubits: int, obj: list) -> "Circuit":
-        gates = tuple(Gate(d["gate"], tuple(d["q"]), float(d["angle"])) for d in obj)
-        return Circuit(n_qubits=n_qubits, gates=gates)
 
 
 def trotter_step(
@@ -121,25 +103,6 @@ def trotter_step_h2r(omega: float, delta: float, v0: float, dt: float) -> Circui
     return trotter_step(2, omega, dt, [delta, delta], {(0, 1): v0})
 
 
-def trotter_step_h4r(
-    omega: float,
-    delta: float,
-    v0: float,
-    v1: float,
-    v2: float,
-    dt: float,
-) -> Circuit:
-    """One step for two coupled pairs (4 qubits, all-to-all phase couplings)."""
-    couplings = {(0, 1): v0, (2, 3): v0, (0, 2): v1, (1, 3): v1, (0, 3): v2, (1, 2): v2}
-    return trotter_step(4, omega, dt, [delta] * 4, couplings)
-
-
-def repeat_circuit(step: Circuit, n_steps: int) -> Circuit:
-    if n_steps < 0:
-        raise ValueError("n_steps must be nonnegative")
-    return Circuit(n_qubits=step.n_qubits, gates=step.gates * n_steps)
-
-
 def _apply_single(state: np.ndarray, m: np.ndarray, q: int, n: int) -> np.ndarray:
     psi = state.reshape([2] * n)
     psi = np.tensordot(m, psi, axes=([1], [q]))
@@ -160,17 +123,9 @@ def apply_circuit(circuit: Circuit, psi0: StateVector) -> StateVector:
             i, j = g.qubits
             state[(bits[:, i] & bits[:, j]).astype(bool)] *= np.exp(1j * g.angle)
         else:
-            state = _apply_single(state, g.matrix(), g.qubits[0], n)
+            gate = rx_matrix if g.kind == "RX" else p_matrix
+            state = _apply_single(state, gate(g.angle), g.qubits[0], n)
     return StateVector(state)
-
-
-def circuit_unitary(circuit: Circuit) -> np.ndarray:
-    """Full unitary of the circuit (intended for small n_qubits)."""
-    dim = 1 << circuit.n_qubits
-    u = np.eye(dim, dtype=np.complex128)
-    for k in range(dim):
-        u[:, k] = apply_circuit(circuit, StateVector.basis(dim, k)).amplitudes
-    return u
 
 
 @dataclass(frozen=True)
@@ -179,7 +134,6 @@ class ShotResult:
 
     counts: dict
     shots: int
-    seed: int
 
     def __post_init__(self):
         if sum(self.counts.values()) != self.shots:
@@ -187,13 +141,6 @@ class ShotResult:
 
     def frequency(self, bitstring: str) -> float:
         return self.counts.get(bitstring, 0) / self.shots
-
-    def to_json_obj(self) -> dict:
-        return {
-            "counts": {k: int(v) for k, v in self.counts.items()},
-            "shots": int(self.shots),
-            "seed": int(self.seed),
-        }
 
 
 def sample_shots(psi: StateVector, shots: int, seed: int) -> ShotResult:
@@ -209,4 +156,4 @@ def sample_shots(psi: StateVector, shots: int, seed: int) -> ShotResult:
     rng = np.random.default_rng(seed)
     draws = rng.multinomial(shots, probs)
     counts = {label: int(k) for label, k in zip(bitstring_labels(psi.dim), draws) if k > 0}
-    return ShotResult(counts=counts, shots=shots, seed=seed)
+    return ShotResult(counts=counts, shots=shots)

@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from cahm import StateVector, TargetCouplings
+from cahm import StateVector, TargetCouplings, apply_circuit
 from cahm.evolution import one_spin_finals, simulator_trace, two_spin_finals
 from cahm.target_models import op_lz, op_ux
 
@@ -218,8 +218,7 @@ def clustered_hermitian(rng, dim, cluster_sizes):
     """Random complex Hermitian with one exactly repeated eigenvalue per cluster size.
 
     The eigenbasis is a Haar-like random unitary, so no symmetry makes two
-    projector columns tie exactly.  The result is exactly Hermitian, so
-    eig_hermitian's symmetrised copy equals it bit for bit.
+    projector columns tie exactly.  The result is exactly Hermitian.
     """
     q, _ = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
     w = np.sort(rng.uniform(-1.0, 1.0, size=dim))
@@ -230,3 +229,17 @@ def clustered_hermitian(rng, dim, cluster_sizes):
         start += size
     h = (q * w) @ q.conj().T
     return 0.5 * h + 0.5 * h.conj().T
+
+
+def apply_steps(step, psi, n_steps):
+    """`step` applied n_steps times by `apply_circuit`, one step at a time as `cahm trotter` does."""
+    for _ in range(n_steps):
+        psi = apply_circuit(step, psi)
+    return psi
+
+
+def circuit_unitary(circuit):
+    """Unitary of a circuit, column k being `apply_circuit` on basis state k."""
+    dim = 1 << circuit.n_qubits
+    columns = [apply_circuit(circuit, StateVector.basis(dim, k)).amplitudes for k in range(dim)]
+    return np.column_stack(columns)

@@ -8,22 +8,19 @@ threshold and is known to fail by 12% at the window edge; see README.
 import numpy as np
 
 from cahm import (
+    Circuit,
     HermitianOperator,
     NewtonProblem,
     StateVector,
     TargetCouplings,
-    apply_circuit,
-    blockade_leakage,
     build_chain_h,
     build_h1t,
     build_h2t,
     compare,
     degenerate_matrix_m,
     eig_hermitian,
-    evolve,
     four_atom_system,
     match_six_atom,
-    repeat_circuit,
     sample_shots,
     six_atom_system,
     solve_three_atom_newton,
@@ -42,9 +39,10 @@ from cahm.evolution import (
 )
 from cahm.rydberg_models import atom_permutation_matrix
 from cahm.target_models import SPIN1, SpinTruncation, op_charge_conjugation
-from cahm.trotter import circuit_unitary
 
 from helpers import (
+    apply_steps,
+    circuit_unitary,
     consistent_three_atom_point,
     one_spin_sim_trace,
     random_hermitian,
@@ -74,16 +72,9 @@ def test_criterion_2_two_atom_match():
     )
 
     def deviation_and_leakage(v0):
-        system = two_atom_system(-0.5, -0.5, v0)
-        dev = compare(target_tr, one_spin_sim_trace(system, times)).max_abs_dev
-        full = trace(
-            system.hamiltonian(),
-            system.embed(StateVector.basis(3, 0)),
-            complete_basis_finals(4),
-            times,
-        )
-        leak = blockade_leakage(full, ["00", "01", "10"])
-        return dev, leak
+        sim_tr = one_spin_sim_trace(two_atom_system(-0.5, -0.5, v0), times)
+        dev = compare(target_tr, sim_tr).max_abs_dev
+        return dev, float(np.max(sim_tr.series["leakage"]))
 
     dev32, leak32 = deviation_and_leakage(32.0)
     dev64, leak64 = deviation_and_leakage(64.0)
@@ -219,8 +210,7 @@ def test_criterion_8_trotter():
     obs = [(label, system.embed(state)) for label, state in one_spin_finals()]
 
     def trotter_probs(dt, t):
-        circ = repeat_circuit(trotter_step_h2r(omega, delta, v0, dt), int(round(t / dt)))
-        psi = apply_circuit(circ, psi0)
+        psi = apply_steps(trotter_step_h2r(omega, delta, v0, dt), psi0, int(round(t / dt)))
         return psi, {
             label: float(np.abs(st.amplitudes.conj() @ psi.amplitudes) ** 2)
             for label, st in obs
@@ -322,17 +312,17 @@ def test_criterion_9_symmetry_suite():
         if np.max(np.abs(total - 1.0)) > 1e-9:
             failures.append(f"trace normalization violated for {tag}")
 
-    # Unitarity of evolve and of every circuit.
+    # Unitarity of spectral propagation and of every circuit.
     for _ in range(3):
         dim = int(rng.integers(2, 33))
         h = HermitianOperator(random_hermitian(rng, dim))
         psi = StateVector.normalized(rng.normal(size=dim) + 1j * rng.normal(size=dim))
-        out = evolve(h, float(rng.uniform(0, 10)), psi)
-        if abs(np.sum(np.abs(out.amplitudes) ** 2) - 1.0) > 1e-10:
-            failures.append("evolve broke unitarity")
+        out = eig_hermitian(h).propagate(psi, [float(rng.uniform(0, 10))])[:, 0]
+        if abs(np.sum(np.abs(out) ** 2) - 1.0) > 1e-10:
+            failures.append("propagation broke unitarity")
     for circ in (
         trotter_step_h2r(-1.5, -0.5, 10.0, 0.1),
-        repeat_circuit(trotter_step_h2r(-1.5, -0.5, 10.0, 0.05), 10),
+        Circuit(2, trotter_step_h2r(-1.5, -0.5, 10.0, 0.05).gates * 10),
     ):
         u = circuit_unitary(circ)
         if np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0]))) > 1e-12:

@@ -1,6 +1,7 @@
 import json
 import shutil
 import subprocess
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -564,7 +565,7 @@ def test_null_optional_field_reads_as_absent(tmp_path, config, field, output):
 
 def test_custom_evolve_matches_the_complete_basis_trace(tmp_path):
     from cahm.evolution import complete_basis_finals, trace
-    from cahm.rydberg_models import build_rydberg_h, system_from_json_obj
+    from cahm.rydberg_models import AtomGeometry, RydbergParams, build_rydberg_h
 
     rng = np.random.default_rng(8)
     simulator = {
@@ -584,9 +585,84 @@ def test_custom_evolve_matches_the_complete_basis_trace(tmp_path):
         "times": {"start": 0.0, "stop": 4.0, "num": 41},
     }
     assert _run_config(tmp_path, config) == EXIT_OK
-    geom, params = system_from_json_obj(simulator)
+    geom = AtomGeometry(simulator["positions"], 20.0)
+    params = RydbergParams(
+        omega=1.0,
+        delta=0.7,
+        delta0=1.3,
+        delta0_atoms=(1, 6),
+        pair_overrides={(0, 7): -0.4, (5, 2): 0.9},
+    )
     psi0 = StateVector.basis(256, 0b10010010)
     expected = trace(
         build_rydberg_h(geom, params), psi0, complete_basis_finals(256), np.linspace(0.0, 4.0, 41)
     )
     assert (tmp_path / "out" / "trace.csv").read_text() == expected.to_csv_text()
+
+
+
+COMPARE_PRESETS = [name for name in EXPECTED_PRESETS if preset_config(name).mode == "compare"]
+
+
+@pytest.mark.parametrize("name", [*COMPARE_PRESETS, "six-atom-no-middle-pair"])
+def test_manifest_geometry_round_trips_through_custom_evolve(tmp_path, name):
+    from cahm.cli import _build_simulator
+    from cahm.evolution import complete_basis_finals, trace
+    from cahm.numerics import bitstring_labels
+
+    if name in COMPARE_PRESETS:
+        payload = preset_config(name).payload
+        assert main(["compare", "--preset", name, "--out", str(tmp_path / "out")]) == EXIT_OK
+    else:
+        payload = _with_field(SIX_ATOM_COMPARE, ("simulator", "include_middle_pair"), False)
+        assert _run_config(tmp_path, payload) == EXIT_OK
+    geometry = json.loads((tmp_path / "out" / "manifest.json").read_text())["parameters"]["geometry"]
+    if name == "six-atom-no-middle-pair":
+        assert geometry["overrides"] == {"1-4": 0.0}
+
+    # Evolve the encoded m = 1 (or (1, 1)) state of the preset's own array.
+    system = _build_simulator(payload["simulator"])[0]
+    start = system.spin_map.spin_states[system.spin_map.spin_basis_order()[0]]
+    dim = 1 << system.geometry.n_atoms
+    evolve = {
+        "mode": "evolve",
+        "simulator": {"kind": "custom", **geometry},
+        "initial": bitstring_labels(dim)[start],
+        "times": {"start": 0.0, "stop": 2.0, "num": 21},
+    }
+    round_trip = tmp_path / "round-trip"
+    round_trip.mkdir()
+    assert _run_config(round_trip, evolve) == EXIT_OK
+    manifest = json.loads((round_trip / "out" / "manifest.json").read_text())
+    assert manifest["parameters"]["geometry"] == geometry
+    expected = trace(
+        system.hamiltonian(),
+        StateVector.basis(dim, start),
+        complete_basis_finals(dim),
+        np.linspace(0.0, 2.0, 21),
+    )
+    assert (round_trip / "out" / "trace.csv").read_bytes() == expected.to_csv_text().encode()
+
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+
+
+def test_verbatim_figures_ops_match_the_recorded_reference(tmp_path, monkeypatch):
+    # The benchmark's seven presets, five match kinds and two spectra, checked
+    # against bench/reference/figures.json as the benchmark run checks them.
+    monkeypatch.syspath_prepend(str(BENCH))
+    import checks
+    import workloads
+
+    reference = json.loads((BENCH / "reference" / "figures.json").read_text(encoding="utf-8"))
+    ops, _ = workloads.generate("figures", 0)
+    verbatim = [spec for spec in ops if spec.check == "reference"]
+    assert sorted(spec.name for spec in verbatim) == sorted(reference)
+    failures = {}
+    for op in workloads.materialize(verbatim, tmp_path):
+        code = main(list(op.argv))
+        if code != EXIT_OK:
+            failures[op.spec.name] = f"exit code {code}"
+        elif bad := checks.check_reference(op.out_dir, reference[op.spec.name]):
+            failures[op.spec.name] = bad
+    assert failures == {}

@@ -5,7 +5,6 @@ from cahm import (
     HermitianOperator,
     StateVector,
     TargetCouplings,
-    blockade_leakage,
     build_h1t,
     build_h2t,
     compare,
@@ -78,57 +77,19 @@ def test_complete_basis_normalization():
     assert np.max(np.abs(total2 - 1.0)) <= 1e-9
 
 
+def _peak_leakage(system, times):
+    return float(np.max(one_spin_sim_trace(system, times).series["leakage"]))
+
+
 def test_blockade_leakage_two_atom():
-    system = two_atom_system(-0.5, -0.5, 32.0)
     times = np.linspace(0, 10, 1001)
-    tr = trace(
-        system.hamiltonian(),
-        system.embed(StateVector.basis(3, 0)),
-        complete_basis_finals(4),
-        times,
-    )
-    leak = blockade_leakage(tr, ["00", "01", "10"])
+    leak = _peak_leakage(two_atom_system(-0.5, -0.5, 32.0), times)
     assert leak < 0.02
-    system2 = two_atom_system(-0.5, -0.5, 64.0)
-    tr2 = trace(
-        system2.hamiltonian(),
-        system2.embed(StateVector.basis(3, 0)),
-        complete_basis_finals(4),
-        times,
-    )
-    assert blockade_leakage(tr2, ["00", "01", "10"]) < leak
+    assert _peak_leakage(two_atom_system(-0.5, -0.5, 64.0), times) < leak
 
 
 def test_blockade_leakage_omega_zero():
-    system = two_atom_system(0.0, -0.5, 32.0)
-    tr = trace(
-        system.hamiltonian(),
-        system.embed(StateVector.basis(3, 0)),
-        complete_basis_finals(4),
-        np.linspace(0, 10, 51),
-    )
-    assert blockade_leakage(tr, ["00", "01", "10"]) == 0.0
-
-
-def test_blockade_leakage_errors():
-    system = two_atom_system(-0.5, -0.5, 32.0)
-    times = np.linspace(0, 1, 11)
-    full = trace(
-        system.hamiltonian(),
-        system.embed(StateVector.basis(3, 0)),
-        complete_basis_finals(4),
-        times,
-    )
-    with pytest.raises(ValueError):
-        blockade_leakage(full, ["00", "11", "nope"])
-    partial = trace(
-        system.hamiltonian(),
-        system.embed(StateVector.basis(3, 0)),
-        complete_basis_finals(4)[:2],
-        times,
-    )
-    with pytest.raises(ValueError):
-        blockade_leakage(partial, ["00"])
+    assert _peak_leakage(two_atom_system(0.0, -0.5, 32.0), np.linspace(0, 10, 51)) == 0.0
 
 
 def test_simulator_trace_leakage_column():

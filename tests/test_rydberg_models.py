@@ -26,9 +26,6 @@ from cahm import (
 from cahm.rydberg_models import (
     atom_permutation_matrix,
     ladder_cross_couplings,
-    mirror_permutation,
-    system_from_json_obj,
-    system_to_json_obj,
 )
 from helpers import loop_permutation_matrix, loop_rydberg_h
 
@@ -191,7 +188,7 @@ def test_two_spin_map_indices():
 
 
 def test_embed_rejects_unmapped_support():
-    partial = SpinAtomMap(n_atoms=2, encoding="two-atom", spin_states={1: 0b10, 0: 0b00})
+    partial = SpinAtomMap(n_atoms=2, spin_states={1: 0b10, 0: 0b00})
     with pytest.raises(ValueError):
         embed_spin_state(partial, StateVector.basis(3, 2))
     with pytest.raises(ValueError):
@@ -200,7 +197,7 @@ def test_embed_rejects_unmapped_support():
 
 def test_mirror_permutation_matches_charge_conjugation():
     # Swapping the two atoms exchanges the m = +-1 encodings.
-    m = atom_permutation_matrix(mirror_permutation("two-atom"))
+    m = atom_permutation_matrix(two_atom_system(-0.5, -0.5, 32.0).mirror)
     smap = single_spin_map("two-atom")
     up = embed_spin_state(smap, StateVector.basis(3, 0)).amplitudes
     down = embed_spin_state(smap, StateVector.basis(3, 2)).amplitudes
@@ -236,17 +233,6 @@ def test_coinciding_atoms_match_the_pairwise_reference():
             AtomGeometry(p, 1.0)
         named = re.search(r"atoms (\d+) and (\d+)", str(err.value)).groups()
         assert tuple(map(int, named)) in pairs
-
-
-def test_system_json_round_trip():
-    system = six_atom_system(1.0, 15.0, 30.0, 0.326, include_middle_pair=False)
-    obj = system_to_json_obj(system.geometry, system.params)
-    geom, params = system_from_json_obj(obj)
-    assert np.array_equal(geom.positions, system.geometry.positions)
-    assert params == system.params
-    h1 = build_rydberg_h(system.geometry, system.params).matrix
-    h2 = build_rydberg_h(geom, params).matrix
-    assert np.array_equal(h1, h2)
 
 
 def _preset_systems():

@@ -3,14 +3,12 @@ import pytest
 
 from cahm import (
     SPIN1,
-    LagrangianCouplings,
     SpinTruncation,
     TargetCouplings,
     analytic_one_spin,
     build_chain_h,
     build_h1t,
     build_h2t,
-    couplings_from_lagrangian,
     eig_hermitian,
     op_charge_conjugation,
     op_lz,
@@ -208,23 +206,6 @@ def test_chain_dimension_guard():
         build_chain_h(TargetCouplings(u=1, x=0, y=0), SpinTruncation(2), 6)
     with pytest.raises(ValueError):
         build_chain_h(TargetCouplings(u=1, x=0, y=0), SPIN1, 0)
-
-
-def test_couplings_from_lagrangian():
-    c = couplings_from_lagrangian(LagrangianCouplings(beta_pl=1.0, kappa_tau=0.5, kappa_s=0.5, a=1.0))
-    assert (c.u, c.y, c.x) == (1.0, 1.0, 1.0)
-    c_neg = couplings_from_lagrangian(
-        LagrangianCouplings(beta_pl=1.0, kappa_tau=0.5, kappa_s=-0.25, a=1.0)
-    )
-    assert c_neg.x < 0
-    base = LagrangianCouplings(beta_pl=1.2, kappa_tau=0.4, kappa_s=0.3, a=0.5)
-    doubled = LagrangianCouplings(beta_pl=1.2, kappa_tau=0.4, kappa_s=0.3, a=1.0)
-    c1, c2 = couplings_from_lagrangian(base), couplings_from_lagrangian(doubled)
-    assert np.allclose([c1.u, c1.x, c1.y], [2 * c2.u, 2 * c2.x, 2 * c2.y])
-    with pytest.raises(ValueError):
-        LagrangianCouplings(beta_pl=1.0, kappa_tau=0.5, kappa_s=0.5, a=-1.0)
-    with pytest.raises(ValueError):
-        LagrangianCouplings(beta_pl=0.0, kappa_tau=0.5, kappa_s=0.5, a=1.0)
 
 
 def test_truncation_guards():

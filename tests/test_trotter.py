@@ -6,16 +6,15 @@ from cahm import (
     Gate,
     StateVector,
     apply_circuit,
-    circuit_unitary,
     eig_hermitian,
-    repeat_circuit,
     sample_shots,
     trotter_step_h2r,
-    trotter_step_h4r,
     two_atom_system,
 )
 from cahm.evolution import simulator_trace, one_spin_finals
-from cahm.trotter import cp_matrix, p_matrix, rx_matrix
+from cahm.trotter import p_matrix, rx_matrix, trotter_step
+
+from helpers import apply_steps, circuit_unitary
 
 FIG10 = {"omega": -1.5, "delta": -0.5, "v0": 10.0}
 
@@ -28,9 +27,7 @@ def _fig10_pieces():
 
 
 def _trotter_probs(psi0, obs, dt, t):
-    circ = repeat_circuit(trotter_step_h2r(FIG10["omega"], FIG10["delta"], FIG10["v0"], dt),
-                          int(round(t / dt)))
-    psi = apply_circuit(circ, psi0)
+    psi = apply_steps(trotter_step_h2r(**FIG10, dt=dt), psi0, int(round(t / dt)))
     return {label: float(np.abs(st.amplitudes.conj() @ psi.amplitudes) ** 2) for label, st in obs}
 
 
@@ -41,10 +38,14 @@ def test_gate_matrices_closed_forms():
     assert abs(rx[0, 1] + 1j * np.sin(lam / 2)) < 1e-15
     p = p_matrix(phi)
     assert p[0, 0] == 1.0 and abs(p[1, 1] - np.exp(1j * phi)) < 1e-15
-    cp = cp_matrix(phi)
-    assert np.array_equal(np.diag(cp)[:3], np.ones(3))
-    for m in (rx, p, cp):
-        assert np.max(np.abs(m.conj().T @ m - np.eye(m.shape[0]))) <= 1e-14
+    for m in (rx, p):
+        assert np.max(np.abs(m.conj().T @ m - np.eye(2))) <= 1e-14
+    # A lone CP phases only |11> and leaves the other basis states untouched.
+    cp = Circuit(2, (Gate("CP", (0, 1), phi),))
+    for b in range(4):
+        out = apply_circuit(cp, StateVector.basis(4, b)).amplitudes
+        expected = np.exp(1j * phi) if b == 0b11 else 1.0
+        assert out[b] == expected and np.count_nonzero(out) == 1
 
 
 def test_gate_and_circuit_validation():
@@ -72,8 +73,7 @@ def test_diagonal_sector_exact_at_omega_zero():
     out = apply_circuit(step, psi_rg)
     assert abs(out.amplitudes[0b10] - np.exp(1j * delta * dt)) <= 1e-15
     # Repeated steps stay exact for all t: all terms commute.
-    circ = repeat_circuit(step, 50)
-    out = apply_circuit(circ, psi_rg)
+    out = apply_steps(step, psi_rg, 50)
     assert abs(out.amplitudes[0b10] - np.exp(1j * delta * dt * 50)) <= 1e-12
     assert abs(np.abs(out.amplitudes[0b10]) ** 2 - 1.0) <= 1e-12
 
@@ -105,9 +105,11 @@ def test_apply_circuit_basics():
 
 def test_apply_circuit_norm_preserved():
     rng = np.random.default_rng(19)
-    circ = repeat_circuit(trotter_step_h4r(-1.2, -0.6, 64.0, 0.2, 0.13, 0.05), 40)
+    # Two coupled pairs: V0 within each pair, V1 facing, V2 across the diagonals.
+    couplings = {(0, 1): 64.0, (2, 3): 64.0, (0, 2): 0.2, (1, 3): 0.2, (0, 3): 0.13, (1, 2): 0.13}
+    step = trotter_step(4, -1.2, 0.05, [-0.6] * 4, couplings)
     psi = StateVector.normalized(rng.normal(size=16) + 1j * rng.normal(size=16))
-    out = apply_circuit(circ, psi)
+    out = apply_steps(step, psi, 40)
     assert abs(np.sum(np.abs(out.amplitudes) ** 2) - 1.0) <= 1e-10
 
 
@@ -179,8 +181,7 @@ def test_sample_shots_deterministic():
 def test_shot_frequencies_converge():
     system, psi0, obs = _fig10_pieces()
     probs = _trotter_probs(psi0, obs, 0.1, 1.0)
-    circ = repeat_circuit(trotter_step_h2r(**FIG10, dt=0.1), 10)
-    psi = apply_circuit(circ, psi0)
+    psi = apply_steps(trotter_step_h2r(**FIG10, dt=0.1), psi0, 10)
     res = sample_shots(psi, 100_000, 5)
     label_bits = {"m=1": "10", "m=0": "00", "m=-1": "01"}
     for label, bits in label_bits.items():
@@ -191,7 +192,6 @@ def test_circuit_json_round_trip():
     step = trotter_step_h2r(-1.5, -0.5, 10.0, 0.1)
     obj = step.to_json_obj()
     assert obj[0]["gate"] == "RX" and obj[0]["q"] == [0]
-    rebuilt = Circuit.from_json_obj(2, obj)
+    # The manifest's circuit_step holds every gate field.
+    rebuilt = Circuit(2, tuple(Gate(d["gate"], tuple(d["q"]), d["angle"]) for d in obj))
     assert rebuilt == step
-    res = sample_shots(StateVector.basis(2, 1), 10, 3)
-    assert res.to_json_obj() == {"counts": {"1": 10}, "shots": 10, "seed": 3}
