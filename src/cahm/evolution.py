@@ -12,7 +12,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .numerics import HermitianOperator, StateVector, basis_digits, bitstring_labels, eig_hermitian
+from .numerics import (
+    HermitianOperator,
+    StateVector,
+    basis_digits,
+    bitstring_labels,
+    eig_hermitian,
+    overlaps,
+)
 from .target_models import SPIN1
 
 # Complete-basis probability series must sum to 1 within this tolerance.
@@ -118,11 +125,10 @@ def simulator_trace(
     `physical_indices` (the encoded spin subspace).
     """
     times = np.asarray(times, dtype=np.float64)
-    spec = eig_hermitian(op)
-    probs = np.abs(spec.propagate(psi0, times, [f for _, f in observables])) ** 2
+    amplitudes = eig_hermitian(op).propagate(psi0, times)
+    probs = np.abs(overlaps([f for _, f in observables], amplitudes)) ** 2
     series = {label: probs[i] for i, (label, _) in enumerate(observables)}
-    basis_probs = np.abs(spec.propagate(psi0, times)) ** 2
-    return _with_leakage(times, series, basis_probs, physical_indices)
+    return _with_leakage(times, series, np.abs(amplitudes) ** 2, physical_indices)
 
 
 def basis_trace(

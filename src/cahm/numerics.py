@@ -1,10 +1,13 @@
-"""Dense complex linear algebra for small Hermitian systems.
+"""Dense linear algebra for small real symmetric or complex Hermitian systems.
 
 Every operator in this package is an explicit dense matrix (dim <= 4096).
 This module provides the shared primitives: validated Hermitian operators
 and state vectors, a deterministic Hermitian eigendecomposition, spectral
-time evolution exp(-iHt) and the digit layout of product bases.  All values
-are immutable after construction and every operation is a pure function.
+time evolution exp(-iHt) and the digit layout of product bases.  Operators
+and eigenvectors keep their input's kind: real input stays float64, so a real
+symmetric H is diagonalised in real arithmetic, and complex input is
+complex128.  State vectors are always complex.  All values are immutable
+after construction and every operation is a pure function.
 """
 
 from __future__ import annotations
@@ -33,8 +36,14 @@ class ContractViolationError(ValueError):
     """An input or result violates a documented invariant."""
 
 
+def _real_or_complex(entries) -> np.ndarray:
+    """A copy of `entries` as float64, or as complex128 when their dtype is complex."""
+    m = np.array(entries)
+    return m.astype(np.complex128 if np.iscomplexobj(m) else np.float64, copy=False)
+
+
 def _as_square_matrix(entries) -> np.ndarray:
-    m = np.array(entries, dtype=np.complex128)
+    m = _real_or_complex(entries)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ContractViolationError(f"expected a square matrix, got shape {m.shape}")
     if not 1 <= m.shape[0] <= MAX_DIM:
@@ -46,7 +55,11 @@ def _as_square_matrix(entries) -> np.ndarray:
 
 @dataclass(frozen=True)
 class HermitianOperator:
-    """Dense complex matrix H with H = H^dagger within HERMITICITY_RTOL * max|H|."""
+    """Dense matrix H with H = H^dagger within HERMITICITY_RTOL * max|H|.
+
+    The matrix is float64 (real symmetric) for real input and complex128 for
+    complex input.
+    """
 
     matrix: np.ndarray
 
@@ -113,14 +126,17 @@ class StateVector:
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Eigenvalues (real, ascending) and orthonormal eigenvector columns."""
+    """Eigenvalues (real, ascending) and orthonormal eigenvector columns.
+
+    The eigenvectors are float64 for real input and complex128 for complex input.
+    """
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
 
     def __post_init__(self):
         w = np.array(self.eigenvalues, dtype=np.float64)
-        v = np.array(self.eigenvectors, dtype=np.complex128)
+        v = _real_or_complex(self.eigenvectors)
         if w.ndim != 1 or v.ndim != 2 or v.shape != (w.size, w.size):
             raise ContractViolationError("inconsistent spectrum shapes")
         if np.any(np.diff(w) < -1e-12 * max(1.0, float(np.max(np.abs(w))))):
@@ -140,16 +156,37 @@ class Spectrum:
     def propagate(self, psi0: StateVector, times, finals=None) -> np.ndarray:
         """Amplitudes <f| exp(-iHt) |psi0>, shape (rows, len(times)).
 
-        One row per state in `finals`, or one per basis state when `finals`
-        is None.
+        One row per basis state when `finals` is None, or one per state in
+        `finals`: its `overlaps` with the basis amplitudes, so a basis final
+        reads exactly its row of the complete basis.
         """
         if any(s.dim != self.dim for s in [psi0, *(finals or ())]):
             raise ContractViolationError(f"state dimension does not match H ({self.dim})")
         v = self.eigenvectors
-        c = v.conj().T @ psi0.amplitudes
-        rows = v if finals is None else np.vstack([f.amplitudes.conj() @ v for f in finals])
+        c = _matmul(v.conj().T, psi0.amplitudes[:, None])
         phases = np.exp(-1j * np.outer(self.eigenvalues, np.asarray(times, dtype=np.float64)))
-        return rows @ (phases * c[:, None])
+        amplitudes = _matmul(v, phases * c)
+        return amplitudes if finals is None else overlaps(finals, amplitudes)
+
+
+def overlaps(states, amplitudes: np.ndarray) -> np.ndarray:
+    """<f|a> for each state f in `states` (rows) and each amplitude column a.
+
+    A basis state reads exactly its row of `amplitudes`.
+    """
+    return np.array([f.amplitudes for f in states]).conj() @ amplitudes
+
+
+def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b for 2d arrays; a real `a` times a complex `b` is one real product.
+
+    A C-contiguous complex (n, k) array viewed as float64 is (n, 2k) with the
+    real and imaginary parts in alternate columns, so the product is formed
+    without upcasting `a` to complex.
+    """
+    if np.iscomplexobj(a) or not np.iscomplexobj(b):
+        return a @ b
+    return (a @ np.ascontiguousarray(b).view(np.float64)).view(np.complex128)
 
 
 def capped_dim(base: int, n: int, field: str) -> int:
@@ -206,7 +243,10 @@ def _canonical_subspace_basis(block: np.ndarray) -> np.ndarray:
 
 
 def _fix_column_phases(v: np.ndarray) -> np.ndarray:
-    """Rotate each column so its (first) largest-magnitude entry is real positive."""
+    """Rotate each column so its (first) largest-magnitude entry is real positive.
+
+    For real columns the rotation is a sign flip.
+    """
     peak = v[np.argmax(np.abs(v), axis=0), np.arange(v.shape[1])]
     # hypot rounds as abs() of one complex scalar; np.abs of an array may not.
     mag = np.hypot(peak.real, peak.imag)
@@ -214,7 +254,7 @@ def _fix_column_phases(v: np.ndarray) -> np.ndarray:
 
 
 def eig_hermitian(op: HermitianOperator) -> Spectrum:
-    """Full eigendecomposition of a Hermitian operator.
+    """Full eigendecomposition of a Hermitian operator, real when the operator is.
 
     Deterministic for identical input: eigenvalues ascending, eigenvectors
     within each (near-)degenerate cluster re-oriented by column-pivoted

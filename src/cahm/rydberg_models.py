@@ -132,7 +132,7 @@ def build_rydberg_h(geom: AtomGeometry, params: RydbergParams) -> HermitianOpera
     energy = -params.delta * n_excited - params.delta0 * n_extra
     for (i, j), v in couplings.items():
         energy[(bits[:, i] & bits[:, j]).astype(bool)] += v
-    h = np.diag(energy.astype(np.complex128))
+    h = np.diag(energy)
     index = np.arange(len(bits))
     for stride in site_strides(2, n):
         h[index, index ^ stride] += 0.5 * params.omega

@@ -84,13 +84,13 @@ class OneSpinSpectrum:
 
 def op_lz(trunc: SpinTruncation = SPIN1) -> HermitianOperator:
     """Diagonal angular momentum diag(m_max, ..., -m_max)."""
-    return HermitianOperator(np.diag(trunc.m_values()).astype(np.complex128))
+    return HermitianOperator(np.diag(trunc.m_values()))
 
 
 def op_ux(trunc: SpinTruncation = SPIN1) -> HermitianOperator:
     """Truncated raising/lowering average (U+ + U-)/2: 1/2 on adjacent-m entries."""
     d = trunc.dim
-    m = np.zeros((d, d), dtype=np.complex128)
+    m = np.zeros((d, d))
     for i in range(d - 1):
         m[i, i + 1] = 0.5
         m[i + 1, i] = 0.5
@@ -120,7 +120,7 @@ def _chain_h(
     charge = (neighbors**2).sum(axis=1)
     if end_terms:
         charge += m[:, 0] ** 2 + m[:, -1] ** 2
-    h = np.diag((0.5 * c.u * (m**2).sum(axis=1) + 0.5 * c.y * charge).astype(np.complex128))
+    h = np.diag(0.5 * c.u * (m**2).sum(axis=1) + 0.5 * c.y * charge)
     for i, stride in enumerate(site_strides(d, n_links)):
         lower = index[digits[:, i] < d - 1]
         h[lower, lower + stride] = -0.5 * c.x

@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from cahm import StateVector, TargetCouplings, apply_circuit
+from cahm import StateVector, TargetCouplings, apply_circuit, six_atom_system, two_atom_system
 from cahm.evolution import one_spin_finals, simulator_trace, two_spin_finals
 from cahm.target_models import op_lz, op_ux
 
@@ -148,12 +148,12 @@ def kron_chain_h(c, trunc, n_links, end_terms=True):
 
 
 def loop_rydberg_h(geom, params):
-    """Array Hamiltonian summed state by state over the 2^n basis (atom 0 most significant)."""
+    """Real array Hamiltonian summed state by state over the 2^n basis (atom 0 most significant)."""
     n = geom.n_atoms
     dim = 1 << n
     couplings = geom.couplings()
     couplings.update(params.pair_overrides or {})
-    h = np.zeros((dim, dim), dtype=np.complex128)
+    h = np.zeros((dim, dim))
     extra = set(params.delta0_atoms)
     for b in range(dim):
         bits = [(b >> (n - 1 - i)) & 1 for i in range(n)]
@@ -165,6 +165,24 @@ def loop_rydberg_h(geom, params):
         for i in range(n):
             h[b, b ^ (1 << (n - 1 - i))] += 0.5 * params.omega
     return h
+
+
+def preset_systems():
+    """The simulator of every preset, plus the six-atom ladder without its middle pair."""
+    from cahm.cli import _build_simulator, preset_config, presets
+
+    systems = {}
+    for name in presets():
+        payload = preset_config(name).payload
+        if "simulator" in payload:
+            systems[name] = _build_simulator(payload["simulator"])[0]
+        else:
+            systems[name] = two_atom_system(payload["omega"], payload["delta"], payload["v0"])
+    systems["six-atom-truncated"] = six_atom_system(
+        1.0, 15.0, 30.0, 0.326, include_middle_pair=False
+    )
+    systems["six-atom-delta0"] = six_atom_system(1.0, 15.0, 30.0, 0.326, delta0=2.5)
+    return systems
 
 
 def loop_permutation_matrix(perm):

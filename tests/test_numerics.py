@@ -8,6 +8,7 @@ from cahm import (
     HermitianOperator,
     StateVector,
     build_h1t,
+    build_h2t,
     eig_hermitian,
 )
 from cahm.numerics import (
@@ -15,6 +16,7 @@ from cahm.numerics import (
     MAX_DIM,
     _canonical_subspace_basis,
     _fix_column_phases,
+    _matmul,
     basis_digits,
     bitstring_labels,
     site_strides,
@@ -25,13 +27,21 @@ from cahm.rydberg_models import (
     atom_permutation_matrix,
     build_rydberg_h,
 )
-from cahm.target_models import SPIN1, TargetCouplings, build_chain_h
+from cahm.target_models import (
+    SPIN1,
+    SpinTruncation,
+    TargetCouplings,
+    build_chain_h,
+    op_lz,
+    op_ux,
+)
 from cahm.trotter import Circuit
 
 from helpers import (
     clustered_hermitian,
     expm_taylor,
     loop_fix_column_phases,
+    preset_systems,
     projector_canonical_basis,
     random_hermitian,
 )
@@ -267,3 +277,137 @@ def test_statevector_contracts():
     assert abs(np.sum(np.abs(v.amplitudes) ** 2) - 1.0) < 1e-15
     with pytest.raises(ContractViolationError):
         StateVector.basis(3, 5)
+
+
+def _builder_outputs():
+    c = TargetCouplings(u=1.0, x=0.9, y=0.3)
+    ops = {
+        "build_chain_h": build_chain_h(c, SpinTruncation(2), 3),
+        "build_h1t": build_h1t(c),
+        "build_h2t": build_h2t(c),
+    }
+    for name, system in preset_systems().items():
+        ops[f"build_rydberg_h[{name}]"] = build_rydberg_h(system.geometry, system.params)
+    for trunc in (SPIN1, SpinTruncation(3)):
+        ops[f"op_lz[{trunc.m_max}]"] = op_lz(trunc)
+        ops[f"op_ux[{trunc.m_max}]"] = op_ux(trunc)
+    return ops
+
+
+@pytest.mark.parametrize("name,op", list(_builder_outputs().items()))
+def test_builders_return_read_only_real_matrices(name, op):
+    assert op.matrix.dtype == np.float64
+    with pytest.raises(ValueError, match="read-only"):
+        op.matrix[0, 0] = 1.0
+
+
+def _assert_real_path_matches_the_complex_path(m):
+    """eig_hermitian of real m against eig_hermitian of the same matrix as complex."""
+    real = eig_hermitian(HermitianOperator(m))
+    cplx = eig_hermitian(HermitianOperator(m.astype(complex)))
+    assert real.eigenvectors.dtype == np.float64
+    assert cplx.eigenvectors.dtype == np.complex128
+    norm = np.linalg.norm(m, 2)
+    assert np.max(np.abs(real.eigenvalues - cplx.eigenvalues)) <= 1e-12 * norm
+    dim = m.shape[0]
+    rng = np.random.default_rng(dim)
+    psi0 = StateVector.normalized(rng.normal(size=dim) + 1j * rng.normal(size=dim))
+    finals = [StateVector.basis(dim, dim // 3)]
+    finals.append(StateVector.normalized(rng.normal(size=dim) + 1j * rng.normal(size=dim)))
+    times = np.linspace(0.0, 5.0 / norm, 11)
+    for rows in (None, finals):
+        p_real = np.abs(real.propagate(psi0, times, rows)) ** 2
+        p_cplx = np.abs(cplx.propagate(psi0, times, rows)) ** 2
+        assert np.max(np.abs(p_real - p_cplx)) <= 1e-12
+
+
+CHAIN_RUNGS = [(1, 4), (1, 5), (2, 3), (2, 4), (3, 3)]
+
+
+@pytest.mark.parametrize("y", [0.0, 0.3])
+@pytest.mark.parametrize("m_max,n_links", CHAIN_RUNGS)
+def test_real_chain_spectra_match_the_complex_path(m_max, n_links, y):
+    h = build_chain_h(TargetCouplings(u=1.0, x=0.9, y=y), SpinTruncation(m_max), n_links)
+    _assert_real_path_matches_the_complex_path(h.matrix)
+
+
+@pytest.mark.parametrize("name,system", list(preset_systems().items()))
+def test_real_simulator_spectra_match_the_complex_path(name, system):
+    _assert_real_path_matches_the_complex_path(system.hamiltonian().matrix)
+
+
+def test_complex_hermitian_stays_complex_and_keeps_its_contracts():
+    h = clustered_hermitian(np.random.default_rng(5), 64, (2, 3))
+    assert np.max(np.abs(h.imag)) > 0.1  # a Hermitian diagonal is real: off-diagonal parts
+    op = HermitianOperator(h)
+    assert op.matrix.dtype == np.complex128
+    s = eig_hermitian(op)
+    assert s.eigenvectors.dtype == np.complex128
+    v, w = s.eigenvectors, s.eigenvalues
+    assert np.max(np.linalg.norm(h @ v - v * w, axis=0)) <= 1e-9 * np.linalg.norm(h)
+    assert np.max(np.abs(v.conj().T @ v - np.eye(64))) <= 1e-10
+    psi0 = StateVector.basis(64, 7)
+    probabilities = np.abs(s.propagate(psi0, [0.0, 1.0, 2.0])) ** 2
+    assert np.max(np.abs(probabilities.sum(axis=0) - 1.0)) <= 1e-12
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (9, 1), (64, 3), (625, 40), (2048, 2)])
+def test_real_times_complex_product_matches_the_complex_product(shape):
+    d, k = shape
+    rng = np.random.default_rng(d)
+    a = np.linalg.qr(rng.normal(size=(d, d)))[0]
+    b = (rng.normal(size=(d, k)) + 1j * rng.normal(size=(d, k))) / np.sqrt(2 * d)
+    for left in (a, a.T):
+        got = _matmul(left, b)
+        assert got.dtype == np.complex128 and got.shape == (d, k)
+        assert np.max(np.abs(got - left.astype(complex) @ b)) <= 1e-15
+    assert np.array_equal(_matmul(a, np.asfortranarray(b)), _matmul(a, b))
+
+
+def _corrupt_a_column(w, v, cluster):
+    v[:, 0] = v[:, 0] + 1e-6 * v[:, -1]
+
+
+def _swap_two_eigenvalues(w, v, cluster):
+    w[[0, -1]] = w[[-1, 0]]
+
+
+def _skew_a_degenerate_pair(w, v, cluster):
+    a = cluster[0]
+    v[:, a + 1] = (v[:, a] + v[:, a + 1]) / np.sqrt(2.0)
+
+
+MUTATIONS = {
+    "corrupted column": (_corrupt_a_column, "residual"),
+    "swapped eigenvalues": (_swap_two_eigenvalues, "residual"),
+    "non-orthogonal degenerate pair": (_skew_a_degenerate_pair, "orthonormal"),
+}
+
+
+def _mutation_targets():
+    chain = build_chain_h(TargetCouplings(u=1.0, x=0.9), SPIN1, 4).matrix
+    return {
+        "real chain": chain,
+        "complex chain": chain.astype(complex),
+        "complex Hermitian": clustered_hermitian(np.random.default_rng(9), 64, (3,)),
+    }
+
+
+@pytest.mark.parametrize("target", list(_mutation_targets()))
+@pytest.mark.parametrize("mutation", list(MUTATIONS))
+def test_eig_contracts_reject_a_corrupted_decomposition(monkeypatch, target, mutation):
+    m = _mutation_targets()[target]
+    op = HermitianOperator(m)
+    assert op.matrix.dtype == m.dtype
+    eig_hermitian(op)  # the intact decomposition passes
+    mutate, message = MUTATIONS[mutation]
+    eigh = np.linalg.eigh
+
+    def corrupted_eigh(matrix):
+        w, v = eigh(matrix)
+        mutate(w, v, _clusters(w)[0])
+        return w, v
+
+    monkeypatch.setattr(np.linalg, "eigh", corrupted_eigh)
+    with pytest.raises(ContractViolationError, match=message):
+        eig_hermitian(op)

@@ -27,7 +27,7 @@ from cahm.rydberg_models import (
     atom_permutation_matrix,
     ladder_cross_couplings,
 )
-from helpers import loop_permutation_matrix, loop_rydberg_h
+from helpers import loop_permutation_matrix, loop_rydberg_h, preset_systems
 
 
 def test_pair_interaction_power_law():
@@ -235,27 +235,10 @@ def test_coinciding_atoms_match_the_pairwise_reference():
         assert tuple(map(int, named)) in pairs
 
 
-def _preset_systems():
-    """The simulator of every preset, plus the six-atom ladder without its middle pair."""
-    from cahm.cli import _build_simulator, preset_config, presets
-
-    systems = {}
-    for name in presets():
-        payload = preset_config(name).payload
-        if "simulator" in payload:
-            systems[name] = _build_simulator(payload["simulator"])[0]
-        else:
-            systems[name] = two_atom_system(payload["omega"], payload["delta"], payload["v0"])
-    systems["six-atom-truncated"] = six_atom_system(
-        1.0, 15.0, 30.0, 0.326, include_middle_pair=False
-    )
-    systems["six-atom-delta0"] = six_atom_system(1.0, 15.0, 30.0, 0.326, delta0=2.5)
-    return systems
-
-
-@pytest.mark.parametrize("name,system", list(_preset_systems().items()))
+@pytest.mark.parametrize("name,system", list(preset_systems().items()))
 def test_preset_hamiltonians_equal_the_loop_reference_bitwise(name, system):
     h = system.hamiltonian().matrix
+    assert h.dtype == np.float64
     assert h.tobytes() == loop_rydberg_h(system.geometry, system.params).tobytes()
 
 
@@ -274,6 +257,7 @@ def test_custom_hamiltonians_equal_the_loop_reference_bitwise(n_atoms):
             pair_overrides={(int(i), int(j)): rng.uniform(-1.0, 1.0) for i, j in pairs},
         )
         h = build_rydberg_h(geom, params).matrix
+        assert h.dtype == np.float64
         assert h.tobytes() == loop_rydberg_h(geom, params).tobytes()
 
 
