@@ -30,17 +30,15 @@ from .rydberg_models import (
     SimulatorSystem,
     SpinAtomMap,
     build_rydberg_h,
-    embed_spin_state,
     four_atom_system,
     geometry_mirrored_ladder,
     geometry_three_atom_line,
     geometry_two_atom,
+    ladder_spin_map,
     pair_interaction,
-    single_spin_map,
     six_atom_system,
     three_atom_system,
     two_atom_system,
-    two_spin_ladder_map,
 )
 from .matching import (
     MatchReport,

@@ -25,7 +25,6 @@ from .evolution import (
     basis_trace,
     compare,
     one_spin_finals,
-    simulator_trace,
     state_probabilities,
     trace,
     two_spin_finals,
@@ -413,23 +412,6 @@ def _initial_state(finals, initial: str) -> StateVector:
     return states[initial]
 
 
-def _target_trace(payload: dict, initial: str, times):
-    """Target trace from the labeled initial state, plus the resolved target params."""
-    h, finals, _, resolved = _build_target(_require(payload, "target", dict, "payload"))
-    return trace(h, _initial_state(finals, initial), finals, times), resolved
-
-
-def _spin_simulator_trace(system: SimulatorSystem, initial: str, times):
-    """Embedded initial state and the simulator trace of the encoded spin observables."""
-    if system.spin_map is None:
-        raise ConfigError("field payload.simulator: custom simulators run in evolve mode only")
-    finals = two_spin_finals() if system.spin_map.is_two_spin else one_spin_finals()
-    psi0 = system.embed(_initial_state(finals, initial))
-    observables = [(label, system.embed(state)) for label, state in finals]
-    physical = system.spin_map.physical_indices()
-    return psi0, simulator_trace(system.hamiltonian(), psi0, observables, physical, times)
-
-
 def _jsonable(value):
     if isinstance(value, dict):
         return {str(k): _jsonable(v) for k, v in value.items()}
@@ -527,7 +509,9 @@ def _run_evolve(cfg: ExperimentConfig) -> int:
     initial = _require(payload, "initial", str, "payload")
     resolved: dict = {"initial": initial, "times": payload["times"]}
     if "target" in payload:
-        tr, resolved["target"] = _target_trace(payload, initial, times)
+        target = _require(payload, "target", dict, "payload")
+        h, finals, _, resolved["target"] = _build_target(target)
+        tr = trace(h, _initial_state(finals, initial), finals, times)
     elif "simulator" in payload:
         spec = _require(payload, "simulator", dict, "payload")
         system, resolved["simulator"] = _build_simulator(spec)
@@ -542,7 +526,7 @@ def _run_evolve(cfg: ExperimentConfig) -> int:
             probs = state_probabilities(system.hamiltonian(), psi0, times)
             tr = EvolutionTrace(times, dict(zip(labels, probs)))
         else:
-            _, tr = _spin_simulator_trace(system, initial, times)
+            tr = system.spin_trace(_initial_state(system.spin_finals(), initial), times)
         resolved["geometry"] = _geometry_json(system)
     else:
         raise ConfigError("missing field payload.target or payload.simulator")
@@ -559,9 +543,21 @@ def _run_compare(cfg: ExperimentConfig) -> int:
     initial = _require(payload, "initial", str, "payload")
     rescale_k = _optional(payload, "rescale_k", float, "payload", None)
 
-    target_trace, target_params = _target_trace(payload, initial, times)
-    system, sim_params = _build_simulator(_require(payload, "simulator", dict, "payload"))
-    _, sim_trace = _spin_simulator_trace(system, initial, sim_times)
+    target_spec = _require(payload, "target", dict, "payload")
+    sim_spec = _require(payload, "simulator", dict, "payload")
+    h, finals, _, target_params = _build_target(target_spec)
+    system, sim_params = _build_simulator(sim_spec)
+    if system.spin_map is None:
+        raise ConfigError("field payload.simulator: custom simulators run in evolve mode only")
+    if h.dim != len(system.spin_map.indices):
+        raise ConfigError(
+            f"fields payload.target.kind ({target_spec['kind']!r}) and payload.simulator.kind "
+            f"({sim_spec['kind']!r}) encode different numbers of spins: spin bases of "
+            f"{h.dim} and {len(system.spin_map.indices)} states"
+        )
+    psi0 = _initial_state(finals, initial)
+    target_trace = trace(h, psi0, finals, times)
+    sim_trace = system.spin_trace(psi0, sim_times)
 
     comparison = compare(target_trace, sim_trace, rescale_k=rescale_k)
     _write_text(cfg.out_dir / "target.csv", target_trace.to_csv_text())
@@ -606,7 +602,10 @@ def _run_trotter(cfg: ExperimentConfig) -> int:
 
     system = two_atom_system(omega, delta, v0)
     times = np.arange(n_steps + 1) * dt
-    psi, exact = _spin_simulator_trace(system, "m=1", times)
+    finals = one_spin_finals()
+    psi0 = _initial_state(finals, "m=1")
+    exact = system.spin_trace(psi0, times)
+    psi = system.embed(psi0)
 
     step = trotter_step_h2r(omega, delta, v0, dt)
     labels = bitstring_labels(psi.dim)
@@ -620,8 +619,8 @@ def _run_trotter(cfg: ExperimentConfig) -> int:
         counts_log.append({"t": float(times[k]), "seed": seed + k, "counts": result.counts})
 
     # The two-atom encoding maps every spin state to one basis state.
-    observables = {f"m={m}": b for m, b in system.spin_map.spin_states.items()}
-    physical = system.spin_map.physical_indices()
+    physical = system.spin_map.indices
+    observables = {label: b for (label, _), b in zip(finals, physical)}
     runs = {
         "exact": exact,
         "trotter": basis_trace(times, np.abs(np.array(states).T) ** 2, observables, physical),

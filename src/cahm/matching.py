@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .evolution import trace, two_spin_finals
+from .evolution import two_spin_finals
 from .numerics import HermitianOperator, StateVector, eig_hermitian
 from .rydberg_models import (
     atom_permutation_matrix,
@@ -386,14 +386,10 @@ def three_atom_low_sector(omega: float, delta: float, delta0: float, v0: float) 
     """
     system = three_atom_system(omega, delta, delta0, v0)
     spec = eig_hermitian(system.hamiltonian())
-    phys = [system.spin_map.spin_states[m] for m in (1, 0, -1)]
-    weight = np.sum(np.abs(spec.eigenvectors[phys, :]) ** 2, axis=0)
+    weight = np.sum(np.abs(spec.eigenvectors[list(system.spin_map.indices), :]) ** 2, axis=0)
     picked = sorted(np.argsort(-weight, kind="stable")[:3])
     mirror = atom_permutation_matrix(system.mirror)
-    parity = [
-        float(np.real(spec.eigenvectors[:, k].conj() @ mirror @ spec.eigenvectors[:, k]))
-        for k in picked
-    ]
+    parity = [float(spec.eigenvectors[:, k] @ mirror @ spec.eigenvectors[:, k]) for k in picked]
     odd_pos = int(np.argmin(parity))
     eminus = float(spec.eigenvalues[picked[odd_pos]])
     even = [float(spec.eigenvalues[k]) for i, k in enumerate(picked) if i != odd_pos]
@@ -461,8 +457,8 @@ def match_four_atom(c: TargetCouplings, v0: float) -> MatchReport:
         raise ValueError("the four-atom construction requires Y >= 0")
     if not v0 > 0:
         raise ValueError("v0 must be positive")
-    if c.y > v0:
-        raise ValueError(f"Y = {c.y} > V0 = {v0} puts rho >= 1: the geometry degenerates")
+    if c.y >= v0:
+        raise ValueError(f"Y = {c.y} >= V0 = {v0} puts rho >= 1: the geometry degenerates")
     delta = -0.5 * (c.u + c.y)
     omega = -c.x
     notes = []
@@ -551,8 +547,8 @@ def match_six_atom(
     minimizes the RMS between the rescaled simulator trace and the target
     trace for P(0,0) and P(S).
     """
-    if c.u == 0.0 or delta == 0.0:
-        raise ValueError("matching requires U != 0 and Delta != 0")
+    if c.u == 0.0 or delta == 0.0 or omega == 0.0:
+        raise ValueError("matching requires U != 0, Delta != 0 and omega != 0")
     k_e = omega**2 / (delta * c.u)
     notes = []
     if c.y == 0.0:
@@ -600,14 +596,12 @@ def match_six_atom(
     )
     notes.append("Delta0 = 0: the electric splitting emerges from second-order level repulsion")
 
-    target = build_h2t(c)
     finals_t = two_spin_finals()
     psi0_t = dict(finals_t)["00"]
-    finals_s = [(label, system.embed(state)) for label, state in finals_t]
     times = np.linspace(0.0, SIX_ATOM_T_MAX, SIX_ATOM_N_TIMES)
-    sim_tr = trace(system.hamiltonian(), system.embed(psi0_t), finals_s, times)
+    sim_tr = system.spin_trace(psi0_t, times)
     bracket = (0.5 * abs(k_e), 1.5 * abs(k_e))
-    k_opt, k_rms = fit_time_rescale(target, psi0_t, finals_t, sim_tr, bracket)
+    k_opt, k_rms = fit_time_rescale(build_h2t(c), psi0_t, finals_t, sim_tr, bracket)
     residuals["trace_rms"] = k_rms
 
     return MatchReport(

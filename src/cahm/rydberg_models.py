@@ -1,15 +1,19 @@
 """Rydberg-array Hamiltonians from atom geometry.
 
-Atoms are two-level systems |g>, |r| at fixed 2D positions with repulsive
+Atoms are two-level systems |g>, |r> at fixed 2D positions with repulsive
 1/r^6 pair interactions
 
     H = (Omega/2) sum_i (|g_i><r_i| + |r_i><g_i|) - Delta sum_i n_i
         - Delta0 sum_{i in designated} n_i + sum_{i<j} V_ij n_i n_j.
 
 The 2^n product basis is the bit table of `numerics.basis_digits` (atom 0 is
-the most significant bit) with |g> = 0 and |r> = 1.  Standard layouts: a vertical pair, three equidistant atoms on a
-vertical line, and mirrored two-column ladders whose reflection symmetry
-realizes charge conjugation (spin sign flip) geometrically.
+the most significant bit) with |g> = 0 and |r> = 1.  Standard layouts: a
+vertical pair, three equidistant atoms on a vertical line, and mirrored
+two-column ladders whose reflection symmetry realizes charge conjugation
+(spin sign flip) geometrically.  Each encoded spin-1 occupies one column; a
+spin map lists the product-basis index of every spin-basis state in the
+digit order of `basis_digits(3, n_spins)`, that is m = 1, 0, -1 with the
+left spin most significant.
 """
 
 from __future__ import annotations
@@ -19,12 +23,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .evolution import EvolutionTrace, one_spin_finals, simulator_trace, two_spin_finals
 from .numerics import HermitianOperator, StateVector, basis_digits, site_strides
 
-# Spin value -> excited atom bit pattern, one column, top atom first.
-_SINGLE_MAPS = {
-    "two-atom": {2: {1: 0b10, 0: 0b00, -1: 0b01}},
-    "three-atom": {3: {1: 0b100, 0: 0b010, -1: 0b001}},
+# Atoms per column, and the excited-atom bits of m = 1, 0, -1 in a column (top atom first).
+_COLUMN_PATTERNS = {
+    "two-atom": (2, (0b10, 0b00, 0b01)),
+    "three-atom": (3, (0b100, 0b010, 0b001)),
 }
 
 
@@ -186,74 +191,37 @@ def ladder_cross_couplings(v0: float, rho: float, n_per_rung: int) -> dict[str, 
 
 @dataclass(frozen=True)
 class SpinAtomMap:
-    """Injective map from spin labels to product-basis indices.
+    """Injective map from the spin basis to product-basis indices of n_atoms atoms.
 
-    Keys are m values (single spin) or (m_left, m_right) tuples (two spins).
+    `indices[k]` is the atom-basis index of spin-basis state k, in the digit
+    order of `basis_digits(3, n_spins)`.
     """
 
     n_atoms: int
-    spin_states: dict
+    indices: tuple[int, ...]
 
     def __post_init__(self):
-        values = list(self.spin_states.values())
-        if len(set(values)) != len(values):
+        indices = tuple(int(i) for i in self.indices)
+        if len(set(indices)) != len(indices):
             raise ValueError("spin state map must be injective")
-        for v in values:
+        for v in indices:
             if not 0 <= v < (1 << self.n_atoms):
                 raise ValueError(f"mapped index {v} outside the {self.n_atoms}-atom basis")
-
-    @property
-    def is_two_spin(self) -> bool:
-        return any(isinstance(k, tuple) for k in self.spin_states)
-
-    def spin_basis_order(self) -> list:
-        """Spin basis labels in canonical (descending-m, left-major) order."""
-        if self.is_two_spin:
-            return [(ml, mr) for ml in (1, 0, -1) for mr in (1, 0, -1)]
-        return [1, 0, -1]
-
-    def physical_indices(self) -> tuple[int, ...]:
-        return tuple(sorted(self.spin_states.values()))
+        object.__setattr__(self, "indices", indices)
 
 
-def single_spin_map(encoding: str) -> SpinAtomMap:
-    """m -> excited-atom basis index for one encoded spin (|0> = |gg> or |grg>)."""
-    if encoding not in _SINGLE_MAPS:
+def ladder_spin_map(encoding: str, n_spins: int) -> SpinAtomMap:
+    """Spin map of n_spins encoded spins on a ladder of columns, spin k in column k.
+
+    Odd columns are vertically mirrored, so m there has the bit pattern of -m.
+    """
+    if encoding not in _COLUMN_PATTERNS:
         raise ValueError(f"unknown encoding {encoding!r}")
-    ((n, states),) = _SINGLE_MAPS[encoding].items()
-    return SpinAtomMap(n_atoms=n, spin_states=dict(states))
-
-
-def two_spin_ladder_map(encoding: str) -> SpinAtomMap:
-    """(m_left, m_right) -> basis index on a mirrored ladder of two encoded spins."""
-    if encoding not in _SINGLE_MAPS:
-        raise ValueError(f"unknown encoding {encoding!r}")
-    ((n_col, states),) = _SINGLE_MAPS[encoding].items()
-    n = 2 * n_col
-    combined = {}
-    for ml, left_bits in states.items():
-        # The right column is vertically mirrored: m there has the pattern of -m.
-        for mr in states:
-            combined[(ml, mr)] = (left_bits << n_col) | states[-mr]
-    return SpinAtomMap(n_atoms=n, spin_states=combined)
-
-
-def embed_spin_state(spin_map: SpinAtomMap, state: StateVector) -> StateVector:
-    """Copy spin-basis amplitudes onto the mapped product-basis indices."""
-    order = spin_map.spin_basis_order()
-    if state.dim != len(order):
-        raise ValueError(
-            f"state dimension {state.dim} does not match the {len(order)}-state spin basis"
-        )
-    out = np.zeros(1 << spin_map.n_atoms, dtype=np.complex128)
-    for k, label in enumerate(order):
-        a = state.amplitudes[k]
-        if label not in spin_map.spin_states:
-            if abs(a) > 1e-14:
-                raise ValueError(f"state has support on unmapped spin label {label!r}")
-            continue
-        out[spin_map.spin_states[label]] = a
-    return StateVector(out)
+    n_col, patterns = _COLUMN_PATTERNS[encoding]
+    digits = basis_digits(3, n_spins, "n_spins")
+    digits[:, 1::2] = 2 - digits[:, 1::2]  # digit d is m = 1 - d, and 2 - d is -m
+    indices = np.array(patterns)[digits] @ site_strides(2**n_col, n_spins)
+    return SpinAtomMap(n_atoms=n_col * n_spins, indices=tuple(indices.tolist()))
 
 
 def atom_permutation_matrix(perm) -> np.ndarray:
@@ -263,7 +231,7 @@ def atom_permutation_matrix(perm) -> np.ndarray:
     if sorted(perm) != list(range(n)):
         raise ValueError(f"{tuple(perm)} is not a permutation of 0..{n - 1}")
     bits = basis_digits(2, n, "permutation length")
-    m = np.zeros((len(bits), len(bits)), dtype=np.complex128)
+    m = np.zeros((len(bits), len(bits)))
     m[bits[:, np.argsort(perm)] @ site_strides(2, n), np.arange(len(bits))] = 1.0
     return m
 
@@ -282,7 +250,29 @@ class SimulatorSystem:
         return build_rydberg_h(self.geometry, self.params)
 
     def embed(self, state: StateVector) -> StateVector:
-        return embed_spin_state(self.spin_map, state)
+        """The spin-basis `state` copied onto the mapped product-basis indices."""
+        indices = self.spin_map.indices
+        if state.dim != len(indices):
+            raise ValueError(
+                f"state dimension {state.dim} does not match the {len(indices)}-state spin basis"
+            )
+        out = np.zeros(1 << self.spin_map.n_atoms, dtype=np.complex128)
+        out[list(indices)] = state.amplitudes
+        return StateVector(out)
+
+    def spin_finals(self) -> list[tuple[str, StateVector]]:
+        """The labeled spin-basis finals: `one_spin_finals` or `two_spin_finals`."""
+        return one_spin_finals() if len(self.spin_map.indices) == 3 else two_spin_finals()
+
+    def spin_trace(self, psi0_spin: StateVector, times) -> EvolutionTrace:
+        """Trace of the embedded `spin_finals` from the embedded `psi0_spin`, plus leakage.
+
+        Leakage is the probability outside the encoded states.
+        """
+        observables = [(label, self.embed(state)) for label, state in self.spin_finals()]
+        return simulator_trace(
+            self.hamiltonian(), self.embed(psi0_spin), observables, self.spin_map.indices, times
+        )
 
 
 def two_atom_system(omega: float, delta: float, v0: float) -> SimulatorSystem:
@@ -290,7 +280,7 @@ def two_atom_system(omega: float, delta: float, v0: float) -> SimulatorSystem:
     return SimulatorSystem(
         geometry=geometry_two_atom(1.0, v0),
         params=RydbergParams(omega=omega, delta=delta),
-        spin_map=single_spin_map("two-atom"),
+        spin_map=ladder_spin_map("two-atom", 1),
         mirror=(1, 0),
         derived={"v0": v0},
     )
@@ -301,7 +291,7 @@ def three_atom_system(omega: float, delta: float, delta0: float, v0: float) -> S
     return SimulatorSystem(
         geometry=geometry_three_atom_line(1.0, v0),
         params=RydbergParams(omega=omega, delta=delta, delta0=delta0, delta0_atoms=(1,)),
-        spin_map=single_spin_map("three-atom"),
+        spin_map=ladder_spin_map("three-atom", 1),
         mirror=(2, 1, 0),
         derived={"v0": v0, "v0_far": v0 / 64.0},
     )
@@ -332,7 +322,7 @@ def four_atom_system(
     return SimulatorSystem(
         geometry=geom,
         params=RydbergParams(omega=omega, delta=delta, pair_overrides=overrides),
-        spin_map=two_spin_ladder_map("two-atom"),
+        spin_map=ladder_spin_map("two-atom", 2),
         mirror=(1, 0, 3, 2),
         derived=derived,
     )
@@ -375,7 +365,7 @@ def six_atom_system(
             delta0_atoms=(1, 4),
             pair_overrides=overrides,
         ),
-        spin_map=two_spin_ladder_map("three-atom"),
+        spin_map=ladder_spin_map("three-atom", 2),
         mirror=(2, 1, 0, 5, 4, 3),
         derived=derived,
     )

@@ -3,7 +3,6 @@
 import numpy as np
 
 from cahm import StateVector, TargetCouplings, apply_circuit, six_atom_system, two_atom_system
-from cahm.evolution import one_spin_finals, simulator_trace, two_spin_finals
 from cahm.target_models import op_lz, op_ux
 
 
@@ -92,24 +91,6 @@ def consistent_three_atom_point(rng):
     raise RuntimeError("no consistent three-atom point found")
 
 
-def one_spin_sim_trace(system, times):
-    """Simulator trace of an encoded single spin started in m = 1."""
-    psi0 = system.embed(StateVector.basis(3, 0))
-    obs = [(label, system.embed(state)) for label, state in one_spin_finals()]
-    return simulator_trace(
-        system.hamiltonian(), psi0, obs, system.spin_map.physical_indices(), times
-    )
-
-
-def two_spin_sim_trace(system, times):
-    """Simulator trace of two encoded spins started in |0,0>."""
-    psi0 = system.embed(StateVector.basis(9, 4))
-    obs = [(label, system.embed(state)) for label, state in two_spin_finals()]
-    return simulator_trace(
-        system.hamiltonian(), psi0, obs, system.spin_map.physical_indices(), times
-    )
-
-
 def fig7_target_couplings():
     return TargetCouplings(u=1.0, x=1.2, y=0.2)
 
@@ -189,7 +170,7 @@ def loop_permutation_matrix(perm):
     """Basis permutation built state by state: atom i's excitation moves to atom perm[i]."""
     n = len(perm)
     dim = 1 << n
-    m = np.zeros((dim, dim), dtype=np.complex128)
+    m = np.zeros((dim, dim))
     for b in range(dim):
         b2 = 0
         for i in range(n):

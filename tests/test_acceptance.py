@@ -33,7 +33,6 @@ from cahm import (
 from cahm.evolution import (
     complete_basis_finals,
     one_spin_finals,
-    simulator_trace,
     trace,
     two_spin_finals,
 )
@@ -44,9 +43,7 @@ from helpers import (
     apply_steps,
     circuit_unitary,
     consistent_three_atom_point,
-    one_spin_sim_trace,
     random_hermitian,
-    two_spin_sim_trace,
 )
 
 
@@ -72,7 +69,7 @@ def test_criterion_2_two_atom_match():
     )
 
     def deviation_and_leakage(v0):
-        sim_tr = one_spin_sim_trace(two_atom_system(-0.5, -0.5, v0), times)
+        sim_tr = two_atom_system(-0.5, -0.5, v0).spin_trace(StateVector.basis(3, 0), times)
         dev = compare(target_tr, sim_tr).max_abs_dev
         return dev, float(np.max(sim_tr.series["leakage"]))
 
@@ -115,7 +112,7 @@ def test_criterion_4_three_atom_approximate_match():
         one_spin_finals(),
         times,
     )
-    sim_tr = one_spin_sim_trace(three_atom_system(1.0, 15.0, 0.0, 30.0), times)
+    sim_tr = three_atom_system(1.0, 15.0, 0.0, 30.0).spin_trace(StateVector.basis(3, 0), times)
     dev = compare(target_tr, sim_tr).max_abs_dev
     ok = ratio_ok and dev <= 0.1
     _report(
@@ -160,7 +157,7 @@ def _four_atom_deviation(v2_override, t_stop, n):
     target_tr = trace(build_h2t(c), StateVector.basis(9, 4), two_spin_finals(), times)
     rho = (c.y / 64.0) ** (1.0 / 6.0)
     system = four_atom_system(-1.2, -0.6, 64.0, rho, v2_override=v2_override)
-    return compare(target_tr, two_spin_sim_trace(system, times)).max_abs_dev
+    return compare(target_tr, system.spin_trace(StateVector.basis(9, 4), times)).max_abs_dev
 
 
 def test_criterion_6_four_atom_ideal_and_long_window():
@@ -216,16 +213,12 @@ def test_criterion_8_trotter():
             for label, st in obs
         }
 
-    exact_t1 = simulator_trace(
-        system.hamiltonian(), psi0, obs, system.spin_map.physical_indices(), [1.0]
-    )
+    exact_t1 = system.spin_trace(StateVector.basis(3, 0), [1.0])
     psi_t1, probs_t1 = trotter_probs(0.1, 1.0)
     dev_t1 = max(abs(p - exact_t1.series[label][0]) for label, p in probs_t1.items())
 
     times = np.arange(1, 21) * 0.1
-    exact = simulator_trace(
-        system.hamiltonian(), psi0, obs, system.spin_map.physical_indices(), times
-    )
+    exact = system.spin_trace(StateVector.basis(3, 0), times)
 
     def max_dev(dt):
         worst = 0.0

@@ -26,23 +26,31 @@ def test_preset_list():
     assert presets() == EXPECTED_PRESETS
 
 
-def test_fig3_top_run_and_determinism(tmp_path):
+@pytest.mark.parametrize("name", presets())
+def test_preset_reruns_byte_identically(tmp_path, name):
     out1, out2 = tmp_path / "a", tmp_path / "b"
-    assert main(["compare", "--preset", "fig3-top", "--out", str(out1)]) == EXIT_OK
-    assert main(["compare", "--preset", "fig3-top", "--out", str(out2)]) == EXIT_OK
-    names = ["target.csv", "simulator.csv", "comparison.json", "manifest.json"]
-    for name in names:
-        assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
-    header = (out1 / "target.csv").read_text().splitlines()[0]
+    mode = preset_config(name).mode
+    assert main([mode, "--preset", name, "--out", str(out1)]) == EXIT_OK
+    assert main([mode, "--preset", name, "--out", str(out2)]) == EXIT_OK
+    files = sorted(p.name for p in out1.iterdir())
+    assert files == sorted(p.name for p in out2.iterdir())
+    assert "manifest.json" in files
+    for file in files:
+        assert (out1 / file).read_bytes() == (out2 / file).read_bytes()
+
+
+def test_fig3_top_run(tmp_path):
+    assert main(["compare", "--preset", "fig3-top", "--out", str(tmp_path)]) == EXIT_OK
+    header = (tmp_path / "target.csv").read_text().splitlines()[0]
     assert header == "t,m=1,m=0,m=-1"
-    sim_header = (out1 / "simulator.csv").read_text().splitlines()[0]
+    sim_header = (tmp_path / "simulator.csv").read_text().splitlines()[0]
     assert sim_header == "t,m=1,m=0,m=-1,leakage"
-    manifest = json.loads((out1 / "manifest.json").read_text())
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
     assert manifest["tool"] == "cahm"
     assert manifest["preset"] == "fig3-top"
     assert manifest["parameters"]["simulator"]["v0"] == 32.0
-    assert sorted(manifest["outputs"]) == sorted(names[:3])
-    comparison = json.loads((out1 / "comparison.json").read_text())
+    assert sorted(manifest["outputs"]) == ["comparison.json", "simulator.csv", "target.csv"]
+    comparison = json.loads((tmp_path / "comparison.json").read_text())
     assert comparison["max_abs_dev"] <= 0.02
 
 
@@ -79,18 +87,14 @@ def test_fig8_run(tmp_path):
     assert comparison["max_abs_dev"] <= 0.1
 
 
-def test_fig10_run_and_determinism(tmp_path):
-    out1, out2 = tmp_path / "a", tmp_path / "b"
-    assert main(["trotter", "--preset", "fig10", "--out", str(out1)]) == EXIT_OK
-    assert main(["trotter", "--preset", "fig10", "--out", str(out2)]) == EXIT_OK
-    for name in ("trotter.csv", "counts.json", "manifest.json"):
-        assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
-    counts = json.loads((out1 / "counts.json").read_text())
+def test_fig10_run(tmp_path):
+    assert main(["trotter", "--preset", "fig10", "--out", str(tmp_path)]) == EXIT_OK
+    counts = json.loads((tmp_path / "counts.json").read_text())
     assert counts["shots"] == 1000
     assert all(sum(entry["counts"].values()) == 1000 for entry in counts["per_time"])
-    header = (out1 / "trotter.csv").read_text().splitlines()[0]
+    header = (tmp_path / "trotter.csv").read_text().splitlines()[0]
     assert header.startswith("t,m=1:exact,m=1:trotter,m=1:shots")
-    manifest = json.loads((out1 / "manifest.json").read_text())
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
     assert manifest["seed"] == 2718
     assert manifest["parameters"]["dt"] == 0.1
 
@@ -179,6 +183,20 @@ def test_match_invalid_parameters_exit_code(tmp_path):
         )
     )
     assert main(["match", "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_CONFIG
+
+
+@pytest.mark.parametrize("y", [0.0, 0.2])
+def test_six_atom_match_at_zero_omega_names_it(tmp_path, capsys, y):
+    match = {**MATCH_CONFIGS["six-atom"], "Y": y, "omega": 0.0}
+    assert _run_config(tmp_path, {"mode": "match", "match": match}) == EXIT_CONFIG
+    assert "omega" in capsys.readouterr().err
+
+
+def test_four_atom_match_at_y_equal_v0_names_both(tmp_path, capsys):
+    match = {**MATCH_CONFIGS["four-atom"], "Y": 64.0}
+    assert _run_config(tmp_path, {"mode": "match", "match": match}) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "Y = 64.0" in err and "V0 = 64.0" in err
 
 
 def test_match_numerical_failure_exit_code(tmp_path):
@@ -298,6 +316,19 @@ def test_four_atom_negative_v1_over_v0_names_field(tmp_path, capsys):
     config["simulator"]["v1"] = -0.2
     assert _run_config(tmp_path, config) == EXIT_CONFIG
     assert "simulator.v1" in capsys.readouterr().err
+
+
+def test_compare_with_mismatched_spin_counts_names_both_kinds(tmp_path, capsys):
+    one_spin = {"kind": "one-spin", "U": 1.0, "X": 0.5}
+    two_atom = {"kind": "two-atom", "omega": -0.5, "delta": -0.5, "v0": 32.0}
+    for config in (
+        _with_field(_with_field(FOUR_ATOM_COMPARE, ("target",), one_spin), ("initial",), "m=1"),
+        _with_field(FOUR_ATOM_COMPARE, ("simulator",), two_atom),
+    ):
+        assert _run_config(tmp_path, config) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "payload.target.kind" in err and "payload.simulator.kind" in err
+        assert "initial" not in err
 
 
 def test_four_atom_zero_v0_names_field(tmp_path, capsys):
@@ -622,7 +653,7 @@ def test_manifest_geometry_round_trips_through_custom_evolve(tmp_path, name):
 
     # Evolve the encoded m = 1 (or (1, 1)) state of the preset's own array.
     system = _build_simulator(payload["simulator"])[0]
-    start = system.spin_map.spin_states[system.spin_map.spin_basis_order()[0]]
+    start = system.spin_map.indices[0]
     dim = 1 << system.geometry.n_atoms
     evolve = {
         "mode": "evolve",

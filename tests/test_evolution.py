@@ -15,12 +15,11 @@ from cahm import (
 from cahm.evolution import (
     complete_basis_finals,
     one_spin_finals,
-    simulator_trace,
     two_spin_finals,
 )
 from cahm.target_models import SPIN1, op_charge_conjugation
 
-from helpers import one_spin_rabi_oracle, one_spin_sim_trace
+from helpers import one_spin_rabi_oracle
 
 
 def test_trace_t0_and_eigenstate():
@@ -78,7 +77,7 @@ def test_complete_basis_normalization():
 
 
 def _peak_leakage(system, times):
-    return float(np.max(one_spin_sim_trace(system, times).series["leakage"]))
+    return float(np.max(system.spin_trace(StateVector.basis(3, 0), times).series["leakage"]))
 
 
 def test_blockade_leakage_two_atom():
@@ -94,7 +93,7 @@ def test_blockade_leakage_omega_zero():
 
 def test_simulator_trace_leakage_column():
     system = two_atom_system(-0.5, -0.5, 32.0)
-    tr = one_spin_sim_trace(system, np.linspace(0, 10, 101))
+    tr = system.spin_trace(StateVector.basis(3, 0), np.linspace(0, 10, 101))
     spin_total = tr.series["m=1"] + tr.series["m=0"] + tr.series["m=-1"]
     assert np.max(np.abs(spin_total + tr.series["leakage"] - 1.0)) <= 1e-9
 
@@ -108,7 +107,7 @@ def test_simulator_trace_diagonalizes_once(monkeypatch):
         return eigh(h)
 
     monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
-    one_spin_sim_trace(two_atom_system(-0.5, -0.5, 32.0), np.linspace(0, 10, 11))
+    two_atom_system(-0.5, -0.5, 32.0).spin_trace(StateVector.basis(3, 0), np.linspace(0, 10, 11))
     assert calls == [(4, 4)]
 
 
@@ -167,7 +166,7 @@ def test_two_atom_fidelity_invariant():
         one_spin_finals(),
         times,
     )
-    sim_tr = one_spin_sim_trace(two_atom_system(-0.5, -0.5, 32.0), times)
+    sim_tr = two_atom_system(-0.5, -0.5, 32.0).spin_trace(StateVector.basis(3, 0), times)
     assert compare(target_tr, sim_tr).max_abs_dev <= 0.02
 
 

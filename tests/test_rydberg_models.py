@@ -7,21 +7,21 @@ import pytest
 from cahm import (
     AtomGeometry,
     RydbergParams,
+    SimulatorSystem,
     SpinAtomMap,
     StateVector,
     build_rydberg_h,
-    embed_spin_state,
     four_atom_system,
     geometry_mirrored_ladder,
     geometry_three_atom_line,
     geometry_two_atom,
+    ladder_spin_map,
+    op_charge_conjugation,
     pair_interaction,
-    single_spin_map,
     six_atom_system,
     symmetric_state_two_spin,
     three_atom_system,
     two_atom_system,
-    two_spin_ladder_map,
 )
 from cahm.rydberg_models import (
     atom_permutation_matrix,
@@ -159,49 +159,86 @@ def test_four_atom_override_changes_only_v2_pairs():
 
 
 def test_spin_maps_and_embedding():
-    m2 = single_spin_map("two-atom")
-    assert m2.spin_states == {1: 0b10, 0: 0b00, -1: 0b01}
-    m3 = single_spin_map("three-atom")
-    assert m3.spin_states == {1: 0b100, 0: 0b010, -1: 0b001}
+    # Spin-basis order m = 1, 0, -1.
+    assert ladder_spin_map("two-atom", 1) == SpinAtomMap(2, (0b10, 0b00, 0b01))
+    assert ladder_spin_map("three-atom", 1) == SpinAtomMap(3, (0b100, 0b010, 0b001))
 
-    embedded = embed_spin_state(m3, StateVector.basis(3, 0))
+    embedded = three_atom_system(1.0, 15.0, 0.0, 30.0).embed(StateVector.basis(3, 0))
     assert embedded.amplitudes[0b100] == 1.0
     plus = StateVector.normalized([1.0, 0.0, 1.0])
-    out = embed_spin_state(m2, plus)
+    out = two_atom_system(-0.5, -0.5, 32.0).embed(plus)
     assert abs(out.amplitudes[0b10] - 1 / np.sqrt(2)) < 1e-15
     assert abs(out.amplitudes[0b01] - 1 / np.sqrt(2)) < 1e-15
     assert abs(np.sum(np.abs(out.amplitudes) ** 2) - 1.0) < 1e-12
 
 
 def test_two_spin_map_indices():
-    pair = two_spin_ladder_map("two-atom")
-    assert pair.spin_states[(0, 0)] == 0b0000
-    assert pair.spin_states[(1, 1)] == 0b1001
-    assert pair.spin_states[(1, -1)] == 0b1010
-    pair6 = two_spin_ladder_map("three-atom")
-    assert pair6.spin_states[(0, 0)] == 0b010010
-    assert pair6.spin_states[(1, 0)] == 0b100010
-    assert pair6.spin_states[(0, 1)] == 0b010001
-    s_embedded = embed_spin_state(pair, symmetric_state_two_spin())
+    # Two-spin states (m_left, m_right) in the order (1, 1), (1, 0), ..., (-1, -1);
+    # the mirrored right column carries the pattern of -m_right.
+    pair = ladder_spin_map("two-atom", 2)
+    assert pair.n_atoms == 4
+    assert pair.indices[4] == 0b0000  # (0, 0)
+    assert pair.indices[0] == 0b1001  # (1, 1)
+    assert pair.indices[2] == 0b1010  # (1, -1)
+    pair6 = ladder_spin_map("three-atom", 2)
+    assert pair6.n_atoms == 6
+    assert pair6.indices[4] == 0b010010  # (0, 0)
+    assert pair6.indices[1] == 0b100010  # (1, 0)
+    assert pair6.indices[3] == 0b010001  # (0, 1)
+    s_embedded = four_atom_system(-1.2, -0.6, 64.0, 0.38).embed(symmetric_state_two_spin())
     support = {i for i, a in enumerate(s_embedded.amplitudes) if abs(a) > 0}
     assert support == {0b0001, 0b0010, 0b0100, 0b1000}
 
 
+def test_ladder_spin_map_equals_the_column_loop():
+    # Column k reads the one-column pattern of m, or of -m when k is odd.
+    for encoding, n_col in (("two-atom", 2), ("three-atom", 3)):
+        column = dict(zip((1, 0, -1), ladder_spin_map(encoding, 1).indices))
+        for n_spins in (1, 2, 3):
+            expected = []
+            for ms in itertools.product((1, 0, -1), repeat=n_spins):
+                index = 0
+                for k, m in enumerate(ms):
+                    index = (index << n_col) | column[-m if k % 2 else m]
+                expected.append(index)
+            assert ladder_spin_map(encoding, n_spins).indices == tuple(expected)
+    with pytest.raises(ValueError):
+        ladder_spin_map("four-atom", 1)
+
+
 def test_embed_rejects_unmapped_support():
-    partial = SpinAtomMap(n_atoms=2, spin_states={1: 0b10, 0: 0b00})
+    system = two_atom_system(-0.5, -0.5, 32.0)
+    with pytest.raises(ValueError, match="injective"):
+        SpinAtomMap(n_atoms=2, indices=(0b10, 0b00, 0b10))
+    with pytest.raises(ValueError, match="outside"):
+        SpinAtomMap(n_atoms=2, indices=(0b10, 0b00, 0b100))
+    # A map shorter than the spin basis leaves a spin state unmapped.
+    partial = SimulatorSystem(
+        system.geometry, system.params, SpinAtomMap(n_atoms=2, indices=(0b10, 0b00)), (1, 0)
+    )
     with pytest.raises(ValueError):
-        embed_spin_state(partial, StateVector.basis(3, 2))
+        partial.embed(StateVector.basis(3, 2))
     with pytest.raises(ValueError):
-        embed_spin_state(single_spin_map("two-atom"), StateVector.basis(4, 0))
+        system.embed(StateVector.basis(4, 0))
 
 
 def test_mirror_permutation_matches_charge_conjugation():
-    # Swapping the two atoms exchanges the m = +-1 encodings.
-    m = atom_permutation_matrix(two_atom_system(-0.5, -0.5, 32.0).mirror)
-    smap = single_spin_map("two-atom")
-    up = embed_spin_state(smap, StateVector.basis(3, 0)).amplitudes
-    down = embed_spin_state(smap, StateVector.basis(3, 2)).amplitudes
-    assert np.array_equal(m @ up, down)
+    # The vertical flip of every column acts on the encoded spins as C on each spin.
+    systems = [
+        two_atom_system(-0.5, -0.5, 32.0),
+        three_atom_system(1.0, 15.0, 0.7, 30.0),
+        four_atom_system(-1.2, -0.6, 64.0, 0.38),
+        six_atom_system(1.0, 15.0, 30.0, 0.326),
+    ]
+    c = op_charge_conjugation()
+    for system in systems:
+        m = atom_permutation_matrix(system.mirror)
+        n_states = len(system.spin_map.indices)
+        c_all = c if n_states == 3 else np.kron(c, c)
+        for k in range(n_states):
+            psi = StateVector.basis(n_states, k)
+            conjugated = system.embed(StateVector(c_all @ psi.amplitudes))
+            assert np.array_equal(m @ system.embed(psi).amplitudes, conjugated.amplitudes)
 
 
 def test_geometry_validation():
@@ -264,4 +301,6 @@ def test_custom_hamiltonians_equal_the_loop_reference_bitwise(n_atoms):
 def test_atom_permutations_equal_the_loop_reference():
     for n in range(1, 6):
         for perm in itertools.permutations(range(n)):
-            assert np.array_equal(atom_permutation_matrix(perm), loop_permutation_matrix(perm))
+            m = atom_permutation_matrix(perm)
+            assert m.dtype == np.float64
+            assert np.array_equal(m, loop_permutation_matrix(perm))

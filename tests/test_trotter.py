@@ -11,7 +11,7 @@ from cahm import (
     trotter_step_h2r,
     two_atom_system,
 )
-from cahm.evolution import simulator_trace, one_spin_finals
+from cahm.evolution import one_spin_finals
 from cahm.trotter import p_matrix, rx_matrix, trotter_step
 
 from helpers import apply_steps, circuit_unitary
@@ -115,9 +115,7 @@ def test_apply_circuit_norm_preserved():
 
 def test_trotter_vs_exact_fig10():
     system, psi0, obs = _fig10_pieces()
-    exact = simulator_trace(
-        system.hamiltonian(), psi0, obs, system.spin_map.physical_indices(), [1.0]
-    )
+    exact = system.spin_trace(StateVector.basis(3, 0), [1.0])
     probs = _trotter_probs(psi0, obs, 0.1, 1.0)
     for label, p in probs.items():
         assert abs(p - exact.series[label][0]) <= 0.05
@@ -126,9 +124,7 @@ def test_trotter_vs_exact_fig10():
 def test_trotter_error_scaling_on_window():
     system, psi0, obs = _fig10_pieces()
     times = np.arange(1, 21) * 0.1
-    exact = simulator_trace(
-        system.hamiltonian(), psi0, obs, system.spin_map.physical_indices(), times
-    )
+    exact = system.spin_trace(StateVector.basis(3, 0), times)
 
     def max_dev(dt):
         worst = 0.0
