@@ -39,7 +39,13 @@ from .matching import (
     match_two_atom,
     solve_three_atom_newton,
 )
-from .numerics import StateVector, bitstring_labels, capped_dim, eig_hermitian
+from .numerics import (
+    StateVector,
+    bitstring_labels,
+    capped_dim,
+    eig_hermitian,
+    symmetry_sectors,
+)
 from .rydberg_models import (
     AtomGeometry,
     RydbergParams,
@@ -50,12 +56,14 @@ from .rydberg_models import (
     two_atom_system,
 )
 from .target_models import (
+    SPIN1,
     SpinTruncation,
     TargetCouplings,
     analytic_one_spin,
     build_chain_h,
     build_h1t,
     build_h2t,
+    chain_symmetries,
     perturbative_one_spin,
 )
 from .trotter import apply_circuit, sample_shots, trotter_step_h2r
@@ -303,6 +311,23 @@ def _build_target(spec: dict):
     return build_chain_h(c, trunc, n_links), [], c, resolved
 
 
+def _labelled_target(spec: dict):
+    """`_build_target` for the modes that start from a labelled state."""
+    if spec.get("kind") == "chain":
+        raise ConfigError(
+            "field payload.target.kind 'chain' has no labelled states: chain targets run in "
+            "spectrum mode only"
+        )
+    return _build_target(spec)
+
+
+def _target_symmetries(kind: str, resolved: dict):
+    """C and link reflection of a target: one-spin and two-spin are spin-1 chains."""
+    if kind == "chain":
+        return chain_symmetries(SpinTruncation(resolved["m_max"]), resolved["n_links"])
+    return chain_symmetries(SPIN1, 1 if kind == "one-spin" else 2)
+
+
 def _build_simulator(spec: dict):
     """Return (SimulatorSystem, resolved params dict)."""
     ctx = "simulator"
@@ -450,7 +475,10 @@ def _write_manifest(cfg: ExperimentConfig, parameters: dict, outputs: list[str])
 def _run_spectrum(cfg: ExperimentConfig) -> int:
     target = _require(cfg.payload, "target", dict, "payload")
     h, _, c, resolved = _build_target(target)
-    out = {"eigenvalues": [float(w) for w in eig_hermitian(h).eigenvalues]}
+    # One eigensolve per symmetry sector; the sectors' union is the spectrum of h.
+    sectors = symmetry_sectors(h, _target_symmetries(target["kind"], resolved))
+    eigenvalues = np.sort(np.concatenate([eig_hermitian(b).eigenvalues for b in sectors]))
+    out = {"eigenvalues": [float(w) for w in eigenvalues]}
     if target["kind"] == "one-spin":
         out["analytic"] = analytic_one_spin(c).to_json_obj()
         if c.u != 0:
@@ -510,7 +538,7 @@ def _run_evolve(cfg: ExperimentConfig) -> int:
     resolved: dict = {"initial": initial, "times": payload["times"]}
     if "target" in payload:
         target = _require(payload, "target", dict, "payload")
-        h, finals, _, resolved["target"] = _build_target(target)
+        h, finals, _, resolved["target"] = _labelled_target(target)
         tr = trace(h, _initial_state(finals, initial), finals, times)
     elif "simulator" in payload:
         spec = _require(payload, "simulator", dict, "payload")
@@ -545,7 +573,7 @@ def _run_compare(cfg: ExperimentConfig) -> int:
 
     target_spec = _require(payload, "target", dict, "payload")
     sim_spec = _require(payload, "simulator", dict, "payload")
-    h, finals, _, target_params = _build_target(target_spec)
+    h, finals, _, target_params = _labelled_target(target_spec)
     system, sim_params = _build_simulator(sim_spec)
     if system.spin_map is None:
         raise ConfigError("field payload.simulator: custom simulators run in evolve mode only")

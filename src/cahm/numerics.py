@@ -12,6 +12,7 @@ after construction and every operation is a pure function.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -294,3 +295,92 @@ def eig_hermitian(op: HermitianOperator) -> Spectrum:
             f"{RESIDUAL_RTOL:.0e} * ||H|| = {RESIDUAL_RTOL * h_norm:.3e}"
         )
     return Spectrum(w, v)
+
+
+def symmetry_sectors(op: HermitianOperator, symmetries) -> list[HermitianOperator]:
+    """Blocks of `op` in the joint eigenspaces of commuting involutive index permutations.
+
+    Each symmetry is an integer array g whose entry b is the index of g|b>,
+    with g(g(b)) = b.  The generators span an abelian group G; each sign
+    choice per generator is a character chi of G.  Sector chi has one basis
+    state per orbit whose stabiliser chi leaves at +1,
+
+        |r, chi> = sum_g chi(g) |g r> / sqrt(|G| |Stab_r|),
+
+    with r the smallest index of its orbit, in ascending r.  Because H
+    commutes with G, its block is
+
+        <r_a, chi|H|r_b, chi> = sum_g chi(g) H[r_a, g r_b] / sqrt(|Stab_a| |Stab_b|),
+
+    read from |G| gathers of H without forming a change of basis.  Blocks
+    follow the characters (+1 before -1 for each generator, the first
+    generator varying slowest); empty sectors are dropped.  The union of the
+    blocks' spectra is the spectrum of `op`.
+
+    Raises ContractViolationError unless every symmetry is an involutive
+    permutation of range(dim), the symmetries commute pairwise, H commutes
+    with each within HERMITICITY_RTOL * max|H| and the sector dimensions sum
+    to dim.
+    """
+    h, dim = op.matrix, op.dim
+    identity = np.arange(dim)
+    generators = [np.asarray(g) for g in symmetries]
+    for k, g in enumerate(generators):
+        if not (
+            g.shape == (dim,)
+            and np.issubdtype(g.dtype, np.integer)
+            and np.array_equal(np.sort(g), identity)
+        ):
+            raise ContractViolationError(f"symmetry {k} is not a permutation of range({dim})")
+        if not np.array_equal(g[g], identity):
+            raise ContractViolationError(f"symmetry {k} is not an involution")
+        for j, f in enumerate(generators[:k]):
+            if not np.array_equal(g[f], f[g]):
+                raise ContractViolationError(f"symmetries {j} and {k} do not commute")
+    # max|gHg - H| per symmetry, compared as H[g a, b] against H[a, g b] over
+    # row blocks of about 2**15 entries, so the gathered copies stay in cache.
+    # An exact symmetry gives exact zeros; a difference that overflows is a violation.
+    deviations = np.zeros(len(generators))
+    rows = max(1, 2**15 // dim)
+    with np.errstate(over="ignore"):
+        for start in range(0, dim, rows):
+            part = slice(start, start + rows)
+            for k, g in enumerate(generators):
+                part_dev = np.max(np.abs(h[g[part]] - h[part][:, g]))
+                deviations[k] = max(deviations[k], part_dev)
+    scale = float(np.max(np.abs(h)))
+    for k, deviation in enumerate(deviations):
+        if not deviation <= HERMITICITY_RTOL * scale:
+            raise ContractViolationError(
+                f"H does not commute with symmetry {k}: max|gHg - H| = {deviation:.3e} "
+                f"exceeds {HERMITICITY_RTOL:.0e} * max|H| = {HERMITICITY_RTOL * scale:.3e}"
+            )
+
+    # The group elements as permutations: element i applies generator j when bit j of i is set.
+    elements = [identity]
+    for g in generators:
+        elements += [e[g] for e in elements]
+    images = np.array(elements)
+    exponents = (np.arange(len(images))[:, None] >> np.arange(len(generators))) & 1
+    reps = np.flatnonzero(images.min(axis=0) == identity)
+    fixed = images[:, reps] == reps
+    stab = fixed.sum(axis=0)
+    # H[r_a, g r_b] for every element g and pair of orbits, flattened to (|G|, orbits**2).
+    h_reps = h[reps]
+    gathered = np.array([h_reps[:, g[reps]].ravel() for g in images])
+
+    blocks, total = [], 0
+    for signs in itertools.product((1.0, -1.0), repeat=len(generators)):
+        chi = np.prod(np.array(signs) ** exponents, axis=1)
+        keep = ~np.any(fixed & (chi[:, None] < 0.0), axis=0)
+        if not keep.any():
+            continue
+        s = stab[keep]
+        # A block entry that overflows fails HermitianOperator's finiteness check.
+        with np.errstate(over="ignore"):
+            block = (chi @ gathered).reshape(reps.size, reps.size)[np.ix_(keep, keep)]
+        blocks.append(HermitianOperator(block / np.sqrt(np.outer(s, s))))
+        total += s.size
+    if total != dim:
+        raise ContractViolationError(f"sector dimensions sum to {total}, not {dim}")
+    return blocks

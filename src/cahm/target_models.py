@@ -102,6 +102,22 @@ def op_charge_conjugation(trunc: SpinTruncation = SPIN1) -> np.ndarray:
     return np.fliplr(np.eye(trunc.dim, dtype=np.complex128)).copy()
 
 
+def chain_symmetries(trunc: SpinTruncation, n_links: int) -> tuple[np.ndarray, ...]:
+    """Charge conjugation C and link reflection P of every chain, as index permutations.
+
+    Entry b of each array is the basis index of the image of |b>.  C maps m to
+    -m on every link, which in the descending-m digit layout reverses the
+    index; P reverses the order of the links.  Open chains (with or without
+    end terms) and periodic rings commute with both.  At one link P is the
+    identity and is left out.
+    """
+    digits = basis_digits(trunc.dim, n_links, "n_links")
+    conjugation = np.arange(len(digits))[::-1].copy()
+    if n_links == 1:
+        return (conjugation,)
+    return conjugation, digits[:, ::-1] @ site_strides(trunc.dim, n_links)
+
+
 def _chain_h(
     c: TargetCouplings, trunc: SpinTruncation, n_links: int, end_terms: bool
 ) -> HermitianOperator:

@@ -1,5 +1,7 @@
 """Shared test oracles, independent of the library's computation paths."""
 
+import itertools
+
 import numpy as np
 
 from cahm import StateVector, TargetCouplings, apply_circuit, six_atom_system, two_atom_system
@@ -242,3 +244,33 @@ def circuit_unitary(circuit):
     dim = 1 << circuit.n_qubits
     columns = [apply_circuit(circuit, StateVector.basis(dim, k)).amplitudes for k in range(dim)]
     return np.column_stack(columns)
+
+
+def dense_sector_bases(dim, symmetries):
+    """Orthonormal basis (dim x n_chi) of each symmetry sector, built vector by vector.
+
+    Characters run as in `symmetry_sectors` (+1 before -1 per generator, the
+    first generator slowest).  For each character and each orbit minimum r in
+    ascending order, the column is sum_g chi(g) e_{g r} over all 2**k
+    products g of the generators, normalized; a column that sums to zero
+    (its stabiliser kills chi) is dropped.
+    """
+    k = len(symmetries)
+    bases = []
+    for signs in itertools.product((1, -1), repeat=k):
+        columns = []
+        for r in range(dim):
+            v = np.zeros(dim)
+            images = []
+            for bits in itertools.product((0, 1), repeat=k):
+                b, chi = r, 1
+                for g, s, bit in zip(symmetries, signs, bits):
+                    if bit:
+                        b, chi = int(g[b]), chi * s
+                images.append(b)
+                v[b] += chi
+            if min(images) == r and np.any(v):
+                columns.append(v / np.linalg.norm(v))
+        if columns:
+            bases.append(np.column_stack(columns))
+    return bases

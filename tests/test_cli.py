@@ -331,6 +331,59 @@ def test_compare_with_mismatched_spin_counts_names_both_kinds(tmp_path, capsys):
         assert "initial" not in err
 
 
+CHAIN_TARGET = {"kind": "chain", "U": 1.0, "X": 1.2, "Y": 0.2, "m_max": 1, "n_links": 2}
+
+
+@pytest.mark.parametrize("mode", ["evolve", "compare"])
+def test_chain_target_outside_spectrum_mode_names_the_kind(tmp_path, capsys, mode):
+    config = _with_field(FOUR_ATOM_COMPARE, ("target",), CHAIN_TARGET)
+    if mode == "evolve":
+        del config["simulator"]
+    config["mode"] = mode
+    assert _run_config(tmp_path, config) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "payload.target.kind" in err and "spectrum mode only" in err
+    assert "initial" not in err
+
+
+@pytest.mark.parametrize(
+    "target",
+    [
+        {"kind": "one-spin", "U": 1.0, "X": 0.5},
+        {"kind": "two-spin", "U": 1.0, "X": 1.2, "Y": 0.2},
+        CHAIN_TARGET,
+        {**CHAIN_TARGET, "m_max": 2, "n_links": 3, "Y": 0.0},
+        {**CHAIN_TARGET, "n_links": 4, "boundary": "periodic"},
+    ],
+    ids=["one-spin", "two-spin", "chain", "chain-y0", "chain-periodic"],
+)
+def test_spectrum_equals_the_full_matrix_spectrum(tmp_path, target):
+    from cahm.cli import _build_target
+    from cahm.numerics import eig_hermitian
+
+    assert _run_config(tmp_path, {"mode": "spectrum", "target": target}) == EXIT_OK
+    out = json.loads((tmp_path / "out" / "spectrum.json").read_text())
+    h = _build_target(target)[0]
+    full = eig_hermitian(h).eigenvalues
+    assert len(out["eigenvalues"]) == h.dim
+    assert np.max(np.abs(np.array(out["eigenvalues"]) - full)) <= 1e-12 * np.linalg.norm(h.matrix)
+
+
+def test_corrupted_sector_eigenvectors_fail_closed(tmp_path, capsys, monkeypatch):
+    eigh = np.linalg.eigh
+
+    def corrupt(h):
+        w, v = eigh(h)
+        v[:, -1] = v[:, 0]
+        return w, v
+
+    monkeypatch.setattr(np.linalg, "eigh", corrupt)
+    config = {"mode": "spectrum", "target": {**CHAIN_TARGET, "n_links": 3}}
+    assert _run_config(tmp_path, config) == EXIT_CONFIG
+    assert "residual" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "spectrum.json").exists()
+
+
 def test_four_atom_zero_v0_names_field(tmp_path, capsys):
     config = json.loads(json.dumps(FOUR_ATOM_COMPARE))
     config["simulator"]["v0"] = 0.0

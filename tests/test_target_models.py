@@ -15,6 +15,7 @@ from cahm import (
     op_ux,
     perturbative_one_spin,
 )
+from cahm.target_models import chain_symmetries
 
 from helpers import kron_chain_h
 
@@ -171,6 +172,35 @@ def test_chain_charge_conjugation_all_sizes():
             for _ in range(n):
                 c_global = np.kron(c_global, c_site)
             assert np.max(np.abs(c_global @ h - h @ c_global)) <= 1e-14
+
+
+def _permutation_matrix(perm):
+    """The basis permutation sending |b> to |perm[b]>."""
+    m = np.zeros((len(perm), len(perm)))
+    m[perm, np.arange(len(perm))] = 1.0
+    return m
+
+
+@pytest.mark.parametrize("m_max", [1, 2])
+@pytest.mark.parametrize("n_links", [1, 2, 3])
+def test_chain_symmetries_are_c_and_the_link_reflection(m_max, n_links):
+    trunc = SpinTruncation(m_max)
+    symmetries = chain_symmetries(trunc, n_links)
+    assert len(symmetries) == (1 if n_links == 1 else 2)
+    c_global = np.ones((1, 1))
+    for _ in range(n_links):
+        c_global = np.kron(c_global, op_charge_conjugation(trunc).real)
+    assert np.array_equal(_permutation_matrix(symmetries[0]), c_global)
+    if n_links > 1:
+        # P sends |m_1, ..., m_N> to |m_N, ..., m_1>, digit by digit.
+        d = trunc.dim
+        for b, image in enumerate(symmetries[1]):
+            digits = [(b // d**k) % d for k in range(n_links)]  # least significant first
+            assert image == sum(digit * d**k for k, digit in enumerate(reversed(digits)))
+    for boundary in ("open", "periodic"):
+        h = build_chain_h(TargetCouplings(1.1, 0.7, 0.4, boundary), trunc, n_links).matrix
+        for g in symmetries:
+            assert np.array_equal(h[np.ix_(g, g)], h)
 
 
 def test_chain_periodic_ring():
