@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .evolution import two_spin_finals
-from .numerics import HermitianOperator, StateVector, eig_hermitian
+from .numerics import DEGENERACY_RTOL, HermitianOperator, StateVector, eig_hermitian
 from .rydberg_models import (
     atom_permutation_matrix,
     ladder_cross_couplings,
@@ -347,7 +347,7 @@ def solve_three_atom_newton(prob: NewtonProblem) -> MatchReport:
         target = analytic_one_spin(prob.targets)
         predicted["gap_plus_target"] = target.eplus - target.e0
         predicted["gap_minus_target"] = target.eminus - target.e0
-    except (ValueError, np.linalg.LinAlgError):
+    except (ValueError, np.linalg.LinAlgError, MatchingError):
         notes.append("predicted spectrum unavailable at the solution parameters")
     return MatchReport(
         simulator_params=params,
@@ -383,11 +383,24 @@ def three_atom_low_sector(omega: float, delta: float, delta0: float, v0: float) 
     Out of the eight eigenstates, the three with the largest weight on the
     encoded subspace are selected; the mirror-odd one is E-, the mirror-even
     ones are E0 (lower) and E+ (upper).
+
+    Raises MatchingError when a selected level is degenerate with a
+    neighbour (within DEGENERACY_RTOL * spectral radius): its weight and
+    parity would then depend on the solver's choice of basis in the eigenspace.
     """
     system = three_atom_system(omega, delta, delta0, v0)
     spec = eig_hermitian(system.hamiltonian())
     weight = np.sum(np.abs(spec.eigenvectors[list(system.spin_map.indices), :]) ** 2, axis=0)
     picked = sorted(np.argsort(-weight, kind="stable")[:3])
+    w = spec.eigenvalues
+    gaps = np.diff(w)
+    tol = DEGENERACY_RTOL * max(abs(w[0]), abs(w[-1]))
+    for k in picked:
+        if np.min(gaps[max(k - 1, 0) : k + 1]) <= tol:
+            raise MatchingError(
+                f"three-atom level {k} (E = {w[k]:.6g}) is degenerate with a neighbour, "
+                "so its encoded weight and mirror parity are not defined"
+            )
     mirror = atom_permutation_matrix(system.mirror)
     parity = [float(spec.eigenvectors[:, k] @ mirror @ spec.eigenvectors[:, k]) for k in picked]
     odd_pos = int(np.argmin(parity))

@@ -2,7 +2,7 @@
 
 Every operator in this package is an explicit dense matrix (dim <= 4096).
 This module provides the shared primitives: validated Hermitian operators
-and state vectors, a deterministic Hermitian eigendecomposition, spectral
+and state vectors, a contract-checked Hermitian eigendecomposition, spectral
 time evolution exp(-iHt) and the digit layout of product bases.  Operators
 and eigenvectors keep their input's kind: real input stays float64, so a real
 symmetric H is diagonalised in real arithmetic, and complex input is
@@ -22,7 +22,7 @@ HERMITICITY_RTOL = 1e-12
 # Absolute tolerance on |sum |a_i|^2 - 1| for state vectors.
 NORM_ATOL = 1e-10
 # Eigenvalue gaps below DEGENERACY_RTOL * spectral_radius are treated as
-# degenerate when fixing the eigenvector orientation.
+# degenerate, where eigenvectors have no orientation of their own.
 DEGENERACY_RTOL = 1e-12
 # Orthonormality tolerance for eigenvector matrices.
 ORTHO_ATOL = 1e-10
@@ -31,6 +31,9 @@ RESIDUAL_RTOL = 1e-9
 
 # The one cap on every Hilbert-space dimension the package builds.
 MAX_DIM = 4096
+# Edge of the square tiles over which Hermiticity is checked; a tile and its
+# mirror stay in cache.
+_HERMITICITY_TILE = 128
 
 
 class ContractViolationError(ValueError):
@@ -54,6 +57,21 @@ def _as_square_matrix(entries) -> np.ndarray:
     return m
 
 
+def _hermiticity_deviation(m: np.ndarray) -> float:
+    """max|H - H^dagger| of a square matrix, with no full-size temporary.
+
+    Each tile of the upper triangle is compared with its mirror tile.  The
+    entries (i, j) and (j, i) of H - H^dagger deviate by the same magnitude,
+    so the tiles together cover every entry and give the full maximum exactly.
+    """
+    deviation, b = 0.0, _HERMITICITY_TILE
+    for i in range(0, m.shape[0], b):
+        for j in range(i, m.shape[0], b):
+            tile = m[i : i + b, j : j + b] - m[j : j + b, i : i + b].conj().T
+            deviation = max(deviation, float(np.max(np.abs(tile))))
+    return deviation
+
+
 @dataclass(frozen=True)
 class HermitianOperator:
     """Dense matrix H with H = H^dagger within HERMITICITY_RTOL * max|H|.
@@ -67,7 +85,7 @@ class HermitianOperator:
     def __post_init__(self):
         m = _as_square_matrix(self.matrix)
         scale = float(np.max(np.abs(m)))
-        deviation = float(np.max(np.abs(m - m.conj().T)))
+        deviation = _hermiticity_deviation(m)
         if scale > 0.0 and deviation > HERMITICITY_RTOL * scale:
             raise ContractViolationError(
                 f"matrix is not Hermitian: max|H - H^dagger| = {deviation:.3e} "
@@ -140,7 +158,10 @@ class Spectrum:
         v = _real_or_complex(self.eigenvectors)
         if w.ndim != 1 or v.ndim != 2 or v.shape != (w.size, w.size):
             raise ContractViolationError("inconsistent spectrum shapes")
-        if np.any(np.diff(w) < -1e-12 * max(1.0, float(np.max(np.abs(w))))):
+        # A gap between eigenvalues near the float range overflows to +-inf, keeping its sign.
+        with np.errstate(over="ignore"):
+            descending = np.any(np.diff(w) < -1e-12 * max(1.0, float(np.max(np.abs(w)))))
+        if descending:
             raise ContractViolationError("eigenvalues must be ascending")
         gram = v.conj().T @ v
         if float(np.max(np.abs(gram - np.eye(w.size)))) > ORTHO_ATOL:
@@ -218,51 +239,14 @@ def bitstring_labels(dim: int) -> tuple[str, ...]:
     return tuple("".join(map(str, row)) for row in digits[:dim].tolist())
 
 
-def _canonical_subspace_basis(block: np.ndarray) -> np.ndarray:
-    """Deterministic orthonormal basis of the span of the isometry `block` (d x k).
-
-    Column-pivoted Gram-Schmidt on the projector columns P e_0, P e_1, ...
-    (largest residual norm first, ties broken by index order).  With
-    P = block @ block^H, column j is block @ c_j for the j-th column c_j of
-    block^H, and block is an isometry, so norms and projections are those of
-    the c_j: the pivoting runs on the k x d coordinates in O(k^2 d), and no
-    d x d projector is formed.  Deterministic for identical input; on exact
-    ties between column norms the pick follows the solver's orientation.
-    """
-    k = block.shape[1]
-    residual = block.conj().T
-    chosen: list[np.ndarray] = []
-    for _ in range(k):
-        norms = np.linalg.norm(residual, axis=0)
-        pick = int(np.argmax(norms))
-        if norms[pick] < 1e-9:
-            return block  # numerically defective projector; keep solver output
-        u = residual[:, pick] / norms[pick]
-        chosen.append(u)
-        residual = residual - np.outer(u, u.conj() @ residual)
-    return block @ np.column_stack(chosen)
-
-
-def _fix_column_phases(v: np.ndarray) -> np.ndarray:
-    """Rotate each column so its (first) largest-magnitude entry is real positive.
-
-    For real columns the rotation is a sign flip.
-    """
-    peak = v[np.argmax(np.abs(v), axis=0), np.arange(v.shape[1])]
-    # hypot rounds as abs() of one complex scalar; np.abs of an array may not.
-    mag = np.hypot(peak.real, peak.imag)
-    return v * np.divide(peak.conj(), mag, out=np.ones_like(peak), where=mag > 0.0)
-
-
 def eig_hermitian(op: HermitianOperator) -> Spectrum:
     """Full eigendecomposition of a Hermitian operator, real when the operator is.
 
-    Deterministic for identical input: eigenvalues ascending, eigenvectors
-    within each (near-)degenerate cluster re-oriented by column-pivoted
-    Gram-Schmidt in index order, and every column phase-fixed so that its
-    largest entry is real positive.  Where a symmetry makes pivot norms or
-    entry magnitudes tie exactly, the solver's roundoff picks among them, so
-    the vectors are not independent of the eigensolver.
+    The eigenvalues ascend, and the eigenvectors are `numpy.linalg.eigh`'s as
+    LAPACK returns them: inside a degenerate eigenspace, and in each column's
+    sign or phase, their orientation is the solver's.  Nothing reads it:
+    exp(-iHt) is the same for every orthonormal basis of each eigenspace, and
+    a column's phase cancels between V and V^dagger in propagation.
 
     Raises ContractViolationError when an eigenvalue, ||H|| or the
     eigen-residual is not finite, or the residual exceeds
@@ -272,18 +256,12 @@ def eig_hermitian(op: HermitianOperator) -> Spectrum:
     h = op.matrix
     w, v = np.linalg.eigh(h)
 
-    scale = max(abs(float(w[0])), abs(float(w[-1])), np.finfo(float).tiny)
-    tol = DEGENERACY_RTOL * scale
-    edges = [0, *(np.flatnonzero(np.diff(w) > tol) + 1).tolist(), w.size]
-    for start, stop in zip(edges[:-1], edges[1:]):
-        if stop - start > 1:
-            v[:, start:stop] = _canonical_subspace_basis(v[:, start:stop])
-    v = _fix_column_phases(v)
-
-    # ||H||_F scaled by max|H| first, so entries near the float range do not overflow.
-    h_max = float(np.max(np.abs(h)))
-    h_norm = h_max * float(np.linalg.norm(h / h_max)) if h_max > 0.0 else 0.0
-    residual = float(np.max(np.linalg.norm(h @ v - v * w, axis=0)))
+    # A decomposition that overflows fails closed below, so numpy need not warn.
+    with np.errstate(over="ignore", invalid="ignore"):
+        # ||H||_F scaled by max|H| first, so entries near the float range do not overflow.
+        h_max = float(np.max(np.abs(h)))
+        h_norm = h_max * float(np.linalg.norm(h / h_max)) if h_max > 0.0 else 0.0
+        residual = float(np.max(np.linalg.norm(h @ v - v * w, axis=0)))
     if not (np.all(np.isfinite(w)) and np.isfinite(h_norm) and np.isfinite(residual)):
         raise ContractViolationError(
             "eigendecomposition is not finite: an eigenvalue, ||H|| or the residual "

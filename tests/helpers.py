@@ -182,37 +182,9 @@ def loop_permutation_matrix(perm):
     return m
 
 
-def projector_canonical_basis(block):
-    """Column-pivoted Gram-Schmidt on the d x d projector block @ block^H.
-
-    Pivots on the largest residual column norm (first index on exact ties)
-    and falls back to `block` when the largest norm drops below 1e-9.
-    """
-    k = block.shape[1]
-    projector = block @ block.conj().T
-    residual = projector.copy()
-    chosen = []
-    for _ in range(k):
-        norms = np.linalg.norm(residual, axis=0)
-        pick = int(np.argmax(norms))
-        if norms[pick] < 1e-9:
-            return block
-        u = residual[:, pick] / norms[pick]
-        chosen.append(u)
-        residual = residual - np.outer(u, u.conj() @ residual)
-    return np.column_stack(chosen)
-
-
-def loop_fix_column_phases(v):
-    """Rotate column by column so its first largest-magnitude entry is real positive."""
-    out = v.copy()
-    for j in range(out.shape[1]):
-        col = out[:, j]
-        i = int(np.argmax(np.abs(col)))
-        mag = abs(col[i])
-        if mag > 0.0:
-            out[:, j] = col * (col[i].conjugate() / mag)
-    return out
+def full_hermiticity_deviation(m):
+    """max|H - H^dagger| from the full-size difference matrix."""
+    return float(np.max(np.abs(m - m.conj().T)))
 
 
 def clustered_hermitian(rng, dim, cluster_sizes):

@@ -1,11 +1,14 @@
 import json
+import os
 import shutil
 import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import cahm
 from cahm import StateVector
 from cahm.cli import (
     EXIT_CONFIG,
@@ -621,10 +624,27 @@ def test_far_apart_atoms_give_a_finite_hamiltonian(tmp_path):
     ],
     ids=["trotter-omega", "chain-u-x"],
 )
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_overflowing_hamiltonian_fails_closed(tmp_path, config):
     assert _run_config(tmp_path, config) in (EXIT_CONFIG, EXIT_NUMERICAL)
     written = [p for p in (tmp_path / "out").rglob("*") if p.is_file()]
     assert all("NaN" not in p.read_text() for p in written)
+
+
+def test_overflowing_trotter_prints_only_the_config_error(tmp_path):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"mode": "trotter", "omega": 1e308, "delta": -0.5, "v0": 10.0,
+                               "dt": 0.1, "t_max": 3.0, "shots": 10}))
+    src = str(Path(cahm.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run(
+        [sys.executable, "-m", "cahm.cli", "trotter", "--config", str(cfg),
+         "--out", str(tmp_path / "out")],
+        capture_output=True, text=True, env=env,
+    )
+    assert proc.returncode == EXIT_CONFIG
+    assert proc.stderr.startswith("config error: eigendecomposition is not finite")
+    assert proc.stderr.count("\n") == 1
 
 
 @pytest.mark.parametrize(

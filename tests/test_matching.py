@@ -130,6 +130,9 @@ def test_newton_x0_branch_with_default_guess():
     assert rep.converged
     assert rep.simulator_params["omega"] == 0.0
     assert abs(rep.simulator_params["delta0"] - 0.5) < 1e-12
+    # At omega = 0 the outer encoded states are degenerate, so no level is predicted.
+    assert rep.predicted is None
+    assert "predicted spectrum unavailable at the solution parameters" in rep.notes
 
 
 def test_newton_diagnostics_not_silent():
@@ -218,6 +221,36 @@ def test_three_atom_low_sector_parities():
     assert min(sector["weights"]) > 0.9
     gaps = (sector["eplus"] - sector["e0"], sector["eminus"] - sector["e0"])
     assert abs(gaps[0] / gaps[1] - 1.5) < 0.15
+
+
+def test_three_atom_low_sector_rejects_a_degenerate_level():
+    # At omega = 0 the outer-atom states |100> and |001> share the energy -delta.
+    with pytest.raises(MatchingError, match="level 2 .* degenerate"):
+        three_atom_low_sector(0.0, 15.0, 0.5, 30.0)
+
+
+# The three-atom match configs: the Newton target with its guess, and the approx match.
+NEWTON_TARGET = TargetCouplings(u=5.12169, x=0.07421)
+NEWTON_GUESS = {"omega": 1.01, "delta": 14.9, "delta0": 2.56}
+
+
+def test_three_atom_match_levels_are_not_degenerate():
+    rep = solve_three_atom_newton(
+        NewtonProblem(
+            targets=NEWTON_TARGET,
+            unknowns=("omega", "delta", "delta0"),
+            fixed={"v0": 30.0},
+            initial_guess=NEWTON_GUESS,
+        )
+    )
+    assert rep.converged and rep.predicted is not None, rep.notes
+    params = rep.simulator_params
+    points = [(params["omega"], params["delta"], params["delta0"], params["v0"])]
+    points.append((*NEWTON_GUESS.values(), 30.0))
+    points.append((1.0, 15.0, 0.0, 30.0))  # three-atom-approx and the fig4 array
+    for point in points:
+        three_atom_low_sector(*point)
+    assert "gap_ratio" in approx_three_atom_match(1.0, 15.0).predicted
 
 
 def test_match_four_atom():

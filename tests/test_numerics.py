@@ -11,11 +11,12 @@ from cahm import (
     build_h2t,
     eig_hermitian,
 )
+from cahm.evolution import simulator_trace, trace
 from cahm.numerics import (
     DEGENERACY_RTOL,
+    HERMITICITY_RTOL,
     MAX_DIM,
-    _canonical_subspace_basis,
-    _fix_column_phases,
+    _hermiticity_deviation,
     _matmul,
     basis_digits,
     bitstring_labels,
@@ -40,9 +41,8 @@ from cahm.trotter import Circuit
 from helpers import (
     clustered_hermitian,
     expm_taylor,
-    loop_fix_column_phases,
+    full_hermiticity_deviation,
     preset_systems,
-    projector_canonical_basis,
     random_hermitian,
 )
 
@@ -65,8 +65,6 @@ def test_eig_identity_degenerate():
     s = eig_hermitian(HermitianOperator(np.eye(3, dtype=complex)))
     assert np.allclose(s.eigenvalues, [1.0, 1.0, 1.0])
     assert np.allclose(s.eigenvectors.conj().T @ s.eigenvectors, np.eye(3), atol=1e-14)
-    # Canonical orientation of a full degenerate subspace is the identity.
-    assert np.allclose(s.eigenvectors, np.eye(3), atol=1e-14)
 
 
 def test_eig_deterministic_and_orientation_stable():
@@ -92,62 +90,130 @@ def _clusters(w):
 CLUSTER_CASES = [(16, (2, 5)), (64, (2, 3, 4, 8)), (256, (2, 3, 4, 5, 6, 7, 8))]
 
 
-@pytest.mark.parametrize("dim,sizes", CLUSTER_CASES)
-def test_canonical_basis_matches_the_projector_oracle(dim, sizes):
-    h = clustered_hermitian(np.random.default_rng(dim), dim, sizes)
-    w, v = np.linalg.eigh(h)
-    clusters = _clusters(w)
-    assert sorted(b - a for a, b in clusters) == sorted(sizes)
-    for a, b in clusters:
-        v[:, a:b] = projector_canonical_basis(v[:, a:b])
-    expected = loop_fix_column_phases(v)
-    s = eig_hermitian(HermitianOperator(h))
-    assert np.array_equal(s.eigenvalues, w)
-    assert np.max(np.abs(s.eigenvectors - expected)) <= 1e-12
+def _reorienting_eigh(rng):
+    """numpy's eigh, then each degenerate cluster rotated at random and every column re-signed.
 
-
-@pytest.mark.parametrize("dim,sizes", CLUSTER_CASES)
-def test_canonical_basis_ignores_the_solver_orientation(monkeypatch, dim, sizes):
-    rng = np.random.default_rng(dim + 1)
-    h = HermitianOperator(clustered_hermitian(rng, dim, sizes))
-    expected = eig_hermitian(h).eigenvectors
+    Real vectors get a random orthogonal rotation and random signs, complex
+    ones a random unitary rotation and random phases.
+    """
     eigh = np.linalg.eigh
 
-    def rotated_eigh(m):
+    def reoriented(m):
         w, v = eigh(m)
+        real = not np.iscomplexobj(v)
         for a, b in _clusters(w):
-            k = b - a
-            q, _ = np.linalg.qr(rng.normal(size=(k, k)) + 1j * rng.normal(size=(k, k)))
-            v[:, a:b] = v[:, a:b] @ q
-        return w, v
+            g = rng.normal(size=(b - a, b - a))
+            if not real:
+                g = g + 1j * rng.normal(size=g.shape)
+            v[:, a:b] = v[:, a:b] @ np.linalg.qr(g)[0]
+        if real:
+            return w, v * rng.choice([-1.0, 1.0], size=w.size)
+        return w, v * np.exp(2j * np.pi * rng.uniform(size=w.size))
 
-    monkeypatch.setattr(np.linalg, "eigh", rotated_eigh)
-    assert np.max(np.abs(eig_hermitian(h).eigenvectors - expected)) <= 1e-12
+    return reoriented
 
 
-def test_canonical_basis_allocates_no_dim_squared_matrix():
-    d, k = 2048, 4
-    rng = np.random.default_rng(2048)
-    block, _ = np.linalg.qr(rng.normal(size=(d, k)) + 1j * rng.normal(size=(d, k)))
+def _orientation_cases():
+    cases = {
+        f"clustered-{dim}": clustered_hermitian(np.random.default_rng(dim), dim, sizes)
+        for dim, sizes in CLUSTER_CASES
+    }
+    for m_max, n_links in [(1, 2), (1, 4), (2, 2), (2, 3)]:
+        h = build_chain_h(TargetCouplings(u=1.0, x=0.9, y=0.0), SpinTruncation(m_max), n_links)
+        cases[f"chain-y0-m{m_max}-n{n_links}"] = h.matrix
+    return cases
+
+
+def _orientation_sensitive_outputs(op, rng):
+    """Spectrum.propagate, trace and simulator_trace of `op` from fixed random states."""
+    dim = op.dim
+
+    def state():
+        return StateVector.normalized(rng.normal(size=dim) + 1j * rng.normal(size=dim))
+
+    psi0, times = state(), np.linspace(0.0, 5.0, 6)
+    finals = [("basis", StateVector.basis(dim, dim // 2)), ("random", state())]
+    physical = range(0, dim, 3)
+    return [
+        eig_hermitian(op).propagate(psi0, times),
+        *trace(op, psi0, finals, times).series.values(),
+        *simulator_trace(op, psi0, finals, physical, times).series.values(),
+    ]
+
+
+ORIENTATION_CASES = _orientation_cases()
+
+
+@pytest.mark.parametrize("m", list(ORIENTATION_CASES.values()), ids=list(ORIENTATION_CASES))
+def test_outputs_do_not_depend_on_the_eigenvector_orientation(monkeypatch, m):
+    op = HermitianOperator(m)
+    w = np.linalg.eigh(m)[0]
+    assert max(b - a for a, b in _clusters(w)) > 1  # every case has a degenerate cluster
+    expected = _orientation_sensitive_outputs(op, np.random.default_rng(1))
+    monkeypatch.setattr(np.linalg, "eigh", _reorienting_eigh(np.random.default_rng(2)))
+    got = _orientation_sensitive_outputs(op, np.random.default_rng(1))
+    for a, b in zip(got, expected):
+        assert np.max(np.abs(a - b)) <= 1e-12
+
+
+HERMITICITY_DIMS = [1, 3, 127, 128, 129, 300, 625]
+
+
+def _hermitian_pair(dim, kind):
+    """A random exactly Hermitian matrix of `kind` and a copy with 1e-3 noise on every entry."""
+    rng = np.random.default_rng(dim)
+    a = rng.normal(size=(dim, dim))
+    if kind == "complex":
+        a = a + 1j * rng.normal(size=(dim, dim))
+    noise = 1e-3 * rng.normal(size=(dim, dim))
+    return a + a.conj().T, a + a.conj().T + noise
+
+
+@pytest.mark.parametrize("kind", ["real", "complex"])
+@pytest.mark.parametrize("dim", HERMITICITY_DIMS)
+def test_tiled_hermiticity_deviation_equals_the_full_one_bitwise(dim, kind):
+    for m in _hermitian_pair(dim, kind):
+        assert _hermiticity_deviation(m) == full_hermiticity_deviation(m)
+    assert _hermiticity_deviation(_hermitian_pair(dim, kind)[0]) == 0.0
+
+
+@pytest.mark.parametrize("kind", ["real", "complex"])
+@pytest.mark.parametrize("dim", [129, 300, 625])
+def test_tiled_hermiticity_check_rejects_one_perturbed_entry(dim, kind):
+    h = _hermitian_pair(dim, kind)[0]
+    HermitianOperator(h)
+    inside = 0.1 * HERMITICITY_RTOL * np.max(np.abs(h))
+    last = dim - 1
+    # The diagonal tile, both sides of the tile edge at 127/128, and the last row.
+    for i, j in [(3, 50), (127, 128), (128, 127), (127, 127), (128, 128), (0, 128), (128, 0),
+                 (127, last), (last, 127), (last, 0), (last, last - 1)]:
+        for unit in (1.0, 1j) if kind == "complex" else (1.0,):
+            if i == j and unit == 1.0:
+                continue  # a real change on the diagonal keeps H Hermitian
+            bad = h.copy()
+            bad[i, j] += 1e-9 * unit
+            with pytest.raises(ContractViolationError, match="not Hermitian"):
+                HermitianOperator(bad)
+            bad[i, j] = h[i, j] + inside * unit
+            HermitianOperator(bad)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+def test_hermitian_operator_builds_without_a_full_size_difference(dtype):
+    dim = 2048
+    a = np.random.default_rng(0).normal(size=(dim, dim)).astype(dtype)
+    h = a + a.conj().T
+    del a
     tracemalloc.start()
     try:
-        basis = _canonical_subspace_basis(block)
+        HermitianOperator(h)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert np.allclose(basis.conj().T @ basis, np.eye(k), atol=1e-12)
-    assert peak < d * d * 16 // 8
+    assert peak <= 2.1 * dim * dim * h.itemsize
 
 
-def test_column_phases_equal_the_loop_reference_bitwise():
-    rng = np.random.default_rng(13)
-    tied = np.array([[1.0, 1j], [1j, 1.0]]) / np.sqrt(2.0)  # equal magnitudes: first entry wins
-    matrices = [tied, np.eye(3, dtype=complex)]
-    matrices += [np.linalg.eigh(random_hermitian(rng, dim))[1] for dim in (2, 5, 16, 64, 200)]
-    for v in matrices:
-        assert _fix_column_phases(v).tobytes() == loop_fix_column_phases(v).tobytes()
-
-
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_eig_rejects_an_overflowing_decomposition():
     # Eigenvalues 0 and 2e308: the top one overflows, so the contract fails closed.
     with pytest.raises(ContractViolationError, match="not finite"):
