@@ -11,6 +11,7 @@ Exit codes: 0 success, 2 configuration error, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import sys
@@ -707,7 +708,9 @@ def _load_config_file(path: str) -> dict:
     return obj
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The `cahm` argument parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="cahm",
         description="Analog-simulator design toolkit for spin-truncated gauge-Higgs chains.",
@@ -722,6 +725,11 @@ def main(argv=None) -> int:
         p.add_argument(
             "--list-presets", action="store_true", help="list available presets and exit"
         )
+    return parser
+
+
+def main(argv=None) -> int:
+    parser = _parser()
     args = parser.parse_args(argv)
     if args.mode is None:
         parser.print_help()

@@ -26,6 +26,8 @@ from .target_models import SPIN1
 COMPLETENESS_ATOL = 1e-9
 # Significant digits of every CSV value.
 CSV_DIGITS = 12
+# Values formatted per block of CSV rows.
+_CSV_BLOCK_VALUES = 2**15
 
 
 @dataclass(frozen=True)
@@ -59,13 +61,22 @@ class EvolutionTrace:
         return tuple(self.series)
 
     def to_csv_text(self) -> str:
-        """CSV with header t,label1,label2,...; CSV_DIGITS significant digits, LF endings."""
-        fmt = f"{{:.{CSV_DIGITS}g}}"
+        """CSV with header t,label1,label2,...; CSV_DIGITS significant digits, LF endings.
+
+        Every row is one `%` of a "%.12g,...,%.12g" template, which formats
+        a float exactly as "{:.12g}".format does.  Rows are taken from
+        blocks of about _CSV_BLOCK_VALUES values, so the Python floats of
+        the whole table never exist at once.
+        """
+        columns = [self.times, *self.series.values()]
+        row = ",".join([f"%.{CSV_DIGITS}g"] * len(columns))
+        rows_per_block = max(1, _CSV_BLOCK_VALUES // len(columns))
         lines = [",".join(["t", *self.series])]
-        for k, t in enumerate(self.times):
-            row = [fmt.format(t)] + [fmt.format(v[k]) for v in self.series.values()]
-            lines.append(",".join(row))
-        return "\n".join(lines) + "\n"
+        for start in range(0, self.times.size, rows_per_block):
+            block = np.column_stack([c[start : start + rows_per_block] for c in columns])
+            lines.extend(map(row.__mod__, map(tuple, block.tolist())))
+        lines.append("")
+        return "\n".join(lines)
 
 
 @dataclass(frozen=True)

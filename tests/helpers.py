@@ -5,6 +5,7 @@ import itertools
 import numpy as np
 
 from cahm import StateVector, TargetCouplings, apply_circuit, six_atom_system, two_atom_system
+from cahm.evolution import CSV_DIGITS
 from cahm.target_models import op_lz, op_ux
 
 
@@ -246,3 +247,13 @@ def dense_sector_bases(dim, symmetries):
         if columns:
             bases.append(np.column_stack(columns))
     return bases
+
+
+def per_value_csv_text(trace):
+    """EvolutionTrace CSV built one `str.format` call per value."""
+    fmt = f"{{:.{CSV_DIGITS}g}}"
+    lines = [",".join(["t", *trace.series])]
+    for k, t in enumerate(trace.times):
+        row = [fmt.format(t)] + [fmt.format(v[k]) for v in trace.series.values()]
+        lines.append(",".join(row))
+    return "\n".join(lines) + "\n"

@@ -274,6 +274,66 @@ def test_evolve_custom_simulator(tmp_path):
     assert main(["evolve", "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_CONFIG
 
 
+def _cli_in_fresh_process(*argv):
+    """`python -m cahm.cli argv` in a new interpreter, with this checkout's cahm."""
+    src = str(Path(cahm.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    return subprocess.run(
+        [sys.executable, "-m", "cahm.cli", *argv], capture_output=True, text=True, env=env
+    )
+
+
+@pytest.mark.parametrize(
+    "mode,name,preset_seed", [("trotter", "fig10", 2718), ("compare", "fig3-top", None)]
+)
+def test_seed_flag_does_not_leak_into_the_next_call(tmp_path, mode, name, preset_seed):
+    seeded, unseeded, fresh = tmp_path / "seeded", tmp_path / "unseeded", tmp_path / "fresh"
+    assert main([mode, "--preset", name, "--out", str(seeded), "--seed", "7"]) == EXIT_OK
+    assert main([mode, "--preset", name, "--out", str(unseeded)]) == EXIT_OK
+    assert json.loads((seeded / "manifest.json").read_text())["seed"] == 7
+    assert json.loads((unseeded / "manifest.json").read_text())["seed"] == preset_seed
+    assert _cli_in_fresh_process(mode, "--preset", name, "--out", str(fresh)).returncode == EXIT_OK
+    files = sorted(p.name for p in fresh.iterdir())
+    assert files == sorted(p.name for p in unseeded.iterdir())
+    for file in files:
+        assert (unseeded / file).read_bytes() == (fresh / file).read_bytes()
+
+
+def test_bare_cahm_prints_help_and_exits_2_on_every_call(capsys):
+    assert main([]) == EXIT_CONFIG
+    first = capsys.readouterr()
+    assert first.out.startswith("usage: cahm")
+    assert main([]) == EXIT_CONFIG
+    assert capsys.readouterr() == first
+
+
+@pytest.mark.parametrize(
+    "argv,code",
+    [
+        (["--help"], EXIT_OK),
+        (["compare", "--help"], EXIT_OK),
+        (["compare", "--bogus"], EXIT_CONFIG),
+        (["paint"], EXIT_CONFIG),
+        (["trotter", "--seed", "x"], EXIT_CONFIG),
+    ],
+)
+def test_argparse_exits_repeat_identically(capsys, argv, code):
+    outputs = []
+    for _ in range(2):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == code
+        outputs.append(capsys.readouterr())
+    assert outputs[0] == outputs[1]
+    assert (outputs[0].out if code == EXIT_OK else outputs[0].err).startswith("usage: cahm")
+
+
+def test_module_entry_point_lists_presets():
+    proc = _cli_in_fresh_process("compare", "--list-presets")
+    assert proc.returncode == EXIT_OK
+    assert "fig8" in proc.stdout
+
+
 def test_console_entry_point(tmp_path):
     cahm = shutil.which("cahm")
     if cahm is None:
@@ -635,13 +695,7 @@ def test_overflowing_trotter_prints_only_the_config_error(tmp_path):
     cfg = tmp_path / "config.json"
     cfg.write_text(json.dumps({"mode": "trotter", "omega": 1e308, "delta": -0.5, "v0": 10.0,
                                "dt": 0.1, "t_max": 3.0, "shots": 10}))
-    src = str(Path(cahm.__file__).parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    proc = subprocess.run(
-        [sys.executable, "-m", "cahm.cli", "trotter", "--config", str(cfg),
-         "--out", str(tmp_path / "out")],
-        capture_output=True, text=True, env=env,
-    )
+    proc = _cli_in_fresh_process("trotter", "--config", str(cfg), "--out", str(tmp_path / "out"))
     assert proc.returncode == EXIT_CONFIG
     assert proc.stderr.startswith("config error: eigendecomposition is not finite")
     assert proc.stderr.count("\n") == 1
