@@ -48,7 +48,10 @@ class EvolutionTrace:
             v = np.array(values, dtype=np.float64)
             if v.shape != t.shape:
                 raise ValueError(f"series {label!r} length does not match the time grid")
-            if np.any(v < -1e-12) or np.any(v > 1.0 + 1e-9):
+            # Written so that NaN, which fails every comparison, fails the check too.
+            if not (np.all(v >= -1e-12) and np.all(v <= 1.0 + 1e-9)):
+                if not np.all(np.isfinite(v)):
+                    raise ValueError(f"series {label!r} has non-finite entries")
                 raise ValueError(f"series {label!r} has entries outside [0, 1]")
             v.setflags(write=False)
             clean[str(label)] = v

@@ -6,6 +6,8 @@ import numpy as np
 
 from cahm import StateVector, TargetCouplings, apply_circuit, six_atom_system, two_atom_system
 from cahm.evolution import CSV_DIGITS
+from cahm.matching import K_SCAN_POINTS, K_TOL, _golden_min
+from cahm.numerics import eig_hermitian
 from cahm.target_models import op_lz, op_ux
 
 
@@ -257,3 +259,28 @@ def per_value_csv_text(trace):
         row = [fmt.format(t)] + [fmt.format(v[k]) for v in trace.series.values()]
         lines.append(",".join(row))
     return "\n".join(lines) + "\n"
+
+
+def propagate_fit_time_rescale(target_op, psi0, finals, sim_trace, bracket):
+    """`fit_time_rescale` with one `Spectrum.propagate` call per objective value."""
+    lo, hi = bracket
+    if not 0 < lo < hi:
+        raise ValueError(f"invalid bracket {bracket!r}")
+    used = [(label, f) for label, f in finals if label in sim_trace.series]
+    if not used:
+        raise ValueError("no shared labels between the finals and the simulator trace")
+    spec = eig_hermitian(target_op)
+    used_finals = [f for _, f in used]
+    sim_vals = np.vstack([sim_trace.series[label] for label, _ in used])
+
+    def rms(k: float) -> float:
+        probs = np.abs(spec.propagate(psi0, k * sim_trace.times, used_finals)) ** 2
+        return float(np.sqrt(np.mean((probs - sim_vals) ** 2)))
+
+    ks = np.linspace(lo, hi, K_SCAN_POINTS)
+    values = [rms(float(k)) for k in ks]
+    best = int(np.argmin(values))
+    a = float(ks[max(best - 1, 0)])
+    b = float(ks[min(best + 1, K_SCAN_POINTS - 1)])
+    k_opt = _golden_min(rms, a, b, K_TOL)
+    return k_opt, rms(k_opt)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from cahm import (
+    EvolutionTrace,
     HermitianOperator,
     StateVector,
     TargetCouplings,
@@ -191,3 +192,16 @@ def test_two_spin_finals_shapes():
     tr = trace(h2, StateVector.basis(9, 4), finals, np.linspace(0, 3, 31))
     assert abs(tr.series["00"][0] - 1.0) < 1e-12
     assert tr.series["S"][0] < 1e-12
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_trace_rejects_non_finite_series_by_label(bad):
+    with pytest.raises(ValueError, match="series 'a' has non-finite entries"):
+        EvolutionTrace(np.array([0.0, 1.0]), {"ok": [0.0, 1.0], "a": [bad, 0.5]})
+
+
+def test_trace_range_check_keeps_its_bounds():
+    EvolutionTrace(np.array([0.0, 1.0]), {"a": [-1e-12, 1.0 + 1e-9]})
+    for v in (-2e-12, 1.0 + 2e-9):
+        with pytest.raises(ValueError, match="series 'a' has entries outside"):
+            EvolutionTrace(np.array([0.0, 1.0]), {"a": [0.5, v]})

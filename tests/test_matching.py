@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from cahm import (
+    ContractViolationError,
+    HermitianOperator,
     MatchingError,
     NewtonProblem,
     SingularDenominatorError,
@@ -10,20 +12,23 @@ from cahm import (
     analytic_one_spin,
     approx_three_atom_match,
     build_h1t,
+    build_h2t,
     degenerate_matrix_m,
     eig_hermitian,
     fit_time_rescale,
     match_four_atom,
     match_six_atom,
     match_two_atom,
+    six_atom_system,
     solve_three_atom_newton,
     three_atom_low_sector,
     three_atom_residuals,
     two_atom_system,
 )
-from cahm.evolution import one_spin_finals, trace
+from cahm.evolution import EvolutionTrace, one_spin_finals, trace, two_spin_finals
+from cahm.matching import K_TOL, SIX_ATOM_N_TIMES, SIX_ATOM_T_MAX, rescaled_amplitudes
 
-from helpers import consistent_three_atom_point
+from helpers import consistent_three_atom_point, propagate_fit_time_rescale, random_hermitian
 
 
 def test_match_two_atom_examples():
@@ -293,6 +298,66 @@ def test_fit_time_rescale_self_match():
     assert rms < 1e-8
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 1000, 1001, 1025])
+@pytest.mark.parametrize("t0", [0.0, -3.7, 12.5])
+def test_rescaled_amplitudes_equal_propagate(n, t0):
+    rng = np.random.default_rng(n)
+    times = np.linspace(t0, t0 + 40.0, n)
+    real = eig_hermitian(build_h2t(TargetCouplings(u=1.0, x=1.2, y=0.2)))
+    cplx = eig_hermitian(HermitianOperator(random_hermitian(rng, 9)))
+    psi0 = StateVector.normalized(rng.normal(size=9) + 1j * rng.normal(size=9))
+    two = [f for _, f in two_spin_finals()]
+    two.append(StateVector.normalized(rng.normal(size=9) + 1j * rng.normal(size=9)))
+    for spec in (real, cplx):
+        for finals in (two[:1], two[1:], two):
+            amplitudes = rescaled_amplitudes(spec, psi0, finals, times)
+            for k in rng.uniform(0.02, 2.0, size=3):
+                got = np.abs(amplitudes(k)) ** 2
+                want = np.abs(spec.propagate(psi0, k * times, finals)) ** 2
+                assert got.shape == want.shape == (len(finals), n)
+                assert np.max(np.abs(got - want)) <= 1e-13
+
+
+def test_rescaled_amplitudes_check_state_dimensions():
+    spec = eig_hermitian(build_h1t(TargetCouplings(u=1.0, x=0.5)))
+    times = np.linspace(0, 1, 5)
+    with pytest.raises(ContractViolationError, match="state dimension"):
+        rescaled_amplitudes(spec, StateVector.basis(9, 0), [StateVector.basis(3, 0)], times)
+    with pytest.raises(ContractViolationError, match="state dimension"):
+        rescaled_amplitudes(spec, StateVector.basis(3, 0), [StateVector.basis(9, 0)], times)
+
+
+def test_fit_time_rescale_refuses_a_non_uniform_grid():
+    h = build_h1t(TargetCouplings(u=1.0, x=0.5))
+    psi0 = StateVector.basis(3, 0)
+    times = np.linspace(0, 10, 101)
+    bumped = times.copy()
+    bumped[40] += 1e-9
+    for grid in (np.geomspace(0.1, 10, 101), bumped):
+        tr = trace(h, psi0, one_spin_finals(), grid)
+        with pytest.raises(ValueError, match="sim_trace.times are not uniform"):
+            fit_time_rescale(h, psi0, one_spin_finals(), tr, (0.8, 1.25))
+    # Grids uniform within rounding pass, whichever way they were built.
+    for grid in (np.arange(101) * 0.1, 0.1 * np.arange(101) + 0.3):
+        tr = trace(h, psi0, one_spin_finals(), grid)
+        k, _ = fit_time_rescale(h, psi0, one_spin_finals(), tr, (0.8, 1.25))
+        assert abs(k - 1.0) <= 1e-6
+
+
+def test_fit_time_rescale_matches_the_propagate_oracle():
+    h = build_h1t(TargetCouplings(u=1.0, x=0.5))
+    psi0 = StateVector.basis(3, 0)
+    for n, scale in ((1001, 1.07), (64, 0.93), (2, 1.0)):
+        slow = trace(h, psi0, one_spin_finals(), scale * np.linspace(0.5, 10.5, n))
+        kept = {label: v for label, v in slow.series.items() if label != "m=0"}
+        sim = EvolutionTrace(slow.times / scale, kept)
+        got = fit_time_rescale(h, psi0, one_spin_finals(), sim, (0.8, 1.25))
+        want = propagate_fit_time_rescale(h, psi0, one_spin_finals(), sim, (0.8, 1.25))
+        # Within one last golden-section bracket (see test_matching_fuzz).
+        assert abs(got[0] - want[0]) <= K_TOL
+        assert abs(got[1] - want[1]) <= 1e-14
+
+
 def test_match_six_atom_fig8_regime():
     c = TargetCouplings(u=1.0, x=1.2, y=0.2)
     rep = match_six_atom(c, 1.0, 15.0, 30.0)
@@ -300,6 +365,19 @@ def test_match_six_atom_fig8_regime():
     assert abs(rep.time_rescale_k - 0.0546) <= 0.002
     assert rep.residuals["trace_rms"] <= 0.1
     assert rep.simulator_params["v1"] > rep.simulator_params["v2"] > rep.simulator_params["v3"]
+
+
+def test_match_six_atom_fig8_k_equals_the_propagate_oracle():
+    c = TargetCouplings(u=1.0, x=1.2, y=0.2)
+    rep = match_six_atom(c, 1.0, 15.0, 30.0)
+    system = six_atom_system(1.0, 15.0, 30.0, rep.simulator_params["rho"])
+    finals = two_spin_finals()
+    psi0 = dict(finals)["00"]
+    sim = system.spin_trace(psi0, np.linspace(0.0, SIX_ATOM_T_MAX, SIX_ATOM_N_TIMES))
+    k_e = 1.0 / 15.0
+    k, rms = propagate_fit_time_rescale(build_h2t(c), psi0, finals, sim, (0.5 * k_e, 1.5 * k_e))
+    assert abs(rep.time_rescale_k - k) <= 1e-12 * k
+    assert abs(rep.residuals["trace_rms"] - rms) <= 1e-14
 
 
 def test_match_six_atom_y0_decouples():

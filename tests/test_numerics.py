@@ -16,6 +16,7 @@ from cahm.numerics import (
     DEGENERACY_RTOL,
     HERMITICITY_RTOL,
     MAX_DIM,
+    Spectrum,
     _hermiticity_deviation,
     _matmul,
     basis_digits,
@@ -211,6 +212,37 @@ def test_hermitian_operator_builds_without_a_full_size_difference(dtype):
     finally:
         tracemalloc.stop()
     assert peak <= 2.1 * dim * dim * h.itemsize
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+def test_spectrum_orthonormality_check_forms_no_identity(dtype):
+    dim = 2048
+    rng = np.random.default_rng(1)
+    # A signed (or phased) permutation: orthonormal, and cheap to build.
+    v = np.zeros((dim, dim), dtype=dtype)
+    units = rng.choice([-1.0, 1.0], size=dim)
+    if dtype == np.complex128:
+        units = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, size=dim))
+    v[rng.permutation(dim), np.arange(dim)] = units
+    w = np.arange(dim, dtype=np.float64)
+    tracemalloc.start()
+    try:
+        Spectrum(w, v)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # The copy of v that Spectrum keeps, the Gram matrix and one |.| temporary.
+    assert peak <= 3.1 * dim * dim * v.itemsize
+
+
+def test_spectrum_orthonormality_check_reads_the_diagonal_and_off_diagonal():
+    v = np.eye(3)
+    for i, j in ((0, 0), (0, 2)):
+        bad = v.copy()
+        bad[i, j] += 1e-9
+        with pytest.raises(ContractViolationError, match="not orthonormal"):
+            Spectrum(np.arange(3.0), bad)
+    Spectrum(np.arange(3.0), v + 1e-12)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

@@ -23,6 +23,7 @@ from cahm import (
     three_atom_system,
     two_atom_system,
 )
+from cahm.evolution import COMPLETENESS_ATOL, state_probabilities
 from cahm.rydberg_models import (
     atom_permutation_matrix,
     ladder_cross_couplings,
@@ -304,3 +305,21 @@ def test_atom_permutations_equal_the_loop_reference():
             m = atom_permutation_matrix(perm)
             assert m.dtype == np.float64
             assert np.array_equal(m, loop_permutation_matrix(perm))
+
+
+@pytest.mark.parametrize("name,system", list(preset_systems().items()))
+def test_encoded_probabilities_plus_leakage_sum_to_one(name, system):
+    indices = list(system.spin_map.indices)
+    times = np.linspace(0.0, 50.0, 501)
+    rng = np.random.default_rng(len(indices))
+    for _ in range(3):
+        spin = StateVector.normalized(
+            rng.normal(size=len(indices)) + 1j * rng.normal(size=len(indices))
+        )
+        tr = system.spin_trace(spin, times)
+        probs = state_probabilities(system.hamiltonian(), system.embed(spin), times)
+        encoded = probs[indices].sum(axis=0)
+        assert np.max(np.abs(encoded + tr.series["leakage"] - 1.0)) <= COMPLETENESS_ATOL
+        if len(indices) == 3:
+            m_total = tr.series["m=1"] + tr.series["m=0"] + tr.series["m=-1"]
+            assert np.max(np.abs(m_total + tr.series["leakage"] - 1.0)) <= COMPLETENESS_ATOL
