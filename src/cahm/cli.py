@@ -61,10 +61,8 @@ from .target_models import (
     SpinTruncation,
     TargetCouplings,
     analytic_one_spin,
-    build_chain_h,
-    build_h1t,
-    build_h2t,
     chain_symmetries,
+    chain_terms,
     perturbative_one_spin,
 )
 from .trotter import apply_circuit, sample_shots, trotter_step_h2r
@@ -295,7 +293,11 @@ def _couplings(spec: dict, ctx: str, kind: str) -> TargetCouplings:
 
 
 def _build_target(spec: dict):
-    """Return (hamiltonian, labeled finals, couplings, resolved params)."""
+    """Return (sparse chain terms, labeled finals, couplings, resolved params).
+
+    One-spin and two-spin targets are spin-1 chains of one and two links
+    without end terms, as `build_h1t` and `build_h2t` build them.
+    """
     ctx = "target"
     kind = _require(spec, "kind", str, ctx)
     if kind not in ("one-spin", "two-spin", "chain"):
@@ -303,23 +305,24 @@ def _build_target(spec: dict):
     c = _couplings(spec, ctx, kind)
     resolved = {name: getattr(c, name.lower()) for name in _COUPLING_FIELDS[kind]}
     if kind == "one-spin":
-        return build_h1t(c), one_spin_finals(), c, resolved
+        return chain_terms(c, SPIN1, 1, end_terms=False), one_spin_finals(), c, resolved
     if kind == "two-spin":
-        return build_h2t(c), two_spin_finals(), c, resolved
+        return chain_terms(c, SPIN1, 2, end_terms=False), two_spin_finals(), c, resolved
     trunc = SpinTruncation(_require(spec, "m_max", int, ctx))
     n_links = _require(spec, "n_links", int, ctx)
     resolved.update(m_max=trunc.m_max, n_links=n_links, boundary=c.boundary)
-    return build_chain_h(c, trunc, n_links), [], c, resolved
+    return chain_terms(c, trunc, n_links, end_terms=c.boundary == "open"), [], c, resolved
 
 
 def _labelled_target(spec: dict):
-    """`_build_target` for the modes that start from a labelled state."""
+    """`_build_target` with the dense Hamiltonian, for the modes that start from a labelled state."""
     if spec.get("kind") == "chain":
         raise ConfigError(
             "field payload.target.kind 'chain' has no labelled states: chain targets run in "
             "spectrum mode only"
         )
-    return _build_target(spec)
+    terms, finals, c, resolved = _build_target(spec)
+    return terms.dense(), finals, c, resolved
 
 
 def _target_symmetries(kind: str, resolved: dict):
@@ -475,9 +478,9 @@ def _write_manifest(cfg: ExperimentConfig, parameters: dict, outputs: list[str])
 
 def _run_spectrum(cfg: ExperimentConfig) -> int:
     target = _require(cfg.payload, "target", dict, "payload")
-    h, _, c, resolved = _build_target(target)
-    # One eigensolve per symmetry sector; the sectors' union is the spectrum of h.
-    sectors = symmetry_sectors(h, _target_symmetries(target["kind"], resolved))
+    terms, _, c, resolved = _build_target(target)
+    # One eigensolve per symmetry sector; the sectors' union is the spectrum of H.
+    sectors = symmetry_sectors(terms, _target_symmetries(target["kind"], resolved))
     eigenvalues = np.sort(np.concatenate([eig_hermitian(b).eigenvalues for b in sectors]))
     out = {"eigenvalues": [float(w) for w in eigenvalues]}
     if target["kind"] == "one-spin":

@@ -1,9 +1,12 @@
-"""Dense linear algebra for small real symmetric or complex Hermitian systems.
+"""Linear algebra for small real symmetric or complex Hermitian systems.
 
-Every operator in this package is an explicit dense matrix (dim <= 4096).
-This module provides the shared primitives: validated Hermitian operators
-and state vectors, a contract-checked Hermitian eigendecomposition, spectral
-time evolution exp(-iHt) and the digit layout of product bases.  Operators
+Operators are dense matrices (dim <= 4096) or, for a Hamiltonian with a few
+nonzero entries per row, the validated list of those entries
+(`SparseHermitian`), from which symmetry sectors are read and whose `dense()`
+is the matrix.  This module provides the shared primitives: validated
+Hermitian operators and state vectors, a contract-checked Hermitian
+eigendecomposition, spectral time evolution exp(-iHt) and the digit layout of
+product bases.  Operators
 and eigenvectors keep their input's kind: real input stays float64, so a real
 symmetric H is diagonalised in real arithmetic, and complex input is
 complex128.  State vectors are always complex.  All values are immutable
@@ -57,6 +60,17 @@ def _as_square_matrix(entries) -> np.ndarray:
     return m
 
 
+def _max_abs(m: np.ndarray) -> float:
+    """max|m| of a finite array, with no full-size |m| temporary when m is real.
+
+    The value is bit for bit np.max(np.abs(m)); abs() turns a -0.0 maximum of
+    an all-zero array into the 0.0 that np.abs gives.
+    """
+    if np.iscomplexobj(m):
+        return float(np.max(np.abs(m)))
+    return abs(max(float(m.max()), -float(m.min())))
+
+
 def _hermiticity_deviation(m: np.ndarray) -> float:
     """max|H - H^dagger| of a square matrix, with no full-size temporary.
 
@@ -84,7 +98,7 @@ class HermitianOperator:
 
     def __post_init__(self):
         m = _as_square_matrix(self.matrix)
-        scale = float(np.max(np.abs(m)))
+        scale = _max_abs(m)
         deviation = _hermiticity_deviation(m)
         if scale > 0.0 and deviation > HERMITICITY_RTOL * scale:
             raise ContractViolationError(
@@ -97,6 +111,73 @@ class HermitianOperator:
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
+
+
+@dataclass(frozen=True)
+class SparseHermitian:
+    """H from its stored entries H[rows[k], cols[k]] = values[k]; every other entry is 0.
+
+    The (row, col) keys are unique and kept in ascending order of
+    row * dim + col.  H = H^dagger within HERMITICITY_RTOL * max|H| over the
+    stored entries, an entry whose mirror is not stored counting against a
+    mirror of 0.  Values are float64 for real input and complex128 for complex
+    input.  `dense()` is the same matrix as a HermitianOperator.
+    """
+
+    dim: int
+    rows: np.ndarray
+    cols: np.ndarray
+    values: np.ndarray
+
+    def __post_init__(self):
+        if not (isinstance(self.dim, (int, np.integer)) and 1 <= self.dim <= MAX_DIM):
+            raise ContractViolationError(f"dimension {self.dim!r} outside 1..{MAX_DIM}")
+        rows, cols, v = np.asarray(self.rows), np.asarray(self.cols), _real_or_complex(self.values)
+        if not (
+            v.ndim == 1
+            and v.size > 0
+            and rows.shape == cols.shape == v.shape
+            and rows.dtype.kind in "iu"
+            and cols.dtype.kind in "iu"
+        ):
+            raise ContractViolationError(
+                "expected integer rows and cols and values as 1d arrays of one nonzero length"
+            )
+        if min(rows.min(), cols.min()) < 0 or max(rows.max(), cols.max()) >= self.dim:
+            raise ContractViolationError(f"entry indices outside 0..{self.dim - 1}")
+        if not np.isfinite(v).all():
+            raise ContractViolationError("matrix entries must be finite")
+        rows, cols = rows.astype(np.int64), cols.astype(np.int64)
+        keys = rows * self.dim + cols
+        order = np.argsort(keys, kind="stable")
+        keys, rows, cols, v = keys[order], rows[order], cols[order], v[order]
+        if (keys[1:] == keys[:-1]).any():
+            raise ContractViolationError("entries repeat a (row, col) key")
+        for name, a in (("rows", rows), ("cols", cols), ("values", v)):
+            a.setflags(write=False)
+            object.__setattr__(self, name, a)
+        object.__setattr__(self, "dim", int(self.dim))
+        scale = _max_abs(self.values)
+        with np.errstate(over="ignore"):
+            deviation = _max_abs(self.values - self._at(self.cols, self.rows).conj())
+        if scale > 0.0 and deviation > HERMITICITY_RTOL * scale:
+            raise ContractViolationError(
+                f"matrix is not Hermitian: max|H - H^dagger| = {deviation:.3e} "
+                f"exceeds {HERMITICITY_RTOL:.0e} * max|H| = {HERMITICITY_RTOL * scale:.3e}"
+            )
+
+    def _at(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        """H[rows[k], cols[k]] for each k: the stored value, or 0 where none is stored."""
+        stored = self.rows * self.dim + self.cols
+        keys = rows * self.dim + cols
+        pos = np.minimum(np.searchsorted(stored, keys), stored.size - 1)
+        return np.where(stored[pos] == keys, self.values[pos], 0.0)
+
+    def dense(self) -> HermitianOperator:
+        """The dim x dim matrix, validated as a HermitianOperator."""
+        m = np.zeros((self.dim, self.dim), dtype=self.values.dtype)
+        m[self.rows, self.cols] = self.values
+        return HermitianOperator(m)
 
 
 @dataclass(frozen=True)
@@ -166,7 +247,7 @@ class Spectrum:
         gram = v.conj().T @ v
         # max|V^dagger V - I| with the identity subtracted in place: no dim x dim eye.
         gram.flat[:: w.size + 1] -= 1.0
-        if float(np.max(np.abs(gram))) > ORTHO_ATOL:
+        if _max_abs(gram) > ORTHO_ATOL:
             raise ContractViolationError("eigenvector columns are not orthonormal")
         w.setflags(write=False)
         v.setflags(write=False)
@@ -261,7 +342,7 @@ def eig_hermitian(op: HermitianOperator) -> Spectrum:
     # A decomposition that overflows fails closed below, so numpy need not warn.
     with np.errstate(over="ignore", invalid="ignore"):
         # ||H||_F scaled by max|H| first, so entries near the float range do not overflow.
-        h_max = float(np.max(np.abs(h)))
+        h_max = _max_abs(h)
         h_norm = h_max * float(np.linalg.norm(h / h_max)) if h_max > 0.0 else 0.0
         residual = float(np.max(np.linalg.norm(h @ v - v * w, axis=0)))
     if not (np.all(np.isfinite(w)) and np.isfinite(h_norm) and np.isfinite(residual)):
@@ -277,7 +358,7 @@ def eig_hermitian(op: HermitianOperator) -> Spectrum:
     return Spectrum(w, v)
 
 
-def symmetry_sectors(op: HermitianOperator, symmetries) -> list[HermitianOperator]:
+def symmetry_sectors(op: SparseHermitian, symmetries) -> list[HermitianOperator]:
     """Blocks of `op` in the joint eigenspaces of commuting involutive index permutations.
 
     Each symmetry is an integer array g whose entry b is the index of g|b>,
@@ -292,7 +373,8 @@ def symmetry_sectors(op: HermitianOperator, symmetries) -> list[HermitianOperato
 
         <r_a, chi|H|r_b, chi> = sum_g chi(g) H[r_a, g r_b] / sqrt(|Stab_a| |Stab_b|),
 
-    read from |G| gathers of H without forming a change of basis.  Blocks
+    accumulated, element by element of G, from the stored entries (r_a, c)
+    whose c lies in the orbit of r_b: no dim x dim matrix is formed.  Blocks
     follow the characters (+1 before -1 for each generator, the first
     generator varying slowest); empty sectors are dropped.  The union of the
     blocks' spectra is the spectrum of `op`.
@@ -302,7 +384,7 @@ def symmetry_sectors(op: HermitianOperator, symmetries) -> list[HermitianOperato
     with each within HERMITICITY_RTOL * max|H| and the sector dimensions sum
     to dim.
     """
-    h, dim = op.matrix, op.dim
+    dim = op.dim
     identity = np.arange(dim)
     generators = [np.asarray(g) for g in symmetries]
     for k, g in enumerate(generators):
@@ -317,19 +399,14 @@ def symmetry_sectors(op: HermitianOperator, symmetries) -> list[HermitianOperato
         for j, f in enumerate(generators[:k]):
             if not np.array_equal(g[f], f[g]):
                 raise ContractViolationError(f"symmetries {j} and {k} do not commute")
-    # max|gHg - H| per symmetry, compared as H[g a, b] against H[a, g b] over
-    # row blocks of about 2**15 entries, so the gathered copies stay in cache.
-    # An exact symmetry gives exact zeros; a difference that overflows is a violation.
-    deviations = np.zeros(len(generators))
-    rows = max(1, 2**15 // dim)
-    with np.errstate(over="ignore"):
-        for start in range(0, dim, rows):
-            part = slice(start, start + rows)
-            for k, g in enumerate(generators):
-                part_dev = np.max(np.abs(h[g[part]] - h[part][:, g]))
-                deviations[k] = max(deviations[k], part_dev)
-    scale = float(np.max(np.abs(h)))
-    for k, deviation in enumerate(deviations):
+    # max|gHg - H| per symmetry, as H[g r, g c] against each stored H[r, c].  An
+    # unstored entry whose image is stored is the image of that image (g is an
+    # involution), so this is the maximum over the whole matrix.  An exact
+    # symmetry gives exact zeros; a difference that overflows is a violation.
+    scale = _max_abs(op.values)
+    for k, g in enumerate(generators):
+        with np.errstate(over="ignore"):
+            deviation = _max_abs(op._at(g[op.rows], g[op.cols]) - op.values)
         if not deviation <= HERMITICITY_RTOL * scale:
             raise ContractViolationError(
                 f"H does not commute with symmetry {k}: max|gHg - H| = {deviation:.3e} "
@@ -345,9 +422,18 @@ def symmetry_sectors(op: HermitianOperator, symmetries) -> list[HermitianOperato
     reps = np.flatnonzero(images.min(axis=0) == identity)
     fixed = images[:, reps] == reps
     stab = fixed.sum(axis=0)
-    # H[r_a, g r_b] for every element g and pair of orbits, flattened to (|G|, orbits**2).
-    h_reps = h[reps]
-    gathered = np.array([h_reps[:, g[reps]].ravel() for g in images])
+    # Orbit number of each representative index, -1 for every other index.
+    orbit = np.full(dim, -1)
+    orbit[reps] = np.arange(reps.size)
+    # Per element g, the stored entries (r_a, g r_b) as (a, b, value): since
+    # g is an involution, entry (r_a, c) belongs to r_b = g c.
+    in_rep_row = orbit[op.rows] >= 0
+    a, c, v = orbit[op.rows[in_rep_row]], op.cols[in_rep_row], op.values[in_rep_row]
+    terms = []
+    for g in images:
+        b = orbit[g[c]]
+        hit = b >= 0
+        terms.append((a[hit], b[hit], v[hit]))
 
     blocks, total = [], 0
     for signs in itertools.product((1.0, -1.0), repeat=len(generators)):
@@ -356,9 +442,15 @@ def symmetry_sectors(op: HermitianOperator, symmetries) -> list[HermitianOperato
         if not keep.any():
             continue
         s = stab[keep]
+        # Row of each kept orbit in the block, -1 for the orbits chi drops.
+        slot = np.where(keep, np.cumsum(keep) - 1, -1)
+        block = np.zeros((s.size, s.size), dtype=op.values.dtype)
+        # Added in element order; for one g the entries land on distinct (a, b).
         # A block entry that overflows fails HermitianOperator's finiteness check.
         with np.errstate(over="ignore"):
-            block = (chi @ gathered).reshape(reps.size, reps.size)[np.ix_(keep, keep)]
+            for chi_g, (ta, tb, tv) in zip(chi, terms):
+                on = (slot[ta] >= 0) & (slot[tb] >= 0)
+                block[slot[ta[on]], slot[tb[on]]] += chi_g * tv[on]
         blocks.append(HermitianOperator(block / np.sqrt(np.outer(s, s))))
         total += s.size
     if total != dim:

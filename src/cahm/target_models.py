@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .numerics import HermitianOperator, basis_digits, site_strides
+from .numerics import HermitianOperator, SparseHermitian, basis_digits, site_strides
 
 
 @dataclass(frozen=True)
@@ -118,16 +118,19 @@ def chain_symmetries(trunc: SpinTruncation, n_links: int) -> tuple[np.ndarray, .
     return conjugation, digits[:, ::-1] @ site_strides(trunc.dim, n_links)
 
 
-def _chain_h(
+def chain_terms(
     c: TargetCouplings, trunc: SpinTruncation, n_links: int, end_terms: bool
-) -> HermitianOperator:
-    """N-link chain from the mixed-radix digits of the basis index.
+) -> SparseHermitian:
+    """N-link chain as its nonzero terms, from the mixed-radix digits of the basis index.
 
     The diagonal is (U/2) sum m_i^2 + (Y/2) charge, where charge sums the
     neighbor differences (closed into a ring for periodic couplings) plus,
     with `end_terms`, m_1^2 + m_N^2.  Ux_i links index b to b + d^(N-1-i)
-    wherever link i can still lower m.
+    wherever link i can still lower m: the pairs (b, b + stride) and
+    (b + stride, b) at -X/2.  Every builder's matrix is this form's `dense()`.
     """
+    if n_links < 1:
+        raise ValueError(f"n_links must be >= 1, got {n_links}")
     d = trunc.dim
     digits = basis_digits(d, n_links, "n_links")
     index = np.arange(len(digits))
@@ -136,17 +139,21 @@ def _chain_h(
     charge = (neighbors**2).sum(axis=1)
     if end_terms:
         charge += m[:, 0] ** 2 + m[:, -1] ** 2
-    h = np.diag(0.5 * c.u * (m**2).sum(axis=1) + 0.5 * c.y * charge)
+    rows, cols = [index], [index]
+    values = [0.5 * c.u * (m**2).sum(axis=1) + 0.5 * c.y * charge]
     for i, stride in enumerate(site_strides(d, n_links)):
         lower = index[digits[:, i] < d - 1]
-        h[lower, lower + stride] = -0.5 * c.x
-        h[lower + stride, lower] = -0.5 * c.x
-    return HermitianOperator(h)
+        rows += [lower, lower + stride]
+        cols += [lower + stride, lower]
+        values += [np.full(2 * lower.size, -0.5 * c.x)]
+    return SparseHermitian(
+        len(index), np.concatenate(rows), np.concatenate(cols), np.concatenate(values)
+    )
 
 
 def build_h1t(c: TargetCouplings, trunc: SpinTruncation = SPIN1) -> HermitianOperator:
     """One-spin target Hamiltonian (U/2) Lz^2 - X Ux."""
-    return _chain_h(c, trunc, 1, end_terms=False)
+    return chain_terms(c, trunc, 1, end_terms=False).dense()
 
 
 def analytic_one_spin(c: TargetCouplings) -> OneSpinSpectrum:
@@ -184,7 +191,7 @@ def build_h2t(c: TargetCouplings) -> HermitianOperator:
     No boundary Lz^2 terms are included here; `build_chain_h` with two links
     and open boundaries adds them.
     """
-    return _chain_h(replace(c, boundary="open"), SPIN1, 2, end_terms=False)
+    return chain_terms(replace(c, boundary="open"), SPIN1, 2, end_terms=False).dense()
 
 
 def build_chain_h(c: TargetCouplings, trunc: SpinTruncation, n_links: int) -> HermitianOperator:
@@ -195,6 +202,4 @@ def build_chain_h(c: TargetCouplings, trunc: SpinTruncation, n_links: int) -> He
     nearest-neighbor ring instead (experimental: the compactified boundary
     charges are not otherwise specified).
     """
-    if n_links < 1:
-        raise ValueError(f"n_links must be >= 1, got {n_links}")
-    return _chain_h(c, trunc, n_links, end_terms=c.boundary == "open")
+    return chain_terms(c, trunc, n_links, end_terms=c.boundary == "open").dense()

@@ -7,7 +7,8 @@ import numpy as np
 from cahm import StateVector, TargetCouplings, apply_circuit, six_atom_system, two_atom_system
 from cahm.evolution import CSV_DIGITS
 from cahm.matching import K_SCAN_POINTS, K_TOL, _golden_min
-from cahm.numerics import eig_hermitian
+from cahm.numerics import SparseHermitian, eig_hermitian
+from cahm.numerics import basis_digits, site_strides
 from cahm.target_models import op_lz, op_ux
 
 
@@ -98,6 +99,24 @@ def consistent_three_atom_point(rng):
 
 def fig7_target_couplings():
     return TargetCouplings(u=1.0, x=1.2, y=0.2)
+
+
+def dense_chain_h(c, trunc, n_links, end_terms):
+    """Chain matrix written entry by entry into a dense array, as the builders once did."""
+    d = trunc.dim
+    digits = basis_digits(d, n_links, "n_links")
+    index = np.arange(len(digits))
+    m = trunc.m_values()[digits]
+    neighbors = np.roll(m, -1, axis=1) - m if c.boundary == "periodic" else np.diff(m, axis=1)
+    charge = (neighbors**2).sum(axis=1)
+    if end_terms:
+        charge += m[:, 0] ** 2 + m[:, -1] ** 2
+    h = np.diag(0.5 * c.u * (m**2).sum(axis=1) + 0.5 * c.y * charge)
+    for i, stride in enumerate(site_strides(d, n_links)):
+        lower = index[digits[:, i] < d - 1]
+        h[lower, lower + stride] = -0.5 * c.x
+        h[lower + stride, lower] = -0.5 * c.x
+    return h
 
 
 def kron_chain_h(c, trunc, n_links, end_terms=True):
@@ -219,6 +238,13 @@ def circuit_unitary(circuit):
     dim = 1 << circuit.n_qubits
     columns = [apply_circuit(circuit, StateVector.basis(dim, k)).amplitudes for k in range(dim)]
     return np.column_stack(columns)
+
+
+def sparse_from_dense(h):
+    """SparseHermitian holding the nonzero entries of a dense matrix."""
+    h = np.asarray(h)
+    rows, cols = np.nonzero(h)
+    return SparseHermitian(h.shape[0], rows, cols, h[rows, cols])
 
 
 def dense_sector_bases(dim, symmetries):

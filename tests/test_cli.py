@@ -3,6 +3,7 @@ import os
 import shutil
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -426,10 +427,53 @@ def test_spectrum_equals_the_full_matrix_spectrum(tmp_path, target):
 
     assert _run_config(tmp_path, {"mode": "spectrum", "target": target}) == EXIT_OK
     out = json.loads((tmp_path / "out" / "spectrum.json").read_text())
-    h = _build_target(target)[0]
+    h = _build_target(target)[0].dense()
     full = eig_hermitian(h).eigenvalues
     assert len(out["eigenvalues"]) == h.dim
     assert np.max(np.abs(np.array(out["eigenvalues"]) - full)) <= 1e-12 * np.linalg.norm(h.matrix)
+
+
+@pytest.mark.parametrize(
+    "target",
+    [
+        {"kind": "one-spin", "U": 1.1, "X": 0.7},
+        {"kind": "two-spin", "U": 1.1, "X": 0.7, "Y": 0.3},
+        {**CHAIN_TARGET, "m_max": 2, "n_links": 3},
+        {**CHAIN_TARGET, "m_max": 2, "n_links": 3, "boundary": "periodic"},
+    ],
+    ids=["one-spin", "two-spin", "chain", "chain-periodic"],
+)
+def test_target_terms_are_the_builders_matrices(target):
+    from cahm.cli import _build_target
+
+    terms, _, c, _ = _build_target(target)
+    builder = {
+        "one-spin": lambda: cahm.build_h1t(c),
+        "two-spin": lambda: cahm.build_h2t(c),
+        "chain": lambda: cahm.build_chain_h(c, cahm.SpinTruncation(2), 3),
+    }[target["kind"]]
+    assert np.array_equal(terms.dense().matrix, builder().matrix)
+
+
+def test_seven_link_chain_spectrum_without_the_dense_matrix(tmp_path):
+    from cahm.target_models import chain_terms
+
+    target = {**CHAIN_TARGET, "X": 0.9, "Y": 0.3, "n_links": 7}
+    tracemalloc.start()
+    try:
+        assert _run_config(tmp_path, {"mode": "spectrum", "target": target}) == EXIT_OK
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    w = np.array(json.loads((tmp_path / "out" / "spectrum.json").read_text())["eigenvalues"])
+    assert w.size == 2187
+    terms = chain_terms(cahm.TargetCouplings(1.0, 0.9, 0.3), cahm.SPIN1, 7, end_terms=True)
+    trace_h = terms.values[terms.rows == terms.cols].sum()
+    frobenius_sq = np.sum(terms.values**2)
+    assert abs(w.sum() - trace_h) <= 1e-10 * abs(trace_h)
+    assert abs(np.sum(w**2) - frobenius_sq) <= 1e-10 * frobenius_sq
+    # Less than one dense 2187 x 2187 float64 matrix.
+    assert peak < 2187**2 * 8
 
 
 def test_corrupted_sector_eigenvectors_fail_closed(tmp_path, capsys, monkeypatch):

@@ -81,6 +81,22 @@ def test_two_atom_spectral_exactness_bound():
         assert discrepancy(2 * v0) <= 0.52 * d1
 
 
+def test_two_atom_match_error_falls_as_the_blockade_grows():
+    c = TargetCouplings(u=1.0, x=0.5)
+    times = np.linspace(0.0, 10.0, 1001)
+    finals = one_spin_finals()
+    for _, psi0 in finals:
+        target = trace(build_h1t(c), psi0, finals, times)
+        deviations = []
+        for ratio in (16.0, 64.0, 256.0):
+            system = two_atom_system(**match_two_atom(c, blockade_ratio=ratio).simulator_params)
+            sim = system.spin_trace(psi0, times)
+            deviations.append(
+                max(np.max(np.abs(sim.series[label] - target.series[label])) for label, _ in finals)
+            )
+        assert deviations[0] > deviations[1] > deviations[2]
+
+
 def test_three_atom_residuals_omega_zero():
     c = TargetCouplings(u=1.0, x=0.3)
     r1, r2, r3 = three_atom_residuals(0.0, -0.5, 0.4, 30.0, c)

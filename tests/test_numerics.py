@@ -16,9 +16,11 @@ from cahm.numerics import (
     DEGENERACY_RTOL,
     HERMITICITY_RTOL,
     MAX_DIM,
+    SparseHermitian,
     Spectrum,
     _hermiticity_deviation,
     _matmul,
+    _max_abs,
     basis_digits,
     bitstring_labels,
     site_strides,
@@ -211,7 +213,23 @@ def test_hermitian_operator_builds_without_a_full_size_difference(dtype):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 2.1 * dim * dim * h.itemsize
+    # The copy HermitianOperator keeps and the finiteness mask; a complex max|H|
+    # forms one |H| temporary, a real one none.
+    assert peak <= (1.2 if dtype == np.float64 else 2.1) * dim * dim * h.itemsize
+
+
+@pytest.mark.parametrize("kind", ["random", "signed", "zeros", "negative-zeros", "complex"])
+def test_max_abs_is_bitwise_np_max_abs(kind):
+    rng = np.random.default_rng(3)
+    for shape in [(1,), (7,), (5, 5), (64, 33)]:
+        m = {
+            "random": rng.normal(size=shape) * 10.0 ** rng.uniform(-300, 300, size=shape),
+            "signed": -rng.uniform(0.0, 1.0, size=shape),
+            "zeros": np.zeros(shape),
+            "negative-zeros": np.full(shape, -0.0),
+            "complex": rng.normal(size=shape) + 1j * rng.normal(size=shape),
+        }[kind]
+        assert _max_abs(m).hex() == float(np.max(np.abs(m))).hex()
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
@@ -509,3 +527,66 @@ def test_eig_contracts_reject_a_corrupted_decomposition(monkeypatch, target, mut
     monkeypatch.setattr(np.linalg, "eigh", corrupted_eigh)
     with pytest.raises(ContractViolationError, match=message):
         eig_hermitian(op)
+
+
+def _sparse_entries(dim, dtype, rng):
+    """Shuffled (rows, cols, values) of a random Hermitian matrix with about 20% nonzeros."""
+    h = random_hermitian(rng, dim)
+    h = h.real if dtype == np.float64 else h
+    h[rng.random((dim, dim)) < 0.8] = 0.0
+    h = np.triu(h) + np.triu(h, 1).conj().T
+    rows, cols = np.nonzero(h)
+    order = rng.permutation(rows.size)
+    return h, rows[order], cols[order], h[rows, cols][order]
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+def test_sparse_hermitian_dense_is_the_stored_entries(dtype):
+    rng = np.random.default_rng(8)
+    h, rows, cols, values = _sparse_entries(40, dtype, rng)
+    op = SparseHermitian(40, rows, cols, values)
+    assert op.values.dtype == dtype
+    keys = op.rows * 40 + op.cols
+    assert np.all(np.diff(keys) > 0)
+    assert np.array_equal(op.values, h[op.rows, op.cols])
+    dense = op.dense()
+    assert isinstance(dense, HermitianOperator)
+    assert dense.matrix.dtype == dtype
+    assert np.array_equal(dense.matrix, h)
+
+
+def _bad_sparse_cases():
+    r, c, v = np.array([0, 1, 1]), np.array([1, 0, 1]), np.array([2.0, 2.0, 1.0])
+    yield "dim-zero", (0, r, c, v), "dimension"
+    yield "dim-above-cap", (MAX_DIM + 1, r, c, v), "dimension"
+    yield "float-index", (2, r.astype(float), c, v), "integer rows and cols"
+    yield "lengths", (2, r, c[:2], v), "one nonzero length"
+    yield "empty", (2, r[:0], c[:0], v[:0]), "one nonzero length"
+    yield "2d", (2, r[None], c[None], v[None]), "1d arrays"
+    yield "negative-index", (2, np.array([0, -1, 1]), c, v), "outside 0..1"
+    yield "index-at-dim", (2, r, np.array([1, 0, 2]), v), "outside 0..1"
+    yield "repeated-key", (2, np.array([0, 1, 0]), np.array([1, 0, 1]), v), "repeat"
+    yield "nan", (2, r, c, np.array([2.0, 2.0, np.nan])), "finite"
+    yield "inf", (2, r, c, np.array([np.inf, 2.0, 1.0])), "finite"
+    yield "mirror-value", (2, r, c, np.array([2.0, 2.0 + 1e-9, 1.0])), "not Hermitian"
+    yield "mirror-missing", (2, r[:1], c[:1], v[:1]), "not Hermitian"
+    yield "mirror-not-conjugate", (2, r, c, np.array([2.0 + 1j, 2.0 + 1j, 1.0])), "not Hermitian"
+    yield "diagonal-imaginary", (2, r, c, np.array([2.0, 2.0, 1.0 + 1e-9j])), "not Hermitian"
+
+
+@pytest.mark.parametrize("case", list(_bad_sparse_cases()), ids=lambda case: case[0])
+def test_sparse_hermitian_rejects_bad_entries(case):
+    _, args, message = case
+    with pytest.raises(ContractViolationError, match=message):
+        SparseHermitian(*args)
+
+
+def test_sparse_hermiticity_is_relative_to_max_abs():
+    r, c = np.array([0, 1, 1]), np.array([1, 0, 1])
+    for scale in (1e-200, 1.0, 1e200):
+        inside = np.array([2.0, 2.0 * (1 + 1e-13), 1.0]) * scale
+        assert np.array_equal(SparseHermitian(2, r, c, inside).dense().matrix, [[0, inside[0]], inside[1:]])
+        with pytest.raises(ContractViolationError, match="not Hermitian"):
+            SparseHermitian(2, r, c, np.array([2.0, 2.0 * (1 + 1e-11), 1.0]) * scale)
+    # A zero operator stored as explicit zeros is Hermitian.
+    assert not SparseHermitian(2, r[:1], c[:1], np.zeros(1)).dense().matrix.any()

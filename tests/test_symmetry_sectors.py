@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from cahm import ContractViolationError, HermitianOperator, StateVector, eig_hermitian
+from cahm import ContractViolationError, StateVector, eig_hermitian
 from cahm.numerics import symmetry_sectors
 from cahm.target_models import (
     SPIN1,
@@ -13,7 +13,7 @@ from cahm.target_models import (
     chain_symmetries,
 )
 
-from helpers import dense_sector_bases, random_hermitian
+from helpers import dense_sector_bases, random_hermitian, sparse_from_dense
 
 # Every (m_max, n_links) whose chain has dim <= 729.
 CHAIN_SIZES = [(m, n) for m in range(1, 6) for n in range(1, 7) if (2 * m + 1) ** n <= 729]
@@ -33,7 +33,7 @@ def test_merged_sector_spectrum_equals_the_full_spectrum(m_max, n_links):
     ):
         op = build_chain_h(couplings, trunc, n_links)
         full = eig_hermitian(op).eigenvalues
-        blocks = symmetry_sectors(op, symmetries)
+        blocks = symmetry_sectors(sparse_from_dense(op.matrix), symmetries)
         merged = np.sort(np.concatenate([eig_hermitian(b).eigenvalues for b in blocks]))
         assert merged.shape == full.shape
         assert np.max(np.abs(merged - full)) <= 1e-12 * np.linalg.norm(op.matrix)
@@ -68,7 +68,7 @@ def _oracle_cases():
 @pytest.mark.parametrize("case", range(7))
 def test_blocks_equal_the_dense_change_of_basis(case):
     h, symmetries = list(_oracle_cases())[case]
-    blocks = symmetry_sectors(HermitianOperator(h), symmetries)
+    blocks = symmetry_sectors(sparse_from_dense(h), symmetries)
     bases = dense_sector_bases(h.shape[0], symmetries)
     assert [b.dim for b in blocks] == [q.shape[1] for q in bases]
     q = np.hstack(bases)
@@ -85,12 +85,16 @@ def test_blocks_equal_the_dense_change_of_basis(case):
 
 
 def test_real_input_gives_real_blocks():
-    op = build_chain_h(TargetCouplings(1.0, 0.7, 0.3), SPIN1, 3)
+    op = sparse_from_dense(build_chain_h(TargetCouplings(1.0, 0.7, 0.3), SPIN1, 3).matrix)
     assert all(b.matrix.dtype == np.float64 for b in symmetry_sectors(op, chain_symmetries(SPIN1, 3)))
 
 
+def _chain_matrix():
+    return build_chain_h(TargetCouplings(1.0, 0.7, 0.3), SPIN1, 2).matrix
+
+
 def _chain_op():
-    return build_chain_h(TargetCouplings(1.0, 0.7, 0.3), SPIN1, 2)
+    return sparse_from_dense(_chain_matrix())
 
 
 @pytest.mark.parametrize(
@@ -114,7 +118,7 @@ def test_invalid_symmetries_fail_closed(symmetries, message):
 
 def test_a_broken_declared_symmetry_fails_closed():
     symmetries = chain_symmetries(SPIN1, 2)
-    h = _chain_op().matrix
+    h = _chain_matrix()
     scale = np.max(np.abs(h))
     # |1,0> and its C image |-1,0> (indices 1 and 7) move together: C holds, P breaks.
     for shift, fails in ((1e-9, True), (1e-13, False)):
@@ -122,18 +126,17 @@ def test_a_broken_declared_symmetry_fails_closed():
         broken[[1, 7], [1, 7]] += shift * scale
         if fails:
             with pytest.raises(ContractViolationError, match="does not commute with symmetry 1"):
-                symmetry_sectors(HermitianOperator(broken), symmetries)
+                symmetry_sectors(sparse_from_dense(broken), symmetries)
         else:
             # Within HERMITICITY_RTOL * max|H| the sectors still form.
-            blocks = symmetry_sectors(HermitianOperator(broken), symmetries)
+            blocks = symmetry_sectors(sparse_from_dense(broken), symmetries)
             assert sum(b.dim for b in blocks) == 9
 
 
 @pytest.mark.parametrize("symmetries", [(), (np.arange(9),)], ids=["none", "identity"])
 def test_a_trivial_group_gives_the_whole_operator(symmetries):
-    op = _chain_op()
-    (block,) = symmetry_sectors(op, symmetries)
-    assert np.array_equal(block.matrix, op.matrix)
+    (block,) = symmetry_sectors(_chain_op(), symmetries)
+    assert np.array_equal(block.matrix, _chain_matrix())
 
 
 @pytest.mark.parametrize("symmetry", ["C", "P"])

@@ -15,9 +15,9 @@ from cahm import (
     op_ux,
     perturbative_one_spin,
 )
-from cahm.target_models import chain_symmetries
+from cahm.target_models import chain_symmetries, chain_terms
 
-from helpers import kron_chain_h
+from helpers import dense_chain_h, kron_chain_h
 
 
 def test_op_lz_values():
@@ -231,11 +231,33 @@ def test_h2t_is_the_kron_chain_without_end_terms():
         assert np.array_equal(build_h2t(c).matrix, kron_chain_h(c, SPIN1, 2, end_terms=False))
 
 
+@pytest.mark.parametrize("boundary", ["open", "periodic"])
+@pytest.mark.parametrize("end_terms", [False, True])
+@pytest.mark.parametrize("m_max,n_links", [(1, 1), (1, 2), (1, 4), (2, 3), (3, 2), (5, 1)])
+def test_chain_terms_are_the_dense_chain_bit_for_bit(m_max, n_links, boundary, end_terms):
+    rng = np.random.default_rng(10 * m_max + n_links)
+    trunc = SpinTruncation(m_max)
+    for u, x, y in [rng.uniform(-2, 2, size=3), (-1.0, 0.0, 0.0), (1.0, -0.0, -0.5)]:
+        c = TargetCouplings(u=u, x=x, y=y, boundary=boundary)
+        terms = chain_terms(c, trunc, n_links, end_terms)
+        want = dense_chain_h(c, trunc, n_links, end_terms)
+        got = terms.dense().matrix
+        # Same bits, the sign of zero included.
+        assert got.dtype == np.float64
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        # The full diagonal plus two entries per lowering pair of each link.
+        dim = trunc.dim**n_links
+        digits = (np.arange(dim)[:, None] // trunc.dim ** np.arange(n_links)) % trunc.dim
+        assert terms.values.size == dim + 2 * np.count_nonzero(digits < trunc.dim - 1)
+
+
 def test_chain_dimension_guard():
     with pytest.raises(ValueError):
         build_chain_h(TargetCouplings(u=1, x=0, y=0), SpinTruncation(2), 6)
     with pytest.raises(ValueError):
         build_chain_h(TargetCouplings(u=1, x=0, y=0), SPIN1, 0)
+    with pytest.raises(ValueError, match="n_links"):
+        chain_terms(TargetCouplings(u=1, x=0, y=0), SPIN1, 0, end_terms=False)
 
 
 def test_truncation_guards():
