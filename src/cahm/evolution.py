@@ -115,7 +115,6 @@ def trace(
     times,
 ) -> EvolutionTrace:
     """Transition probabilities |<f|U(t)|psi0>|^2 for each labeled final state."""
-    times = np.asarray(times, dtype=np.float64)
     probs = np.abs(eig_hermitian(op).propagate(psi0, times, [f for _, f in finals])) ** 2
     series = {label: probs[i] for i, (label, _) in enumerate(finals)}
     return EvolutionTrace(times=times, series=series)
@@ -138,7 +137,6 @@ def simulator_trace(
     Leakage aggregates the probability on every basis state outside
     `physical_indices` (the encoded spin subspace).
     """
-    times = np.asarray(times, dtype=np.float64)
     amplitudes = eig_hermitian(op).propagate(psi0, times)
     probs = np.abs(overlaps([f for _, f in observables], amplitudes)) ** 2
     series = {label: probs[i] for i, (label, _) in enumerate(observables)}
@@ -157,7 +155,6 @@ def basis_trace(
     instance a statevector's |amplitudes|^2 or measured shot frequencies);
     `observables` maps each label to its basis index.
     """
-    times = np.asarray(times, dtype=np.float64)
     series = {label: basis_probs[b] for label, b in observables.items()}
     return _with_leakage(times, series, basis_probs, physical_indices)
 

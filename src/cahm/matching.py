@@ -19,10 +19,11 @@ import numpy as np
 from .evolution import two_spin_finals
 from .numerics import (
     DEGENERACY_RTOL,
+    UNIFORM_GRID_RTOL,
     ContractViolationError,
     HermitianOperator,
-    Spectrum,
     StateVector,
+    _uniform_phases,
     eig_hermitian,
     overlaps,
 )
@@ -48,9 +49,6 @@ GOLDEN_MAX_ITER = 300
 # by golden section to K_TOL.
 K_SCAN_POINTS = 41
 K_TOL = 1e-9
-# The fit factorises its phases over the simulator grid, which must then be
-# uniform to within this fraction of its span.
-UNIFORM_GRID_RTOL = 1e-12
 # The six-atom match fits K on linspace(0, SIX_ATOM_T_MAX, SIX_ATOM_N_TIMES).
 SIX_ATOM_T_MAX = 100.0
 SIX_ATOM_N_TIMES = 1001
@@ -518,49 +516,6 @@ def match_four_atom(c: TargetCouplings, v0: float) -> MatchReport:
     )
 
 
-def rescaled_amplitudes(spec: Spectrum, psi0: StateVector, finals: list[StateVector], times):
-    """K -> <f| exp(-iHK t_n) |psi0>, shape (len(finals), len(times)), on a uniform grid.
-
-    The spectral coefficients A[f, j] = <f|v_j><v_j|psi0> are formed once.
-    With t_n = t0 + (mB + j) h and B = ceil(sqrt(n)), the phase
-    exp(-i w K t_n) is an outer factor exp(-i w K (t0 + mBh)) (m x dim) times
-    an inner factor exp(-i w K jh) (dim x B), so one K costs about
-    2 sqrt(n) dim exponentials and one product (outer * A_f) @ inner for all
-    finals at once.
-
-    `times` is the simulator grid of `fit_time_rescale`.  It is uniform when
-    it deviates from t0 + arange(n) h, h = span / (n - 1), by at most
-    UNIFORM_GRID_RTOL * span; any other grid raises a ValueError naming
-    `sim_trace.times`.
-    """
-    t = np.asarray(times, dtype=np.float64)
-    n = t.size
-    span = float(t[-1] - t[0])
-    h = span / (n - 1) if n > 1 else 0.0
-    deviation = float(np.max(np.abs(t - (t[0] + h * np.arange(n)))))
-    if not deviation <= UNIFORM_GRID_RTOL * span:
-        raise ValueError(
-            f"sim_trace.times are not uniform: they deviate from t0 + n*h by up to "
-            f"{deviation:.3g}, above {UNIFORM_GRID_RTOL:g} * span"
-        )
-    if any(s.dim != spec.dim for s in [psi0, *finals]):
-        raise ContractViolationError(f"state dimension does not match H ({spec.dim})")
-    b = math.isqrt(n - 1) + 1
-    v = spec.eigenvectors
-    coeffs = overlaps(finals, v) * (v.conj().T @ psi0.amplitudes)
-    outer_t = t[0] + h * b * np.arange(-(-n // b))
-    inner_t = h * np.arange(b)
-
-    def amplitudes(k: float) -> np.ndarray:
-        wk = k * spec.eigenvalues
-        outer = np.exp(-1j * np.outer(outer_t, wk))
-        inner = np.exp(-1j * np.outer(wk, inner_t))
-        blocks = (outer * coeffs[:, None, :]).reshape(-1, spec.dim) @ inner
-        return blocks.reshape(len(finals), -1)[:, :n]
-
-    return amplitudes
-
-
 def fit_time_rescale(
     target_op: HermitianOperator,
     psi0: StateVector,
@@ -571,12 +526,12 @@ def fit_time_rescale(
     """K minimizing the RMS between target(K * t_sim) and the simulator trace.
 
     The target is evaluated exactly at the rescaled simulator times, so no
-    interpolation enters the objective.  It is diagonalised once, and each K
-    reads its amplitudes from the target's spectral coefficients with phases
-    factorised over the simulator grid (`rescaled_amplitudes`), so the grid
-    must be uniform: a ValueError naming `sim_trace.times` refuses any other.
-    A deterministic coarse scan over the bracket seeds a golden-section
-    refinement.  Returns (K, rms at K).
+    interpolation enters the objective.  It is diagonalised once into the
+    coefficients A[f, j] = <f|v_j><v_j|psi0>, and each K reads its amplitudes
+    as (outer * A_f) @ inner, with the phases factorised over the uniform grid
+    as in `Spectrum.propagate`: a ValueError naming `sim_trace.times` refuses
+    any other grid.  A deterministic coarse scan over the bracket seeds a
+    golden-section refinement.  Returns (K, rms at K).
     """
     lo, hi = bracket
     if not 0 < lo < hi:
@@ -584,13 +539,20 @@ def fit_time_rescale(
     used = [(label, f) for label, f in finals if label in sim_trace.series]
     if not used:
         raise ValueError("no shared labels between the finals and the simulator trace")
-    amplitudes = rescaled_amplitudes(
-        eig_hermitian(target_op), psi0, [f for _, f in used], sim_trace.times
-    )
+    phases = _uniform_phases(sim_trace.times)
+    if phases is None:
+        raise ValueError(f"sim_trace.times are not uniform within {UNIFORM_GRID_RTOL:g} * |span|")
+    spec = eig_hermitian(target_op)
+    if any(s.dim != spec.dim for s in [psi0, *(f for _, f in used)]):
+        raise ContractViolationError(f"state dimension does not match H ({spec.dim})")
+    v = spec.eigenvectors
+    coeffs = overlaps([f for _, f in used], v) * (v.conj().T @ psi0.amplitudes)
     sim_vals = np.vstack([sim_trace.series[label] for label, _ in used])
 
     def rms(k: float) -> float:
-        probs = np.abs(amplitudes(k)) ** 2
+        outer, inner = phases(k * spec.eigenvalues)
+        blocks = (outer.T * coeffs[:, None, :]).reshape(-1, spec.dim) @ inner
+        probs = np.abs(blocks.reshape(len(used), -1)[:, : sim_vals.shape[1]]) ** 2
         return float(np.sqrt(np.mean((probs - sim_vals) ** 2)))
 
     ks = np.linspace(lo, hi, K_SCAN_POINTS)

@@ -16,6 +16,7 @@ after construction and every operation is a pure function.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,6 +32,8 @@ DEGENERACY_RTOL = 1e-12
 ORTHO_ATOL = 1e-10
 # Per-vector eigen-residual tolerance, relative to the Frobenius norm of H.
 RESIDUAL_RTOL = 1e-9
+# A time grid within this fraction of its |span| of t0 + h * arange(n) is uniform.
+UNIFORM_GRID_RTOL = 1e-12
 
 # The one cap on every Hilbert-space dimension the package builds.
 MAX_DIM = 4096
@@ -263,15 +266,46 @@ class Spectrum:
 
         One row per basis state when `finals` is None, or one per state in
         `finals`: its `overlaps` with the basis amplitudes, so a basis final
-        reads exactly its row of the complete basis.
+        reads exactly its row of the complete basis.  On a uniform grid of
+        n > 1 distinct times the phases are factorised (`_uniform_phases`),
+        which reads each time at its place t0 + kh on the grid.
         """
         if any(s.dim != self.dim for s in [psi0, *(finals or ())]):
             raise ContractViolationError(f"state dimension does not match H ({self.dim})")
         v = self.eigenvectors
         c = _matmul(v.conj().T, psi0.amplitudes[:, None])
-        phases = np.exp(-1j * np.outer(self.eigenvalues, np.asarray(times, dtype=np.float64)))
-        amplitudes = _matmul(v, phases * c)
+        t = np.asarray(times, dtype=np.float64).ravel()
+        phases = _uniform_phases(t) if t.size > 1 and t[0] != t[-1] else None
+        if phases is None:
+            phased = np.exp(-1j * np.outer(self.eigenvalues, t)) * c
+        else:
+            outer, inner = phases(self.eigenvalues)
+            phased = ((outer * c)[:, :, None] * inner[:, None, :]).reshape(self.dim, -1)
+        amplitudes = _matmul(v, phased)[:, : t.size]
         return amplitudes if finals is None else overlaps(finals, amplitudes)
+
+
+def _uniform_phases(times: np.ndarray):
+    """w -> (exp(-i w T_m), exp(-i w tau_k)) on a uniform 1d grid of n >= 1 times; else None.
+
+    A grid is uniform within UNIFORM_GRID_RTOL * |span| of t0 + h * arange(n).
+    With B = ceil(sqrt(n)) and M = ceil(n / B), t_{mB+k} = T_m + tau_k for
+    T_m = t0 + mBh and tau_k = kh, so exp(-i w_j t_{mB+k}) is outer[j, m] *
+    inner[j, k]: len(w) (M + B) exponentials instead of len(w) n.  The product
+    has MB >= n columns; the caller drops those past the last time.
+    """
+    n = times.size
+    # A non-finite or overflowing grid fails the comparison: it is not uniform.
+    with np.errstate(over="ignore", invalid="ignore"):
+        span = float(times[-1] - times[0])
+        h = span / (n - 1) if n > 1 else 0.0
+        deviation = float(np.max(np.abs(times - (times[0] + h * np.arange(n)))))
+    if not deviation <= UNIFORM_GRID_RTOL * abs(span):
+        return None
+    b = math.isqrt(n - 1) + 1
+    outer_t = times[0] + h * b * np.arange(-(-n // b))
+    inner_t = h * np.arange(b)
+    return lambda w: (np.exp(-1j * np.outer(w, outer_t)), np.exp(-1j * np.outer(w, inner_t)))
 
 
 def overlaps(states, amplitudes: np.ndarray) -> np.ndarray:
@@ -343,7 +377,7 @@ def eig_hermitian(op: HermitianOperator) -> Spectrum:
     with np.errstate(over="ignore", invalid="ignore"):
         # ||H||_F scaled by max|H| first, so entries near the float range do not overflow.
         h_max = _max_abs(h)
-        h_norm = h_max * float(np.linalg.norm(h / h_max)) if h_max > 0.0 else 0.0
+        h_norm = h_max * _scaled_frobenius_norm(h, h_max) if h_max > 0.0 else 0.0
         residual = float(np.max(np.linalg.norm(h @ v - v * w, axis=0)))
     if not (np.all(np.isfinite(w)) and np.isfinite(h_norm) and np.isfinite(residual)):
         raise ContractViolationError(
@@ -356,6 +390,12 @@ def eig_hermitian(op: HermitianOperator) -> Spectrum:
             f"{RESIDUAL_RTOL:.0e} * ||H|| = {RESIDUAL_RTOL * h_norm:.3e}"
         )
     return Spectrum(w, v)
+
+
+def _scaled_frobenius_norm(m: np.ndarray, unit: float) -> float:
+    """||m / unit||_F, with rows scaled _HERMITICITY_TILE at a time: no full-size copy."""
+    blocks = (m[i : i + _HERMITICITY_TILE] / unit for i in range(0, m.shape[0], _HERMITICITY_TILE))
+    return math.sqrt(sum(float(np.vdot(b, b).real) for b in blocks))
 
 
 def symmetry_sectors(op: SparseHermitian, symmetries) -> list[HermitianOperator]:

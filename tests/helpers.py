@@ -7,7 +7,7 @@ import numpy as np
 from cahm import StateVector, TargetCouplings, apply_circuit, six_atom_system, two_atom_system
 from cahm.evolution import CSV_DIGITS
 from cahm.matching import K_SCAN_POINTS, K_TOL, _golden_min
-from cahm.numerics import SparseHermitian, eig_hermitian
+from cahm.numerics import SparseHermitian, _matmul, eig_hermitian, overlaps
 from cahm.numerics import basis_digits, site_strides
 from cahm.target_models import op_lz, op_ux
 
@@ -287,8 +287,21 @@ def per_value_csv_text(trace):
     return "\n".join(lines) + "\n"
 
 
+def direct_amplitudes(spec, psi0, times, finals=None):
+    """`Spectrum.propagate` with one exponential per eigenvalue and time.
+
+    This is the direct formula V diag(exp(-i w t)) V^dagger psi0, bit for bit
+    what `propagate` computes on a grid whose phases it does not factorise.
+    """
+    v = spec.eigenvectors
+    c = _matmul(v.conj().T, psi0.amplitudes[:, None])
+    phases = np.exp(-1j * np.outer(spec.eigenvalues, np.asarray(times, dtype=np.float64)))
+    amplitudes = _matmul(v, phases * c)
+    return amplitudes if finals is None else overlaps(finals, amplitudes)
+
+
 def propagate_fit_time_rescale(target_op, psi0, finals, sim_trace, bracket):
-    """`fit_time_rescale` with one `Spectrum.propagate` call per objective value."""
+    """`fit_time_rescale` with one `direct_amplitudes` call per objective value."""
     lo, hi = bracket
     if not 0 < lo < hi:
         raise ValueError(f"invalid bracket {bracket!r}")
@@ -300,7 +313,7 @@ def propagate_fit_time_rescale(target_op, psi0, finals, sim_trace, bracket):
     sim_vals = np.vstack([sim_trace.series[label] for label, _ in used])
 
     def rms(k: float) -> float:
-        probs = np.abs(spec.propagate(psi0, k * sim_trace.times, used_finals)) ** 2
+        probs = np.abs(direct_amplitudes(spec, psi0, k * sim_trace.times, used_finals)) ** 2
         return float(np.sqrt(np.mean((probs - sim_vals) ** 2)))
 
     ks = np.linspace(lo, hi, K_SCAN_POINTS)

@@ -16,11 +16,12 @@ from cahm import (
 from cahm.evolution import (
     complete_basis_finals,
     one_spin_finals,
+    state_probabilities,
     two_spin_finals,
 )
 from cahm.target_models import SPIN1, op_charge_conjugation
 
-from helpers import one_spin_rabi_oracle
+from helpers import one_spin_rabi_oracle, random_hermitian
 
 
 def test_trace_t0_and_eigenstate():
@@ -205,3 +206,18 @@ def test_trace_range_check_keeps_its_bounds():
     for v in (-2e-12, 1.0 + 2e-9):
         with pytest.raises(ValueError, match="series 'a' has entries outside"):
             EvolutionTrace(np.array([0.0, 1.0]), {"a": [0.5, v]})
+
+
+@pytest.mark.parametrize("dim", [1, 2, 9, 27, 64])
+def test_state_probabilities_columns_sum_to_one(dim):
+    rng = np.random.default_rng(dim)
+    a = rng.normal(size=(dim, dim))
+    uniform = np.linspace(-3.7, 96.3, 1001)
+    non_uniform = np.sort(rng.uniform(-3.7, 96.3, 257))
+    for m in (a + a.T, random_hermitian(rng, dim, scale=2.0)):
+        op = HermitianOperator(m)
+        psi0 = StateVector.normalized(rng.normal(size=dim) + 1j * rng.normal(size=dim))
+        for times in (uniform, non_uniform):
+            p = state_probabilities(op, psi0, times)
+            assert p.shape == (dim, times.size)
+            assert np.max(np.abs(p.sum(axis=0) - 1.0)) <= 1e-12

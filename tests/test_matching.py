@@ -26,9 +26,14 @@ from cahm import (
     two_atom_system,
 )
 from cahm.evolution import EvolutionTrace, one_spin_finals, trace, two_spin_finals
-from cahm.matching import K_TOL, SIX_ATOM_N_TIMES, SIX_ATOM_T_MAX, rescaled_amplitudes
+from cahm.matching import K_TOL, SIX_ATOM_N_TIMES, SIX_ATOM_T_MAX
 
-from helpers import consistent_three_atom_point, propagate_fit_time_rescale, random_hermitian
+from helpers import (
+    consistent_three_atom_point,
+    direct_amplitudes,
+    propagate_fit_time_rescale,
+    random_hermitian,
+)
 
 
 def test_match_two_atom_examples():
@@ -317,6 +322,7 @@ def test_fit_time_rescale_self_match():
 @pytest.mark.parametrize("n", [1, 2, 3, 1000, 1001, 1025])
 @pytest.mark.parametrize("t0", [0.0, -3.7, 12.5])
 def test_rescaled_amplitudes_equal_propagate(n, t0):
+    """Amplitudes at the rescaled times K t, whose phases propagate factorises."""
     rng = np.random.default_rng(n)
     times = np.linspace(t0, t0 + 40.0, n)
     real = eig_hermitian(build_h2t(TargetCouplings(u=1.0, x=1.2, y=0.2)))
@@ -326,21 +332,22 @@ def test_rescaled_amplitudes_equal_propagate(n, t0):
     two.append(StateVector.normalized(rng.normal(size=9) + 1j * rng.normal(size=9)))
     for spec in (real, cplx):
         for finals in (two[:1], two[1:], two):
-            amplitudes = rescaled_amplitudes(spec, psi0, finals, times)
             for k in rng.uniform(0.02, 2.0, size=3):
-                got = np.abs(amplitudes(k)) ** 2
-                want = np.abs(spec.propagate(psi0, k * times, finals)) ** 2
+                got = np.abs(spec.propagate(psi0, k * times, finals)) ** 2
+                want = np.abs(direct_amplitudes(spec, psi0, k * times, finals)) ** 2
                 assert got.shape == want.shape == (len(finals), n)
                 assert np.max(np.abs(got - want)) <= 1e-13
 
 
-def test_rescaled_amplitudes_check_state_dimensions():
-    spec = eig_hermitian(build_h1t(TargetCouplings(u=1.0, x=0.5)))
-    times = np.linspace(0, 1, 5)
+def test_fit_time_rescale_checks_state_dimensions():
+    h = build_h1t(TargetCouplings(u=1.0, x=0.5))
+    psi0 = StateVector.basis(3, 0)
+    tr = trace(h, psi0, one_spin_finals(), np.linspace(0, 1, 5))
     with pytest.raises(ContractViolationError, match="state dimension"):
-        rescaled_amplitudes(spec, StateVector.basis(9, 0), [StateVector.basis(3, 0)], times)
+        fit_time_rescale(h, StateVector.basis(9, 0), one_spin_finals(), tr, (0.8, 1.25))
+    wrong = [(label, StateVector.basis(9, 0)) for label, _ in one_spin_finals()]
     with pytest.raises(ContractViolationError, match="state dimension"):
-        rescaled_amplitudes(spec, StateVector.basis(3, 0), [StateVector.basis(9, 0)], times)
+        fit_time_rescale(h, psi0, wrong, tr, (0.8, 1.25))
 
 
 def test_fit_time_rescale_refuses_a_non_uniform_grid():

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -21,6 +22,8 @@ from cahm.numerics import (
     _hermiticity_deviation,
     _matmul,
     _max_abs,
+    _scaled_frobenius_norm,
+    _uniform_phases,
     basis_digits,
     bitstring_labels,
     site_strides,
@@ -43,6 +46,7 @@ from cahm.trotter import Circuit
 
 from helpers import (
     clustered_hermitian,
+    direct_amplitudes,
     expm_taylor,
     full_hermiticity_deviation,
     preset_systems,
@@ -527,6 +531,128 @@ def test_eig_contracts_reject_a_corrupted_decomposition(monkeypatch, target, mut
     monkeypatch.setattr(np.linalg, "eigh", corrupted_eigh)
     with pytest.raises(ContractViolationError, match=message):
         eig_hermitian(op)
+
+
+def _fsum_frobenius_norm(m):
+    """||m||_F from the exactly rounded sum of the squares of m / max|m|."""
+    scale = float(np.max(np.abs(m)))
+    x = (m / scale).ravel()
+    return scale * np.sqrt(math.fsum(np.concatenate([x.real**2, x.imag**2])))
+
+
+@pytest.mark.parametrize("dim", [1, 2, 9, 64, 127, 128, 129, 300, 1024])
+@pytest.mark.parametrize("scale", [1.0, 1e300, 1e-300])
+def test_frobenius_norm_is_taken_without_a_scaled_copy(dim, scale):
+    rng = np.random.default_rng(dim)
+    a = rng.normal(size=(dim, dim))
+    for m in (scale * (a + a.T), scale * random_hermitian(rng, dim)):
+        unit = _max_abs(m)
+        got = unit * _scaled_frobenius_norm(m, unit)
+        # Measured within 2 ulp of the exactly rounded sum at every dim here.
+        assert abs(got - _fsum_frobenius_norm(m)) <= 4 * np.spacing(got)
+        if dim <= 64:
+            # Above dim 64 the norm of the full scaled copy, the formula this
+            # replaces, itself drifts from the fsum value (by 12 ulp at dim 1024).
+            assert abs(got - unit * np.linalg.norm(m / unit)) <= 4 * np.spacing(got)
+
+
+def test_frobenius_norm_forms_no_full_size_temporary():
+    m = np.random.default_rng(0).normal(size=(1024, 1024))
+    unit = _max_abs(m)
+    tracemalloc.start()
+    try:
+        _scaled_frobenius_norm(m, unit)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # At most two scaled 128-row blocks are alive at once: 2 MB, against 8 MB for a copy.
+    assert peak <= 2 * 128 * m.shape[1] * m.itemsize + 4096
+
+
+def _scaled_spectra(rng, wt_max, t_max):
+    """Real and complex spectra of dims 1 to 64, scaled so that max|w| * t_max = wt_max."""
+    for dim in (1, 2, 5, 17, 64):
+        a = rng.normal(size=(dim, dim))
+        for m in (a + a.T, random_hermitian(rng, dim)):
+            w_max = float(np.max(np.abs(np.linalg.eigvalsh(m))))
+            yield eig_hermitian(HermitianOperator(m * (wt_max / (w_max * t_max))))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 31, 1000, 1001, 1025])
+@pytest.mark.parametrize("t0", [0.0, -3.7, 12.5])
+def test_propagate_equals_the_direct_formula(n, t0):
+    """Factorised phases agree with one exponential per eigenvalue and time.
+
+    On a uniform grid propagate reads t_{mB+k} as T_m + kh, which differs from
+    the grid's own time by about one ulp of t, so the phases differ by about
+    eps |w t| (at most 1.8 eps |w t| measured over |w t| from 1 to 1e4).  The
+    amplitudes agree within 1e-12, or 4 eps max|w t| above |w t| = 1.1e3.
+    Grids whose phases are not factorised (one time, zero span, non-uniform)
+    give the direct formula bit for bit.
+    """
+    rng = np.random.default_rng(n)
+    ascending = np.linspace(t0, t0 + 40.0, n)
+    factorised = [ascending, ascending[::-1]] if n > 1 else []
+    direct = [np.full(n, t0)] if n > 1 else [ascending]
+    if n > 2:
+        bumped = ascending.copy()
+        bumped[n // 2] += 1e-9
+        direct += [bumped, t0 + np.geomspace(0.1, 40.0, n)]
+    for grid in factorised:
+        assert _uniform_phases(grid) is not None
+    for grid in direct[1:]:
+        assert _uniform_phases(grid) is None
+    t_max = max(abs(t0), abs(t0 + 40.0))
+    for wt_max in (1.0, 1e4):
+        tol = max(1e-12, 4 * np.finfo(float).eps * wt_max)
+        for spec in _scaled_spectra(rng, wt_max, t_max):
+            dim = spec.dim
+            psi0 = StateVector.normalized(rng.normal(size=dim) + 1j * rng.normal(size=dim))
+            finals = [StateVector.basis(dim, dim // 2)]
+            finals.append(StateVector.normalized(rng.normal(size=dim) + 1j * rng.normal(size=dim)))
+            for rows in (None, finals):
+                for grid in factorised:
+                    got = spec.propagate(psi0, grid, rows)
+                    assert np.max(np.abs(got - direct_amplitudes(spec, psi0, grid, rows))) <= tol
+                for grid in direct:
+                    got = spec.propagate(psi0, grid, rows)
+                    assert np.array_equal(got, direct_amplitudes(spec, psi0, grid, rows))
+
+
+def test_propagate_takes_dim_m_plus_b_exponentials_on_a_uniform_grid(monkeypatch):
+    a = np.random.default_rng(4).normal(size=(64, 64))
+    spec = eig_hermitian(HermitianOperator(a + a.T))
+    psi0 = StateVector.basis(64, 0)
+    exp, sizes = np.exp, []
+    monkeypatch.setattr(np, "exp", lambda x: sizes.append(np.size(x)) or exp(x))
+    spec.propagate(psi0, np.linspace(0.0, 100.0, 1001))
+    assert sum(sizes) == 64 * (32 + 32)  # B = ceil(sqrt(1001)) = 32, M = ceil(1001 / 32) = 32
+    sizes.clear()
+    spec.propagate(psi0, np.geomspace(0.1, 100.0, 1001))
+    assert sum(sizes) == 64 * 1001
+
+
+@pytest.mark.parametrize("target", list(_mutation_targets()))
+def test_eig_contracts_hold_at_the_ends_of_the_float_range(monkeypatch, target):
+    m = _mutation_targets()[target]
+    # Entries near 1e300: ||H|| is finite, but the squares in the residual
+    # overflow, so even a sound decomposition fails closed.
+    with pytest.raises(ContractViolationError, match="not finite"):
+        eig_hermitian(HermitianOperator(1e300 * m))
+    # Entries near 1e-300: ||H|| does not underflow to 0, so the residual check
+    # still runs.  Eigenvalues shifted by 1e-150, whose residual squares do not
+    # underflow, are rejected.
+    tiny = HermitianOperator(1e-300 * m)
+    eig_hermitian(tiny)
+    eigh = np.linalg.eigh
+
+    def shifted_eigh(matrix):
+        w, v = eigh(matrix)
+        return w + 1e-150, v
+
+    monkeypatch.setattr(np.linalg, "eigh", shifted_eigh)
+    with pytest.raises(ContractViolationError, match="residual .* exceeds"):
+        eig_hermitian(tiny)
 
 
 def _sparse_entries(dim, dtype, rng):

@@ -113,6 +113,21 @@ def test_apply_circuit_norm_preserved():
     assert abs(np.sum(np.abs(out.amplitudes) ** 2) - 1.0) <= 1e-10
 
 
+@pytest.mark.parametrize("n_qubits", range(1, 7))
+def test_apply_circuit_keeps_the_norm_over_random_trotter_steps(n_qubits):
+    rng = np.random.default_rng(n_qubits)
+    dim = 1 << n_qubits
+    psi = StateVector.normalized(rng.normal(size=dim) + 1j * rng.normal(size=dim))
+    pairs = [(i, j) for i in range(n_qubits) for j in range(i + 1, n_qubits)]
+    for _ in range(20):
+        couplings = {p: rng.uniform(-80.0, 80.0) for p in pairs if rng.random() < 0.7}
+        omega, dt = rng.uniform(-3.0, 3.0), rng.uniform(0.01, 0.5)
+        step = trotter_step(n_qubits, omega, dt, rng.uniform(-5.0, 5.0, n_qubits), couplings)
+        for _ in range(5):
+            psi = apply_circuit(step, psi)
+            assert abs(np.linalg.norm(psi.amplitudes) - 1.0) <= 1e-12
+
+
 def test_trotter_vs_exact_fig10():
     system, psi0, obs = _fig10_pieces()
     exact = system.spin_trace(StateVector.basis(3, 0), [1.0])
