@@ -6,6 +6,7 @@ __version__ = "0.1.0"
 from .numerics import (
     ContractViolationError,
     HermitianOperator,
+    SparseHermitian,
     Spectrum,
     StateVector,
     eig_hermitian,

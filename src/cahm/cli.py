@@ -315,14 +315,13 @@ def _build_target(spec: dict):
 
 
 def _labelled_target(spec: dict):
-    """`_build_target` with the dense Hamiltonian, for the modes that start from a labelled state."""
+    """`_build_target` for the modes that start from a labelled state."""
     if spec.get("kind") == "chain":
         raise ConfigError(
             "field payload.target.kind 'chain' has no labelled states: chain targets run in "
             "spectrum mode only"
         )
-    terms, finals, c, resolved = _build_target(spec)
-    return terms.dense(), finals, c, resolved
+    return _build_target(spec)
 
 
 def _target_symmetries(kind: str, resolved: dict):

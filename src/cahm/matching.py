@@ -19,16 +19,16 @@ import numpy as np
 from .evolution import two_spin_finals
 from .numerics import (
     DEGENERACY_RTOL,
-    UNIFORM_GRID_RTOL,
+    UNIFORM_GRID_ULPS,
     ContractViolationError,
-    HermitianOperator,
+    Operator,
     StateVector,
     _uniform_phases,
     eig_hermitian,
     overlaps,
 )
 from .rydberg_models import (
-    atom_permutation_matrix,
+    atom_permutation,
     ladder_cross_couplings,
     six_atom_system,
     three_atom_system,
@@ -410,8 +410,8 @@ def three_atom_low_sector(omega: float, delta: float, delta0: float, v0: float) 
                 f"three-atom level {k} (E = {w[k]:.6g}) is degenerate with a neighbour, "
                 "so its encoded weight and mirror parity are not defined"
             )
-    mirror = atom_permutation_matrix(system.mirror)
-    parity = [float(spec.eigenvectors[:, k] @ mirror @ spec.eigenvectors[:, k]) for k in picked]
+    v, mirror = spec.eigenvectors, atom_permutation(system.mirror)
+    parity = [float(v[mirror, k] @ v[:, k]) for k in picked]
     odd_pos = int(np.argmin(parity))
     eminus = float(spec.eigenvalues[picked[odd_pos]])
     even = [float(spec.eigenvalues[k]) for i, k in enumerate(picked) if i != odd_pos]
@@ -517,7 +517,7 @@ def match_four_atom(c: TargetCouplings, v0: float) -> MatchReport:
 
 
 def fit_time_rescale(
-    target_op: HermitianOperator,
+    target_op: Operator,
     psi0: StateVector,
     finals: list[tuple[str, StateVector]],
     sim_trace,
@@ -541,7 +541,7 @@ def fit_time_rescale(
         raise ValueError("no shared labels between the finals and the simulator trace")
     phases = _uniform_phases(sim_trace.times)
     if phases is None:
-        raise ValueError(f"sim_trace.times are not uniform within {UNIFORM_GRID_RTOL:g} * |span|")
+        raise ValueError(f"sim_trace.times are not uniform to {UNIFORM_GRID_ULPS} ulps of max|t|")
     spec = eig_hermitian(target_op)
     if any(s.dim != spec.dim for s in [psi0, *(f for _, f in used)]):
         raise ContractViolationError(f"state dimension does not match H ({spec.dim})")

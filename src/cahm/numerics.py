@@ -1,16 +1,14 @@
 """Linear algebra for small real symmetric or complex Hermitian systems.
 
-Operators are dense matrices (dim <= 4096) or, for a Hamiltonian with a few
-nonzero entries per row, the validated list of those entries
-(`SparseHermitian`), from which symmetry sectors are read and whose `dense()`
-is the matrix.  This module provides the shared primitives: validated
-Hermitian operators and state vectors, a contract-checked Hermitian
-eigendecomposition, spectral time evolution exp(-iHt) and the digit layout of
-product bases.  Operators
-and eigenvectors keep their input's kind: real input stays float64, so a real
-symmetric H is diagonalised in real arithmetic, and complex input is
-complex128.  State vectors are always complex.  All values are immutable
-after construction and every operation is a pure function.
+Every Hamiltonian the package builds is the list of its nonzero entries
+(`SparseHermitian`); a matrix that arrives as one (dim <= 4096) is a
+`HermitianOperator`.  Each is validated once, when constructed.  The module
+also holds state vectors, a contract-checked eigendecomposition, spectral
+time evolution exp(-iHt), symmetry sectors and the digit layout of product
+bases.  Operators and eigenvectors keep their input's kind: real stays
+float64, so a real symmetric H is diagonalised in real arithmetic; complex is
+complex128, as state vectors always are.  All values are immutable after
+construction and every operation is a pure function.
 """
 
 from __future__ import annotations
@@ -32,8 +30,8 @@ DEGENERACY_RTOL = 1e-12
 ORTHO_ATOL = 1e-10
 # Per-vector eigen-residual tolerance, relative to the Frobenius norm of H.
 RESIDUAL_RTOL = 1e-9
-# A time grid within this fraction of its |span| of t0 + h * arange(n) is uniform.
-UNIFORM_GRID_RTOL = 1e-12
+# A time grid within this many ulps of max|t| of t0 + h * arange(n) is uniform.
+UNIFORM_GRID_ULPS = 4
 
 # The one cap on every Hilbert-space dimension the package builds.
 MAX_DIM = 4096
@@ -89,6 +87,15 @@ def _hermiticity_deviation(m: np.ndarray) -> float:
     return deviation
 
 
+def _require_hermitian(deviation: float, scale: float) -> None:
+    """Raise unless max|H - H^dagger| = `deviation` is within HERMITICITY_RTOL * max|H|."""
+    if scale > 0.0 and deviation > HERMITICITY_RTOL * scale:
+        raise ContractViolationError(
+            f"matrix is not Hermitian: max|H - H^dagger| = {deviation:.3e} "
+            f"exceeds {HERMITICITY_RTOL:.0e} * max|H| = {HERMITICITY_RTOL * scale:.3e}"
+        )
+
+
 @dataclass(frozen=True)
 class HermitianOperator:
     """Dense matrix H with H = H^dagger within HERMITICITY_RTOL * max|H|.
@@ -101,13 +108,7 @@ class HermitianOperator:
 
     def __post_init__(self):
         m = _as_square_matrix(self.matrix)
-        scale = _max_abs(m)
-        deviation = _hermiticity_deviation(m)
-        if scale > 0.0 and deviation > HERMITICITY_RTOL * scale:
-            raise ContractViolationError(
-                f"matrix is not Hermitian: max|H - H^dagger| = {deviation:.3e} "
-                f"exceeds {HERMITICITY_RTOL:.0e} * max|H| = {HERMITICITY_RTOL * scale:.3e}"
-            )
+        _require_hermitian(_hermiticity_deviation(m), _max_abs(m))
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
 
@@ -124,7 +125,7 @@ class SparseHermitian:
     row * dim + col.  H = H^dagger within HERMITICITY_RTOL * max|H| over the
     stored entries, an entry whose mirror is not stored counting against a
     mirror of 0.  Values are float64 for real input and complex128 for complex
-    input.  `dense()` is the same matrix as a HermitianOperator.
+    input.  `matrix` is the read-only dim x dim array.
     """
 
     dim: int
@@ -160,14 +161,9 @@ class SparseHermitian:
             a.setflags(write=False)
             object.__setattr__(self, name, a)
         object.__setattr__(self, "dim", int(self.dim))
-        scale = _max_abs(self.values)
         with np.errstate(over="ignore"):
             deviation = _max_abs(self.values - self._at(self.cols, self.rows).conj())
-        if scale > 0.0 and deviation > HERMITICITY_RTOL * scale:
-            raise ContractViolationError(
-                f"matrix is not Hermitian: max|H - H^dagger| = {deviation:.3e} "
-                f"exceeds {HERMITICITY_RTOL:.0e} * max|H| = {HERMITICITY_RTOL * scale:.3e}"
-            )
+        _require_hermitian(deviation, _max_abs(self.values))
 
     def _at(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
         """H[rows[k], cols[k]] for each k: the stored value, or 0 where none is stored."""
@@ -176,11 +172,17 @@ class SparseHermitian:
         pos = np.minimum(np.searchsorted(stored, keys), stored.size - 1)
         return np.where(stored[pos] == keys, self.values[pos], 0.0)
 
-    def dense(self) -> HermitianOperator:
-        """The dim x dim matrix, validated as a HermitianOperator."""
+    @property
+    def matrix(self) -> np.ndarray:
+        """The dim x dim array of the stored entries, zero elsewhere; formed at each read."""
         m = np.zeros((self.dim, self.dim), dtype=self.values.dtype)
         m[self.rows, self.cols] = self.values
-        return HermitianOperator(m)
+        m.setflags(write=False)
+        return m
+
+
+# Either form of a validated Hermitian H: both have `dim` and `matrix`.
+Operator = HermitianOperator | SparseHermitian
 
 
 @dataclass(frozen=True)
@@ -288,7 +290,8 @@ class Spectrum:
 def _uniform_phases(times: np.ndarray):
     """w -> (exp(-i w T_m), exp(-i w tau_k)) on a uniform 1d grid of n >= 1 times; else None.
 
-    A grid is uniform within UNIFORM_GRID_RTOL * |span| of t0 + h * arange(n).
+    A grid is uniform within UNIFORM_GRID_ULPS ulps of max|t| of t0 + h * arange(n),
+    as linspace and t0 + arange(n) * dt grids are, so reading a time at its place only rounds it.
     With B = ceil(sqrt(n)) and M = ceil(n / B), t_{mB+k} = T_m + tau_k for
     T_m = t0 + mBh and tau_k = kh, so exp(-i w_j t_{mB+k}) is outer[j, m] *
     inner[j, k]: len(w) (M + B) exponentials instead of len(w) n.  The product
@@ -300,7 +303,7 @@ def _uniform_phases(times: np.ndarray):
         span = float(times[-1] - times[0])
         h = span / (n - 1) if n > 1 else 0.0
         deviation = float(np.max(np.abs(times - (times[0] + h * np.arange(n)))))
-    if not deviation <= UNIFORM_GRID_RTOL * abs(span):
+    if not deviation <= UNIFORM_GRID_ULPS * np.spacing(float(np.max(np.abs(times)))):
         return None
     b = math.isqrt(n - 1) + 1
     outer_t = times[0] + h * b * np.arange(-(-n // b))
@@ -356,7 +359,7 @@ def bitstring_labels(dim: int) -> tuple[str, ...]:
     return tuple("".join(map(str, row)) for row in digits[:dim].tolist())
 
 
-def eig_hermitian(op: HermitianOperator) -> Spectrum:
+def eig_hermitian(op: Operator) -> Spectrum:
     """Full eigendecomposition of a Hermitian operator, real when the operator is.
 
     The eigenvalues ascend, and the eigenvectors are `numpy.linalg.eigh`'s as
@@ -369,7 +372,7 @@ def eig_hermitian(op: HermitianOperator) -> Spectrum:
     eigen-residual is not finite, or the residual exceeds
     RESIDUAL_RTOL * ||H||.
     """
-    # HermitianOperator validated the matrix once; eigh reads one triangle of it.
+    # The operator validated its entries once; eigh reads one triangle of the matrix.
     h = op.matrix
     w, v = np.linalg.eigh(h)
 

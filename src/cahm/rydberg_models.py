@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .evolution import EvolutionTrace, one_spin_finals, simulator_trace, two_spin_finals
-from .numerics import HermitianOperator, StateVector, basis_digits, site_strides
+from .numerics import SparseHermitian, StateVector, basis_digits, site_strides
 
 # Atoms per column, and the excited-atom bits of m = 1, 0, -1 in a column (top atom first).
 _COLUMN_PATTERNS = {
@@ -118,8 +118,8 @@ class RydbergParams:
             object.__setattr__(self, "pair_overrides", normalized)
 
 
-def build_rydberg_h(geom: AtomGeometry, params: RydbergParams) -> HermitianOperator:
-    """Dense 2^n Hamiltonian of the driven interacting array, from the basis bit table."""
+def build_rydberg_h(geom: AtomGeometry, params: RydbergParams) -> SparseHermitian:
+    """The 2^n array as its terms: the bit-table diagonal and each atom's flip b <-> b ^ bit."""
     n = geom.n_atoms
     bits = basis_digits(2, n, "number of positions")
     for i in params.delta0_atoms:
@@ -137,11 +137,11 @@ def build_rydberg_h(geom: AtomGeometry, params: RydbergParams) -> HermitianOpera
     energy = -params.delta * n_excited - params.delta0 * n_extra
     for (i, j), v in couplings.items():
         energy[(bits[:, i] & bits[:, j]).astype(bool)] += v
-    h = np.diag(energy)
     index = np.arange(len(bits))
-    for stride in site_strides(2, n):
-        h[index, index ^ stride] += 0.5 * params.omega
-    return HermitianOperator(h)
+    cols = np.concatenate([index, *(index ^ stride for stride in site_strides(2, n))])
+    # 0.0 + Omega/2: at Omega = -0.0 the drive entries are +0.0, as in a matrix summed by terms.
+    values = np.concatenate([energy, np.full(n * len(bits), 0.0 + 0.5 * params.omega)])
+    return SparseHermitian(len(bits), np.tile(index, n + 1), cols, values)
 
 
 def geometry_two_atom(a_r: float, scale: float) -> AtomGeometry:
@@ -224,16 +224,13 @@ def ladder_spin_map(encoding: str, n_spins: int) -> SpinAtomMap:
     return SpinAtomMap(n_atoms=n_col * n_spins, indices=tuple(indices.tolist()))
 
 
-def atom_permutation_matrix(perm) -> np.ndarray:
-    """Basis permutation moving the excitation of atom i to atom perm[i]."""
+def atom_permutation(perm) -> np.ndarray:
+    """Index permutation (as `chain_symmetries` gives) moving atom i's excitation to perm[i]."""
     perm = [int(p) for p in perm]
     n = len(perm)
     if sorted(perm) != list(range(n)):
         raise ValueError(f"{tuple(perm)} is not a permutation of 0..{n - 1}")
-    bits = basis_digits(2, n, "permutation length")
-    m = np.zeros((len(bits), len(bits)))
-    m[bits[:, np.argsort(perm)] @ site_strides(2, n), np.arange(len(bits))] = 1.0
-    return m
+    return basis_digits(2, n, "permutation length")[:, np.argsort(perm)] @ site_strides(2, n)
 
 
 @dataclass(frozen=True)
@@ -246,7 +243,7 @@ class SimulatorSystem:
     mirror: tuple[int, ...]
     derived: dict = field(default_factory=dict)
 
-    def hamiltonian(self) -> HermitianOperator:
+    def hamiltonian(self) -> SparseHermitian:
         return build_rydberg_h(self.geometry, self.params)
 
     def embed(self, state: StateVector) -> StateVector:

@@ -127,7 +127,7 @@ def chain_terms(
     neighbor differences (closed into a ring for periodic couplings) plus,
     with `end_terms`, m_1^2 + m_N^2.  Ux_i links index b to b + d^(N-1-i)
     wherever link i can still lower m: the pairs (b, b + stride) and
-    (b + stride, b) at -X/2.  Every builder's matrix is this form's `dense()`.
+    (b + stride, b) at -X/2.  Every chain builder returns this form.
     """
     if n_links < 1:
         raise ValueError(f"n_links must be >= 1, got {n_links}")
@@ -151,9 +151,9 @@ def chain_terms(
     )
 
 
-def build_h1t(c: TargetCouplings, trunc: SpinTruncation = SPIN1) -> HermitianOperator:
+def build_h1t(c: TargetCouplings, trunc: SpinTruncation = SPIN1) -> SparseHermitian:
     """One-spin target Hamiltonian (U/2) Lz^2 - X Ux."""
-    return chain_terms(c, trunc, 1, end_terms=False).dense()
+    return chain_terms(c, trunc, 1, end_terms=False)
 
 
 def analytic_one_spin(c: TargetCouplings) -> OneSpinSpectrum:
@@ -185,16 +185,16 @@ def perturbative_one_spin(c: TargetCouplings) -> OneSpinSpectrum:
     )
 
 
-def build_h2t(c: TargetCouplings) -> HermitianOperator:
+def build_h2t(c: TargetCouplings) -> SparseHermitian:
     """Two coupled spin-1 sites: H1T (x) 1 + 1 (x) H1T + (Y/2)(Lz_L - Lz_R)^2.
 
     No boundary Lz^2 terms are included here; `build_chain_h` with two links
     and open boundaries adds them.
     """
-    return chain_terms(replace(c, boundary="open"), SPIN1, 2, end_terms=False).dense()
+    return chain_terms(replace(c, boundary="open"), SPIN1, 2, end_terms=False)
 
 
-def build_chain_h(c: TargetCouplings, trunc: SpinTruncation, n_links: int) -> HermitianOperator:
+def build_chain_h(c: TargetCouplings, trunc: SpinTruncation, n_links: int) -> SparseHermitian:
     """Full N-link chain Hamiltonian.
 
     Open boundaries include the end terms (Y/2)[(Lz_1)^2 + (Lz_N)^2] on top of
@@ -202,4 +202,4 @@ def build_chain_h(c: TargetCouplings, trunc: SpinTruncation, n_links: int) -> He
     nearest-neighbor ring instead (experimental: the compactified boundary
     charges are not otherwise specified).
     """
-    return chain_terms(c, trunc, n_links, end_terms=c.boundary == "open").dense()
+    return chain_terms(c, trunc, n_links, end_terms=c.boundary == "open")

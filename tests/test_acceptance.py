@@ -36,13 +36,13 @@ from cahm.evolution import (
     trace,
     two_spin_finals,
 )
-from cahm.rydberg_models import atom_permutation_matrix
 from cahm.target_models import SPIN1, SpinTruncation, op_charge_conjugation
 
 from helpers import (
     apply_steps,
     circuit_unitary,
     consistent_three_atom_point,
+    loop_permutation_matrix,
     random_hermitian,
 )
 
@@ -286,7 +286,7 @@ def test_criterion_9_symmetry_suite():
         ("six-atom-truncated", six_atom_system(1.0, 15.0, 30.0, 0.326, include_middle_pair=False)),
     ):
         h = system.hamiltonian().matrix
-        m = atom_permutation_matrix(system.mirror)
+        m = loop_permutation_matrix(system.mirror)
         if np.max(np.abs(m @ h - h @ m)) > 1e-14:
             failures.append(f"mirror does not commute for {tag}")
 

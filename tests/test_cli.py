@@ -427,7 +427,7 @@ def test_spectrum_equals_the_full_matrix_spectrum(tmp_path, target):
 
     assert _run_config(tmp_path, {"mode": "spectrum", "target": target}) == EXIT_OK
     out = json.loads((tmp_path / "out" / "spectrum.json").read_text())
-    h = _build_target(target)[0].dense()
+    h = _build_target(target)[0]
     full = eig_hermitian(h).eigenvalues
     assert len(out["eigenvalues"]) == h.dim
     assert np.max(np.abs(np.array(out["eigenvalues"]) - full)) <= 1e-12 * np.linalg.norm(h.matrix)
@@ -452,7 +452,7 @@ def test_target_terms_are_the_builders_matrices(target):
         "two-spin": lambda: cahm.build_h2t(c),
         "chain": lambda: cahm.build_chain_h(c, cahm.SpinTruncation(2), 3),
     }[target["kind"]]
-    assert np.array_equal(terms.dense().matrix, builder().matrix)
+    assert np.array_equal(terms.matrix, builder().matrix)
 
 
 def test_seven_link_chain_spectrum_without_the_dense_matrix(tmp_path):
@@ -474,6 +474,46 @@ def test_seven_link_chain_spectrum_without_the_dense_matrix(tmp_path):
     assert abs(np.sum(w**2) - frobenius_sq) <= 1e-10 * frobenius_sq
     # Less than one dense 2187 x 2187 float64 matrix.
     assert peak < 2187**2 * 8
+
+
+def test_built_hamiltonians_are_validated_once(tmp_path, monkeypatch):
+    """Chains and arrays are checked as their sparse terms, never again as a dense matrix."""
+    from cahm import numerics
+
+    def second_check(m):
+        raise AssertionError(f"a {m.shape} matrix was validated a second time")
+
+    monkeypatch.setattr(numerics, "_hermiticity_deviation", second_check)
+    for mode, preset in (("compare", "fig8"), ("trotter", "fig10")):
+        assert main([mode, "--preset", preset, "--out", str(tmp_path / preset)]) == EXIT_OK
+    custom = {
+        "kind": "custom",
+        "positions": [[0.0, 0.0], [0.0, 1.0], [1.3, 0.4]],
+        "scale": 8.0,
+        "omega": 1.0,
+        "delta": 2.0,
+    }
+    config = {
+        "mode": "evolve",
+        "simulator": custom,
+        "initial": "100",
+        "times": {"start": 0.0, "stop": 2.0, "num": 21},
+    }
+    assert _run_config(tmp_path, config) == EXIT_OK
+
+
+def test_spectrum_validates_its_sector_blocks(tmp_path, monkeypatch):
+    from cahm import numerics
+
+    deviation, shapes = numerics._hermiticity_deviation, []
+    monkeypatch.setattr(
+        numerics, "_hermiticity_deviation", lambda m: shapes.append(m.shape) or deviation(m)
+    )
+    config = {"mode": "spectrum", "target": {**CHAIN_TARGET, "n_links": 3}}
+    assert _run_config(tmp_path, config) == EXIT_OK
+    # One check per C/P sector block, and the blocks tile the dim-27 space.
+    assert len(shapes) > 1
+    assert sum(rows for rows, _ in shapes) == 27
 
 
 def test_corrupted_sector_eigenvectors_fail_closed(tmp_path, capsys, monkeypatch):

@@ -31,7 +31,7 @@ from cahm.numerics import (
 from cahm.rydberg_models import (
     AtomGeometry,
     RydbergParams,
-    atom_permutation_matrix,
+    atom_permutation,
     build_rydberg_h,
 )
 from cahm.target_models import (
@@ -387,7 +387,7 @@ def test_basis_digits_capped_before_allocating(monkeypatch):
     with pytest.raises(ValueError, match="number of bits"):
         bitstring_labels(MAX_DIM + 1)
     with pytest.raises(ValueError, match="permutation length"):
-        atom_permutation_matrix(range(13))
+        atom_permutation(range(13))
 
 
 def test_statevector_contracts():
@@ -619,6 +619,37 @@ def test_propagate_equals_the_direct_formula(n, t0):
                     assert np.array_equal(got, direct_amplitudes(spec, psi0, grid, rows))
 
 
+def test_a_grid_jittered_above_rounding_is_propagated_at_its_own_times():
+    """A grid off uniform by more than rounding gets no factorised phases.
+
+    Read at its uniform places, a 1001-point grid on [0, 40] jittered by up to
+    0.4e-12 * 40, inside the former band of 1e-12 |span|, got amplitude errors
+    of 1.8e-9 at max|w t| = 1e4.
+    """
+    rng = np.random.default_rng(16)
+    grid = np.linspace(0.0, 40.0, 1001)
+    jittered = grid + rng.uniform(-1.0, 1.0, size=grid.size) * 0.4e-12 * 40.0
+    assert _uniform_phases(grid) is not None
+    assert _uniform_phases(jittered) is None
+    a = rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16))
+    m = a + a.conj().T
+    m *= 1e4 / (np.max(np.abs(np.linalg.eigvalsh(m))) * 40.0)
+    spec = eig_hermitian(HermitianOperator(m))
+    psi0 = StateVector.normalized(rng.normal(size=16) + 1j * rng.normal(size=16))
+    got = spec.propagate(psi0, jittered)
+    assert np.max(np.abs(got - direct_amplitudes(spec, psi0, jittered))) <= 1e-12
+
+
+def test_linspace_and_arange_grids_are_uniform_within_the_band():
+    rng = np.random.default_rng(17)
+    for _ in range(200):
+        n = int(rng.integers(2, 10002))
+        t0 = rng.choice([0.0, 1.0]) * rng.normal() * 10.0 ** rng.uniform(-3, 3)
+        span = rng.choice([1.0, -1.0]) * 10.0 ** rng.uniform(-3, 3)
+        assert _uniform_phases(np.linspace(t0, t0 + span, n)) is not None
+        assert _uniform_phases(t0 + np.arange(n) * (span / (n - 1))) is not None
+
+
 def test_propagate_takes_dim_m_plus_b_exponentials_on_a_uniform_grid(monkeypatch):
     a = np.random.default_rng(4).normal(size=(64, 64))
     spec = eig_hermitian(HermitianOperator(a + a.T))
@@ -675,10 +706,9 @@ def test_sparse_hermitian_dense_is_the_stored_entries(dtype):
     keys = op.rows * 40 + op.cols
     assert np.all(np.diff(keys) > 0)
     assert np.array_equal(op.values, h[op.rows, op.cols])
-    dense = op.dense()
-    assert isinstance(dense, HermitianOperator)
-    assert dense.matrix.dtype == dtype
-    assert np.array_equal(dense.matrix, h)
+    assert op.matrix.dtype == dtype
+    assert np.array_equal(op.matrix, h)
+    assert not op.matrix.flags.writeable
 
 
 def _bad_sparse_cases():
@@ -711,8 +741,8 @@ def test_sparse_hermiticity_is_relative_to_max_abs():
     r, c = np.array([0, 1, 1]), np.array([1, 0, 1])
     for scale in (1e-200, 1.0, 1e200):
         inside = np.array([2.0, 2.0 * (1 + 1e-13), 1.0]) * scale
-        assert np.array_equal(SparseHermitian(2, r, c, inside).dense().matrix, [[0, inside[0]], inside[1:]])
+        assert np.array_equal(SparseHermitian(2, r, c, inside).matrix, [[0, inside[0]], inside[1:]])
         with pytest.raises(ContractViolationError, match="not Hermitian"):
             SparseHermitian(2, r, c, np.array([2.0, 2.0 * (1 + 1e-11), 1.0]) * scale)
     # A zero operator stored as explicit zeros is Hermitian.
-    assert not SparseHermitian(2, r[:1], c[:1], np.zeros(1)).dense().matrix.any()
+    assert not SparseHermitian(2, r[:1], c[:1], np.zeros(1)).matrix.any()

@@ -1,5 +1,6 @@
 import itertools
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -24,10 +25,7 @@ from cahm import (
     two_atom_system,
 )
 from cahm.evolution import COMPLETENESS_ATOL, state_probabilities
-from cahm.rydberg_models import (
-    atom_permutation_matrix,
-    ladder_cross_couplings,
-)
+from cahm.rydberg_models import atom_permutation, ladder_cross_couplings
 from helpers import loop_permutation_matrix, loop_rydberg_h, preset_systems
 
 
@@ -136,7 +134,7 @@ def test_mirror_commutes_with_hamiltonian():
     ]
     for system in systems:
         h = system.hamiltonian().matrix
-        m = atom_permutation_matrix(system.mirror)
+        m = loop_permutation_matrix(system.mirror)
         assert np.max(np.abs(m @ h - h @ m)) <= 1e-14
 
 
@@ -233,7 +231,7 @@ def test_mirror_permutation_matches_charge_conjugation():
     ]
     c = op_charge_conjugation()
     for system in systems:
-        m = atom_permutation_matrix(system.mirror)
+        m = loop_permutation_matrix(system.mirror)
         n_states = len(system.spin_map.indices)
         c_all = c if n_states == 3 else np.kron(c, c)
         for k in range(n_states):
@@ -294,16 +292,20 @@ def test_custom_hamiltonians_equal_the_loop_reference_bitwise(n_atoms):
             delta0_atoms=tuple(int(i) for i in extra),
             pair_overrides={(int(i), int(j)): rng.uniform(-1.0, 1.0) for i, j in pairs},
         )
-        h = build_rydberg_h(geom, params).matrix
-        assert h.dtype == np.float64
-        assert h.tobytes() == loop_rydberg_h(geom, params).tobytes()
+        # Omega = -0.0 as well: the drive entries keep the loop's sign of zero.
+        for p in (params, replace(params, omega=-0.0)):
+            h = build_rydberg_h(geom, p).matrix
+            assert h.dtype == np.float64
+            assert h.tobytes() == loop_rydberg_h(geom, p).tobytes()
 
 
 def test_atom_permutations_equal_the_loop_reference():
     for n in range(1, 6):
         for perm in itertools.permutations(range(n)):
-            m = atom_permutation_matrix(perm)
-            assert m.dtype == np.float64
+            g = atom_permutation(perm)
+            assert g.dtype.kind == "i"
+            m = np.zeros((g.size, g.size))
+            m[g, np.arange(g.size)] = 1.0
             assert np.array_equal(m, loop_permutation_matrix(perm))
 
 

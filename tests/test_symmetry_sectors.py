@@ -1,10 +1,13 @@
 """Symmetry sectors: blocks of H under commuting involutive index permutations."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from cahm import ContractViolationError, StateVector, eig_hermitian
+from cahm import AtomGeometry, ContractViolationError, StateVector, eig_hermitian
 from cahm.numerics import symmetry_sectors
+from cahm.rydberg_models import atom_permutation, six_atom_system
 from cahm.target_models import (
     SPIN1,
     SpinTruncation,
@@ -13,7 +16,7 @@ from cahm.target_models import (
     chain_symmetries,
 )
 
-from helpers import dense_sector_bases, random_hermitian, sparse_from_dense
+from helpers import dense_sector_bases, preset_systems, random_hermitian, sparse_from_dense
 
 # Every (m_max, n_links) whose chain has dim <= 729.
 CHAIN_SIZES = [(m, n) for m in range(1, 6) for n in range(1, 7) if (2 * m + 1) ** n <= 729]
@@ -33,10 +36,31 @@ def test_merged_sector_spectrum_equals_the_full_spectrum(m_max, n_links):
     ):
         op = build_chain_h(couplings, trunc, n_links)
         full = eig_hermitian(op).eigenvalues
-        blocks = symmetry_sectors(sparse_from_dense(op.matrix), symmetries)
+        blocks = symmetry_sectors(op, symmetries)
         merged = np.sort(np.concatenate([eig_hermitian(b).eigenvalues for b in blocks]))
         assert merged.shape == full.shape
         assert np.max(np.abs(merged - full)) <= 1e-12 * np.linalg.norm(op.matrix)
+
+
+@pytest.mark.parametrize("name,system", list(preset_systems().items()))
+def test_array_mirror_sectors_merge_to_the_full_spectrum(name, system):
+    op = system.hamiltonian()
+    blocks = symmetry_sectors(op, [atom_permutation(system.mirror)])
+    assert len(blocks) == 2
+    merged = np.sort(np.concatenate([eig_hermitian(b).eigenvalues for b in blocks]))
+    full = eig_hermitian(op).eigenvalues
+    assert merged.shape == full.shape
+    assert np.max(np.abs(merged - full)) <= 1e-12 * np.linalg.norm(op.matrix)
+
+
+def test_a_jittered_ladder_has_no_mirror_sectors():
+    system = six_atom_system(1.0, 15.0, 30.0, 0.326)
+    geom = system.geometry
+    jitter = np.random.default_rng(9).normal(scale=1e-3, size=geom.positions.shape)
+    positions = geom.positions + jitter
+    jittered = replace(system, geometry=AtomGeometry(positions, geom.interaction_scale))
+    with pytest.raises(ContractViolationError, match="does not commute"):
+        symmetry_sectors(jittered.hamiltonian(), [atom_permutation(system.mirror)])
 
 
 def _symmetrized(h, symmetries):

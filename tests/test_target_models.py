@@ -241,7 +241,7 @@ def test_chain_terms_are_the_dense_chain_bit_for_bit(m_max, n_links, boundary, e
         c = TargetCouplings(u=u, x=x, y=y, boundary=boundary)
         terms = chain_terms(c, trunc, n_links, end_terms)
         want = dense_chain_h(c, trunc, n_links, end_terms)
-        got = terms.dense().matrix
+        got = terms.matrix
         # Same bits, the sign of zero included.
         assert got.dtype == np.float64
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
