@@ -440,22 +440,17 @@ def _initial_state(finals, initial: str) -> StateVector:
     return states[initial]
 
 
-def _jsonable(value):
-    if isinstance(value, dict):
-        return {str(k): _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    if isinstance(value, (bool, np.bool_)):
-        return bool(value)
-    if isinstance(value, (np.floating, float)):
-        return float(value)
-    if isinstance(value, (np.integer, int)):
-        return int(value)
-    return value
+def _numpy_scalar(value):
+    """The Python value of a numpy scalar, for json.dumps; anything else is not JSON."""
+    for kind, python in ((np.bool_, bool), (np.floating, float), (np.integer, int)):
+        if isinstance(value, kind):
+            return python(value)
+    raise TypeError(f"{type(value).__name__} is not JSON serializable")
 
 
 def _write_json(path: Path, obj) -> None:
-    path.write_text(json.dumps(_jsonable(obj), indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    text = json.dumps(obj, indent=2, sort_keys=True, default=_numpy_scalar)
+    path.write_text(text + "\n", encoding="utf-8")
 
 
 def _write_text(path: Path, text: str) -> None:

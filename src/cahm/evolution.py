@@ -66,20 +66,19 @@ class EvolutionTrace:
     def to_csv_text(self) -> str:
         """CSV with header t,label1,label2,...; CSV_DIGITS significant digits, LF endings.
 
-        Every row is one `%` of a "%.12g,...,%.12g" template, which formats
-        a float exactly as "{:.12g}".format does.  Rows are taken from
-        blocks of about _CSV_BLOCK_VALUES values, so the Python floats of
-        the whole table never exist at once.
+        Each block of about _CSV_BLOCK_VALUES values is one `%` of the row
+        template "%.12g,...,%.12g" plus a line feed, repeated once per row;
+        `%.12g` formats a float exactly as "{:.12g}".format does.  The Python
+        floats of the whole table never exist at once.
         """
         columns = [self.times, *self.series.values()]
-        row = ",".join([f"%.{CSV_DIGITS}g"] * len(columns))
+        row = ",".join([f"%.{CSV_DIGITS}g"] * len(columns)) + "\n"
         rows_per_block = max(1, _CSV_BLOCK_VALUES // len(columns))
-        lines = [",".join(["t", *self.series])]
+        parts = [",".join(["t", *self.series]) + "\n"]
         for start in range(0, self.times.size, rows_per_block):
             block = np.column_stack([c[start : start + rows_per_block] for c in columns])
-            lines.extend(map(row.__mod__, map(tuple, block.tolist())))
-        lines.append("")
-        return "\n".join(lines)
+            parts.append((row * len(block)) % tuple(block.ravel().tolist()))
+        return "".join(parts)
 
 
 @dataclass(frozen=True)

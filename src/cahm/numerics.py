@@ -50,19 +50,8 @@ def _real_or_complex(entries) -> np.ndarray:
     return m.astype(np.complex128 if np.iscomplexobj(m) else np.float64, copy=False)
 
 
-def _as_square_matrix(entries) -> np.ndarray:
-    m = _real_or_complex(entries)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ContractViolationError(f"expected a square matrix, got shape {m.shape}")
-    if not 1 <= m.shape[0] <= MAX_DIM:
-        raise ContractViolationError(f"dimension {m.shape[0]} outside 1..{MAX_DIM}")
-    if not np.isfinite(m).all():
-        raise ContractViolationError("matrix entries must be finite")
-    return m
-
-
 def _max_abs(m: np.ndarray) -> float:
-    """max|m| of a finite array, with no full-size |m| temporary when m is real.
+    """max|m|, not finite when an entry is not, with no full-size |m| temporary when m is real.
 
     The value is bit for bit np.max(np.abs(m)); abs() turns a -0.0 maximum of
     an all-zero array into the 0.0 that np.abs gives.
@@ -107,7 +96,13 @@ class HermitianOperator:
     matrix: np.ndarray
 
     def __post_init__(self):
-        m = _as_square_matrix(self.matrix)
+        m = _real_or_complex(self.matrix)
+        if m.ndim != 2 or m.shape[0] != m.shape[1]:
+            raise ContractViolationError(f"expected a square matrix, got shape {m.shape}")
+        if not 1 <= m.shape[0] <= MAX_DIM:
+            raise ContractViolationError(f"dimension {m.shape[0]} outside 1..{MAX_DIM}")
+        if not np.isfinite(m).all():
+            raise ContractViolationError("matrix entries must be finite")
         _require_hermitian(_hermiticity_deviation(m), _max_abs(m))
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
@@ -136,6 +131,7 @@ class SparseHermitian:
     def __post_init__(self):
         if not (isinstance(self.dim, (int, np.integer)) and 1 <= self.dim <= MAX_DIM):
             raise ContractViolationError(f"dimension {self.dim!r} outside 1..{MAX_DIM}")
+        object.__setattr__(self, "dim", int(self.dim))
         rows, cols, v = np.asarray(self.rows), np.asarray(self.cols), _real_or_complex(self.values)
         if not (
             v.ndim == 1
@@ -147,23 +143,29 @@ class SparseHermitian:
             raise ContractViolationError(
                 "expected integer rows and cols and values as 1d arrays of one nonzero length"
             )
-        if min(rows.min(), cols.min()) < 0 or max(rows.max(), cols.max()) >= self.dim:
-            raise ContractViolationError(f"entry indices outside 0..{self.dim - 1}")
-        if not np.isfinite(v).all():
+        # One call checks the index range and forms the keys row * dim + col.
+        try:
+            keys = np.ravel_multi_index((rows, cols), (self.dim, self.dim))
+        except ValueError:
+            raise ContractViolationError(f"entry indices outside 0..{self.dim - 1}") from None
+        # max|H| is not finite exactly when an entry is not.
+        scale = _max_abs(v)
+        if not math.isfinite(scale):
             raise ContractViolationError("matrix entries must be finite")
-        rows, cols = rows.astype(np.int64), cols.astype(np.int64)
-        keys = rows * self.dim + cols
         order = np.argsort(keys, kind="stable")
-        keys, rows, cols, v = keys[order], rows[order], cols[order], v[order]
+        keys, v = keys[order], v[order]
         if (keys[1:] == keys[:-1]).any():
             raise ContractViolationError("entries repeat a (row, col) key")
+        rows, cols = np.divmod(keys, self.dim)
         for name, a in (("rows", rows), ("cols", cols), ("values", v)):
             a.setflags(write=False)
             object.__setattr__(self, name, a)
-        object.__setattr__(self, "dim", int(self.dim))
         with np.errstate(over="ignore"):
-            deviation = _max_abs(self.values - self._at(self.cols, self.rows).conj())
-        _require_hermitian(deviation, _max_abs(self.values))
+            if self.dim <= _HERMITICITY_TILE:  # the matrix holds every mirror, in fewer numpy calls
+                deviation = _max_abs((m := self.matrix) - m.T.conj())
+            else:
+                deviation = _max_abs(v - self._at(cols, rows).conj())
+        _require_hermitian(deviation, scale)
 
     def _at(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
         """H[rows[k], cols[k]] for each k: the stored value, or 0 where none is stored."""
@@ -270,13 +272,17 @@ class Spectrum:
         `finals`: its `overlaps` with the basis amplitudes, so a basis final
         reads exactly its row of the complete basis.  On a uniform grid of
         n > 1 distinct times the phases are factorised (`_uniform_phases`),
-        which reads each time at its place t0 + kh on the grid.
+        which reads each time at its place t0 + kh on the grid.  A non-finite
+        max|w| max|t| raises ContractViolationError before any exponential.
         """
         if any(s.dim != self.dim for s in [psi0, *(finals or ())]):
             raise ContractViolationError(f"state dimension does not match H ({self.dim})")
         v = self.eigenvectors
         c = _matmul(v.conj().T, psi0.amplitudes[:, None])
         t = np.asarray(times, dtype=np.float64).ravel()
+        # A product of Python floats: one that overflows is inf, with no numpy warning.
+        if not math.isfinite(_max_abs(self.eigenvalues) * float(np.max(np.abs(t), initial=0))):
+            raise ContractViolationError("phases exp(-i w t) overflow: max|w| max|t| is not finite")
         phases = _uniform_phases(t) if t.size > 1 and t[0] != t[-1] else None
         if phases is None:
             phased = np.exp(-1j * np.outer(self.eigenvalues, t)) * c
@@ -368,9 +374,9 @@ def eig_hermitian(op: Operator) -> Spectrum:
     exp(-iHt) is the same for every orthonormal basis of each eigenspace, and
     a column's phase cancels between V and V^dagger in propagation.
 
-    Raises ContractViolationError when an eigenvalue, ||H|| or the
-    eigen-residual is not finite, or the residual exceeds
-    RESIDUAL_RTOL * ||H||.
+    Raises ContractViolationError unless the eigen-residual
+    max_k ||H v_k - w_k v_k|| is finite and within RESIDUAL_RTOL * ||H||_F,
+    both taken in units of max|H|.
     """
     # The operator validated its entries once; eigh reads one triangle of the matrix.
     h = op.matrix
@@ -378,19 +384,16 @@ def eig_hermitian(op: Operator) -> Spectrum:
 
     # A decomposition that overflows fails closed below, so numpy need not warn.
     with np.errstate(over="ignore", invalid="ignore"):
-        # ||H||_F scaled by max|H| first, so entries near the float range do not overflow.
-        h_max = _max_abs(h)
-        h_norm = h_max * _scaled_frobenius_norm(h, h_max) if h_max > 0.0 else 0.0
-        residual = float(np.max(np.linalg.norm(h @ v - v * w, axis=0)))
-    if not (np.all(np.isfinite(w)) and np.isfinite(h_norm) and np.isfinite(residual)):
+        # ||H||_F and the residual in units of max|H|: their squares neither
+        # overflow nor underflow at the ends of the float range.
+        unit = _max_abs(h) or 1.0
+        h_norm = _scaled_frobenius_norm(h, unit)
+        residual = float(np.max(np.linalg.norm((h @ v - v * w) / unit, axis=0)))
+    # An eigenvalue that is not finite makes the residual so too; NaN fails the comparison.
+    if not residual <= RESIDUAL_RTOL * h_norm:
         raise ContractViolationError(
-            "eigendecomposition is not finite: an eigenvalue, ||H|| or the residual "
-            "overflowed"
-        )
-    if h_norm > 0.0 and residual > RESIDUAL_RTOL * h_norm:
-        raise ContractViolationError(
-            f"eigendecomposition residual {residual:.3e} exceeds "
-            f"{RESIDUAL_RTOL:.0e} * ||H|| = {RESIDUAL_RTOL * h_norm:.3e}"
+            f"eigendecomposition residual {residual:.3e} is not finite or exceeds "
+            f"{RESIDUAL_RTOL:.0e} * ||H|| = {RESIDUAL_RTOL * h_norm:.3e}, both in units of max|H|"
         )
     return Spectrum(w, v)
 

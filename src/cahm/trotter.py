@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import StateVector, basis_digits, bitstring_labels, capped_dim
+from .numerics import StateVector, bitstring_labels, capped_dim
 
 GATE_KINDS = ("RX", "P", "CP")
 # numpy's multinomial draw counts in 64-bit integers.
@@ -104,24 +104,23 @@ def trotter_step_h2r(omega: float, delta: float, v0: float, dt: float) -> Circui
 
 
 def _apply_single(state: np.ndarray, m: np.ndarray, q: int, n: int) -> np.ndarray:
-    psi = state.reshape([2] * n)
-    psi = np.tensordot(m, psi, axes=([1], [q]))
-    return np.moveaxis(psi, 0, q).reshape(-1)
+    """The one-qubit gate m on qubit q: one matmul over the (2**q, 2, 2**(n-1-q)) view."""
+    if q == n - 1:  # one (2**(n-1), 2) @ (2, 2) product, not 2**(n-1) products of one column
+        return (state.reshape(-1, 2) @ m.T).reshape(-1)
+    return (m @ state.reshape(1 << q, 2, -1)).reshape(-1)
 
 
 def apply_circuit(circuit: Circuit, psi0: StateVector) -> StateVector:
     """Sequential statevector application of every gate."""
-    dim = 1 << circuit.n_qubits
-    if psi0.dim != dim:
-        raise ValueError(f"state dimension {psi0.dim} does not match {circuit.n_qubits} qubits")
-    state = psi0.amplitudes.astype(np.complex128, copy=True)
     n = circuit.n_qubits
-    bits = basis_digits(2, n, "n_qubits")
+    if psi0.dim != 1 << n:
+        raise ValueError(f"state dimension {psi0.dim} does not match {n} qubits")
+    state = psi0.amplitudes.copy()
     for g in circuit.gates:
         if g.kind == "CP":
-            # Diagonal gate: phase the amplitudes with both qubits excited.
-            i, j = g.qubits
-            state[(bits[:, i] & bits[:, j]).astype(bool)] *= np.exp(1j * g.angle)
+            # Diagonal gate: phase the amplitudes with both qubits excited, through a view.
+            i, j = sorted(g.qubits)
+            state.reshape(1 << i, 2, 1 << (j - i - 1), 2, -1)[:, 1, :, 1] *= np.exp(1j * g.angle)
         else:
             gate = rx_matrix if g.kind == "RX" else p_matrix
             state = _apply_single(state, gate(g.angle), g.qubits[0], n)

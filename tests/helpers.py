@@ -1,6 +1,7 @@
 """Shared test oracles, independent of the library's computation paths."""
 
 import itertools
+import json
 
 import numpy as np
 
@@ -224,6 +225,32 @@ def clustered_hermitian(rng, dim, cluster_sizes):
         start += size
     h = (q * w) @ q.conj().T
     return 0.5 * h + 0.5 * h.conj().T
+
+
+def tensordot_apply_single(state, m, q, n):
+    """One-qubit gate m on qubit q of an n-qubit state, by tensordot over the qubit's axis."""
+    psi = np.tensordot(m, state.reshape([2] * n), axes=([1], [q]))
+    return np.moveaxis(psi, 0, q).reshape(-1)
+
+
+def jsonable(value):
+    """`value` with every numpy scalar, tuple and dict key walked into plain JSON types."""
+    if isinstance(value, dict):
+        return {str(k): jsonable(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [jsonable(v) for v in value]
+    if isinstance(value, (bool, np.bool_)):
+        return bool(value)
+    if isinstance(value, (np.floating, float)):
+        return float(value)
+    if isinstance(value, (np.integer, int)):
+        return int(value)
+    return value
+
+
+def jsonable_text(obj):
+    """JSON artifact text of `obj`, formed from the `jsonable` walk."""
+    return json.dumps(jsonable(obj), indent=2, sort_keys=True) + "\n"
 
 
 def apply_steps(step, psi, n_steps):

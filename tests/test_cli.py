@@ -23,6 +23,8 @@ from cahm.cli import (
     run,
 )
 
+from helpers import jsonable_text
+
 EXPECTED_PRESETS = ["fig3-top", "fig3-bottom", "fig4", "fig7-top", "fig7-bottom", "fig8", "fig10"]
 
 
@@ -41,6 +43,43 @@ def test_preset_reruns_byte_identically(tmp_path, name):
     assert "manifest.json" in files
     for file in files:
         assert (out1 / file).read_bytes() == (out2 / file).read_bytes()
+
+
+@pytest.mark.parametrize("name", presets())
+def test_json_artifacts_equal_the_jsonable_oracle(tmp_path, monkeypatch, name):
+    from cahm import cli
+
+    written, write_json = [], cli._write_json
+
+    def recording(path, obj):
+        write_json(path, obj)
+        written.append((path, obj))
+
+    monkeypatch.setattr(cli, "_write_json", recording)
+    assert main([preset_config(name).mode, "--preset", name, "--out", str(tmp_path)]) == EXIT_OK
+    assert sorted(path.name for path, _ in written) == sorted(
+        p.name for p in tmp_path.glob("*.json")
+    )
+    for path, obj in written:
+        assert path.read_text(encoding="utf-8") == jsonable_text(obj)
+
+
+def test_json_numpy_scalars_equal_the_jsonable_oracle(tmp_path):
+    from cahm.cli import _write_json
+
+    obj = {
+        "float32": np.float32(0.1),
+        "float64": np.float64(1 / 3),
+        "int64": np.int64(-(2**62)),
+        "uint8": np.uint8(200),
+        "bools": [np.bool_(True), np.bool_(False), True],
+        "tuple": (np.float32(-0.0), np.int64(7)),
+        "nested": {"b": np.float32(np.inf), "a": [np.int64(1), {"x": np.bool_(True)}]},
+    }
+    _write_json(tmp_path / "a.json", obj)
+    assert (tmp_path / "a.json").read_text(encoding="utf-8") == jsonable_text(obj)
+    with pytest.raises(TypeError, match="complex128"):
+        _write_json(tmp_path / "b.json", {"z": np.complex128(1j)})
 
 
 def test_fig3_top_run(tmp_path):
@@ -781,7 +820,7 @@ def test_overflowing_trotter_prints_only_the_config_error(tmp_path):
                                "dt": 0.1, "t_max": 3.0, "shots": 10}))
     proc = _cli_in_fresh_process("trotter", "--config", str(cfg), "--out", str(tmp_path / "out"))
     assert proc.returncode == EXIT_CONFIG
-    assert proc.stderr.startswith("config error: eigendecomposition is not finite")
+    assert proc.stderr.startswith("config error: phases exp(-i w t) overflow")
     assert proc.stderr.count("\n") == 1
 
 

@@ -17,6 +17,7 @@ from cahm.numerics import (
     DEGENERACY_RTOL,
     HERMITICITY_RTOL,
     MAX_DIM,
+    _HERMITICITY_TILE,
     SparseHermitian,
     Spectrum,
     _hermiticity_deviation,
@@ -663,27 +664,40 @@ def test_propagate_takes_dim_m_plus_b_exponentials_on_a_uniform_grid(monkeypatch
     assert sum(sizes) == 64 * 1001
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("target", list(_mutation_targets()))
 def test_eig_contracts_hold_at_the_ends_of_the_float_range(monkeypatch, target):
     m = _mutation_targets()[target]
-    # Entries near 1e300: ||H|| is finite, but the squares in the residual
-    # overflow, so even a sound decomposition fails closed.
-    with pytest.raises(ContractViolationError, match="not finite"):
-        eig_hermitian(HermitianOperator(1e300 * m))
-    # Entries near 1e-300: ||H|| does not underflow to 0, so the residual check
-    # still runs.  Eigenvalues shifted by 1e-150, whose residual squares do not
-    # underflow, are rejected.
-    tiny = HermitianOperator(1e-300 * m)
-    eig_hermitian(tiny)
+    # The residual is taken in units of max|H|: near 1e300 its squares do not
+    # overflow, so a sound decomposition passes, and near 1e-300 they do not
+    # underflow to 0, so every corruption is still caught.
+    w = eig_hermitian(HermitianOperator(m)).eigenvalues
+    ops = [HermitianOperator(scale * m) for scale in (1e300, 1e-300)]
+    for scale, op in zip((1e300, 1e-300), ops):
+        assert np.max(np.abs(eig_hermitian(op).eigenvalues / scale - w)) <= 1e-12
     eigh = np.linalg.eigh
+    for mutate, message in MUTATIONS.values():
 
-    def shifted_eigh(matrix):
-        w, v = eigh(matrix)
-        return w + 1e-150, v
+        def corrupted_eigh(matrix, mutate=mutate):
+            w, v = eigh(matrix)
+            mutate(w, v, _clusters(w)[0])
+            return w, v
 
-    monkeypatch.setattr(np.linalg, "eigh", shifted_eigh)
-    with pytest.raises(ContractViolationError, match="residual .* exceeds"):
-        eig_hermitian(tiny)
+        monkeypatch.setattr(np.linalg, "eigh", corrupted_eigh)
+        for op in ops:
+            with pytest.raises(ContractViolationError, match=message):
+                eig_hermitian(op)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_propagate_refuses_overflowing_phases_before_any_exponential(monkeypatch):
+    spec = eig_hermitian(HermitianOperator(np.diag([-1e300, 0.0, 1e300])))
+    psi0 = StateVector.basis(3, 0)
+    assert np.isfinite(spec.propagate(psi0, [0.0, 1.0])).all()
+    monkeypatch.setattr(np, "exp", lambda x: pytest.fail("exp called"))
+    for times in ([0.0, 1e9], [np.inf], [np.nan], np.linspace(0.0, 1e9, 5)):
+        with pytest.raises(ContractViolationError, match=r"max\|w\| max\|t\|"):
+            spec.propagate(psi0, times)
 
 
 def _sparse_entries(dim, dtype, rng):
@@ -735,6 +749,21 @@ def test_sparse_hermitian_rejects_bad_entries(case):
     _, args, message = case
     with pytest.raises(ContractViolationError, match=message):
         SparseHermitian(*args)
+
+
+@pytest.mark.parametrize("dim", [_HERMITICITY_TILE, _HERMITICITY_TILE + 1])
+def test_sparse_checks_agree_on_both_sides_of_the_dense_mirror_check(dim):
+    # Up to one tile the mirrors are read from the matrix, above it by lookup.
+    rng = np.random.default_rng(dim)
+    for dtype in (np.float64, np.complex128):
+        h, rows, cols, values = _sparse_entries(dim, dtype, rng)
+        op = SparseHermitian(dim, rows, cols, values)
+        assert np.all(np.diff(op.rows * dim + op.cols) > 0)
+        assert np.array_equal(op.matrix, h)
+    for _, (_, r, c, v), message in _bad_sparse_cases():
+        if message in ("repeat", "finite", "not Hermitian"):
+            with pytest.raises(ContractViolationError, match=message):
+                SparseHermitian(dim, r + dim - 2, c + dim - 2, v)
 
 
 def test_sparse_hermiticity_is_relative_to_max_abs():
