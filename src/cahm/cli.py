@@ -473,9 +473,10 @@ def _write_manifest(cfg: ExperimentConfig, parameters: dict, outputs: list[str])
 def _run_spectrum(cfg: ExperimentConfig) -> int:
     target = _require(cfg.payload, "target", dict, "payload")
     terms, _, c, resolved = _build_target(target)
-    # One eigensolve per symmetry sector; the sectors' union is the spectrum of H.
+    # One eigenvalue solve per symmetry sector; the sectors' union is the spectrum of H.
     sectors = symmetry_sectors(terms, _target_symmetries(target["kind"], resolved))
-    eigenvalues = np.sort(np.concatenate([eig_hermitian(b).eigenvalues for b in sectors]))
+    blocks = [eig_hermitian(b, eigvals_only=True).eigenvalues for b in sectors]
+    eigenvalues = np.sort(np.concatenate(blocks))
     out = {"eigenvalues": [float(w) for w in eigenvalues]}
     if target["kind"] == "one-spin":
         out["analytic"] = analytic_one_spin(c).to_json_obj()

@@ -233,31 +233,33 @@ class StateVector:
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Eigenvalues (real, ascending) and orthonormal eigenvector columns.
+    """Eigenvalues (real, ascending) and orthonormal eigenvector columns, or None.
 
-    The eigenvectors are float64 for real input and complex128 for complex input.
+    The eigenvectors are float64 for real input and complex128 for complex
+    input.  A spectrum of eigenvalues only (`eigenvectors` None) cannot propagate.
     """
 
     eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
+    eigenvectors: np.ndarray | None
 
     def __post_init__(self):
         w = np.array(self.eigenvalues, dtype=np.float64)
-        v = _real_or_complex(self.eigenvectors)
-        if w.ndim != 1 or v.ndim != 2 or v.shape != (w.size, w.size):
+        v = None if self.eigenvectors is None else _real_or_complex(self.eigenvectors)
+        if w.ndim != 1 or (v is not None and v.shape != (w.size, w.size)):
             raise ContractViolationError("inconsistent spectrum shapes")
         # A gap between eigenvalues near the float range overflows to +-inf, keeping its sign.
         with np.errstate(over="ignore"):
-            descending = np.any(np.diff(w) < -1e-12 * max(1.0, float(np.max(np.abs(w)))))
+            descending = np.any(np.diff(w) < -1e-12 * _max_abs(w))
         if descending:
             raise ContractViolationError("eigenvalues must be ascending")
-        gram = v.conj().T @ v
-        # max|V^dagger V - I| with the identity subtracted in place: no dim x dim eye.
-        gram.flat[:: w.size + 1] -= 1.0
-        if _max_abs(gram) > ORTHO_ATOL:
-            raise ContractViolationError("eigenvector columns are not orthonormal")
+        if v is not None:
+            gram = v.conj().T @ v
+            # max|V^dagger V - I| with the identity subtracted in place: no dim x dim eye.
+            gram.flat[:: w.size + 1] -= 1.0
+            if _max_abs(gram) > ORTHO_ATOL:
+                raise ContractViolationError("eigenvector columns are not orthonormal")
+            v.setflags(write=False)
         w.setflags(write=False)
-        v.setflags(write=False)
         object.__setattr__(self, "eigenvalues", w)
         object.__setattr__(self, "eigenvectors", v)
 
@@ -272,12 +274,15 @@ class Spectrum:
         `finals`: its `overlaps` with the basis amplitudes, so a basis final
         reads exactly its row of the complete basis.  On a uniform grid of
         n > 1 distinct times the phases are factorised (`_uniform_phases`),
-        which reads each time at its place t0 + kh on the grid.  A non-finite
-        max|w| max|t| raises ContractViolationError before any exponential.
+        which reads each time at its place t0 + kh on the grid.  A spectrum
+        without eigenvectors, or a non-finite max|w| max|t|, raises
+        ContractViolationError before any exponential.
         """
+        v = self.eigenvectors
+        if v is None:
+            raise ContractViolationError("a spectrum of eigenvalues only cannot propagate")
         if any(s.dim != self.dim for s in [psi0, *(finals or ())]):
             raise ContractViolationError(f"state dimension does not match H ({self.dim})")
-        v = self.eigenvectors
         c = _matmul(v.conj().T, psi0.amplitudes[:, None])
         t = np.asarray(times, dtype=np.float64).ravel()
         # A product of Python floats: one that overflows is inf, with no numpy warning.
@@ -365,8 +370,8 @@ def bitstring_labels(dim: int) -> tuple[str, ...]:
     return tuple("".join(map(str, row)) for row in digits[:dim].tolist())
 
 
-def eig_hermitian(op: Operator) -> Spectrum:
-    """Full eigendecomposition of a Hermitian operator, real when the operator is.
+def eig_hermitian(op: Operator, *, eigvals_only: bool = False) -> Spectrum:
+    """Eigendecomposition of a Hermitian operator, real when the operator is.
 
     The eigenvalues ascend, and the eigenvectors are `numpy.linalg.eigh`'s as
     LAPACK returns them: inside a degenerate eigenspace, and in each column's
@@ -377,23 +382,49 @@ def eig_hermitian(op: Operator) -> Spectrum:
     Raises ContractViolationError unless the eigen-residual
     max_k ||H v_k - w_k v_k|| is finite and within RESIDUAL_RTOL * ||H||_F,
     both taken in units of max|H|.
-    """
-    # The operator validated its entries once; eigh reads one triangle of the matrix.
-    h = op.matrix
-    w, v = np.linalg.eigh(h)
 
+    With `eigvals_only`, `numpy.linalg.eigvalsh` gives the eigenvalues and the
+    Spectrum has no eigenvectors.  They must then be finite, ascending and
+    meet two moment identities, sum w = tr H and sum w^2 = ||H||_F^2 (as
+    |sqrt(sum w^2) - ||H||_F|), each within RESIDUAL_RTOL * ||H||_F in units
+    of max|H|.  That costs O(dim^2) against the residual's O(dim^3), but it
+    checks the sum and the sum of squares, not each eigenvalue: errors that
+    keep both, such as two eigenvalues moved together by the same amount in
+    opposite directions about their mean, pass.  The full residual stays the
+    oracle that tests compare the eigenvalues against.
+    """
+    # The operator validated its entries once; eigh and eigvalsh read one triangle of the matrix.
+    h = op.matrix
+    # ||H||_F and each check in units of max|H|: their squares neither
+    # overflow nor underflow at the ends of the float range.
+    unit = _max_abs(h) or 1.0
+    h_norm = _scaled_frobenius_norm(h, unit)
+    tolerance = RESIDUAL_RTOL * h_norm
+    if eigvals_only:
+        w = np.linalg.eigvalsh(h)
+        # Eigenvalues that overflow fail closed below, so numpy need not warn.
+        with np.errstate(over="ignore", invalid="ignore"):
+            scaled = w / unit
+            trace_dev = abs(float(np.sum(scaled)) - float(np.sum(np.diagonal(h).real / unit)))
+            norm_dev = abs(float(np.linalg.norm(scaled)) - h_norm)
+        # A non-finite eigenvalue makes a deviation NaN or inf, which fails the comparison.
+        if not (trace_dev <= tolerance and norm_dev <= tolerance):
+            raise ContractViolationError(
+                f"eigenvalues fail the moment contract: |sum w - tr H| = {trace_dev:.3e} and "
+                f"|sqrt(sum w^2) - ||H||_F| = {norm_dev:.3e} must be finite and within "
+                f"{RESIDUAL_RTOL:.0e} * ||H||_F = {tolerance:.3e}, all in units of max|H|"
+            )
+        return Spectrum(w, None)
+
+    w, v = np.linalg.eigh(h)
     # A decomposition that overflows fails closed below, so numpy need not warn.
     with np.errstate(over="ignore", invalid="ignore"):
-        # ||H||_F and the residual in units of max|H|: their squares neither
-        # overflow nor underflow at the ends of the float range.
-        unit = _max_abs(h) or 1.0
-        h_norm = _scaled_frobenius_norm(h, unit)
         residual = float(np.max(np.linalg.norm((h @ v - v * w) / unit, axis=0)))
     # An eigenvalue that is not finite makes the residual so too; NaN fails the comparison.
-    if not residual <= RESIDUAL_RTOL * h_norm:
+    if not residual <= tolerance:
         raise ContractViolationError(
             f"eigendecomposition residual {residual:.3e} is not finite or exceeds "
-            f"{RESIDUAL_RTOL:.0e} * ||H|| = {RESIDUAL_RTOL * h_norm:.3e}, both in units of max|H|"
+            f"{RESIDUAL_RTOL:.0e} * ||H|| = {tolerance:.3e}, both in units of max|H|"
         )
     return Spectrum(w, v)
 

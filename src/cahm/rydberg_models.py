@@ -18,6 +18,7 @@ left spin most significant.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -78,17 +79,17 @@ class AtomGeometry:
     def n_atoms(self) -> int:
         return self.positions.shape[0]
 
-    def distance(self, i: int, j: int) -> float:
-        d = self.positions[i] - self.positions[j]
-        return float(np.hypot(d[0], d[1]))
-
     def couplings(self) -> dict[tuple[int, int], float]:
-        """Geometry-derived V_ij for every pair i < j."""
-        n = self.n_atoms
+        """Geometry-derived V_ij for every pair i < j, in ascending (i, j).
+
+        The distances come from one array; each r^6 stays Python's pow, since
+        numpy's power rounds some r^6 differently.
+        """
+        d = self.positions[:, None, :] - self.positions[None, :, :]
+        r = np.hypot(d[..., 0], d[..., 1]).tolist()
         return {
-            (i, j): pair_interaction(self.interaction_scale, self.distance(i, j))
-            for i in range(n)
-            for j in range(i + 1, n)
+            (i, j): pair_interaction(self.interaction_scale, r[i][j])
+            for i, j in itertools.combinations(range(self.n_atoms), 2)
         }
 
 
@@ -135,8 +136,11 @@ def build_rydberg_h(geom: AtomGeometry, params: RydbergParams) -> SparseHermitia
     n_excited = bits.sum(axis=1, dtype=np.float64)
     n_extra = bits[:, sorted(set(params.delta0_atoms))].sum(axis=1, dtype=np.float64)
     energy = -params.delta * n_excited - params.delta0 * n_extra
+    # One masked add per pair, in `couplings` order, so each state sums its
+    # pair energies in the same order (a reordered sum moves the last bits).
+    excited = bits.T.astype(bool)
     for (i, j), v in couplings.items():
-        energy[(bits[:, i] & bits[:, j]).astype(bool)] += v
+        np.add(energy, v, out=energy, where=excited[i] & excited[j])
     index = np.arange(len(bits))
     cols = np.concatenate([index, *(index ^ stride for stride in site_strides(2, n))])
     # 0.0 + Omega/2: at Omega = -0.0 the drive entries are +0.0, as in a matrix summed by terms.

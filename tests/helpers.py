@@ -153,11 +153,23 @@ def kron_chain_h(c, trunc, n_links, end_terms=True):
     return total
 
 
+def loop_couplings(geom):
+    """V_ij pair by pair, each distance from its own np.hypot: the reference for `couplings()`."""
+    from cahm.rydberg_models import pair_interaction
+
+    couplings = {}
+    for i in range(geom.n_atoms):
+        for j in range(i + 1, geom.n_atoms):
+            d = geom.positions[i] - geom.positions[j]
+            couplings[(i, j)] = pair_interaction(geom.interaction_scale, float(np.hypot(d[0], d[1])))
+    return couplings
+
+
 def loop_rydberg_h(geom, params):
     """Real array Hamiltonian summed state by state over the 2^n basis (atom 0 most significant)."""
     n = geom.n_atoms
     dim = 1 << n
-    couplings = geom.couplings()
+    couplings = loop_couplings(geom)
     couplings.update(params.pair_overrides or {})
     h = np.zeros((dim, dim))
     extra = set(params.delta0_atoms)
@@ -350,3 +362,46 @@ def propagate_fit_time_rescale(target_op, psi0, finals, sim_trace, bracket):
     b = float(ks[min(best + 1, K_SCAN_POINTS - 1)])
     k_opt = _golden_min(rms, a, b, K_TOL)
     return k_opt, rms(k_opt)
+
+
+# Eigenvalue corruptions for the moment contract of `eig_hermitian(..., eigvals_only=True)`,
+# each with the message that must reject it.
+def _shift_the_largest_eigenvalue(w, h):
+    w[-1] += 1e-6 * np.max(np.abs(h))
+
+
+def _nan_eigenvalue(w, h):
+    w[0] = np.nan
+
+
+def _negate_and_reverse(w, h):
+    w[:] = -w[::-1]
+
+
+def _spread_the_extremes(w, h):
+    # Keeps sum w, and the order; only sum w^2 = ||H||_F^2 can tell.
+    w[[0, -1]] += 1e-6 * np.max(np.abs(h)) * np.array([-1.0, 1.0])
+
+
+def _swap_the_extremes(w, h):
+    w[[0, -1]] = w[[-1, 0]]
+
+
+EIGENVALUE_MUTATIONS = {
+    "shifted eigenvalue": (_shift_the_largest_eigenvalue, "moment contract"),
+    "nan eigenvalue": (_nan_eigenvalue, "moment contract"),
+    "negated and reversed": (_negate_and_reverse, "moment contract"),
+    "spread extremes": (_spread_the_extremes, "moment contract"),
+    "swapped extremes": (_swap_the_extremes, "ascending"),
+}
+
+
+def corrupting_eigvalsh(mutate, eigvalsh=np.linalg.eigvalsh):
+    """numpy's eigvalsh, then `mutate(w, matrix)` on its eigenvalues in place."""
+
+    def corrupted(matrix):
+        w = eigvalsh(matrix)
+        mutate(w, matrix)
+        return w
+
+    return corrupted

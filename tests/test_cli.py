@@ -23,7 +23,7 @@ from cahm.cli import (
     run,
 )
 
-from helpers import jsonable_text
+from helpers import EIGENVALUE_MUTATIONS, corrupting_eigvalsh, jsonable_text
 
 EXPECTED_PRESETS = ["fig3-top", "fig3-bottom", "fig4", "fig7-top", "fig7-bottom", "fig8", "fig10"]
 
@@ -555,19 +555,23 @@ def test_spectrum_validates_its_sector_blocks(tmp_path, monkeypatch):
     assert sum(rows for rows, _ in shapes) == 27
 
 
-def test_corrupted_sector_eigenvectors_fail_closed(tmp_path, capsys, monkeypatch):
-    eigh = np.linalg.eigh
-
-    def corrupt(h):
-        w, v = eigh(h)
-        v[:, -1] = v[:, 0]
-        return w, v
-
-    monkeypatch.setattr(np.linalg, "eigh", corrupt)
+@pytest.mark.parametrize(
+    "corruption", ["shifted eigenvalue", "nan eigenvalue", "negated and reversed"]
+)
+def test_corrupted_sector_eigenvalues_fail_closed(tmp_path, capsys, monkeypatch, corruption):
+    mutate, _ = EIGENVALUE_MUTATIONS[corruption]
+    monkeypatch.setattr(np.linalg, "eigvalsh", corrupting_eigvalsh(mutate))
+    # Every sector of this chain has tr H != 0, so negating and reversing moves sum w.
     config = {"mode": "spectrum", "target": {**CHAIN_TARGET, "n_links": 3}}
     assert _run_config(tmp_path, config) == EXIT_CONFIG
-    assert "residual" in capsys.readouterr().err
+    assert "moment contract" in capsys.readouterr().err
     assert not (tmp_path / "out" / "spectrum.json").exists()
+
+
+def test_spectrum_solves_for_eigenvalues_only(tmp_path, monkeypatch):
+    monkeypatch.setattr(np.linalg, "eigh", lambda h: pytest.fail("eigh called"))
+    config = {"mode": "spectrum", "target": {**CHAIN_TARGET, "n_links": 3}}
+    assert _run_config(tmp_path, config) == EXIT_OK
 
 
 def test_four_atom_zero_v0_names_field(tmp_path, capsys):

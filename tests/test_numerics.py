@@ -46,7 +46,9 @@ from cahm.target_models import (
 from cahm.trotter import Circuit
 
 from helpers import (
+    EIGENVALUE_MUTATIONS,
     clustered_hermitian,
+    corrupting_eigvalsh,
     direct_amplitudes,
     expm_taylor,
     full_hermiticity_deviation,
@@ -534,6 +536,26 @@ def test_eig_contracts_reject_a_corrupted_decomposition(monkeypatch, target, mut
         eig_hermitian(op)
 
 
+@pytest.mark.parametrize("target", list(_mutation_targets()))
+@pytest.mark.parametrize("mutation", list(EIGENVALUE_MUTATIONS))
+def test_eigvals_only_contract_rejects_corrupted_eigenvalues(monkeypatch, target, mutation):
+    op = HermitianOperator(_mutation_targets()[target])
+    assert np.trace(op.matrix).real != 0.0  # else negating and reversing keeps both moments
+    spec = eig_hermitian(op, eigvals_only=True)
+    assert spec.eigenvectors is None
+    assert np.max(np.abs(spec.eigenvalues - eig_hermitian(op).eigenvalues)) <= 1e-12
+    mutate, message = EIGENVALUE_MUTATIONS[mutation]
+    monkeypatch.setattr(np.linalg, "eigvalsh", corrupting_eigvalsh(mutate))
+    with pytest.raises(ContractViolationError, match=message):
+        eig_hermitian(op, eigvals_only=True)
+
+
+def test_a_spectrum_of_eigenvalues_only_cannot_propagate():
+    spec = eig_hermitian(build_h1t(TargetCouplings(u=1.0, x=0.5)), eigvals_only=True)
+    with pytest.raises(ContractViolationError, match="eigenvalues only"):
+        spec.propagate(StateVector.basis(3, 0), [0.0, 1.0])
+
+
 def _fsum_frobenius_norm(m):
     """||m||_F from the exactly rounded sum of the squares of m / max|m|."""
     scale = float(np.max(np.abs(m)))
@@ -687,6 +709,15 @@ def test_eig_contracts_hold_at_the_ends_of_the_float_range(monkeypatch, target):
         for op in ops:
             with pytest.raises(ContractViolationError, match=message):
                 eig_hermitian(op)
+    # The moments are taken in units of max|H| too: sound eigenvalues pass at
+    # both ends, and every corruption is still caught there.
+    for scale, op in zip((1e300, 1e-300), ops):
+        assert np.max(np.abs(eig_hermitian(op, eigvals_only=True).eigenvalues / scale - w)) <= 1e-12
+    for mutate, message in EIGENVALUE_MUTATIONS.values():
+        monkeypatch.setattr(np.linalg, "eigvalsh", corrupting_eigvalsh(mutate))
+        for op in ops:
+            with pytest.raises(ContractViolationError, match=message):
+                eig_hermitian(op, eigvals_only=True)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

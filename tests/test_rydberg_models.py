@@ -26,7 +26,7 @@ from cahm import (
 )
 from cahm.evolution import COMPLETENESS_ATOL, state_probabilities
 from cahm.rydberg_models import atom_permutation, ladder_cross_couplings
-from helpers import loop_permutation_matrix, loop_rydberg_h, preset_systems
+from helpers import loop_couplings, loop_permutation_matrix, loop_rydberg_h, preset_systems
 
 
 def test_pair_interaction_power_law():
@@ -40,6 +40,21 @@ def test_pair_interaction_power_law():
     for r in (1e-60, 1e-55):
         with pytest.raises(ValueError, match="infinite"):
             pair_interaction(32.0, r)
+
+
+@pytest.mark.parametrize("n_atoms", [1, 2, 6, 12])
+def test_couplings_equal_the_per_pair_reference(n_atoms):
+    rng = np.random.default_rng(n_atoms)
+    geoms = [AtomGeometry(rng.uniform(-3.0, 3.0, size=(n_atoms, 2)), 30.0) for _ in range(3)]
+    # Pairs beyond the float range of r^6 do not interact.
+    geoms.append(AtomGeometry(1e60 * np.arange(2.0 * n_atoms).reshape(n_atoms, 2), 30.0))
+    for geom in geoms:
+        got, want = geom.couplings(), loop_couplings(geom)
+        assert list(got) == list(want)
+        assert np.array_equal(list(got.values()), list(want.values()))
+    # A pair so close that V is not finite is still rejected.
+    with pytest.raises(ValueError, match="infinite"):
+        AtomGeometry(np.array([[0.0, 0.0], [0.0, 1e-60]]), 30.0).couplings()
 
 
 def test_pair_interaction_diagonal_distance():

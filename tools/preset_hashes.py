@@ -1,9 +1,10 @@
 """Print the sha256 of every artifact that the built-in presets write.
 
-Each preset runs through `cahm.cli.main` into a temporary directory; one line
-`<sha256>  <preset>/<file>` is printed per artifact, sorted, so that the output
-of two checkouts can be compared with `diff`.  Uses the `cahm` on the import
-path:
+Each preset runs through `cahm.cli.main` into a temporary directory, and so
+do the two `spectrum` configs of the paper's one- and two-spin figures
+(`SPECTRA`); one line `<sha256>  <run>/<file>` is printed per artifact,
+sorted, so that the output of two checkouts can be compared with `diff`.
+Uses the `cahm` on the import path:
 
     PYTHONPATH=src python tools/preset_hashes.py
 """
@@ -13,22 +14,34 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io
+import json
 import sys
 import tempfile
 from pathlib import Path
 
 from cahm.cli import main, preset_config, presets
 
+# No preset runs `spectrum`; these are the one- and two-spin spectra of the paper's figures.
+SPECTRA = {
+    "spectrum-one-spin": {"kind": "one-spin", "U": 1.0, "X": 0.5},
+    "spectrum-two-spin": {"kind": "two-spin", "U": 1.0, "X": 1.2, "Y": 0.2},
+}
+
 
 def preset_hashes() -> list[str]:
     lines = []
     with tempfile.TemporaryDirectory() as tmp:
-        for name in presets():
+        runs = {name: [preset_config(name).mode, "--preset", name] for name in presets()}
+        for name, target in SPECTRA.items():
+            config = Path(tmp) / f"{name}.json"
+            config.write_text(json.dumps({"mode": "spectrum", "target": target}), encoding="utf-8")
+            runs[name] = ["spectrum", "--config", str(config)]
+        for name, argv in runs.items():
             out = Path(tmp) / name
             with contextlib.redirect_stdout(io.StringIO()):
-                code = main([preset_config(name).mode, "--preset", name, "--out", str(out)])
+                code = main([*argv, "--out", str(out)])
             if code != 0:
-                raise SystemExit(f"preset {name} exited {code}")
+                raise SystemExit(f"{name} exited {code}")
             for path in sorted(out.iterdir()):
                 digest = hashlib.sha256(path.read_bytes()).hexdigest()
                 lines.append(f"{digest}  {name}/{path.name}")
