@@ -5,7 +5,6 @@ __version__ = "0.1.0"
 
 from .numerics import (
     ContractViolationError,
-    HermitianOperator,
     SparseHermitian,
     Spectrum,
     StateVector,
@@ -69,5 +68,5 @@ from .trotter import (
     ShotResult,
     apply_circuit,
     sample_shots,
-    trotter_step_h2r,
+    trotter_step,
 )

@@ -61,11 +61,13 @@ from .target_models import (
     SpinTruncation,
     TargetCouplings,
     analytic_one_spin,
+    build_chain_h,
+    build_h1t,
+    build_h2t,
     chain_symmetries,
-    chain_terms,
     perturbative_one_spin,
 )
-from .trotter import apply_circuit, sample_shots, trotter_step_h2r
+from .trotter import apply_circuit, sample_shots, trotter_step
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -293,11 +295,7 @@ def _couplings(spec: dict, ctx: str, kind: str) -> TargetCouplings:
 
 
 def _build_target(spec: dict):
-    """Return (sparse chain terms, labeled finals, couplings, resolved params).
-
-    One-spin and two-spin targets are spin-1 chains of one and two links
-    without end terms, as `build_h1t` and `build_h2t` build them.
-    """
+    """Return (Hamiltonian, labeled finals, couplings, resolved params)."""
     ctx = "target"
     kind = _require(spec, "kind", str, ctx)
     if kind not in ("one-spin", "two-spin", "chain"):
@@ -305,13 +303,13 @@ def _build_target(spec: dict):
     c = _couplings(spec, ctx, kind)
     resolved = {name: getattr(c, name.lower()) for name in _COUPLING_FIELDS[kind]}
     if kind == "one-spin":
-        return chain_terms(c, SPIN1, 1, end_terms=False), one_spin_finals(), c, resolved
+        return build_h1t(c), one_spin_finals(), c, resolved
     if kind == "two-spin":
-        return chain_terms(c, SPIN1, 2, end_terms=False), two_spin_finals(), c, resolved
+        return build_h2t(c), two_spin_finals(), c, resolved
     trunc = SpinTruncation(_require(spec, "m_max", int, ctx))
     n_links = _require(spec, "n_links", int, ctx)
     resolved.update(m_max=trunc.m_max, n_links=n_links, boundary=c.boundary)
-    return chain_terms(c, trunc, n_links, end_terms=c.boundary == "open"), [], c, resolved
+    return build_chain_h(c, trunc, n_links), [], c, resolved
 
 
 def _labelled_target(spec: dict):
@@ -472,9 +470,9 @@ def _write_manifest(cfg: ExperimentConfig, parameters: dict, outputs: list[str])
 
 def _run_spectrum(cfg: ExperimentConfig) -> int:
     target = _require(cfg.payload, "target", dict, "payload")
-    terms, _, c, resolved = _build_target(target)
+    h, _, c, resolved = _build_target(target)
     # One eigenvalue solve per symmetry sector; the sectors' union is the spectrum of H.
-    sectors = symmetry_sectors(terms, _target_symmetries(target["kind"], resolved))
+    sectors = symmetry_sectors(h, _target_symmetries(target["kind"], resolved))
     blocks = [eig_hermitian(b, eigvals_only=True).eigenvalues for b in sectors]
     eigenvalues = np.sort(np.concatenate(blocks))
     out = {"eigenvalues": [float(w) for w in eigenvalues]}
@@ -634,7 +632,7 @@ def _run_trotter(cfg: ExperimentConfig) -> int:
     exact = system.spin_trace(psi0, times)
     psi = system.embed(psi0)
 
-    step = trotter_step_h2r(omega, delta, v0, dt)
+    step = trotter_step(system.geometry, system.params, dt)
     labels = bitstring_labels(psi.dim)
     states, frequencies, counts_log = [], [], []
     for k in range(n_steps + 1):

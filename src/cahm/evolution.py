@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .numerics import (
-    Operator,
+    SparseHermitian,
     StateVector,
     basis_digits,
     bitstring_labels,
@@ -108,7 +108,7 @@ class TraceComparison:
 
 
 def trace(
-    op: Operator,
+    op: SparseHermitian,
     psi0: StateVector,
     finals: list[tuple[str, StateVector]],
     times,
@@ -119,13 +119,13 @@ def trace(
     return EvolutionTrace(times=times, series=series)
 
 
-def state_probabilities(op: Operator, psi0: StateVector, times) -> np.ndarray:
+def state_probabilities(op: SparseHermitian, psi0: StateVector, times) -> np.ndarray:
     """Full basis-state probability matrix |psi_b(t)|^2 with shape (dim, n_times)."""
     return np.abs(eig_hermitian(op).propagate(psi0, times)) ** 2
 
 
 def simulator_trace(
-    op: Operator,
+    op: SparseHermitian,
     psi0: StateVector,
     observables: list[tuple[str, StateVector]],
     physical_indices,

@@ -21,7 +21,7 @@ from .numerics import (
     DEGENERACY_RTOL,
     UNIFORM_GRID_ULPS,
     ContractViolationError,
-    Operator,
+    SparseHermitian,
     StateVector,
     _uniform_phases,
     eig_hermitian,
@@ -517,7 +517,7 @@ def match_four_atom(c: TargetCouplings, v0: float) -> MatchReport:
 
 
 def fit_time_rescale(
-    target_op: Operator,
+    target_op: SparseHermitian,
     psi0: StateVector,
     finals: list[tuple[str, StateVector]],
     sim_trace,

@@ -1,14 +1,14 @@
 """Linear algebra for small real symmetric or complex Hermitian systems.
 
-Every Hamiltonian the package builds is the list of its nonzero entries
-(`SparseHermitian`); a matrix that arrives as one (dim <= 4096) is a
-`HermitianOperator`.  Each is validated once, when constructed.  The module
-also holds state vectors, a contract-checked eigendecomposition, spectral
-time evolution exp(-iHt), symmetry sectors and the digit layout of product
-bases.  Operators and eigenvectors keep their input's kind: real stays
-float64, so a real symmetric H is diagonalised in real arithmetic; complex is
-complex128, as state vectors always are.  All values are immutable after
-construction and every operation is a pure function.
+Every operator, from a built Hamiltonian to a symmetry-sector block, is the
+list of its nonzero entries (`SparseHermitian`, dim <= 4096), validated once
+when constructed.  The module also holds state vectors, a contract-checked
+eigendecomposition, spectral time evolution exp(-iHt), symmetry sectors and
+the digit layout of product bases.  Operators and eigenvectors keep their
+input's kind: real stays float64, so a real symmetric H is diagonalised in
+real arithmetic; complex is complex128, as state vectors always are.  All
+values are immutable after construction and every operation is a pure
+function.
 """
 
 from __future__ import annotations
@@ -35,9 +35,9 @@ UNIFORM_GRID_ULPS = 4
 
 # The one cap on every Hilbert-space dimension the package builds.
 MAX_DIM = 4096
-# Edge of the square tiles over which Hermiticity is checked; a tile and its
-# mirror stay in cache.
-_HERMITICITY_TILE = 128
+# An operator of at most this many states is checked for Hermiticity through
+# its matrix; ||H||_F is summed over blocks of this many rows.
+_BLOCK_DIM = 128
 
 
 class ContractViolationError(ValueError):
@@ -61,21 +61,6 @@ def _max_abs(m: np.ndarray) -> float:
     return abs(max(float(m.max()), -float(m.min())))
 
 
-def _hermiticity_deviation(m: np.ndarray) -> float:
-    """max|H - H^dagger| of a square matrix, with no full-size temporary.
-
-    Each tile of the upper triangle is compared with its mirror tile.  The
-    entries (i, j) and (j, i) of H - H^dagger deviate by the same magnitude,
-    so the tiles together cover every entry and give the full maximum exactly.
-    """
-    deviation, b = 0.0, _HERMITICITY_TILE
-    for i in range(0, m.shape[0], b):
-        for j in range(i, m.shape[0], b):
-            tile = m[i : i + b, j : j + b] - m[j : j + b, i : i + b].conj().T
-            deviation = max(deviation, float(np.max(np.abs(tile))))
-    return deviation
-
-
 def _require_hermitian(deviation: float, scale: float) -> None:
     """Raise unless max|H - H^dagger| = `deviation` is within HERMITICITY_RTOL * max|H|."""
     if scale > 0.0 and deviation > HERMITICITY_RTOL * scale:
@@ -83,33 +68,6 @@ def _require_hermitian(deviation: float, scale: float) -> None:
             f"matrix is not Hermitian: max|H - H^dagger| = {deviation:.3e} "
             f"exceeds {HERMITICITY_RTOL:.0e} * max|H| = {HERMITICITY_RTOL * scale:.3e}"
         )
-
-
-@dataclass(frozen=True)
-class HermitianOperator:
-    """Dense matrix H with H = H^dagger within HERMITICITY_RTOL * max|H|.
-
-    The matrix is float64 (real symmetric) for real input and complex128 for
-    complex input.
-    """
-
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        m = _real_or_complex(self.matrix)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ContractViolationError(f"expected a square matrix, got shape {m.shape}")
-        if not 1 <= m.shape[0] <= MAX_DIM:
-            raise ContractViolationError(f"dimension {m.shape[0]} outside 1..{MAX_DIM}")
-        if not np.isfinite(m).all():
-            raise ContractViolationError("matrix entries must be finite")
-        _require_hermitian(_hermiticity_deviation(m), _max_abs(m))
-        m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
 
 
 @dataclass(frozen=True)
@@ -161,7 +119,7 @@ class SparseHermitian:
             a.setflags(write=False)
             object.__setattr__(self, name, a)
         with np.errstate(over="ignore"):
-            if self.dim <= _HERMITICITY_TILE:  # the matrix holds every mirror, in fewer numpy calls
+            if self.dim <= _BLOCK_DIM:  # the matrix holds every mirror, in fewer numpy calls
                 deviation = _max_abs((m := self.matrix) - m.T.conj())
             else:
                 deviation = _max_abs(v - self._at(cols, rows).conj())
@@ -181,10 +139,6 @@ class SparseHermitian:
         m[self.rows, self.cols] = self.values
         m.setflags(write=False)
         return m
-
-
-# Either form of a validated Hermitian H: both have `dim` and `matrix`.
-Operator = HermitianOperator | SparseHermitian
 
 
 @dataclass(frozen=True)
@@ -370,7 +324,7 @@ def bitstring_labels(dim: int) -> tuple[str, ...]:
     return tuple("".join(map(str, row)) for row in digits[:dim].tolist())
 
 
-def eig_hermitian(op: Operator, *, eigvals_only: bool = False) -> Spectrum:
+def eig_hermitian(op: SparseHermitian, *, eigvals_only: bool = False) -> Spectrum:
     """Eigendecomposition of a Hermitian operator, real when the operator is.
 
     The eigenvalues ascend, and the eigenvectors are `numpy.linalg.eigh`'s as
@@ -430,12 +384,12 @@ def eig_hermitian(op: Operator, *, eigvals_only: bool = False) -> Spectrum:
 
 
 def _scaled_frobenius_norm(m: np.ndarray, unit: float) -> float:
-    """||m / unit||_F, with rows scaled _HERMITICITY_TILE at a time: no full-size copy."""
-    blocks = (m[i : i + _HERMITICITY_TILE] / unit for i in range(0, m.shape[0], _HERMITICITY_TILE))
+    """||m / unit||_F, with rows scaled _BLOCK_DIM at a time: no full-size copy."""
+    blocks = (m[i : i + _BLOCK_DIM] / unit for i in range(0, m.shape[0], _BLOCK_DIM))
     return math.sqrt(sum(float(np.vdot(b, b).real) for b in blocks))
 
 
-def symmetry_sectors(op: SparseHermitian, symmetries) -> list[HermitianOperator]:
+def symmetry_sectors(op: SparseHermitian, symmetries) -> list[SparseHermitian]:
     """Blocks of `op` in the joint eigenspaces of commuting involutive index permutations.
 
     Each symmetry is an integer array g whose entry b is the index of g|b>,
@@ -451,7 +405,8 @@ def symmetry_sectors(op: SparseHermitian, symmetries) -> list[HermitianOperator]
         <r_a, chi|H|r_b, chi> = sum_g chi(g) H[r_a, g r_b] / sqrt(|Stab_a| |Stab_b|),
 
     accumulated, element by element of G, from the stored entries (r_a, c)
-    whose c lies in the orbit of r_b: no dim x dim matrix is formed.  Blocks
+    whose c lies in the orbit of r_b.  No matrix is formed: each block is the
+    `SparseHermitian` of those sums, its diagonal always stored.  Blocks
     follow the characters (+1 before -1 for each generator, the first
     generator varying slowest); empty sectors are dropped.  The union of the
     blocks' spectra is the spectrum of `op`.
@@ -502,15 +457,14 @@ def symmetry_sectors(op: SparseHermitian, symmetries) -> list[HermitianOperator]
     # Orbit number of each representative index, -1 for every other index.
     orbit = np.full(dim, -1)
     orbit[reps] = np.arange(reps.size)
-    # Per element g, the stored entries (r_a, g r_b) as (a, b, value): since
-    # g is an involution, entry (r_a, c) belongs to r_b = g c.
+    # The stored entries (r_a, g r_b) as (a, b, value) of each element g, one
+    # element after another: since g is an involution, entry (r_a, c) belongs
+    # to r_b = g c.  For one g the entries land on distinct (a, b).
     in_rep_row = orbit[op.rows] >= 0
     a, c, v = orbit[op.rows[in_rep_row]], op.cols[in_rep_row], op.values[in_rep_row]
-    terms = []
-    for g in images:
-        b = orbit[g[c]]
-        hit = b >= 0
-        terms.append((a[hit], b[hit], v[hit]))
+    b = orbit[images[:, c]]
+    element, term = np.nonzero(b >= 0)
+    a, b, v = a[term], b[element, term], v[term]
 
     blocks, total = [], 0
     for signs in itertools.product((1.0, -1.0), repeat=len(generators)):
@@ -521,15 +475,21 @@ def symmetry_sectors(op: SparseHermitian, symmetries) -> list[HermitianOperator]
         s = stab[keep]
         # Row of each kept orbit in the block, -1 for the orbits chi drops.
         slot = np.where(keep, np.cumsum(keep) - 1, -1)
-        block = np.zeros((s.size, s.size), dtype=op.values.dtype)
-        # Added in element order; for one g the entries land on distinct (a, b).
-        # A block entry that overflows fails HermitianOperator's finiteness check.
-        with np.errstate(over="ignore"):
-            for chi_g, (ta, tb, tv) in zip(chi, terms):
-                on = (slot[ta] >= 0) & (slot[tb] >= 0)
-                block[slot[ta[on]], slot[tb[on]]] += chi_g * tv[on]
-        blocks.append(HermitianOperator(block / np.sqrt(np.outer(s, s))))
-        total += s.size
+        n = s.size
+        sa, sb = slot[a], slot[b]
+        on = (sa >= 0) & (sb >= 0)
+        # A 0.0 diagonal first, so that every block has an entry, then the
+        # entries in element order: bincount sums each (a, b) in that order from 0.0.
+        keys = np.concatenate([np.arange(n) * (n + 1), sa[on] * n + sb[on]])
+        values = np.concatenate([np.zeros(n, v.dtype), chi[element[on]] * v[on]])
+        keys, position = np.unique(keys, return_inverse=True)
+        summed = np.bincount(position, values.real, keys.size).astype(v.dtype)
+        if np.iscomplexobj(v):
+            summed.imag = np.bincount(position, values.imag, keys.size)
+        rows, cols = np.divmod(keys, n)
+        # A sum that overflows fails SparseHermitian's finiteness check.
+        blocks.append(SparseHermitian(n, rows, cols, summed / np.sqrt(s[rows] * s[cols])))
+        total += n
     if total != dim:
         raise ContractViolationError(f"sector dimensions sum to {total}, not {dim}")
     return blocks

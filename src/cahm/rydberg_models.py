@@ -119,28 +119,47 @@ class RydbergParams:
             object.__setattr__(self, "pair_overrides", normalized)
 
 
-def build_rydberg_h(geom: AtomGeometry, params: RydbergParams) -> SparseHermitian:
-    """The 2^n array as its terms: the bit-table diagonal and each atom's flip b <-> b ^ bit."""
+def array_couplings(geom: AtomGeometry, params: RydbergParams) -> dict[tuple[int, int], float]:
+    """V_ij of every pair i < j in ascending (i, j): the geometry's, replaced by the overrides.
+
+    Raises ValueError when a delta0 atom or an overridden pair lies outside the array.
+    """
     n = geom.n_atoms
-    bits = basis_digits(2, n, "number of positions")
     for i in params.delta0_atoms:
         if not 0 <= i < n:
             raise ValueError(f"delta0 atom index {i} outside 0..{n - 1}")
-    couplings = geom.couplings()
-    if params.pair_overrides:
-        for (i, j) in params.pair_overrides:
-            if not (0 <= i < n and 0 <= j < n):
-                raise ValueError(f"pair override ({i}, {j}) outside 0..{n - 1}")
-        couplings.update(params.pair_overrides)
+    overrides = params.pair_overrides or {}
+    for i, j in overrides:
+        if not (0 <= i < n and 0 <= j < n):
+            raise ValueError(f"pair override ({i}, {j}) outside 0..{n - 1}")
+    return geom.couplings() | overrides
+
+
+def build_rydberg_h(geom: AtomGeometry, params: RydbergParams) -> SparseHermitian:
+    """The 2^n array as its terms: the bit-table diagonal and each atom's flip b <-> b ^ bit.
+
+    A diagonal beyond the float range raises a ValueError naming delta,
+    delta0 and the pair energies.
+    """
+    n = geom.n_atoms
+    bits = basis_digits(2, n, "number of positions")
+    couplings = array_couplings(geom, params)
 
     n_excited = bits.sum(axis=1, dtype=np.float64)
     n_extra = bits[:, sorted(set(params.delta0_atoms))].sum(axis=1, dtype=np.float64)
-    energy = -params.delta * n_excited - params.delta0 * n_extra
-    # One masked add per pair, in `couplings` order, so each state sums its
-    # pair energies in the same order (a reordered sum moves the last bits).
     excited = bits.T.astype(bool)
-    for (i, j), v in couplings.items():
-        np.add(energy, v, out=energy, where=excited[i] & excited[j])
+    # An overflow is refused below, so numpy need not warn.
+    with np.errstate(over="ignore", invalid="ignore"):
+        energy = -params.delta * n_excited - params.delta0 * n_extra
+        # One masked add per pair, in `couplings` order, so each state sums its
+        # pair energies in the same order (a reordered sum moves the last bits).
+        for (i, j), v in couplings.items():
+            np.add(energy, v, out=energy, where=excited[i] & excited[j])
+    if not np.isfinite(energy).all():
+        raise ValueError(
+            f"delta = {params.delta!r}, delta0 = {params.delta0!r} and the pair energies "
+            "give diagonal energies beyond the float range"
+        )
     index = np.arange(len(bits))
     cols = np.concatenate([index, *(index ^ stride for stride in site_strides(2, n))])
     # 0.0 + Omega/2: at Omega = -0.0 the drive entries are +0.0, as in a matrix summed by terms.

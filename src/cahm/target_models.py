@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .numerics import HermitianOperator, SparseHermitian, basis_digits, site_strides
+from .numerics import SparseHermitian, basis_digits, site_strides
 
 
 @dataclass(frozen=True)
@@ -82,19 +82,17 @@ class OneSpinSpectrum:
         return {"e0": self.e0, "eplus": self.eplus, "eminus": self.eminus, "phi": self.phi}
 
 
-def op_lz(trunc: SpinTruncation = SPIN1) -> HermitianOperator:
+def op_lz(trunc: SpinTruncation = SPIN1) -> SparseHermitian:
     """Diagonal angular momentum diag(m_max, ..., -m_max)."""
-    return HermitianOperator(np.diag(trunc.m_values()))
+    index = np.arange(trunc.dim)
+    return SparseHermitian(trunc.dim, index, index, trunc.m_values())
 
 
-def op_ux(trunc: SpinTruncation = SPIN1) -> HermitianOperator:
+def op_ux(trunc: SpinTruncation = SPIN1) -> SparseHermitian:
     """Truncated raising/lowering average (U+ + U-)/2: 1/2 on adjacent-m entries."""
-    d = trunc.dim
-    m = np.zeros((d, d))
-    for i in range(d - 1):
-        m[i, i + 1] = 0.5
-        m[i + 1, i] = 0.5
-    return HermitianOperator(m)
+    lower = np.arange(trunc.dim - 1)
+    rows, cols = np.concatenate([lower, lower + 1]), np.concatenate([lower + 1, lower])
+    return SparseHermitian(trunc.dim, rows, cols, np.full(rows.size, 0.5))
 
 
 def op_charge_conjugation(trunc: SpinTruncation = SPIN1) -> np.ndarray:
@@ -127,7 +125,8 @@ def chain_terms(
     neighbor differences (closed into a ring for periodic couplings) plus,
     with `end_terms`, m_1^2 + m_N^2.  Ux_i links index b to b + d^(N-1-i)
     wherever link i can still lower m: the pairs (b, b + stride) and
-    (b + stride, b) at -X/2.  Every chain builder returns this form.
+    (b + stride, b) at -X/2.  Every chain builder returns this form.  A
+    diagonal beyond the float range raises a ValueError naming U and Y.
     """
     if n_links < 1:
         raise ValueError(f"n_links must be >= 1, got {n_links}")
@@ -139,8 +138,14 @@ def chain_terms(
     charge = (neighbors**2).sum(axis=1)
     if end_terms:
         charge += m[:, 0] ** 2 + m[:, -1] ** 2
-    rows, cols = [index], [index]
-    values = [0.5 * c.u * (m**2).sum(axis=1) + 0.5 * c.y * charge]
+    # An overflow is refused below, so numpy need not warn.
+    with np.errstate(over="ignore", invalid="ignore"):
+        diagonal = 0.5 * c.u * (m**2).sum(axis=1) + 0.5 * c.y * charge
+    if not np.isfinite(diagonal).all():
+        raise ValueError(
+            f"couplings U = {c.u!r} and Y = {c.y!r} give diagonal energies beyond the float range"
+        )
+    rows, cols, values = [index], [index], [diagonal]
     for i, stride in enumerate(site_strides(d, n_links)):
         lower = index[digits[:, i] < d - 1]
         rows += [lower, lower + stride]

@@ -1,11 +1,11 @@
 """Qubit circuits for Trotterized array evolution, with seeded shot sampling.
 
-One first-order step for the driven blockaded pair is
-exp(-i dt H) ~ RX(Omega dt) on each qubit, then P(Delta dt) on each qubit,
-then CP(-V0 dt) on the interacting pair, where RX(l) = exp(-i l X / 2),
+One first-order step of a driven array is exp(-i dt H) ~ RX(Omega dt) on
+each qubit, then P of each atom's detuning times dt on each qubit, then
+CP(-V_ij dt) on each pair, where RX(l) = exp(-i l X / 2),
 P(phi) = diag(1, e^{i phi}) and CP(phi) = diag(1, 1, 1, e^{i phi}).
-Qubit 0 is the most significant bit of the statevector index; |g> = 0,
-|r> = 1.
+Qubit i is atom i, and qubit 0 is the most significant bit of the
+statevector index; |g> = 0, |r> = 1.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .numerics import StateVector, bitstring_labels, capped_dim
+from .rydberg_models import AtomGeometry, RydbergParams, array_couplings
 
 GATE_KINDS = ("RX", "P", "CP")
 # numpy's multinomial draw counts in 64-bit integers.
@@ -75,32 +76,22 @@ class Circuit:
         ]
 
 
-def trotter_step(
-    n_qubits: int,
-    omega: float,
-    dt: float,
-    detunings,
-    pair_couplings: dict,
-) -> Circuit:
-    """One first-order step for a driven array: RX layer, P layer, CP layer.
+def trotter_step(geom: AtomGeometry, params: RydbergParams, dt: float) -> Circuit:
+    """One first-order step of the array `build_rydberg_h` builds: RX, P and CP layers.
 
-    detunings: per-qubit detuning (the P angle is detuning * dt);
-    pair_couplings: {(i, j): V} producing CP(-V * dt) on each listed pair.
+    RX(Omega dt) on every atom; P(Delta dt) on every atom, P((Delta + Delta0) dt)
+    on the delta0 atoms; CP(-V_ij dt) on every pair of `array_couplings`.
     """
     if not dt > 0:
         raise ValueError("dt must be positive")
-    detunings = list(detunings)
-    if len(detunings) != n_qubits:
-        raise ValueError("need one detuning per qubit")
-    gates = [Gate("RX", (q,), omega * dt) for q in range(n_qubits)]
-    gates += [Gate("P", (q,), detunings[q] * dt) for q in range(n_qubits)]
-    gates += [Gate("CP", (min(i, j), max(i, j)), -v * dt) for (i, j), v in pair_couplings.items()]
-    return Circuit(n_qubits=n_qubits, gates=tuple(gates))
-
-
-def trotter_step_h2r(omega: float, delta: float, v0: float, dt: float) -> Circuit:
-    """One step for the two-atom Hamiltonian (both qubits detuned by Delta)."""
-    return trotter_step(2, omega, dt, [delta, delta], {(0, 1): v0})
+    n = geom.n_atoms
+    couplings = array_couplings(geom, params)
+    extra = set(params.delta0_atoms)
+    detunings = [params.delta + params.delta0 if q in extra else params.delta for q in range(n)]
+    gates = [Gate("RX", (q,), params.omega * dt) for q in range(n)]
+    gates += [Gate("P", (q,), d * dt) for q, d in enumerate(detunings)]
+    gates += [Gate("CP", pair, -v * dt) for pair, v in couplings.items()]
+    return Circuit(n_qubits=n, gates=tuple(gates))
 
 
 def _apply_single(state: np.ndarray, m: np.ndarray, q: int, n: int) -> np.ndarray:

@@ -11,6 +11,7 @@ from cahm.matching import K_SCAN_POINTS, K_TOL, _golden_min
 from cahm.numerics import SparseHermitian, _matmul, eig_hermitian, overlaps
 from cahm.numerics import basis_digits, site_strides
 from cahm.target_models import op_lz, op_ux
+from cahm.trotter import trotter_step
 
 
 def expm_taylor(a, tol=1e-16, max_terms=80):
@@ -217,11 +218,6 @@ def loop_permutation_matrix(perm):
     return m
 
 
-def full_hermiticity_deviation(m):
-    """max|H - H^dagger| from the full-size difference matrix."""
-    return float(np.max(np.abs(m - m.conj().T)))
-
-
 def clustered_hermitian(rng, dim, cluster_sizes):
     """Random complex Hermitian with one exactly repeated eigenvalue per cluster size.
 
@@ -272,6 +268,12 @@ def apply_steps(step, psi, n_steps):
     return psi
 
 
+def two_atom_step(omega, delta, v0, dt):
+    """The `trotter_step` of `two_atom_system(omega, delta, v0)`, which `cahm trotter` runs."""
+    system = two_atom_system(omega, delta, v0)
+    return trotter_step(system.geometry, system.params, dt)
+
+
 def circuit_unitary(circuit):
     """Unitary of a circuit, column k being `apply_circuit` on basis state k."""
     dim = 1 << circuit.n_qubits
@@ -286,34 +288,75 @@ def sparse_from_dense(h):
     return SparseHermitian(h.shape[0], rows, cols, h[rows, cols])
 
 
+def _sector_columns(dim, symmetries, signs):
+    """sum_g chi(g) e_{g r} for each orbit minimum r in ascending order, unnormalized.
+
+    chi is the character with sign signs[j] on generator j; g runs over all
+    2**k products of the generators.  A column that sums to zero (its
+    stabiliser kills chi) is dropped.
+    """
+    columns = []
+    for r in range(dim):
+        v = np.zeros(dim)
+        images = []
+        for bits in itertools.product((0, 1), repeat=len(symmetries)):
+            b, chi = r, 1
+            for g, s, bit in zip(symmetries, signs, bits):
+                if bit:
+                    b, chi = int(g[b]), chi * s
+            images.append(b)
+            v[b] += chi
+        if min(images) == r and np.any(v):
+            columns.append(v)
+    return columns
+
+
 def dense_sector_bases(dim, symmetries):
     """Orthonormal basis (dim x n_chi) of each symmetry sector, built vector by vector.
 
     Characters run as in `symmetry_sectors` (+1 before -1 per generator, the
-    first generator slowest).  For each character and each orbit minimum r in
-    ascending order, the column is sum_g chi(g) e_{g r} over all 2**k
-    products g of the generators, normalized; a column that sums to zero
-    (its stabiliser kills chi) is dropped.
+    first generator slowest); each column is a `_sector_columns` column,
+    normalized, and empty sectors are dropped.
     """
-    k = len(symmetries)
     bases = []
-    for signs in itertools.product((1, -1), repeat=k):
-        columns = []
-        for r in range(dim):
-            v = np.zeros(dim)
-            images = []
-            for bits in itertools.product((0, 1), repeat=k):
-                b, chi = r, 1
-                for g, s, bit in zip(symmetries, signs, bits):
-                    if bit:
-                        b, chi = int(g[b]), chi * s
-                images.append(b)
-                v[b] += chi
-            if min(images) == r and np.any(v):
-                columns.append(v / np.linalg.norm(v))
+    for signs in itertools.product((1, -1), repeat=len(symmetries)):
+        columns = _sector_columns(dim, symmetries, signs)
         if columns:
-            bases.append(np.column_stack(columns))
+            bases.append(np.column_stack([v / np.linalg.norm(v) for v in columns]))
     return bases
+
+
+def accumulated_sector_blocks(h, symmetries):
+    """Each sector block of the dense matrix h, summed element by element of the group.
+
+    The sectors are those of `dense_sector_bases`: r_a is the smallest index
+    of column a's support and |Stab_a| is 2**k over the support's size.
+    Entry (a, b) is sum_g chi(g) h[r_a, g r_b], added into 0.0 over the
+    elements g in order (element i applies generator j when bit j of i is
+    set), then divided by sqrt(|Stab_a| |Stab_b|).
+    """
+    k, dim = len(symmetries), h.shape[0]
+    elements = []
+    for i in range(2**k):
+        bits = [(i >> j) & 1 for j in range(k)]
+        g = np.arange(dim)
+        for gen, bit in zip(symmetries, bits):
+            if bit:
+                g = np.asarray(gen)[g]
+        elements.append((bits, g))
+    blocks = []
+    for signs in itertools.product((1, -1), repeat=k):
+        columns = _sector_columns(dim, symmetries, signs)
+        if not columns:
+            continue
+        reps = np.array([np.flatnonzero(v)[0] for v in columns])
+        stab = np.array([2**k // np.count_nonzero(v) for v in columns])
+        block = np.zeros((reps.size, reps.size), dtype=h.dtype)
+        for bits, g in elements:
+            chi = float(np.prod([s for s, bit in zip(signs, bits) if bit]))
+            block += chi * h[np.ix_(reps, g[reps])]
+        blocks.append(block / np.sqrt(np.outer(stab, stab)))
+    return blocks
 
 
 def per_value_csv_text(trace):

@@ -9,7 +9,6 @@ import numpy as np
 
 from cahm import (
     Circuit,
-    HermitianOperator,
     NewtonProblem,
     StateVector,
     TargetCouplings,
@@ -27,7 +26,6 @@ from cahm import (
     three_atom_low_sector,
     three_atom_residuals,
     three_atom_system,
-    trotter_step_h2r,
     two_atom_system,
 )
 from cahm.evolution import (
@@ -44,6 +42,8 @@ from helpers import (
     consistent_three_atom_point,
     loop_permutation_matrix,
     random_hermitian,
+    sparse_from_dense,
+    two_atom_step,
 )
 
 
@@ -207,7 +207,7 @@ def test_criterion_8_trotter():
     obs = [(label, system.embed(state)) for label, state in one_spin_finals()]
 
     def trotter_probs(dt, t):
-        psi = apply_steps(trotter_step_h2r(omega, delta, v0, dt), psi0, int(round(t / dt)))
+        psi = apply_steps(two_atom_step(omega, delta, v0, dt), psi0, int(round(t / dt)))
         return psi, {
             label: float(np.abs(st.amplitudes.conj() @ psi.amplitudes) ** 2)
             for label, st in obs
@@ -308,14 +308,14 @@ def test_criterion_9_symmetry_suite():
     # Unitarity of spectral propagation and of every circuit.
     for _ in range(3):
         dim = int(rng.integers(2, 33))
-        h = HermitianOperator(random_hermitian(rng, dim))
+        h = sparse_from_dense(random_hermitian(rng, dim))
         psi = StateVector.normalized(rng.normal(size=dim) + 1j * rng.normal(size=dim))
         out = eig_hermitian(h).propagate(psi, [float(rng.uniform(0, 10))])[:, 0]
         if abs(np.sum(np.abs(out) ** 2) - 1.0) > 1e-10:
             failures.append("propagation broke unitarity")
     for circ in (
-        trotter_step_h2r(-1.5, -0.5, 10.0, 0.1),
-        Circuit(2, trotter_step_h2r(-1.5, -0.5, 10.0, 0.05).gates * 10),
+        two_atom_step(-1.5, -0.5, 10.0, 0.1),
+        Circuit(2, two_atom_step(-1.5, -0.5, 10.0, 0.05).gates * 10),
     ):
         u = circuit_unitary(circ)
         if np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0]))) > 1e-12:

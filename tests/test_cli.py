@@ -515,14 +515,28 @@ def test_seven_link_chain_spectrum_without_the_dense_matrix(tmp_path):
     assert peak < 2187**2 * 8
 
 
+def _record_checks(monkeypatch):
+    """The dim of every SparseHermitian validated from now on, in order."""
+    from cahm.numerics import SparseHermitian
+
+    dims, post_init = [], SparseHermitian.__post_init__
+    monkeypatch.setattr(
+        SparseHermitian, "__post_init__", lambda op: dims.append(op.dim) or post_init(op)
+    )
+    return dims
+
+
 def test_built_hamiltonians_are_validated_once(tmp_path, monkeypatch):
-    """Chains and arrays are checked as their sparse terms, never again as a dense matrix."""
-    from cahm import numerics
+    """Chains and arrays are checked once, as their sparse terms: one check per build."""
+    from cahm import rydberg_models, target_models
 
-    def second_check(m):
-        raise AssertionError(f"a {m.shape} matrix was validated a second time")
-
-    monkeypatch.setattr(numerics, "_hermiticity_deviation", second_check)
+    builds = []
+    for module, name in ((target_models, "chain_terms"), (rydberg_models, "build_rydberg_h")):
+        build = getattr(module, name)
+        monkeypatch.setattr(
+            module, name, lambda *a, build=build, **k: builds.append(build) or build(*a, **k)
+        )
+    checks = _record_checks(monkeypatch)
     for mode, preset in (("compare", "fig8"), ("trotter", "fig10")):
         assert main([mode, "--preset", preset, "--out", str(tmp_path / preset)]) == EXIT_OK
     custom = {
@@ -539,20 +553,47 @@ def test_built_hamiltonians_are_validated_once(tmp_path, monkeypatch):
         "times": {"start": 0.0, "stop": 2.0, "num": 21},
     }
     assert _run_config(tmp_path, config) == EXIT_OK
+    assert {b.__name__ for b in builds} == {"chain_terms", "build_rydberg_h"}
+    assert len(checks) == len(builds)
 
 
 def test_spectrum_validates_its_sector_blocks(tmp_path, monkeypatch):
-    from cahm import numerics
-
-    deviation, shapes = numerics._hermiticity_deviation, []
-    monkeypatch.setattr(
-        numerics, "_hermiticity_deviation", lambda m: shapes.append(m.shape) or deviation(m)
-    )
+    checks = _record_checks(monkeypatch)
     config = {"mode": "spectrum", "target": {**CHAIN_TARGET, "n_links": 3}}
     assert _run_config(tmp_path, config) == EXIT_OK
-    # One check per C/P sector block, and the blocks tile the dim-27 space.
-    assert len(shapes) > 1
-    assert sum(rows for rows, _ in shapes) == 27
+    # The chain's terms, then one check per C/P sector block; the blocks tile the dim-27 space.
+    assert checks[0] == 27
+    assert len(checks) > 2
+    assert sum(checks[1:]) == 27
+
+
+OVERFLOWING_CONFIGS = {
+    "spectrum": (
+        {"mode": "spectrum", "target": {"kind": "two-spin", "U": 1e308, "X": 0.5, "Y": 1e308}},
+        "couplings U = 1e+308 and Y = 1e+308",
+    ),
+    "evolve": (
+        {
+            "mode": "evolve",
+            "simulator": {"kind": "two-atom", "omega": 1e308, "delta": -1e308, "v0": 1e308},
+            "initial": "m=1",
+            "times": {"start": 0.0, "stop": 1.0, "num": 3},
+        },
+        "delta = -1e+308, delta0 = 0.0 and the pair energies",
+    ),
+    "trotter": (
+        {"mode": "trotter", "omega": 1e308, "delta": 1e308, "v0": 1e308, "t_max": 0.0, "shots": 10},
+        "delta = 1e+308, delta0 = 0.0 and the pair energies",
+    ),
+}
+
+
+@pytest.mark.parametrize("mode", list(OVERFLOWING_CONFIGS))
+def test_overflowing_couplings_exit_2_naming_them(tmp_path, capsys, mode):
+    config, fields = OVERFLOWING_CONFIGS[mode]
+    assert _run_config(tmp_path, config) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert fields in err and "beyond the float range" in err
 
 
 @pytest.mark.parametrize(

@@ -14,11 +14,11 @@ pytest.importorskip("hypothesis")  # an optional test dependency
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cahm import HermitianOperator, eig_hermitian
+from cahm import eig_hermitian
 from cahm.cli import _build_target, _target_symmetries
 from cahm.numerics import symmetry_sectors
 
-from helpers import random_hermitian
+from helpers import random_hermitian, sparse_from_dense
 
 # The `chain-spectrum` rungs (m_max, n_links), at its X/U and Y/U; the first rung runs at Y = 0 only.
 CHAIN_RUNGS = ((1, 4), (1, 5), (2, 3), (2, 4), (3, 3))
@@ -40,7 +40,7 @@ def _eigenvalue_gap(op) -> float:
 @given(dim=st.integers(1, 64), complex_entries=st.booleans(), seed=st.integers(0, 2**32 - 1))
 def test_eigenvalues_only_agree_with_the_full_path(dim, complex_entries, seed):
     h = random_hermitian(np.random.default_rng(seed), dim)
-    assert _eigenvalue_gap(HermitianOperator(h if complex_entries else h.real)) <= 1e-12
+    assert _eigenvalue_gap(sparse_from_dense(h if complex_entries else h.real)) <= 1e-12
 
 
 @pytest.mark.parametrize("m_max, n_links, y", CHAINS)

@@ -3,7 +3,6 @@ import pytest
 
 from cahm import (
     EvolutionTrace,
-    HermitianOperator,
     StateVector,
     TargetCouplings,
     build_h1t,
@@ -21,7 +20,7 @@ from cahm.evolution import (
 )
 from cahm.target_models import SPIN1, op_charge_conjugation
 
-from helpers import one_spin_rabi_oracle, random_hermitian
+from helpers import one_spin_rabi_oracle, random_hermitian, sparse_from_dense
 
 
 def test_trace_t0_and_eigenstate():
@@ -152,7 +151,7 @@ def test_mirror_initial_state_identity():
 
 def test_time_reversal_probabilities():
     h = build_h1t(TargetCouplings(u=1.0, x=0.7))
-    h_neg = HermitianOperator(-h.matrix)
+    h_neg = sparse_from_dense(-h.matrix)
     times = np.linspace(0, 10, 101)
     forward = trace(h, StateVector.basis(3, 0), one_spin_finals(), times)
     backward = trace(h_neg, StateVector.basis(3, 0), one_spin_finals(), times)
@@ -215,7 +214,7 @@ def test_state_probabilities_columns_sum_to_one(dim):
     uniform = np.linspace(-3.7, 96.3, 1001)
     non_uniform = np.sort(rng.uniform(-3.7, 96.3, 257))
     for m in (a + a.T, random_hermitian(rng, dim, scale=2.0)):
-        op = HermitianOperator(m)
+        op = sparse_from_dense(m)
         psi0 = StateVector.normalized(rng.normal(size=dim) + 1j * rng.normal(size=dim))
         for times in (uniform, non_uniform):
             p = state_probabilities(op, psi0, times)

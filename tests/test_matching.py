@@ -3,7 +3,6 @@ import pytest
 
 from cahm import (
     ContractViolationError,
-    HermitianOperator,
     MatchingError,
     NewtonProblem,
     SingularDenominatorError,
@@ -33,6 +32,7 @@ from helpers import (
     direct_amplitudes,
     propagate_fit_time_rescale,
     random_hermitian,
+    sparse_from_dense,
 )
 
 
@@ -326,7 +326,7 @@ def test_rescaled_amplitudes_equal_propagate(n, t0):
     rng = np.random.default_rng(n)
     times = np.linspace(t0, t0 + 40.0, n)
     real = eig_hermitian(build_h2t(TargetCouplings(u=1.0, x=1.2, y=0.2)))
-    cplx = eig_hermitian(HermitianOperator(random_hermitian(rng, 9)))
+    cplx = eig_hermitian(sparse_from_dense(random_hermitian(rng, 9)))
     psi0 = StateVector.normalized(rng.normal(size=9) + 1j * rng.normal(size=9))
     two = [f for _, f in two_spin_finals()]
     two.append(StateVector.normalized(rng.normal(size=9) + 1j * rng.normal(size=9)))

@@ -6,7 +6,6 @@ import pytest
 
 from cahm import (
     ContractViolationError,
-    HermitianOperator,
     StateVector,
     build_h1t,
     build_h2t,
@@ -17,10 +16,9 @@ from cahm.numerics import (
     DEGENERACY_RTOL,
     HERMITICITY_RTOL,
     MAX_DIM,
-    _HERMITICITY_TILE,
+    _BLOCK_DIM,
     SparseHermitian,
     Spectrum,
-    _hermiticity_deviation,
     _matmul,
     _max_abs,
     _scaled_frobenius_norm,
@@ -51,14 +49,14 @@ from helpers import (
     corrupting_eigvalsh,
     direct_amplitudes,
     expm_taylor,
-    full_hermiticity_deviation,
     preset_systems,
     random_hermitian,
+    sparse_from_dense,
 )
 
 
 def test_eig_diagonal():
-    s = eig_hermitian(HermitianOperator(np.diag([1.0, 0.0, -1.0]).astype(complex)))
+    s = eig_hermitian(sparse_from_dense(np.diag([1.0, 0.0, -1.0]).astype(complex)))
     assert np.allclose(s.eigenvalues, [-1.0, 0.0, 1.0])
 
 
@@ -66,13 +64,13 @@ def test_eig_even_block_closed_form():
     # 2x2 charge-even block at U=1, X=0.5: eigenvalues (1 -+ sqrt(3))/4.
     u, x = 1.0, 0.5
     block = np.array([[0.0, -x / np.sqrt(2)], [-x / np.sqrt(2), u / 2]], dtype=complex)
-    s = eig_hermitian(HermitianOperator(block))
+    s = eig_hermitian(sparse_from_dense(block))
     expected = [(1 - np.sqrt(3)) / 4, (1 + np.sqrt(3)) / 4]
     assert np.allclose(s.eigenvalues, expected, atol=1e-14)
 
 
 def test_eig_identity_degenerate():
-    s = eig_hermitian(HermitianOperator(np.eye(3, dtype=complex)))
+    s = eig_hermitian(sparse_from_dense(np.eye(3, dtype=complex)))
     assert np.allclose(s.eigenvalues, [1.0, 1.0, 1.0])
     assert np.allclose(s.eigenvectors.conj().T @ s.eigenvectors, np.eye(3), atol=1e-14)
 
@@ -83,7 +81,7 @@ def test_eig_deterministic_and_orientation_stable():
     # Force a degenerate cluster: H -> H with two equal eigenvalues.
     w, v = np.linalg.eigh(h)
     w[3] = w[4] = 0.5
-    h = HermitianOperator(v @ np.diag(w) @ v.conj().T)
+    h = sparse_from_dense(v @ np.diag(w) @ v.conj().T)
     s1 = eig_hermitian(h)
     s2 = eig_hermitian(h)
     assert np.array_equal(s1.eigenvalues, s2.eigenvalues)
@@ -156,7 +154,7 @@ ORIENTATION_CASES = _orientation_cases()
 
 @pytest.mark.parametrize("m", list(ORIENTATION_CASES.values()), ids=list(ORIENTATION_CASES))
 def test_outputs_do_not_depend_on_the_eigenvector_orientation(monkeypatch, m):
-    op = HermitianOperator(m)
+    op = sparse_from_dense(m)
     w = np.linalg.eigh(m)[0]
     assert max(b - a for a, b in _clusters(w)) > 1  # every case has a degenerate cluster
     expected = _orientation_sensitive_outputs(op, np.random.default_rng(1))
@@ -166,63 +164,37 @@ def test_outputs_do_not_depend_on_the_eigenvector_orientation(monkeypatch, m):
         assert np.max(np.abs(a - b)) <= 1e-12
 
 
-HERMITICITY_DIMS = [1, 3, 127, 128, 129, 300, 625]
-
-
-def _hermitian_pair(dim, kind):
-    """A random exactly Hermitian matrix of `kind` and a copy with 1e-3 noise on every entry."""
+def _hermitian_matrix(dim, kind):
+    """A random exactly Hermitian matrix of `kind`."""
     rng = np.random.default_rng(dim)
     a = rng.normal(size=(dim, dim))
     if kind == "complex":
         a = a + 1j * rng.normal(size=(dim, dim))
-    noise = 1e-3 * rng.normal(size=(dim, dim))
-    return a + a.conj().T, a + a.conj().T + noise
+    return a + a.conj().T
 
 
 @pytest.mark.parametrize("kind", ["real", "complex"])
-@pytest.mark.parametrize("dim", HERMITICITY_DIMS)
-def test_tiled_hermiticity_deviation_equals_the_full_one_bitwise(dim, kind):
-    for m in _hermitian_pair(dim, kind):
-        assert _hermiticity_deviation(m) == full_hermiticity_deviation(m)
-    assert _hermiticity_deviation(_hermitian_pair(dim, kind)[0]) == 0.0
-
-
-@pytest.mark.parametrize("kind", ["real", "complex"])
-@pytest.mark.parametrize("dim", [129, 300, 625])
+@pytest.mark.parametrize("dim", [127, 128, 129, 300, 625])
 def test_tiled_hermiticity_check_rejects_one_perturbed_entry(dim, kind):
-    h = _hermitian_pair(dim, kind)[0]
-    HermitianOperator(h)
+    # The dims cross the switch at _BLOCK_DIM from the dense check to the mirror lookup.
+    h = _hermitian_matrix(dim, kind)
+    sparse_from_dense(h)
     inside = 0.1 * HERMITICITY_RTOL * np.max(np.abs(h))
     last = dim - 1
-    # The diagonal tile, both sides of the tile edge at 127/128, and the last row.
+    # An early entry, both sides of 127/128 where the dim has them, and the last row.
     for i, j in [(3, 50), (127, 128), (128, 127), (127, 127), (128, 128), (0, 128), (128, 0),
                  (127, last), (last, 127), (last, 0), (last, last - 1)]:
+        if max(i, j) >= dim:
+            continue
         for unit in (1.0, 1j) if kind == "complex" else (1.0,):
             if i == j and unit == 1.0:
                 continue  # a real change on the diagonal keeps H Hermitian
             bad = h.copy()
             bad[i, j] += 1e-9 * unit
             with pytest.raises(ContractViolationError, match="not Hermitian"):
-                HermitianOperator(bad)
+                sparse_from_dense(bad)
             bad[i, j] = h[i, j] + inside * unit
-            HermitianOperator(bad)
-
-
-@pytest.mark.parametrize("dtype", [np.float64, np.complex128])
-def test_hermitian_operator_builds_without_a_full_size_difference(dtype):
-    dim = 2048
-    a = np.random.default_rng(0).normal(size=(dim, dim)).astype(dtype)
-    h = a + a.conj().T
-    del a
-    tracemalloc.start()
-    try:
-        HermitianOperator(h)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    # The copy HermitianOperator keeps and the finiteness mask; a complex max|H|
-    # forms one |H| temporary, a real one none.
-    assert peak <= (1.2 if dtype == np.float64 else 2.1) * dim * dim * h.itemsize
+            sparse_from_dense(bad)
 
 
 @pytest.mark.parametrize("kind", ["random", "signed", "zeros", "negative-zeros", "complex"])
@@ -274,25 +246,23 @@ def test_spectrum_orthonormality_check_reads_the_diagonal_and_off_diagonal():
 def test_eig_rejects_an_overflowing_decomposition():
     # Eigenvalues 0 and 2e308: the top one overflows, so the contract fails closed.
     with pytest.raises(ContractViolationError, match="not finite"):
-        eig_hermitian(HermitianOperator(np.full((2, 2), 1e308, dtype=complex)))
+        eig_hermitian(sparse_from_dense(np.full((2, 2), 1e308, dtype=complex)))
     # Entries at the edge of the float range with finite eigenvalues still pass.
     for m in (np.diag([1e308, -1e308]), np.array([[0.0, 1e308], [1e308, 0.0]])):
-        s = eig_hermitian(HermitianOperator(m.astype(complex)))
+        s = eig_hermitian(sparse_from_dense(m.astype(complex)))
         assert np.array_equal(np.abs(s.eigenvalues), [1e308, 1e308])
 
 
 def test_eig_rejects_non_hermitian():
-    with pytest.raises(ContractViolationError):
-        HermitianOperator(np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex))
-    with pytest.raises(ContractViolationError):
-        HermitianOperator(np.zeros((2, 3), dtype=complex))
+    with pytest.raises(ContractViolationError, match="not Hermitian"):
+        sparse_from_dense(np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex))
 
 
 def test_spectral_reconstruction_and_residuals():
     rng = np.random.default_rng(11)
     for dim in (2, 3, 5, 8, 16, 33, 64):
         h = random_hermitian(rng, dim, scale=2.0)
-        s = eig_hermitian(HermitianOperator(h))
+        s = eig_hermitian(sparse_from_dense(h))
         rebuilt = s.eigenvectors @ np.diag(s.eigenvalues) @ s.eigenvectors.conj().T
         assert np.linalg.norm(rebuilt - h) <= 1e-9 * np.linalg.norm(h)
         residual = np.max(np.linalg.norm(h @ s.eigenvectors - s.eigenvectors * s.eigenvalues, axis=0))
@@ -307,7 +277,7 @@ def _evolved(h, t, psi):
 
 
 def test_evolve_t0_and_diagonal_phase():
-    h = HermitianOperator(np.diag([0.3, -1.2, 2.0]).astype(complex))
+    h = sparse_from_dense(np.diag([0.3, -1.2, 2.0]).astype(complex))
     psi0 = StateVector.normalized([1.0, 1.0j, -0.5])
     assert np.allclose(_evolved(h, 0.0, psi0), psi0.amplitudes, atol=1e-14)
     basis1 = StateVector.basis(3, 1)
@@ -321,7 +291,7 @@ def test_evolve_matches_taylor_expm_oracle():
     h1t = build_h1t(TargetCouplings(u=1.0, x=0.5))
     cases = [h1t.matrix] + [random_hermitian(rng, d) for d in (2, 3, 4, 8, 9, 16)]
     for m in cases:
-        h = HermitianOperator(m)
+        h = sparse_from_dense(m)
         psi0 = StateVector.normalized(rng.normal(size=h.dim) + 1j * rng.normal(size=h.dim))
         for t in (0.7, np.pi):
             expected = expm_taylor(-1j * m * t) @ psi0.amplitudes
@@ -332,7 +302,7 @@ def test_evolve_matches_taylor_expm_oracle():
 def test_evolve_unitarity_random():
     rng = np.random.default_rng(31)
     for dim in (2, 5, 16, 33, 64):
-        h = HermitianOperator(random_hermitian(rng, dim, scale=1.5))
+        h = sparse_from_dense(random_hermitian(rng, dim, scale=1.5))
         psi = StateVector.normalized(rng.normal(size=dim) + 1j * rng.normal(size=dim))
         for _ in range(3):
             t = rng.uniform(0.0, 10.0)
@@ -343,7 +313,7 @@ def test_evolve_unitarity_random():
 def test_evolve_composition():
     rng = np.random.default_rng(43)
     for dim in (3, 8, 16):
-        h = HermitianOperator(random_hermitian(rng, dim))
+        h = sparse_from_dense(random_hermitian(rng, dim))
         psi = StateVector.normalized(rng.normal(size=dim) + 1j * rng.normal(size=dim))
         t1, t2 = rng.uniform(0, 5, size=2)
         once = _evolved(h, t1 + t2, psi)
@@ -352,7 +322,7 @@ def test_evolve_composition():
 
 
 def test_evolve_dimension_mismatch():
-    h = HermitianOperator(np.eye(3, dtype=complex))
+    h = sparse_from_dense(np.eye(3, dtype=complex))
     with pytest.raises(ContractViolationError):
         _evolved(h, 1.0, StateVector.basis(4, 0))
 
@@ -426,8 +396,8 @@ def test_builders_return_read_only_real_matrices(name, op):
 
 def _assert_real_path_matches_the_complex_path(m):
     """eig_hermitian of real m against eig_hermitian of the same matrix as complex."""
-    real = eig_hermitian(HermitianOperator(m))
-    cplx = eig_hermitian(HermitianOperator(m.astype(complex)))
+    real = eig_hermitian(sparse_from_dense(m))
+    cplx = eig_hermitian(sparse_from_dense(m.astype(complex)))
     assert real.eigenvectors.dtype == np.float64
     assert cplx.eigenvectors.dtype == np.complex128
     norm = np.linalg.norm(m, 2)
@@ -462,7 +432,7 @@ def test_real_simulator_spectra_match_the_complex_path(name, system):
 def test_complex_hermitian_stays_complex_and_keeps_its_contracts():
     h = clustered_hermitian(np.random.default_rng(5), 64, (2, 3))
     assert np.max(np.abs(h.imag)) > 0.1  # a Hermitian diagonal is real: off-diagonal parts
-    op = HermitianOperator(h)
+    op = sparse_from_dense(h)
     assert op.matrix.dtype == np.complex128
     s = eig_hermitian(op)
     assert s.eigenvectors.dtype == np.complex128
@@ -520,7 +490,7 @@ def _mutation_targets():
 @pytest.mark.parametrize("mutation", list(MUTATIONS))
 def test_eig_contracts_reject_a_corrupted_decomposition(monkeypatch, target, mutation):
     m = _mutation_targets()[target]
-    op = HermitianOperator(m)
+    op = sparse_from_dense(m)
     assert op.matrix.dtype == m.dtype
     eig_hermitian(op)  # the intact decomposition passes
     mutate, message = MUTATIONS[mutation]
@@ -539,7 +509,7 @@ def test_eig_contracts_reject_a_corrupted_decomposition(monkeypatch, target, mut
 @pytest.mark.parametrize("target", list(_mutation_targets()))
 @pytest.mark.parametrize("mutation", list(EIGENVALUE_MUTATIONS))
 def test_eigvals_only_contract_rejects_corrupted_eigenvalues(monkeypatch, target, mutation):
-    op = HermitianOperator(_mutation_targets()[target])
+    op = sparse_from_dense(_mutation_targets()[target])
     assert np.trace(op.matrix).real != 0.0  # else negating and reversing keeps both moments
     spec = eig_hermitian(op, eigvals_only=True)
     assert spec.eigenvectors is None
@@ -598,7 +568,7 @@ def _scaled_spectra(rng, wt_max, t_max):
         a = rng.normal(size=(dim, dim))
         for m in (a + a.T, random_hermitian(rng, dim)):
             w_max = float(np.max(np.abs(np.linalg.eigvalsh(m))))
-            yield eig_hermitian(HermitianOperator(m * (wt_max / (w_max * t_max))))
+            yield eig_hermitian(sparse_from_dense(m * (wt_max / (w_max * t_max))))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 31, 1000, 1001, 1025])
@@ -657,7 +627,7 @@ def test_a_grid_jittered_above_rounding_is_propagated_at_its_own_times():
     a = rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16))
     m = a + a.conj().T
     m *= 1e4 / (np.max(np.abs(np.linalg.eigvalsh(m))) * 40.0)
-    spec = eig_hermitian(HermitianOperator(m))
+    spec = eig_hermitian(sparse_from_dense(m))
     psi0 = StateVector.normalized(rng.normal(size=16) + 1j * rng.normal(size=16))
     got = spec.propagate(psi0, jittered)
     assert np.max(np.abs(got - direct_amplitudes(spec, psi0, jittered))) <= 1e-12
@@ -675,7 +645,7 @@ def test_linspace_and_arange_grids_are_uniform_within_the_band():
 
 def test_propagate_takes_dim_m_plus_b_exponentials_on_a_uniform_grid(monkeypatch):
     a = np.random.default_rng(4).normal(size=(64, 64))
-    spec = eig_hermitian(HermitianOperator(a + a.T))
+    spec = eig_hermitian(sparse_from_dense(a + a.T))
     psi0 = StateVector.basis(64, 0)
     exp, sizes = np.exp, []
     monkeypatch.setattr(np, "exp", lambda x: sizes.append(np.size(x)) or exp(x))
@@ -693,8 +663,8 @@ def test_eig_contracts_hold_at_the_ends_of_the_float_range(monkeypatch, target):
     # The residual is taken in units of max|H|: near 1e300 its squares do not
     # overflow, so a sound decomposition passes, and near 1e-300 they do not
     # underflow to 0, so every corruption is still caught.
-    w = eig_hermitian(HermitianOperator(m)).eigenvalues
-    ops = [HermitianOperator(scale * m) for scale in (1e300, 1e-300)]
+    w = eig_hermitian(sparse_from_dense(m)).eigenvalues
+    ops = [sparse_from_dense(scale * m) for scale in (1e300, 1e-300)]
     for scale, op in zip((1e300, 1e-300), ops):
         assert np.max(np.abs(eig_hermitian(op).eigenvalues / scale - w)) <= 1e-12
     eigh = np.linalg.eigh
@@ -722,7 +692,7 @@ def test_eig_contracts_hold_at_the_ends_of_the_float_range(monkeypatch, target):
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_propagate_refuses_overflowing_phases_before_any_exponential(monkeypatch):
-    spec = eig_hermitian(HermitianOperator(np.diag([-1e300, 0.0, 1e300])))
+    spec = eig_hermitian(sparse_from_dense(np.diag([-1e300, 0.0, 1e300])))
     psi0 = StateVector.basis(3, 0)
     assert np.isfinite(spec.propagate(psi0, [0.0, 1.0])).all()
     monkeypatch.setattr(np, "exp", lambda x: pytest.fail("exp called"))
@@ -782,7 +752,7 @@ def test_sparse_hermitian_rejects_bad_entries(case):
         SparseHermitian(*args)
 
 
-@pytest.mark.parametrize("dim", [_HERMITICITY_TILE, _HERMITICITY_TILE + 1])
+@pytest.mark.parametrize("dim", [_BLOCK_DIM, _BLOCK_DIM + 1])
 def test_sparse_checks_agree_on_both_sides_of_the_dense_mirror_check(dim):
     # Up to one tile the mirrors are read from the matrix, above it by lookup.
     rng = np.random.default_rng(dim)

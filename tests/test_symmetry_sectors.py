@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from cahm import AtomGeometry, ContractViolationError, StateVector, eig_hermitian
+from cahm import AtomGeometry, ContractViolationError, SparseHermitian, StateVector, eig_hermitian
 from cahm.numerics import symmetry_sectors
 from cahm.rydberg_models import atom_permutation, six_atom_system
 from cahm.target_models import (
@@ -16,7 +16,13 @@ from cahm.target_models import (
     chain_symmetries,
 )
 
-from helpers import dense_sector_bases, preset_systems, random_hermitian, sparse_from_dense
+from helpers import (
+    accumulated_sector_blocks,
+    dense_sector_bases,
+    preset_systems,
+    random_hermitian,
+    sparse_from_dense,
+)
 
 # Every (m_max, n_links) whose chain has dim <= 729.
 CHAIN_SIZES = [(m, n) for m in range(1, 6) for n in range(1, 7) if (2 * m + 1) ** n <= 729]
@@ -51,6 +57,14 @@ def test_array_mirror_sectors_merge_to_the_full_spectrum(name, system):
     full = eig_hermitian(op).eigenvalues
     assert merged.shape == full.shape
     assert np.max(np.abs(merged - full)) <= 1e-12 * np.linalg.norm(op.matrix)
+
+
+def test_a_sector_without_stored_entries_is_a_zero_block():
+    # Only H[2, 2] is stored; the odd sector of the swap 0 <-> 1 reads none of it.
+    op = SparseHermitian(3, np.array([2]), np.array([2]), np.array([1.0]))
+    even, odd = symmetry_sectors(op, [np.array([1, 0, 2])])
+    assert np.array_equal(even.matrix, [[0.0, 0.0], [0.0, 1.0]])
+    assert np.array_equal(odd.matrix, [[0.0]])
 
 
 def test_a_jittered_ladder_has_no_mirror_sectors():
@@ -106,6 +120,51 @@ def test_blocks_equal_the_dense_change_of_basis(case):
         expected[start:stop, start:stop] = block.matrix
         start = stop
     assert np.max(np.abs(rotated - expected)) <= 1e-13 * np.max(np.abs(h))
+
+
+def _bitwise_cases():
+    # The `chain-spectrum` rungs (m_max, n_links) of the benchmark, at its X/U and Y/U and at Y = 0.
+    for m_max, n_links in ((1, 4), (1, 5), (2, 3), (2, 4), (3, 3)):
+        trunc = SpinTruncation(m_max)
+        for y in (0.3, 0.0):
+            op = build_chain_h(TargetCouplings(1.0, 0.9, y), trunc, n_links)
+            yield f"chain-m{m_max}-n{n_links}-y{y}", op, chain_symmetries(trunc, n_links)
+    for name, system in preset_systems().items():
+        yield name, system.hamiltonian(), [atom_permutation(system.mirror)]
+    # Generic entries, whose sums and quotients round differently in another order or form.
+    for k, (h, symmetries) in enumerate(_oracle_cases()):
+        yield f"oracle-{k}", sparse_from_dense(h), symmetries
+        if np.iscomplexobj(h):
+            yield f"oracle-{k}-real", sparse_from_dense(h.real), symmetries
+
+
+BITWISE_CASES = {name: (op, symmetries) for name, op, symmetries in _bitwise_cases()}
+
+
+@pytest.mark.parametrize("name", list(BITWISE_CASES))
+def test_blocks_are_the_dense_accumulation_bit_for_bit(name):
+    """Each block's matrix is the dense element-by-element sum, to the last bit.
+
+    The reference sums chi(g) H[r_a, g r_b] into a zero block over the group
+    elements in order, from the full matrix, so it also adds the zeros of
+    unstored entries; those leave every sum unchanged.
+    """
+    op, symmetries = BITWISE_CASES[name]
+    h = op.matrix
+    blocks = symmetry_sectors(op, symmetries)
+    expected = accumulated_sector_blocks(h, symmetries)
+    assert len(blocks) == len(expected)
+    for block, want in zip(blocks, expected):
+        assert block.matrix.dtype == want.dtype
+        assert block.matrix.tobytes() == want.tobytes()
+    # The reference itself is the change of basis to the sector bases.
+    q = np.hstack(dense_sector_bases(op.dim, symmetries))
+    rotated = q.T @ h @ q
+    start = 0
+    for want in expected:
+        stop = start + want.shape[0]
+        assert np.max(np.abs(rotated[start:stop, start:stop] - want)) <= 1e-13 * np.max(np.abs(h))
+        start = stop
 
 
 def test_real_input_gives_real_blocks():

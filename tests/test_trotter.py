@@ -4,20 +4,27 @@ import numpy as np
 import pytest
 
 from cahm import (
+    AtomGeometry,
     Circuit,
     Gate,
+    RydbergParams,
     StateVector,
     apply_circuit,
     eig_hermitian,
     sample_shots,
-    trotter_step_h2r,
     two_atom_system,
 )
 from cahm.evolution import one_spin_finals
 from cahm.numerics import basis_digits
 from cahm.trotter import _apply_single, p_matrix, rx_matrix, trotter_step
 
-from helpers import apply_steps, circuit_unitary, tensordot_apply_single
+from helpers import (
+    apply_steps,
+    circuit_unitary,
+    preset_systems,
+    tensordot_apply_single,
+    two_atom_step,
+)
 
 FIG10 = {"omega": -1.5, "delta": -0.5, "v0": 10.0}
 
@@ -30,7 +37,7 @@ def _fig10_pieces():
 
 
 def _trotter_probs(psi0, obs, dt, t):
-    psi = apply_steps(trotter_step_h2r(**FIG10, dt=dt), psi0, int(round(t / dt)))
+    psi = apply_steps(two_atom_step(**FIG10, dt=dt), psi0, int(round(t / dt)))
     return {label: float(np.abs(st.amplitudes.conj() @ psi.amplitudes) ** 2) for label, st in obs}
 
 
@@ -87,7 +94,7 @@ def test_gate_and_circuit_validation():
 def test_step_identity_limit():
     norms = []
     for dt in (1e-3, 5e-4):
-        u = circuit_unitary(trotter_step_h2r(**FIG10, dt=dt))
+        u = circuit_unitary(two_atom_step(**FIG10, dt=dt))
         norms.append(np.linalg.norm(u - np.eye(4), 2))
     assert norms[0] < 0.05
     assert abs(norms[0] / norms[1] - 2.0) < 0.2  # shrinks linearly with dt
@@ -95,7 +102,7 @@ def test_step_identity_limit():
 
 def test_diagonal_sector_exact_at_omega_zero():
     dt, delta, v0 = 0.1, -0.5, 10.0
-    step = trotter_step_h2r(0.0, delta, v0, dt)
+    step = two_atom_step(0.0, delta, v0, dt)
     psi_rg = StateVector.basis(4, 0b10)
     out = apply_circuit(step, psi_rg)
     assert abs(out.amplitudes[0b10] - np.exp(1j * delta * dt)) <= 1e-15
@@ -111,7 +118,7 @@ def test_one_step_error_quadratic():
     errors = {}
     for dt in (0.05, 0.1, 0.2):
         u_exact = spec.eigenvectors @ np.diag(np.exp(-1j * spec.eigenvalues * dt)) @ spec.eigenvectors.conj().T
-        u_trot = circuit_unitary(trotter_step_h2r(**FIG10, dt=dt))
+        u_trot = circuit_unitary(two_atom_step(**FIG10, dt=dt))
         errors[dt] = np.linalg.norm(u_trot - u_exact, 2)
     # Second-order-per-step: error grows ~4x per dt doubling.
     assert 3.0 <= errors[0.1] / errors[0.05] <= 4.8
@@ -134,7 +141,8 @@ def test_apply_circuit_norm_preserved():
     rng = np.random.default_rng(19)
     # Two coupled pairs: V0 within each pair, V1 facing, V2 across the diagonals.
     couplings = {(0, 1): 64.0, (2, 3): 64.0, (0, 2): 0.2, (1, 3): 0.2, (0, 3): 0.13, (1, 2): 0.13}
-    step = trotter_step(4, -1.2, 0.05, [-0.6] * 4, couplings)
+    geom = AtomGeometry([[0.0, 1.0], [0.0, 0.0], [3.0, 1.0], [3.0, 0.0]], 64.0)
+    step = trotter_step(geom, RydbergParams(-1.2, -0.6, pair_overrides=couplings), 0.05)
     psi = StateVector.normalized(rng.normal(size=16) + 1j * rng.normal(size=16))
     out = apply_steps(step, psi, 40)
     assert abs(np.sum(np.abs(out.amplitudes) ** 2) - 1.0) <= 1e-10
@@ -147,12 +155,45 @@ def test_apply_circuit_keeps_the_norm_over_random_trotter_steps(n_qubits):
     psi = StateVector.normalized(rng.normal(size=dim) + 1j * rng.normal(size=dim))
     pairs = [(i, j) for i in range(n_qubits) for j in range(i + 1, n_qubits)]
     for _ in range(20):
-        couplings = {p: rng.uniform(-80.0, 80.0) for p in pairs if rng.random() < 0.7}
-        omega, dt = rng.uniform(-3.0, 3.0), rng.uniform(0.01, 0.5)
-        step = trotter_step(n_qubits, omega, dt, rng.uniform(-5.0, 5.0, n_qubits), couplings)
+        # Geometric couplings on a jittered line, each pair overridden with probability 0.7.
+        x = np.arange(n_qubits) + rng.uniform(-0.2, 0.2, n_qubits)
+        geom = AtomGeometry(np.column_stack([x, np.zeros(n_qubits)]), rng.uniform(-80.0, 80.0))
+        params = RydbergParams(
+            omega=rng.uniform(-3.0, 3.0),
+            delta=rng.uniform(-5.0, 5.0),
+            delta0=rng.uniform(-5.0, 5.0),
+            delta0_atoms=np.flatnonzero(rng.random(n_qubits) < 0.5),
+            pair_overrides={p: rng.uniform(-80.0, 80.0) for p in pairs if rng.random() < 0.7},
+        )
+        step = trotter_step(geom, params, rng.uniform(0.01, 0.5))
         for _ in range(5):
             psi = apply_circuit(step, psi)
             assert abs(np.linalg.norm(psi.amplitudes) - 1.0) <= 1e-12
+
+
+@pytest.mark.parametrize("name,system", list(preset_systems().items()))
+def test_p_and_cp_layers_are_the_diagonal_of_the_array(name, system):
+    """The digital route's diagonal layers equal exp(-i dt diag H) of the analog array."""
+    diagonal = np.diag(system.hamiltonian().matrix)
+    n = system.geometry.n_atoms
+    for dt in (0.01, 0.1, 0.7):
+        step = trotter_step(system.geometry, system.params, dt)
+        assert [g.kind for g in step.gates[:n]] == ["RX"] * n
+        layers = Circuit(step.n_qubits, tuple(g for g in step.gates if g.kind != "RX"))
+        expected = np.diag(np.exp(-1j * dt * diagonal))
+        assert np.max(np.abs(circuit_unitary(layers) - expected)) <= 1e-12
+
+
+def test_trotter_step_checks_the_atom_indices():
+    system = two_atom_system(**FIG10)
+    for params in (
+        RydbergParams(1.0, 0.5, delta0=0.1, delta0_atoms=(2,)),
+        RydbergParams(1.0, 0.5, pair_overrides={(0, 2): 1.0}),
+    ):
+        with pytest.raises(ValueError, match="outside 0..1"):
+            trotter_step(system.geometry, params, 0.1)
+    with pytest.raises(ValueError, match="dt must be positive"):
+        trotter_step(system.geometry, system.params, 0.0)
 
 
 def test_trotter_vs_exact_fig10():
@@ -219,7 +260,7 @@ def test_sample_shots_deterministic():
 def test_shot_frequencies_converge():
     system, psi0, obs = _fig10_pieces()
     probs = _trotter_probs(psi0, obs, 0.1, 1.0)
-    psi = apply_steps(trotter_step_h2r(**FIG10, dt=0.1), psi0, 10)
+    psi = apply_steps(two_atom_step(**FIG10, dt=0.1), psi0, 10)
     res = sample_shots(psi, 100_000, 5)
     label_bits = {"m=1": "10", "m=0": "00", "m=-1": "01"}
     for label, bits in label_bits.items():
@@ -227,7 +268,7 @@ def test_shot_frequencies_converge():
 
 
 def test_circuit_json_round_trip():
-    step = trotter_step_h2r(-1.5, -0.5, 10.0, 0.1)
+    step = two_atom_step(-1.5, -0.5, 10.0, 0.1)
     obj = step.to_json_obj()
     assert obj[0]["gate"] == "RX" and obj[0]["q"] == [0]
     # The manifest's circuit_step holds every gate field.

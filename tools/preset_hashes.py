@@ -2,8 +2,9 @@
 
 Each preset runs through `cahm.cli.main` into a temporary directory, and so
 do the two `spectrum` configs of the paper's one- and two-spin figures
-(`SPECTRA`); one line `<sha256>  <run>/<file>` is printed per artifact,
-sorted, so that the output of two checkouts can be compared with `diff`.
+(`SPECTRA`) and one `match` config of each kind (`MATCHES`); one line
+`<sha256>  <run>/<file>` is printed per artifact, sorted, so that the output
+of two checkouts can be compared with `diff`.
 Uses the `cahm` on the import path:
 
     PYTHONPATH=src python tools/preset_hashes.py
@@ -27,15 +28,41 @@ SPECTRA = {
     "spectrum-two-spin": {"kind": "two-spin", "U": 1.0, "X": 1.2, "Y": 0.2},
 }
 
+# No preset runs `match`; these are the `figures` benchmark's configs, one per kind.
+MATCHES = {
+    "two-atom": {"kind": "two-atom", "U": 1.0, "X": 0.5},
+    "three-atom-newton": {
+        "kind": "three-atom-newton",
+        "U": 5.12169,
+        "X": 0.07421,
+        "unknowns": ["omega", "delta", "delta0"],
+        "fixed": {"v0": 30.0},
+        "guess": {"omega": 1.01, "delta": 14.9, "delta0": 2.56},
+    },
+    "three-atom-approx": {"kind": "three-atom-approx", "omega": 1.0, "delta": 15.0},
+    "four-atom": {"kind": "four-atom", "U": 1.0, "X": 1.2, "Y": 0.2, "v0": 64.0},
+    "six-atom": {
+        "kind": "six-atom",
+        "U": 1.0,
+        "X": 1.2,
+        "Y": 0.2,
+        "omega": 1.0,
+        "delta": 15.0,
+        "v0": 30.0,
+    },
+}
+
 
 def preset_hashes() -> list[str]:
     lines = []
     with tempfile.TemporaryDirectory() as tmp:
         runs = {name: [preset_config(name).mode, "--preset", name] for name in presets()}
-        for name, target in SPECTRA.items():
+        configs = {name: {"mode": "spectrum", "target": t} for name, t in SPECTRA.items()}
+        configs.update({f"match-{k}": {"mode": "match", "match": m} for k, m in MATCHES.items()})
+        for name, obj in configs.items():
             config = Path(tmp) / f"{name}.json"
-            config.write_text(json.dumps({"mode": "spectrum", "target": target}), encoding="utf-8")
-            runs[name] = ["spectrum", "--config", str(config)]
+            config.write_text(json.dumps(obj), encoding="utf-8")
+            runs[name] = [obj["mode"], "--config", str(config)]
         for name, argv in runs.items():
             out = Path(tmp) / name
             with contextlib.redirect_stdout(io.StringIO()):
