@@ -31,9 +31,7 @@ from .rydberg_models import (
     SpinAtomMap,
     build_rydberg_h,
     four_atom_system,
-    geometry_mirrored_ladder,
-    geometry_three_atom_line,
-    geometry_two_atom,
+    ladder_geometry,
     ladder_spin_map,
     pair_interaction,
     six_atom_system,

@@ -11,6 +11,7 @@ Exit codes: 0 success, 2 configuration error, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import re
@@ -264,6 +265,17 @@ def _entries(values, kinds, name: str):
     return [_typed(v, kinds, f"{name}[{k}]") for k, v in enumerate(values)]
 
 
+@contextlib.contextmanager
+def _set_by(fields: str):
+    """A ValueError inside, such as an overflow, becomes a ConfigError naming `fields`."""
+    try:
+        yield
+    except ConfigError:
+        raise
+    except ValueError as exc:
+        raise ConfigError(f"{exc} (set by {fields})") from None
+
+
 def _time_grid(obj: dict, ctx: str) -> np.ndarray:
     start = _require(obj, "start", float, ctx)
     stop = _require(obj, "stop", float, ctx)
@@ -404,13 +416,10 @@ def _custom_layout(spec: dict, ctx: str) -> SimulatorSystem:
         if pair is None:
             raise ConfigError(f"field {ctx}.overrides key {key!r} must read 'i-j'")
         pairs[(int(pair[1]), int(pair[2]))] = v
-    params = RydbergParams(
-        omega=omega,
-        delta=delta,
-        delta0=_optional(spec, "delta0", float, ctx, 0.0),
-        delta0_atoms=tuple(_entries(atoms, int, f"{ctx}.delta0_atoms")),
-        pair_overrides=pairs,
-    )
+    delta0 = _optional(spec, "delta0", float, ctx, 0.0)
+    delta0_atoms = tuple(_entries(atoms, int, f"{ctx}.delta0_atoms"))
+    with _set_by(f"{ctx}.overrides"):
+        params = RydbergParams(omega, delta, delta0, delta0_atoms, pair_overrides=pairs)
     return SimulatorSystem(AtomGeometry(rows, scale), params, spin_map=None, mirror=())
 
 
@@ -536,7 +545,8 @@ def _run_evolve(cfg: ExperimentConfig) -> int:
     if "target" in payload:
         target = _require(payload, "target", dict, "payload")
         h, finals, _, resolved["target"] = _labelled_target(target)
-        tr = trace(h, _initial_state(finals, initial), finals, times)
+        with _set_by("payload.times and payload.target"):
+            tr = trace(h, _initial_state(finals, initial), finals, times)
     elif "simulator" in payload:
         spec = _require(payload, "simulator", dict, "payload")
         system, resolved["simulator"] = _build_simulator(spec)
@@ -548,10 +558,12 @@ def _run_evolve(cfg: ExperimentConfig) -> int:
             if initial not in labels:
                 raise ConfigError(f"field initial: custom simulators take a bitstring of {n} atoms")
             psi0 = StateVector.basis(len(labels), labels.index(initial))
-            probs = state_probabilities(system.hamiltonian(), psi0, times)
+            with _set_by("payload.times and payload.simulator"):
+                probs = state_probabilities(system.hamiltonian(), psi0, times)
             tr = EvolutionTrace(times, dict(zip(labels, probs)))
         else:
-            tr = system.spin_trace(_initial_state(system.spin_finals(), initial), times)
+            with _set_by("payload.times and payload.simulator"):
+                tr = system.spin_trace(_initial_state(system.spin_finals(), initial), times)
         resolved["geometry"] = _geometry_json(system)
     else:
         raise ConfigError("missing field payload.target or payload.simulator")
@@ -581,8 +593,10 @@ def _run_compare(cfg: ExperimentConfig) -> int:
             f"{h.dim} and {len(system.spin_map.indices)} states"
         )
     psi0 = _initial_state(finals, initial)
-    target_trace = trace(h, psi0, finals, times)
-    sim_trace = system.spin_trace(psi0, sim_times)
+    with _set_by("payload.times and payload.target"):
+        target_trace = trace(h, psi0, finals, times)
+    with _set_by(f"payload.{'times' if sim_grid is None else 'sim_times'} and payload.simulator"):
+        sim_trace = system.spin_trace(psi0, sim_times)
 
     comparison = compare(target_trace, sim_trace, rescale_k=rescale_k)
     _write_text(cfg.out_dir / "target.csv", target_trace.to_csv_text())
@@ -629,10 +643,10 @@ def _run_trotter(cfg: ExperimentConfig) -> int:
     times = np.arange(n_steps + 1) * dt
     finals = one_spin_finals()
     psi0 = _initial_state(finals, "m=1")
-    exact = system.spin_trace(psi0, times)
+    with _set_by("payload.omega, payload.delta, payload.v0, payload.dt and payload.t_max"):
+        exact = system.spin_trace(psi0, times)
+        step = trotter_step(system.geometry, system.params, dt)
     psi = system.embed(psi0)
-
-    step = trotter_step(system.geometry, system.params, dt)
     labels = bitstring_labels(psi.dim)
     states, frequencies, counts_log = [], [], []
     for k in range(n_steps + 1):

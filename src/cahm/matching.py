@@ -612,6 +612,11 @@ def match_six_atom(
             lo, hi = 0.05, 0.95
         else:
             lo, hi = max(0.02, 0.7 * rho_hint), min(0.98, 1.3 * rho_hint)
+            if not lo < hi:
+                raise ValueError(
+                    f"rho_hint = {rho_hint!r} leaves an empty rho bracket [{lo}, {hi}]: "
+                    "the hint must lie in (0.02/1.3, 0.98/0.7)"
+                )
         rho = _golden_min(objective, lo, hi, 1e-7)
         if min(rho - lo, hi - rho) < 1e-4:
             raise MatchingError(

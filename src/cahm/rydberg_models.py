@@ -7,13 +7,13 @@ Atoms are two-level systems |g>, |r> at fixed 2D positions with repulsive
         - Delta0 sum_{i in designated} n_i + sum_{i<j} V_ij n_i n_j.
 
 The 2^n product basis is the bit table of `numerics.basis_digits` (atom 0 is
-the most significant bit) with |g> = 0 and |r> = 1.  Standard layouts: a
-vertical pair, three equidistant atoms on a vertical line, and mirrored
-two-column ladders whose reflection symmetry realizes charge conjugation
-(spin sign flip) geometrically.  Each encoded spin-1 occupies one column; a
-spin map lists the product-basis index of every spin-basis state in the
-digit order of `basis_digits(3, n_spins)`, that is m = 1, 0, -1 with the
-left spin most significant.
+the most significant bit) with |g> = 0 and |r> = 1.  Every named array is a
+ladder: columns of two or three atoms, each holding one encoded spin-1, with
+odd columns mirrored, so that reflecting every column realizes charge
+conjugation (spin sign flip) geometrically.  A spin map lists the
+product-basis index of every spin-basis state in the digit order of
+`basis_digits(3, n_spins)`, that is m = 1, 0, -1 with the left spin most
+significant.
 """
 
 from __future__ import annotations
@@ -27,11 +27,8 @@ import numpy as np
 from .evolution import EvolutionTrace, one_spin_finals, simulator_trace, two_spin_finals
 from .numerics import SparseHermitian, StateVector, basis_digits, site_strides
 
-# Atoms per column, and the excited-atom bits of m = 1, 0, -1 in a column (top atom first).
-_COLUMN_PATTERNS = {
-    "two-atom": (2, (0b10, 0b00, 0b01)),
-    "three-atom": (3, (0b100, 0b010, 0b001)),
-}
+# The excited-atom bits of m = 1, 0, -1 in a column of 2 or 3 atoms (top atom first).
+_COLUMN_PATTERNS = {2: (0b10, 0b00, 0b01), 3: (0b100, 0b010, 0b001)}
 
 
 def pair_interaction(scale: float, r: float) -> float:
@@ -115,7 +112,10 @@ class RydbergParams:
                     raise ValueError(f"pair override ({i}, {j}) is not a pair")
                 if not math.isfinite(v):
                     raise ValueError(f"pair override ({i}, {j}) must be finite")
-                normalized[(min(i, j), max(i, j))] = float(v)
+                pair = (min(i, j), max(i, j))
+                if pair in normalized:
+                    raise ValueError(f"pair override ({i}, {j}) repeats the pair {pair}")
+                normalized[pair] = float(v)
             object.__setattr__(self, "pair_overrides", normalized)
 
 
@@ -167,35 +167,20 @@ def build_rydberg_h(geom: AtomGeometry, params: RydbergParams) -> SparseHermitia
     return SparseHermitian(len(bits), np.tile(index, n + 1), cols, values)
 
 
-def geometry_two_atom(a_r: float, scale: float) -> AtomGeometry:
-    """Two atoms on a vertical line, spacing a_r; one pair with V = scale/a_r^6."""
-    if not a_r > 0:
-        raise ValueError("a_r must be positive")
-    return AtomGeometry(np.array([[0.0, a_r], [0.0, 0.0]]), scale)
+def ladder_geometry(rows: int, columns: int, a_r: float, a_s: float, scale: float) -> AtomGeometry:
+    """Vertical columns of `rows` atoms, spacing a_r within and a_s across.
 
-
-def geometry_three_atom_line(a_r: float, scale: float) -> AtomGeometry:
-    """Three equidistant atoms on a vertical line: nearest V0, outer pair V0/64."""
-    if not a_r > 0:
-        raise ValueError("a_r must be positive")
-    return AtomGeometry(np.array([[0.0, 2 * a_r], [0.0, a_r], [0.0, 0.0]]), scale)
-
-
-def geometry_mirrored_ladder(n_per_rung: int, a_r: float, a_s: float, scale: float) -> AtomGeometry:
-    """Two vertical columns (spacing a_r within, a_s across).
-
-    The right column represents the mirrored spin, so facing atoms carry
-    opposite m.  With rho = a_r/a_s the cross couplings are
-    V1 = V0 rho^6 (facing), V2 = V0 (rho/sqrt(1+rho^2))^6 (one row apart) and,
-    for three rows, V3 = V0 (rho/sqrt(1+4 rho^2))^6 (two rows apart),
-    where V0 = scale/a_r^6 is the in-column nearest-neighbor coupling.
+    Atom c*rows + r (row r counted from the top) sits at (c a_s, a_r (rows-1-r)).
+    In-column neighbors couple by V0 = scale/a_r^6.  With rho = a_r/a_s,
+    neighboring columns couple by V1 = V0 rho^6 (facing),
+    V2 = V0 (rho/sqrt(1+rho^2))^6 (one row apart) and, for three rows,
+    V3 = V0 (rho/sqrt(1+4 rho^2))^6 (two rows apart).
     """
-    if n_per_rung not in (2, 3):
-        raise ValueError(f"n_per_rung must be 2 or 3, got {n_per_rung}")
+    if rows not in _COLUMN_PATTERNS:
+        raise ValueError(f"rows must be 2 or 3, got {rows!r}")
     if not (a_r > 0 and a_s > 0):
         raise ValueError("a_r and a_s must be positive")
-    ys = [a_r * (n_per_rung - 1 - row) for row in range(n_per_rung)]
-    positions = [[0.0, y] for y in ys] + [[a_s, y] for y in ys]
+    positions = [[c * a_s, a_r * (rows - 1 - r)] for c in range(columns) for r in range(rows)]
     return AtomGeometry(np.array(positions), scale)
 
 
@@ -233,18 +218,17 @@ class SpinAtomMap:
         object.__setattr__(self, "indices", indices)
 
 
-def ladder_spin_map(encoding: str, n_spins: int) -> SpinAtomMap:
-    """Spin map of n_spins encoded spins on a ladder of columns, spin k in column k.
+def ladder_spin_map(rows: int, n_spins: int) -> SpinAtomMap:
+    """Spin map of n_spins encoded spins on columns of `rows` atoms, spin k in column k.
 
     Odd columns are vertically mirrored, so m there has the bit pattern of -m.
     """
-    if encoding not in _COLUMN_PATTERNS:
-        raise ValueError(f"unknown encoding {encoding!r}")
-    n_col, patterns = _COLUMN_PATTERNS[encoding]
+    if rows not in _COLUMN_PATTERNS:
+        raise ValueError(f"rows must be 2 or 3, got {rows!r}")
     digits = basis_digits(3, n_spins, "n_spins")
     digits[:, 1::2] = 2 - digits[:, 1::2]  # digit d is m = 1 - d, and 2 - d is -m
-    indices = np.array(patterns)[digits] @ site_strides(2**n_col, n_spins)
-    return SpinAtomMap(n_atoms=n_col * n_spins, indices=tuple(indices.tolist()))
+    indices = np.array(_COLUMN_PATTERNS[rows])[digits] @ site_strides(2**rows, n_spins)
+    return SpinAtomMap(n_atoms=rows * n_spins, indices=tuple(indices.tolist()))
 
 
 def atom_permutation(perm) -> np.ndarray:
@@ -295,26 +279,40 @@ class SimulatorSystem:
         )
 
 
+def _ladder_system(geometry: AtomGeometry, rows: int, derived: dict, **params) -> SimulatorSystem:
+    """The ladder `geometry` of `rows`-atom columns, one encoded spin per column.
+
+    The spin map, the mirror (every column reversed) and the delta0 atoms (the
+    middle atom of every three-atom column) follow from rows and columns.
+    """
+    columns = [range(c, c + rows) for c in range(0, geometry.n_atoms, rows)]
+    return SimulatorSystem(
+        geometry=geometry,
+        params=RydbergParams(delta0_atoms=tuple(col[1] for col in columns if rows == 3), **params),
+        spin_map=ladder_spin_map(rows, len(columns)),
+        mirror=tuple(i for col in columns for i in reversed(col)),
+        derived=derived,
+    )
+
+
+def _two_columns(rows: int, v0: float, rho: float) -> AtomGeometry:
+    """Two columns of `rows` atoms at a_r = 1 and a_s = 1/rho, with 0 < rho < 1."""
+    if not 0 < rho < 1:
+        raise ValueError(f"rho must lie in (0, 1), got {rho!r}")
+    return ladder_geometry(rows, 2, 1.0, 1.0 / rho, v0)
+
+
 def two_atom_system(omega: float, delta: float, v0: float) -> SimulatorSystem:
     """One encoded spin on a blockaded vertical pair (|0> = |gg>)."""
-    return SimulatorSystem(
-        geometry=geometry_two_atom(1.0, v0),
-        params=RydbergParams(omega=omega, delta=delta),
-        spin_map=ladder_spin_map("two-atom", 1),
-        mirror=(1, 0),
-        derived={"v0": v0},
-    )
+    geom = ladder_geometry(2, 1, 1.0, 1.0, v0)
+    return _ladder_system(geom, 2, {"v0": v0}, omega=omega, delta=delta)
 
 
 def three_atom_system(omega: float, delta: float, delta0: float, v0: float) -> SimulatorSystem:
     """One encoded spin on three atoms in a line; delta0 acts on the middle atom."""
-    return SimulatorSystem(
-        geometry=geometry_three_atom_line(1.0, v0),
-        params=RydbergParams(omega=omega, delta=delta, delta0=delta0, delta0_atoms=(1,)),
-        spin_map=ladder_spin_map("three-atom", 1),
-        mirror=(2, 1, 0),
-        derived={"v0": v0, "v0_far": v0 / 64.0},
-    )
+    geom = ladder_geometry(3, 1, 1.0, 1.0, v0)
+    derived = {"v0": v0, "v0_far": v0 / 64.0}
+    return _ladder_system(geom, 3, derived, omega=omega, delta=delta, delta0=delta0)
 
 
 def four_atom_system(
@@ -329,9 +327,7 @@ def four_atom_system(
     `v2_override` replaces the geometric same-m coupling on both diagonals
     (the exact match needs an attractive value no 1/r^6 geometry provides).
     """
-    if not 0 < rho < 1:
-        raise ValueError(f"rho must lie in (0, 1), got {rho!r}")
-    geom = geometry_mirrored_ladder(2, 1.0, 1.0 / rho, v0)
+    geom = _two_columns(2, v0, rho)
     c = geom.couplings()
     overrides = None
     derived = {"v0": v0, "rho": rho, "v1": c[(0, 2)], "v2": c[(0, 3)]}
@@ -339,13 +335,7 @@ def four_atom_system(
         overrides = {(0, 3): v2_override, (1, 2): v2_override}
         derived["v2"] = v2_override
         derived["v2_geometric"] = c[(0, 3)]
-    return SimulatorSystem(
-        geometry=geom,
-        params=RydbergParams(omega=omega, delta=delta, pair_overrides=overrides),
-        spin_map=ladder_spin_map("two-atom", 2),
-        mirror=(1, 0, 3, 2),
-        derived=derived,
-    )
+    return _ladder_system(geom, 2, derived, omega=omega, delta=delta, pair_overrides=overrides)
 
 
 def six_atom_system(
@@ -362,11 +352,8 @@ def six_atom_system(
     `include_middle_pair=False` to truncate to the three listed cross
     couplings V1/V2/V3 only.
     """
-    if not 0 < rho < 1:
-        raise ValueError(f"rho must lie in (0, 1), got {rho!r}")
-    geom = geometry_mirrored_ladder(3, 1.0, 1.0 / rho, v0)
+    geom = _two_columns(3, v0, rho)
     c = geom.couplings()
-    overrides = None if include_middle_pair else {(1, 4): 0.0}
     derived = {
         "v0": v0,
         "v0_far": v0 / 64.0,
@@ -376,16 +363,7 @@ def six_atom_system(
         "v3": c[(0, 5)],
         "middle_pair": c[(1, 4)] if include_middle_pair else 0.0,
     }
-    return SimulatorSystem(
-        geometry=geom,
-        params=RydbergParams(
-            omega=omega,
-            delta=delta,
-            delta0=delta0,
-            delta0_atoms=(1, 4),
-            pair_overrides=overrides,
-        ),
-        spin_map=ladder_spin_map("three-atom", 2),
-        mirror=(2, 1, 0, 5, 4, 3),
-        derived=derived,
+    overrides = None if include_middle_pair else {(1, 4): 0.0}
+    return _ladder_system(
+        geom, 3, derived, omega=omega, delta=delta, delta0=delta0, pair_overrides=overrides
     )

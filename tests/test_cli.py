@@ -798,6 +798,30 @@ def test_bad_field_value_names_it(tmp_path, capsys, config, path, value, name):
     assert name in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("hint", [0.01, 0.0, 1.5, -1.0])
+def test_rho_hint_with_an_empty_bracket_names_it(tmp_path, capsys, hint):
+    config = {"mode": "match", "match": MATCH_CONFIGS["six-atom"]}
+    assert _run_config(tmp_path, _with_field(config, ("match", "rho_hint"), hint)) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert f"rho_hint = {hint!r} leaves an empty rho bracket" in err
+
+
+def test_rho_hint_bracket_without_the_minimum_is_a_numerical_failure(tmp_path, capsys):
+    # [0.84, 0.98] is a valid bracket, but the tuned rho lies far below it.
+    config = {"mode": "match", "match": MATCH_CONFIGS["six-atom"]}
+    assert _run_config(tmp_path, _with_field(config, ("match", "rho_hint"), 1.2)) == EXIT_NUMERICAL
+    assert "pinned at the bracket edge" in capsys.readouterr().err
+
+
+def test_repeated_override_pair_names_the_field(tmp_path, capsys):
+    overrides = {"0-1": 1.0, "1-0": 2.0}
+    config = _with_field(CUSTOM_EVOLVE, ("simulator", "overrides"), overrides)
+    assert _run_config(tmp_path, config) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "repeats the pair (0, 1)" in err and "simulator.overrides" in err
+    assert not (tmp_path / "out" / "manifest.json").exists()
+
+
 @pytest.mark.parametrize(
     "config,path,value",
     [
@@ -867,6 +891,41 @@ def test_overflowing_trotter_prints_only_the_config_error(tmp_path):
     assert proc.returncode == EXIT_CONFIG
     assert proc.stderr.startswith("config error: phases exp(-i w t) overflow")
     assert proc.stderr.count("\n") == 1
+
+
+TROTTER_FIELDS = "payload.omega, payload.delta, payload.v0, payload.dt and payload.t_max"
+OVERFLOW_TIMES = {"start": 0.0, "stop": 100.0, "num": 11}
+
+
+@pytest.mark.parametrize(
+    "config,message,fields",
+    [
+        ({"mode": "trotter", "omega": 1e300, "delta": 1.0, "v0": 1.0, "dt": 1e10, "t_max": 0.0,
+          "shots": 10}, "gate angle must be finite", TROTTER_FIELDS),
+        ({"mode": "trotter", "omega": 1.0, "delta": 1e307, "v0": 1.0, "dt": 100.0, "t_max": 100.0,
+          "shots": 10}, "phases exp(-i w t) overflow", TROTTER_FIELDS),
+        ({"mode": "evolve", "initial": "m=1", "times": OVERFLOW_TIMES,
+          "simulator": {"kind": "two-atom", "omega": -0.5, "delta": 1e307, "v0": 32.0}},
+         "phases exp(-i w t) overflow", "payload.times and payload.simulator"),
+        ({"mode": "evolve", "initial": "m=1", "times": OVERFLOW_TIMES,
+          "target": {"kind": "one-spin", "U": 1e307, "X": 0.5}},
+         "phases exp(-i w t) overflow", "payload.times and payload.target"),
+        (_with_field(_with_field(CUSTOM_EVOLVE, ("simulator", "delta"), 1e307), ("times",),
+                     OVERFLOW_TIMES), "phases exp(-i w t) overflow",
+         "payload.times and payload.simulator"),
+        ({**_with_field(SIX_ATOM_COMPARE, ("simulator", "delta"), 1e306),
+          "sim_times": OVERFLOW_TIMES},
+         "phases exp(-i w t) overflow", "payload.sim_times and payload.simulator"),
+    ],
+    ids=["trotter-angle", "trotter-phases", "evolve-two-atom", "evolve-one-spin", "evolve-custom",
+         "compare-sim-times"],
+)
+def test_overflowing_propagation_names_its_fields(tmp_path, capsys, config, message, fields):
+    assert _run_config(tmp_path, config) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {message}")
+    assert err.rstrip("\n").endswith(f"(set by {fields})")
+    assert err.count("\n") == 1
 
 
 @pytest.mark.parametrize(

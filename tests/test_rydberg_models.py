@@ -13,9 +13,7 @@ from cahm import (
     StateVector,
     build_rydberg_h,
     four_atom_system,
-    geometry_mirrored_ladder,
-    geometry_three_atom_line,
-    geometry_two_atom,
+    ladder_geometry,
     ladder_spin_map,
     op_charge_conjugation,
     pair_interaction,
@@ -25,7 +23,8 @@ from cahm import (
     two_atom_system,
 )
 from cahm.evolution import COMPLETENESS_ATOL, state_probabilities
-from cahm.rydberg_models import atom_permutation, ladder_cross_couplings
+from cahm.numerics import ContractViolationError, symmetry_sectors
+from cahm.rydberg_models import _ladder_system, atom_permutation, ladder_cross_couplings
 from helpers import loop_couplings, loop_permutation_matrix, loop_rydberg_h, preset_systems
 
 
@@ -102,11 +101,11 @@ def test_rydberg_h_hermitian_and_offdiagonal():
 
 
 def test_geometry_constructors():
-    assert abs(geometry_two_atom(1.0, 32.0).couplings()[(0, 1)] - 32.0) < 1e-12
-    c3 = geometry_three_atom_line(1.0, 30.0).couplings()
+    assert abs(ladder_geometry(2, 1, 1.0, 1.0, 32.0).couplings()[(0, 1)] - 32.0) < 1e-12
+    c3 = ladder_geometry(3, 1, 1.0, 1.0, 30.0).couplings()
     assert abs(c3[(0, 1)] - 30.0) < 1e-12
     assert abs(c3[(0, 2)] - 30.0 / 64.0) < 1e-15
-    doubled = geometry_three_atom_line(2.0, 30.0).couplings()
+    doubled = ladder_geometry(3, 1, 2.0, 1.0, 30.0).couplings()
     for pair in c3:
         assert abs(doubled[pair] - c3[pair] / 64.0) < 1e-15
 
@@ -116,7 +115,7 @@ def test_mirrored_ladder_couplings():
     v0, y = 64.0, 0.2
     rho = (y / v0) ** (1.0 / 6.0)
     assert abs(rho - 0.3823622) < 1e-6
-    geom = geometry_mirrored_ladder(2, 1.0, 1.0 / rho, v0)
+    geom = ladder_geometry(2, 2, 1.0, 1.0 / rho, v0)
     c = geom.couplings()
     assert abs(c[(0, 2)] - y) < 1e-14  # facing pair V1 = Y by construction
     v2_expected = v0 * (rho / np.sqrt(1 + rho**2)) ** 6
@@ -124,7 +123,7 @@ def test_mirrored_ladder_couplings():
     assert abs(v2_expected - 0.1328152) < 1e-6
 
     rho3, v03 = 0.326, 30.0
-    geom3 = geometry_mirrored_ladder(3, 1.0, 1.0 / rho3, v03)
+    geom3 = ladder_geometry(3, 2, 1.0, 1.0 / rho3, v03)
     c3 = geom3.couplings()
     assert abs(c3[(0, 3)] - v03 * rho3**6) < 1e-12
     assert abs(c3[(0, 3)] - 0.036013) < 5e-6
@@ -132,6 +131,50 @@ def test_mirrored_ladder_couplings():
     assert abs(c3[(0, 5)] - v3_expected) < 1e-14
     # The facing middle atoms interact with the full facing strength V1.
     assert abs(c3[(1, 4)] - c3[(0, 3)]) < 1e-14
+
+
+@pytest.mark.parametrize("a_r,a_s", [(1.0, 1.0), (1.0, 1.0 / 0.326), (0.7, 1.0 / 0.3823622)])
+def test_ladder_geometry_places_the_hand_written_arrays(a_r, a_s):
+    # The arrays of the former vertical-pair, three-in-line and two-column builders.
+    hand_written = {
+        (2, 1): [[0.0, a_r], [0.0, 0.0]],
+        (3, 1): [[0.0, 2 * a_r], [0.0, a_r], [0.0, 0.0]],
+        (2, 2): [[0.0, a_r * 1], [0.0, a_r * 0], [a_s, a_r * 1], [a_s, a_r * 0]],
+        (3, 2): [[0.0, a_r * 2], [0.0, a_r * 1], [0.0, a_r * 0],
+                 [a_s, a_r * 2], [a_s, a_r * 1], [a_s, a_r * 0]],
+    }
+    for (rows, columns), positions in hand_written.items():
+        got = ladder_geometry(rows, columns, a_r, a_s, 30.0).positions
+        assert got.tobytes() == np.array(positions).tobytes()
+    with pytest.raises(ValueError, match="positive"):
+        ladder_geometry(2, 2, 1.0, 0.0, 30.0)
+
+
+def test_factories_derive_the_former_mirrors_and_delta0_atoms():
+    cases = [
+        (two_atom_system(-0.5, -0.5, 32.0), (1, 0), ()),
+        (three_atom_system(1.0, 15.0, 0.7, 30.0), (2, 1, 0), (1,)),
+        (four_atom_system(-1.2, -0.6, 64.0, 0.38), (1, 0, 3, 2), ()),
+        (six_atom_system(1.0, 15.0, 30.0, 0.326), (2, 1, 0, 5, 4, 3), (1, 4)),
+    ]
+    for system, mirror, delta0_atoms in cases:
+        assert system.mirror == mirror
+        assert system.params.delta0_atoms == delta0_atoms
+
+
+@pytest.mark.parametrize("columns", [1, 2, 3])
+@pytest.mark.parametrize("rows", [2, 3])
+def test_every_ladder_commutes_with_its_derived_mirror(rows, columns):
+    geom = ladder_geometry(rows, columns, 1.0, 1.0 / 0.326, 30.0)
+    system = _ladder_system(geom, rows, {}, omega=1.0, delta=15.0, delta0=2.5)
+    assert len(system.params.delta0_atoms) == (columns if rows == 3 else 0)
+    assert system.spin_map == ladder_spin_map(rows, columns)
+    blocks = symmetry_sectors(system.hamiltonian(), [atom_permutation(system.mirror)])
+    assert sum(b.dim for b in blocks) == 2**geom.n_atoms
+    # A delta0 on a top atom breaks the mirror.
+    tilted = replace(system, params=replace(system.params, delta0_atoms=(0,)))
+    with pytest.raises(ContractViolationError, match="does not commute"):
+        symmetry_sectors(tilted.hamiltonian(), [atom_permutation(system.mirror)])
 
 
 def test_ladder_coupling_ordering():
@@ -154,12 +197,17 @@ def test_mirror_commutes_with_hamiltonian():
 
 
 def test_pair_overrides_reproduce_geometry_bitwise():
-    geom = geometry_mirrored_ladder(2, 1.0, 2.5, 64.0)
+    geom = ladder_geometry(2, 2, 1.0, 2.5, 64.0)
     base = build_rydberg_h(geom, RydbergParams(omega=-1.2, delta=-0.6))
     overridden = build_rydberg_h(
         geom, RydbergParams(omega=-1.2, delta=-0.6, pair_overrides=geom.couplings())
     )
     assert np.array_equal(base.matrix, overridden.matrix)
+
+
+def test_pair_override_given_twice_is_refused():
+    with pytest.raises(ValueError, match=r"\(1, 0\) repeats the pair \(0, 1\)"):
+        RydbergParams(omega=1.0, delta=1.0, pair_overrides={(0, 1): 1.0, (1, 0): 2.0})
 
 
 def test_four_atom_override_changes_only_v2_pairs():
@@ -174,8 +222,8 @@ def test_four_atom_override_changes_only_v2_pairs():
 
 def test_spin_maps_and_embedding():
     # Spin-basis order m = 1, 0, -1.
-    assert ladder_spin_map("two-atom", 1) == SpinAtomMap(2, (0b10, 0b00, 0b01))
-    assert ladder_spin_map("three-atom", 1) == SpinAtomMap(3, (0b100, 0b010, 0b001))
+    assert ladder_spin_map(2, 1) == SpinAtomMap(2, (0b10, 0b00, 0b01))
+    assert ladder_spin_map(3, 1) == SpinAtomMap(3, (0b100, 0b010, 0b001))
 
     embedded = three_atom_system(1.0, 15.0, 0.0, 30.0).embed(StateVector.basis(3, 0))
     assert embedded.amplitudes[0b100] == 1.0
@@ -189,12 +237,12 @@ def test_spin_maps_and_embedding():
 def test_two_spin_map_indices():
     # Two-spin states (m_left, m_right) in the order (1, 1), (1, 0), ..., (-1, -1);
     # the mirrored right column carries the pattern of -m_right.
-    pair = ladder_spin_map("two-atom", 2)
+    pair = ladder_spin_map(2, 2)
     assert pair.n_atoms == 4
     assert pair.indices[4] == 0b0000  # (0, 0)
     assert pair.indices[0] == 0b1001  # (1, 1)
     assert pair.indices[2] == 0b1010  # (1, -1)
-    pair6 = ladder_spin_map("three-atom", 2)
+    pair6 = ladder_spin_map(3, 2)
     assert pair6.n_atoms == 6
     assert pair6.indices[4] == 0b010010  # (0, 0)
     assert pair6.indices[1] == 0b100010  # (1, 0)
@@ -206,8 +254,8 @@ def test_two_spin_map_indices():
 
 def test_ladder_spin_map_equals_the_column_loop():
     # Column k reads the one-column pattern of m, or of -m when k is odd.
-    for encoding, n_col in (("two-atom", 2), ("three-atom", 3)):
-        column = dict(zip((1, 0, -1), ladder_spin_map(encoding, 1).indices))
+    for n_col in (2, 3):
+        column = dict(zip((1, 0, -1), ladder_spin_map(n_col, 1).indices))
         for n_spins in (1, 2, 3):
             expected = []
             for ms in itertools.product((1, 0, -1), repeat=n_spins):
@@ -215,9 +263,9 @@ def test_ladder_spin_map_equals_the_column_loop():
                 for k, m in enumerate(ms):
                     index = (index << n_col) | column[-m if k % 2 else m]
                 expected.append(index)
-            assert ladder_spin_map(encoding, n_spins).indices == tuple(expected)
+            assert ladder_spin_map(n_col, n_spins).indices == tuple(expected)
     with pytest.raises(ValueError):
-        ladder_spin_map("four-atom", 1)
+        ladder_spin_map(4, 1)
 
 
 def test_embed_rejects_unmapped_support():
@@ -259,7 +307,7 @@ def test_geometry_validation():
     with pytest.raises(ValueError):
         AtomGeometry(np.array([[0.0, 0.0], [0.0, 0.0]]), 1.0)
     with pytest.raises(ValueError):
-        geometry_mirrored_ladder(4, 1.0, 2.0, 1.0)
+        ladder_geometry(4, 2, 1.0, 2.0, 1.0)
     with pytest.raises(ValueError):
         four_atom_system(1.0, 1.0, 64.0, 1.5)
 
@@ -299,13 +347,17 @@ def test_custom_hamiltonians_equal_the_loop_reference_bitwise(n_atoms):
     for _ in range(3):
         geom = AtomGeometry(rng.uniform(-3.0, 3.0, size=(n_atoms, 2)), rng.uniform(1.0, 50.0))
         extra = rng.integers(0, n_atoms, size=rng.integers(0, 4))
-        pairs = [tuple(rng.choice(n_atoms, size=2, replace=False)) for _ in range(n_atoms // 2)]
+        # Sorted keys: a pair drawn twice keeps its last value instead of being refused.
+        pairs = [
+            tuple(sorted(rng.choice(n_atoms, size=2, replace=False).tolist()))
+            for _ in range(n_atoms // 2)
+        ]
         params = RydbergParams(
             omega=rng.uniform(-2.0, 2.0),
             delta=rng.uniform(-5.0, 20.0),
             delta0=rng.uniform(-3.0, 3.0),
             delta0_atoms=tuple(int(i) for i in extra),
-            pair_overrides={(int(i), int(j)): rng.uniform(-1.0, 1.0) for i, j in pairs},
+            pair_overrides={pair: rng.uniform(-1.0, 1.0) for pair in pairs},
         )
         # Omega = -0.0 as well: the drive entries keep the loop's sign of zero.
         for p in (params, replace(params, omega=-0.0)):

@@ -2,9 +2,10 @@
 
 Each preset runs through `cahm.cli.main` into a temporary directory, and so
 do the two `spectrum` configs of the paper's one- and two-spin figures
-(`SPECTRA`) and one `match` config of each kind (`MATCHES`); one line
-`<sha256>  <run>/<file>` is printed per artifact, sorted, so that the output
-of two checkouts can be compared with `diff`.
+(`SPECTRA`), one `match` config of each kind (`MATCHES`) and three `evolve`
+configs (`EVOLVES`); one line `<sha256>  <run>/<file>` is printed per
+artifact, sorted, so that the output of two checkouts can be compared with
+`diff`.
 Uses the `cahm` on the import path:
 
     PYTHONPATH=src python tools/preset_hashes.py
@@ -53,12 +54,50 @@ MATCHES = {
 }
 
 
+# No preset runs `evolve`: a target, a named array and a `custom` array with
+# delta0 atoms and an override, the fields that every array manifest records.
+EVOLVE_TIMES = {"start": 0.0, "stop": 2.0, "num": 21}
+EVOLVES = {
+    "evolve-two-spin": {
+        "target": {"kind": "two-spin", "U": 1.0, "X": 1.2, "Y": 0.2},
+        "initial": "00",
+    },
+    "evolve-six-atom": {
+        "simulator": {
+            "kind": "six-atom",
+            "omega": 1.0,
+            "delta": 15.0,
+            "v0": 30.0,
+            "rho": 0.326,
+            "delta0": 0.4,
+        },
+        "initial": "00",
+    },
+    "evolve-custom": {
+        "simulator": {
+            "kind": "custom",
+            "positions": [[0.0, 2.0], [0.0, 1.0], [0.0, 0.0], [3.0, 2.0], [3.0, 1.0], [3.0, 0.0]],
+            "scale": 30.0,
+            "omega": 1.0,
+            "delta": 15.0,
+            "delta0": 0.4,
+            "delta0_atoms": [1, 4],
+            "overrides": {"1-4": 0.0},
+        },
+        "initial": "010010",
+    },
+}
+
+
 def preset_hashes() -> list[str]:
     lines = []
     with tempfile.TemporaryDirectory() as tmp:
         runs = {name: [preset_config(name).mode, "--preset", name] for name in presets()}
         configs = {name: {"mode": "spectrum", "target": t} for name, t in SPECTRA.items()}
         configs.update({f"match-{k}": {"mode": "match", "match": m} for k, m in MATCHES.items()})
+        configs.update(
+            {k: {"mode": "evolve", "times": EVOLVE_TIMES, **e} for k, e in EVOLVES.items()}
+        )
         for name, obj in configs.items():
             config = Path(tmp) / f"{name}.json"
             config.write_text(json.dumps(obj), encoding="utf-8")
