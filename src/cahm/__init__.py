@@ -57,7 +57,7 @@ from .evolution import (
     EvolutionTrace,
     TraceComparison,
     compare,
-    symmetric_state_two_spin,
+    spin_finals,
     trace,
 )
 from .trotter import (

@@ -26,10 +26,10 @@ from .evolution import (
     EvolutionTrace,
     basis_trace,
     compare,
-    one_spin_finals,
+    simulator_trace,
+    spin_finals,
     state_probabilities,
     trace,
-    two_spin_finals,
 )
 from .matching import (
     MatchingError,
@@ -276,7 +276,15 @@ def _set_by(fields: str):
         raise ConfigError(f"{exc} (set by {fields})") from None
 
 
+def _only(obj: dict, ctx: str, fields) -> None:
+    """Refuse a field of `obj` that its reader does not read, naming it ctx.key."""
+    for key in obj:
+        if key not in fields:
+            raise ConfigError(f"unknown field {ctx}.{key}; {ctx} reads {', '.join(fields)}")
+
+
 def _time_grid(obj: dict, ctx: str) -> np.ndarray:
+    _only(obj, ctx, ("start", "stop", "num"))
     start = _require(obj, "start", float, ctx)
     stop = _require(obj, "stop", float, ctx)
     num = _require(obj, "num", int, ctx)
@@ -307,44 +315,56 @@ def _couplings(spec: dict, ctx: str, kind: str) -> TargetCouplings:
 
 
 def _build_target(spec: dict):
-    """Return (Hamiltonian, labeled finals, couplings, resolved params)."""
-    ctx = "target"
+    """Return (Hamiltonian, (truncation, link count), couplings, resolved params).
+
+    One- and two-spin targets are spin-1 chains of one and two links.
+    """
+    ctx = "payload.target"
     kind = _require(spec, "kind", str, ctx)
     if kind not in ("one-spin", "two-spin", "chain"):
         raise ConfigError(f"field {ctx}.kind has unknown value {kind!r}")
+    chain_fields = ("boundary", "m_max", "n_links") if kind == "chain" else ()
+    _only(spec, ctx, ("kind", *_COUPLING_FIELDS[kind], *chain_fields))
     c = _couplings(spec, ctx, kind)
     resolved = {name: getattr(c, name.lower()) for name in _COUPLING_FIELDS[kind]}
     if kind == "one-spin":
-        return build_h1t(c), one_spin_finals(), c, resolved
+        return build_h1t(c), (SPIN1, 1), c, resolved
     if kind == "two-spin":
-        return build_h2t(c), two_spin_finals(), c, resolved
+        return build_h2t(c), (SPIN1, 2), c, resolved
     trunc = SpinTruncation(_require(spec, "m_max", int, ctx))
     n_links = _require(spec, "n_links", int, ctx)
     resolved.update(m_max=trunc.m_max, n_links=n_links, boundary=c.boundary)
-    return build_chain_h(c, trunc, n_links), [], c, resolved
+    return build_chain_h(c, trunc, n_links), (trunc, n_links), c, resolved
 
 
 def _labelled_target(spec: dict):
-    """`_build_target` for the modes that start from a labelled state."""
+    """(Hamiltonian, labeled states, resolved params) for the modes that start from a state."""
     if spec.get("kind") == "chain":
         raise ConfigError(
             "field payload.target.kind 'chain' has no labelled states: chain targets run in "
             "spectrum mode only"
         )
-    return _build_target(spec)
+    h, _, _, resolved = _build_target(spec)
+    return h, spin_finals(h.dim), resolved
 
 
-def _target_symmetries(kind: str, resolved: dict):
-    """C and link reflection of a target: one-spin and two-spin are spin-1 chains."""
-    if kind == "chain":
-        return chain_symmetries(SpinTruncation(resolved["m_max"]), resolved["n_links"])
-    return chain_symmetries(SPIN1, 1 if kind == "one-spin" else 2)
+# Fields read by each simulator kind besides `kind`.
+_SIMULATOR_FIELDS = {
+    "two-atom": ("omega", "delta", "v0"),
+    "three-atom": ("omega", "delta", "delta0", "v0"),
+    "four-atom": ("omega", "delta", "v0", "rho", "v1", "v2_override"),
+    "six-atom": ("omega", "delta", "v0", "rho", "delta0", "include_middle_pair"),
+    "custom": ("positions", "scale", "omega", "delta", "delta0", "delta0_atoms", "overrides"),
+}
 
 
 def _build_simulator(spec: dict):
     """Return (SimulatorSystem, resolved params dict)."""
-    ctx = "simulator"
+    ctx = "payload.simulator"
     kind = _require(spec, "kind", str, ctx)
+    if kind not in _SIMULATOR_FIELDS:
+        raise ConfigError(f"field {ctx}.kind has unknown value {kind!r}")
+    _only(spec, ctx, ("kind", *_SIMULATOR_FIELDS[kind]))
     if kind == "two-atom":
         system = two_atom_system(
             _require(spec, "omega", float, ctx),
@@ -360,6 +380,8 @@ def _build_simulator(spec: dict):
         )
     elif kind == "four-atom":
         v0 = _require(spec, "v0", float, ctx)
+        if "rho" in spec and "v1" in spec:
+            raise ConfigError(f"fields {ctx}.rho and {ctx}.v1 both set the column spacing")
         if "rho" in spec:
             rho = _require(spec, "rho", float, ctx)
         else:
@@ -385,10 +407,8 @@ def _build_simulator(spec: dict):
             delta0=_optional(spec, "delta0", float, ctx, 0.0),
             include_middle_pair=_optional(spec, "include_middle_pair", bool, ctx, True),
         )
-    elif kind == "custom":
-        system = _custom_layout(spec, ctx)
     else:
-        raise ConfigError(f"field {ctx}.kind has unknown value {kind!r}")
+        system = _custom_layout(spec, ctx)
     p = system.params
     resolved = {**spec, **{k: float(v) for k, v in system.derived.items()}}
     resolved.update(omega=p.omega, delta=p.delta, delta0=p.delta0)
@@ -479,9 +499,9 @@ def _write_manifest(cfg: ExperimentConfig, parameters: dict, outputs: list[str])
 
 def _run_spectrum(cfg: ExperimentConfig) -> int:
     target = _require(cfg.payload, "target", dict, "payload")
-    h, _, c, resolved = _build_target(target)
+    h, chain, c, resolved = _build_target(target)
     # One eigenvalue solve per symmetry sector; the sectors' union is the spectrum of H.
-    sectors = symmetry_sectors(h, _target_symmetries(target["kind"], resolved))
+    sectors = symmetry_sectors(h, chain_symmetries(*chain))
     blocks = [eig_hermitian(b, eigvals_only=True).eigenvalues for b in sectors]
     eigenvalues = np.sort(np.concatenate(blocks))
     out = {"eigenvalues": [float(w) for w in eigenvalues]}
@@ -494,10 +514,23 @@ def _run_spectrum(cfg: ExperimentConfig) -> int:
     return EXIT_OK
 
 
+# Fields read by each match kind besides `kind` and its `_COUPLING_FIELDS`.
+_MATCH_FIELDS = {
+    "two-atom": ("blockade_ratio",),
+    "three-atom-newton": ("unknowns", "fixed", "guess", "equations"),
+    "three-atom-approx": ("omega", "delta"),
+    "four-atom": ("v0",),
+    "six-atom": ("omega", "delta", "v0", "rho_hint", "include_middle_pair"),
+}
+
+
 def _run_match(cfg: ExperimentConfig) -> int:
     spec = _require(cfg.payload, "match", dict, "payload")
     kind = _require(spec, "kind", str, "payload.match")
     ctx = "payload.match"
+    if kind not in _MATCH_FIELDS:
+        raise ConfigError(f"field {ctx}.kind has unknown value {kind!r}")
+    _only(spec, ctx, ("kind", *_COUPLING_FIELDS.get(kind, ""), *_MATCH_FIELDS[kind]))
     if kind == "two-atom":
         report = match_two_atom(
             _couplings(spec, ctx, kind),
@@ -521,7 +554,7 @@ def _run_match(cfg: ExperimentConfig) -> int:
         )
     elif kind == "four-atom":
         report = match_four_atom(_couplings(spec, ctx, kind), _require(spec, "v0", float, ctx))
-    elif kind == "six-atom":
+    else:
         report = match_six_atom(
             _couplings(spec, ctx, kind),
             _require(spec, "omega", float, ctx),
@@ -530,8 +563,6 @@ def _run_match(cfg: ExperimentConfig) -> int:
             rho_hint=_optional(spec, "rho_hint", float, ctx, None),
             include_middle_pair=_optional(spec, "include_middle_pair", bool, ctx, True),
         )
-    else:
-        raise ConfigError(f"field {ctx}.kind has unknown value {kind!r}")
     _write_json(cfg.out_dir / "match_report.json", report.to_json_obj())
     _write_manifest(cfg, {"match": spec}, ["match_report.json"])
     return EXIT_OK if report.converged else EXIT_NUMERICAL
@@ -542,12 +573,16 @@ def _run_evolve(cfg: ExperimentConfig) -> int:
     times = _time_grid(_require(payload, "times", dict, "payload"), "payload.times")
     initial = _require(payload, "initial", str, "payload")
     resolved: dict = {"initial": initial, "times": payload["times"]}
+    if ("target" in payload) == ("simulator" in payload):
+        raise ConfigError(
+            "evolve takes exactly one of the fields payload.target and payload.simulator"
+        )
     if "target" in payload:
         target = _require(payload, "target", dict, "payload")
-        h, finals, _, resolved["target"] = _labelled_target(target)
+        h, finals, resolved["target"] = _labelled_target(target)
         with _set_by("payload.times and payload.target"):
             tr = trace(h, _initial_state(finals, initial), finals, times)
-    elif "simulator" in payload:
+    else:
         spec = _require(payload, "simulator", dict, "payload")
         system, resolved["simulator"] = _build_simulator(spec)
         if system.spin_map is None:
@@ -562,11 +597,10 @@ def _run_evolve(cfg: ExperimentConfig) -> int:
                 probs = state_probabilities(system.hamiltonian(), psi0, times)
             tr = EvolutionTrace(times, dict(zip(labels, probs)))
         else:
+            psi0 = _initial_state(spin_finals(len(system.spin_map.indices)), initial)
             with _set_by("payload.times and payload.simulator"):
-                tr = system.spin_trace(_initial_state(system.spin_finals(), initial), times)
+                tr = simulator_trace(system, psi0, times)
         resolved["geometry"] = _geometry_json(system)
-    else:
-        raise ConfigError("missing field payload.target or payload.simulator")
     _write_text(cfg.out_dir / "trace.csv", tr.to_csv_text())
     _write_manifest(cfg, resolved, ["trace.csv"])
     return EXIT_OK
@@ -582,7 +616,7 @@ def _run_compare(cfg: ExperimentConfig) -> int:
 
     target_spec = _require(payload, "target", dict, "payload")
     sim_spec = _require(payload, "simulator", dict, "payload")
-    h, finals, _, target_params = _labelled_target(target_spec)
+    h, finals, target_params = _labelled_target(target_spec)
     system, sim_params = _build_simulator(sim_spec)
     if system.spin_map is None:
         raise ConfigError("field payload.simulator: custom simulators run in evolve mode only")
@@ -596,9 +630,9 @@ def _run_compare(cfg: ExperimentConfig) -> int:
     with _set_by("payload.times and payload.target"):
         target_trace = trace(h, psi0, finals, times)
     with _set_by(f"payload.{'times' if sim_grid is None else 'sim_times'} and payload.simulator"):
-        sim_trace = system.spin_trace(psi0, sim_times)
-
-    comparison = compare(target_trace, sim_trace, rescale_k=rescale_k)
+        sim_trace = simulator_trace(system, psi0, sim_times)
+    with _set_by("payload.rescale_k, payload.times and payload.sim_times"):
+        comparison = compare(target_trace, sim_trace, rescale_k=rescale_k)
     _write_text(cfg.out_dir / "target.csv", target_trace.to_csv_text())
     _write_text(cfg.out_dir / "simulator.csv", sim_trace.to_csv_text())
     _write_json(cfg.out_dir / "comparison.json", comparison.to_json_obj())
@@ -641,10 +675,10 @@ def _run_trotter(cfg: ExperimentConfig) -> int:
 
     system = two_atom_system(omega, delta, v0)
     times = np.arange(n_steps + 1) * dt
-    finals = one_spin_finals()
+    finals = spin_finals(len(system.spin_map.indices))
     psi0 = _initial_state(finals, "m=1")
     with _set_by("payload.omega, payload.delta, payload.v0, payload.dt and payload.t_max"):
-        exact = system.spin_trace(psi0, times)
+        exact = simulator_trace(system, psi0, times)
         step = trotter_step(system.geometry, system.params, dt)
     psi = system.embed(psi0)
     labels = bitstring_labels(psi.dim)
@@ -688,6 +722,15 @@ def _run_trotter(cfg: ExperimentConfig) -> int:
     return EXIT_OK
 
 
+# Payload fields read by each mode.
+_PAYLOAD_FIELDS = {
+    "spectrum": ("target",),
+    "match": ("match",),
+    "evolve": ("times", "initial", "target", "simulator"),
+    "compare": ("times", "sim_times", "initial", "rescale_k", "target", "simulator"),
+    "trotter": ("omega", "delta", "v0", "dt", "t_max", "shots"),
+}
+
 _RUNNERS = {
     "spectrum": _run_spectrum,
     "match": _run_match,
@@ -701,6 +744,7 @@ def run(cfg: ExperimentConfig) -> int:
     """Execute one experiment; writes artifacts into cfg.out_dir."""
     if cfg.mode not in _RUNNERS:
         raise ConfigError(f"unknown mode {cfg.mode!r}; expected one of {', '.join(MODES)}")
+    _only(cfg.payload, "payload", _PAYLOAD_FIELDS[cfg.mode])
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
     return _RUNNERS[cfg.mode](cfg)
 

@@ -20,6 +20,7 @@ from .numerics import (
     eig_hermitian,
     overlaps,
 )
+from .rydberg_models import SimulatorSystem
 from .target_models import SPIN1
 
 # Complete-basis probability series must sum to 1 within this tolerance.
@@ -124,22 +125,19 @@ def state_probabilities(op: SparseHermitian, psi0: StateVector, times) -> np.nda
     return np.abs(eig_hermitian(op).propagate(psi0, times)) ** 2
 
 
-def simulator_trace(
-    op: SparseHermitian,
-    psi0: StateVector,
-    observables: list[tuple[str, StateVector]],
-    physical_indices,
-    times,
-) -> EvolutionTrace:
-    """Observable probabilities plus a 'leakage' series.
+def simulator_trace(system: SimulatorSystem, psi0_spin: StateVector, times) -> EvolutionTrace:
+    """Trace of the embedded `spin_finals` from the embedded `psi0_spin`, plus 'leakage'.
 
-    Leakage aggregates the probability on every basis state outside
-    `physical_indices` (the encoded spin subspace).
+    Leakage aggregates the probability on every basis state outside the
+    encoded spin subspace of `system.spin_map`.
     """
-    amplitudes = eig_hermitian(op).propagate(psi0, times)
+    physical = system.spin_map.indices
+    observables = [(label, system.embed(state)) for label, state in spin_finals(len(physical))]
+    h, psi0 = system.hamiltonian(), system.embed(psi0_spin)
+    amplitudes = eig_hermitian(h).propagate(psi0, times)
     probs = np.abs(overlaps([f for _, f in observables], amplitudes)) ** 2
     series = {label: probs[i] for i, (label, _) in enumerate(observables)}
-    return _with_leakage(times, series, np.abs(amplitudes) ** 2, physical_indices)
+    return _with_leakage(times, series, np.abs(amplitudes) ** 2, physical)
 
 
 def basis_trace(
@@ -168,20 +166,23 @@ def complete_basis_finals(dim: int) -> list[tuple[str, StateVector]]:
     return [(label, StateVector.basis(dim, b)) for b, label in enumerate(bitstring_labels(dim))]
 
 
-def one_spin_finals() -> list[tuple[str, StateVector]]:
-    """The three m-basis states of a single spin-1, labeled m=1, m=0, m=-1."""
-    return [(f"m={m}", StateVector.basis(3, i)) for i, m in enumerate((1, 0, -1))]
+def spin_finals(n_states: int) -> list[tuple[str, StateVector]]:
+    """The labeled states of a spin-1 basis of `n_states` states.
 
-
-def symmetric_state_two_spin() -> StateVector:
-    """(|0,1> + |0,-1> + |1,0> + |-1,0>) / 2 in the 9-state two-spin basis."""
-    m = SPIN1.m_values()[basis_digits(3, 2, "two spins")]
-    return StateVector(0.5 * (np.abs(m).sum(axis=1) == 1))
-
-
-def two_spin_finals() -> list[tuple[str, StateVector]]:
-    """|0,0> and the symmetric one-excitation combination, labeled 00 and S."""
-    return [("00", StateVector.basis(9, 4)), ("S", symmetric_state_two_spin())]
+    One spin (3 states): the m-basis states, labeled m=1, m=0, m=-1.  Two
+    spins (9 states): |0,0>, labeled 00, and the symmetric one-excitation
+    combination S = (|0,1> + |0,-1> + |1,0> + |-1,0>) / 2.
+    """
+    if n_states == 3:
+        return [(f"m={m}", StateVector.basis(3, i)) for i, m in enumerate((1, 0, -1))]
+    if n_states == 9:
+        m = SPIN1.m_values()[basis_digits(3, 2, "two spins")]
+        symmetric = StateVector(0.5 * (np.abs(m).sum(axis=1) == 1))
+        return [("00", StateVector.basis(9, 4)), ("S", symmetric)]
+    raise ValueError(
+        "labeled states exist for spin bases of 3 (one spin) or 9 (two spins) states, "
+        f"got {n_states!r}"
+    )
 
 
 def compare(
@@ -193,7 +194,7 @@ def compare(
 
     With a rescale factor K the simulator series are read at t/K (linear
     interpolation on the simulator grid); target times whose rescaled image
-    falls outside the simulator grid are dropped.
+    falls outside the simulator grid are dropped, and at least two must stay.
     """
     labels = [label for label in target.series if label in sim.series]
     if not labels:
@@ -206,8 +207,12 @@ def compare(
     lo, hi = sim.times[0], sim.times[-1]
     span = max(hi - lo, 1.0)
     mask = (source >= lo - 1e-12 * span) & (source <= hi + 1e-12 * span)
-    if not np.any(mask):
-        raise ValueError("no overlap between the target grid and the rescaled simulator grid")
+    n_common = np.count_nonzero(mask)
+    if n_common < 2:
+        raise ValueError(
+            f"the rescaled simulator grid overlaps {n_common} of the target times; "
+            "a comparison needs at least 2"
+        )
     common_t = target.times[mask]
     source = np.clip(source[mask], lo, hi)
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .evolution import two_spin_finals
+from .evolution import simulator_trace, spin_finals
 from .numerics import (
     DEGENERACY_RTOL,
     UNIFORM_GRID_ULPS,
@@ -635,10 +635,10 @@ def match_six_atom(
     )
     notes.append("Delta0 = 0: the electric splitting emerges from second-order level repulsion")
 
-    finals_t = two_spin_finals()
+    finals_t = spin_finals(9)
     psi0_t = dict(finals_t)["00"]
     times = np.linspace(0.0, SIX_ATOM_T_MAX, SIX_ATOM_N_TIMES)
-    sim_tr = system.spin_trace(psi0_t, times)
+    sim_tr = simulator_trace(system, psi0_t, times)
     bracket = (0.5 * abs(k_e), 1.5 * abs(k_e))
     k_opt, k_rms = fit_time_rescale(build_h2t(c), psi0_t, finals_t, sim_tr, bracket)
     residuals["trace_rms"] = k_rms

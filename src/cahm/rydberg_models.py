@@ -24,7 +24,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .evolution import EvolutionTrace, one_spin_finals, simulator_trace, two_spin_finals
 from .numerics import SparseHermitian, StateVector, basis_digits, site_strides
 
 # The excited-atom bits of m = 1, 0, -1 in a column of 2 or 3 atoms (top atom first).
@@ -263,20 +262,6 @@ class SimulatorSystem:
         out = np.zeros(1 << self.spin_map.n_atoms, dtype=np.complex128)
         out[list(indices)] = state.amplitudes
         return StateVector(out)
-
-    def spin_finals(self) -> list[tuple[str, StateVector]]:
-        """The labeled spin-basis finals: `one_spin_finals` or `two_spin_finals`."""
-        return one_spin_finals() if len(self.spin_map.indices) == 3 else two_spin_finals()
-
-    def spin_trace(self, psi0_spin: StateVector, times) -> EvolutionTrace:
-        """Trace of the embedded `spin_finals` from the embedded `psi0_spin`, plus leakage.
-
-        Leakage is the probability outside the encoded states.
-        """
-        observables = [(label, self.embed(state)) for label, state in self.spin_finals()]
-        return simulator_trace(
-            self.hamiltonian(), self.embed(psi0_spin), observables, self.spin_map.indices, times
-        )
 
 
 def _ladder_system(geometry: AtomGeometry, rows: int, derived: dict, **params) -> SimulatorSystem:

@@ -30,9 +30,9 @@ from cahm import (
 )
 from cahm.evolution import (
     complete_basis_finals,
-    one_spin_finals,
+    simulator_trace,
+    spin_finals,
     trace,
-    two_spin_finals,
 )
 from cahm.target_models import SPIN1, SpinTruncation, op_charge_conjugation
 
@@ -64,12 +64,12 @@ def test_criterion_2_two_atom_match():
     target_tr = trace(
         build_h1t(TargetCouplings(u=1.0, x=0.5)),
         StateVector.basis(3, 0),
-        one_spin_finals(),
+        spin_finals(3),
         times,
     )
 
     def deviation_and_leakage(v0):
-        sim_tr = two_atom_system(-0.5, -0.5, v0).spin_trace(StateVector.basis(3, 0), times)
+        sim_tr = simulator_trace(two_atom_system(-0.5, -0.5, v0), StateVector.basis(3, 0), times)
         dev = compare(target_tr, sim_tr).max_abs_dev
         return dev, float(np.max(sim_tr.series["leakage"]))
 
@@ -109,10 +109,11 @@ def test_criterion_4_three_atom_approximate_match():
     target_tr = trace(
         build_h1t(TargetCouplings(u=0.064, x=0.067)),
         StateVector.basis(3, 0),
-        one_spin_finals(),
+        spin_finals(3),
         times,
     )
-    sim_tr = three_atom_system(1.0, 15.0, 0.0, 30.0).spin_trace(StateVector.basis(3, 0), times)
+    system = three_atom_system(1.0, 15.0, 0.0, 30.0)
+    sim_tr = simulator_trace(system, StateVector.basis(3, 0), times)
     dev = compare(target_tr, sim_tr).max_abs_dev
     ok = ratio_ok and dev <= 0.1
     _report(
@@ -154,10 +155,10 @@ def test_criterion_5_newton_round_trip():
 def _four_atom_deviation(v2_override, t_stop, n):
     c = TargetCouplings(u=1.0, x=1.2, y=0.2)
     times = np.linspace(0.0, t_stop, n)
-    target_tr = trace(build_h2t(c), StateVector.basis(9, 4), two_spin_finals(), times)
+    target_tr = trace(build_h2t(c), StateVector.basis(9, 4), spin_finals(9), times)
     rho = (c.y / 64.0) ** (1.0 / 6.0)
     system = four_atom_system(-1.2, -0.6, 64.0, rho, v2_override=v2_override)
-    return compare(target_tr, system.spin_trace(StateVector.basis(9, 4), times)).max_abs_dev
+    return compare(target_tr, simulator_trace(system, StateVector.basis(9, 4), times)).max_abs_dev
 
 
 def test_criterion_6_four_atom_ideal_and_long_window():
@@ -204,7 +205,7 @@ def test_criterion_8_trotter():
     omega, delta, v0 = -1.5, -0.5, 10.0
     system = two_atom_system(omega, delta, v0)
     psi0 = system.embed(StateVector.basis(3, 0))
-    obs = [(label, system.embed(state)) for label, state in one_spin_finals()]
+    obs = [(label, system.embed(state)) for label, state in spin_finals(3)]
 
     def trotter_probs(dt, t):
         psi = apply_steps(two_atom_step(omega, delta, v0, dt), psi0, int(round(t / dt)))
@@ -213,12 +214,12 @@ def test_criterion_8_trotter():
             for label, st in obs
         }
 
-    exact_t1 = system.spin_trace(StateVector.basis(3, 0), [1.0])
+    exact_t1 = simulator_trace(system, StateVector.basis(3, 0), [1.0])
     psi_t1, probs_t1 = trotter_probs(0.1, 1.0)
     dev_t1 = max(abs(p - exact_t1.series[label][0]) for label, p in probs_t1.items())
 
     times = np.arange(1, 21) * 0.1
-    exact = system.spin_trace(StateVector.basis(3, 0), times)
+    exact = simulator_trace(system, StateVector.basis(3, 0), times)
 
     def max_dev(dt):
         worst = 0.0

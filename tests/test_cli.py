@@ -798,6 +798,87 @@ def test_bad_field_value_names_it(tmp_path, capsys, config, path, value, name):
     assert name in capsys.readouterr().err
 
 
+ONE_SPIN_EVOLVE = {
+    "mode": "evolve",
+    "target": {"kind": "one-spin", "U": 1.0, "X": 0.5},
+    "initial": "m=1",
+    "times": {"start": 0.0, "stop": 1.0, "num": 11},
+}
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        {**ONE_SPIN_EVOLVE, "simulator": {"kind": "two-atom", "omega": -0.5, "delta": -0.5,
+                                          "v0": 32.0}},
+        {k: v for k, v in ONE_SPIN_EVOLVE.items() if k != "target"},
+    ],
+    ids=["both", "neither"],
+)
+def test_evolve_takes_exactly_one_of_target_and_simulator(tmp_path, capsys, config):
+    assert _run_config(tmp_path, config) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "payload.target" in err and "payload.simulator" in err
+    assert not (tmp_path / "out" / "manifest.json").exists()
+
+
+@pytest.mark.parametrize(
+    "config,name",
+    [
+        (_with_field(SIX_ATOM_COMPARE, ("simulator", "delta_0"), 0.4),
+         "payload.simulator.delta_0"),
+        (_with_field(preset_config("fig8").payload | {"mode": "compare"}, ("rescale",), 0.05),
+         "payload.rescale"),
+        (_with_field(FOUR_ATOM_COMPARE, ("simulator", "rho"), 0.5), "payload.simulator.rho"),
+        (_with_field(FOUR_ATOM_COMPARE, ("target", "Z"), 0.1), "payload.target.Z"),
+        (_with_field(FOUR_ATOM_COMPARE, ("times", "step"), 0.1), "payload.times.step"),
+        (_with_field(FOUR_ATOM_COMPARE, ("sim_times",), {"start": 0.0, "stop": 1.0, "num": 11,
+                                                         "end": 2.0}), "payload.sim_times.end"),
+        (_with_field(ONE_SPIN_EVOLVE, ("target", "Y"), 0.2), "payload.target.Y"),
+        (_with_field(ONE_SPIN_EVOLVE, ("rescale_k",), 1.0), "payload.rescale_k"),
+        (_with_field(CUSTOM_EVOLVE, ("simulator", "mirror"), []), "payload.simulator.mirror"),
+        (_with_field({"mode": "spectrum", "target": CHAIN_TARGET}, ("target", "m"), 1),
+         "payload.target.m"),
+        (_with_field({"mode": "spectrum", "target": CHAIN_TARGET}, ("initial",), "m=1"),
+         "payload.initial"),
+        (_with_field({"mode": "match", "match": MATCH_CONFIGS["four-atom"]}, ("match", "rho"),
+                     0.3), "payload.match.rho"),
+        (_with_field({"mode": "match", "match": MATCH_CONFIGS["two-atom"]}, ("match", "Y"), 0.2),
+         "payload.match.Y"),
+        (_with_field(preset_config("fig10").payload | {"mode": "trotter"}, ("seeds",), 1),
+         "payload.seeds"),
+    ],
+    ids=[
+        "six-atom-delta_0", "compare-rescale", "four-atom-rho-and-v1", "target", "times",
+        "sim_times", "one-spin-target-Y", "evolve-rescale_k", "custom", "chain-target",
+        "spectrum-payload", "match-four-atom", "match-two-atom-Y", "trotter-payload",
+    ],
+)
+def test_unread_field_names_it(tmp_path, capsys, config, name):
+    assert _run_config(tmp_path, config) == EXIT_CONFIG
+    assert name in capsys.readouterr().err
+    assert not (tmp_path / "out" / "manifest.json").exists()
+
+
+@pytest.mark.parametrize(
+    "path,value,message",
+    [
+        (("rescale_k",), -1.0, "rescale factor must be positive"),
+        (("rescale_k",), 0.0, "rescale factor must be positive"),
+        (("sim_times",), {"start": 200.0, "stop": 300.0, "num": 1001}, "overlaps 0 of the"),
+        (("rescale_k",), 1e-6, "overlaps 1 of the"),
+    ],
+    ids=["negative-k", "zero-k", "sim-times-apart", "one-point-overlap"],
+)
+def test_compare_rescale_errors_name_their_fields(tmp_path, capsys, path, value, message):
+    fig8 = preset_config("fig8").payload | {"mode": "compare"}
+    assert _run_config(tmp_path, _with_field(fig8, path, value)) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert message in err
+    assert "(set by payload.rescale_k, payload.times and payload.sim_times)" in err
+    assert not (tmp_path / "out" / "comparison.json").exists()
+
+
 @pytest.mark.parametrize("hint", [0.01, 0.0, 1.5, -1.0])
 def test_rho_hint_with_an_empty_bracket_names_it(tmp_path, capsys, hint):
     config = {"mode": "match", "match": MATCH_CONFIGS["six-atom"]}

@@ -24,3 +24,11 @@ def test_modules_import_only_the_standard_library_numpy_and_cahm():
     for path in sources:
         outside = set(_imported_packages(ast.parse(path.read_text(encoding="utf-8")))) - ALLOWED
         assert not outside, f"{path.name} imports {sorted(outside)}"
+
+
+def test_the_array_models_import_nothing_from_the_dynamics():
+    path = Path(cahm.__file__).parent / "rydberg_models.py"
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = [getattr(node, "module", None) or "", *(alias.name for alias in node.names)]
+            assert not any("evolution" in name.split(".") for name in names), ast.unparse(node)

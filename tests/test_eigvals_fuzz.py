@@ -15,8 +15,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cahm import eig_hermitian
-from cahm.cli import _build_target, _target_symmetries
+from cahm.cli import _build_target
 from cahm.numerics import symmetry_sectors
+from cahm.target_models import chain_symmetries
 
 from helpers import random_hermitian, sparse_from_dense
 
@@ -46,6 +47,6 @@ def test_eigenvalues_only_agree_with_the_full_path(dim, complex_entries, seed):
 @pytest.mark.parametrize("m_max, n_links, y", CHAINS)
 def test_benchmark_chain_sectors_agree_with_the_full_path(m_max, n_links, y):
     target = {"kind": "chain", "U": 1.0, "X": 0.9, "Y": y, "m_max": m_max, "n_links": n_links}
-    terms, _, _, resolved = _build_target(target)
-    for block in symmetry_sectors(terms, _target_symmetries("chain", resolved)):
+    terms, chain, _, _ = _build_target(target)
+    for block in symmetry_sectors(terms, chain_symmetries(*chain)):
         assert _eigenvalue_gap(block) <= 1e-12

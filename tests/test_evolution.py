@@ -8,15 +8,14 @@ from cahm import (
     build_h1t,
     build_h2t,
     compare,
-    symmetric_state_two_spin,
+    spin_finals,
     trace,
     two_atom_system,
 )
 from cahm.evolution import (
     complete_basis_finals,
-    one_spin_finals,
+    simulator_trace,
     state_probabilities,
-    two_spin_finals,
 )
 from cahm.target_models import SPIN1, op_charge_conjugation
 
@@ -26,7 +25,7 @@ from helpers import one_spin_rabi_oracle, random_hermitian, sparse_from_dense
 def test_trace_t0_and_eigenstate():
     h = build_h1t(TargetCouplings(u=1.0, x=0.0))
     psi0 = StateVector.basis(3, 0)
-    tr = trace(h, psi0, one_spin_finals(), np.linspace(0, 10, 11))
+    tr = trace(h, psi0, spin_finals(3), np.linspace(0, 10, 11))
     assert tr.series["m=1"][0] == 1.0
     assert np.allclose(tr.series["m=1"], 1.0, atol=1e-12)
     assert np.allclose(tr.series["m=0"], 0.0, atol=1e-12)
@@ -35,7 +34,7 @@ def test_trace_t0_and_eigenstate():
 def test_trace_matches_rabi_closed_form():
     u, x = 1.0, 0.5
     times = np.linspace(0, 10, 501)
-    tr = trace(build_h1t(TargetCouplings(u=u, x=x)), StateVector.basis(3, 0), one_spin_finals(), times)
+    tr = trace(build_h1t(TargetCouplings(u=u, x=x)), StateVector.basis(3, 0), spin_finals(3), times)
     oracle = one_spin_rabi_oracle(u, x, times)
     for label in ("m=1", "m=0", "m=-1"):
         assert np.max(np.abs(tr.series[label] - oracle[label])) <= 1e-9
@@ -44,13 +43,13 @@ def test_trace_matches_rabi_closed_form():
 def test_trace_dim_mismatch():
     h = build_h1t(TargetCouplings(u=1.0, x=0.5))
     with pytest.raises(ValueError):
-        trace(h, StateVector.basis(4, 0), one_spin_finals(), [0.0, 1.0])
+        trace(h, StateVector.basis(4, 0), spin_finals(3), [0.0, 1.0])
     with pytest.raises(ValueError):
         trace(h, StateVector.basis(3, 0), [("bad", StateVector.basis(4, 0))], [0.0])
 
 
 def test_symmetric_state():
-    s = symmetric_state_two_spin()
+    s = dict(spin_finals(9))["S"]
     assert abs(np.sum(np.abs(s.amplitudes) ** 2) - 1.0) < 1e-15
     assert s.amplitudes[4] == 0.0  # orthogonal to |0,0>
     c_op = op_charge_conjugation(SPIN1)
@@ -78,7 +77,7 @@ def test_complete_basis_normalization():
 
 
 def _peak_leakage(system, times):
-    return float(np.max(system.spin_trace(StateVector.basis(3, 0), times).series["leakage"]))
+    return float(np.max(simulator_trace(system, StateVector.basis(3, 0), times).series["leakage"]))
 
 
 def test_blockade_leakage_two_atom():
@@ -94,7 +93,7 @@ def test_blockade_leakage_omega_zero():
 
 def test_simulator_trace_leakage_column():
     system = two_atom_system(-0.5, -0.5, 32.0)
-    tr = system.spin_trace(StateVector.basis(3, 0), np.linspace(0, 10, 101))
+    tr = simulator_trace(system, StateVector.basis(3, 0), np.linspace(0, 10, 101))
     spin_total = tr.series["m=1"] + tr.series["m=0"] + tr.series["m=-1"]
     assert np.max(np.abs(spin_total + tr.series["leakage"] - 1.0)) <= 1e-9
 
@@ -108,14 +107,15 @@ def test_simulator_trace_diagonalizes_once(monkeypatch):
         return eigh(h)
 
     monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
-    two_atom_system(-0.5, -0.5, 32.0).spin_trace(StateVector.basis(3, 0), np.linspace(0, 10, 11))
+    system = two_atom_system(-0.5, -0.5, 32.0)
+    simulator_trace(system, StateVector.basis(3, 0), np.linspace(0, 10, 11))
     assert calls == [(4, 4)]
 
 
 def test_compare_identical_and_errors():
     h = build_h1t(TargetCouplings(u=1.0, x=0.5))
     times = np.linspace(0, 10, 101)
-    tr = trace(h, StateVector.basis(3, 0), one_spin_finals(), times)
+    tr = trace(h, StateVector.basis(3, 0), spin_finals(3), times)
     result = compare(tr, tr)
     assert result.max_abs_dev == 0.0
     assert result.rms == 0.0
@@ -127,15 +127,30 @@ def test_compare_identical_and_errors():
         compare(tr, tr, rescale_k=-1.0)
 
 
+def test_compare_refuses_an_overlap_of_one_target_time():
+    h = build_h1t(TargetCouplings(u=1.0, x=0.5))
+    tr = trace(h, StateVector.basis(3, 0), spin_finals(3), np.linspace(0, 10, 101))
+    with pytest.raises(ValueError, match="overlaps 1 of the target times"):
+        compare(tr, tr, rescale_k=1e-6)
+    with pytest.raises(ValueError, match="overlaps 0 of the target times"):
+        compare(tr, type(tr)(times=tr.times + 20.0, series=tr.series))
+
+
+@pytest.mark.parametrize("n_states", [2, 27])
+def test_spin_finals_refuses_other_basis_sizes(n_states):
+    with pytest.raises(ValueError, match=f"got {n_states}"):
+        spin_finals(n_states)
+
+
 def test_compare_rescale_round_trip():
     # A slowed-down copy of the same dynamics compared under the true K only
     # differs by linear-interpolation error.
     h = build_h1t(TargetCouplings(u=1.0, x=0.5))
     psi0 = StateVector.basis(3, 0)
     k = 0.5
-    target_tr = trace(h, psi0, one_spin_finals(), np.linspace(0, 10, 1001))
+    target_tr = trace(h, psi0, spin_finals(3), np.linspace(0, 10, 1001))
     sim_times = np.linspace(0, 20, 1001)
-    sim_tr = trace(h, psi0, one_spin_finals(), k * sim_times)
+    sim_tr = trace(h, psi0, spin_finals(3), k * sim_times)
     sim_tr_stretched = type(sim_tr)(times=sim_times, series=sim_tr.series)
     result = compare(target_tr, sim_tr_stretched, rescale_k=k)
     assert result.max_abs_dev <= 1e-3
@@ -153,8 +168,8 @@ def test_time_reversal_probabilities():
     h = build_h1t(TargetCouplings(u=1.0, x=0.7))
     h_neg = sparse_from_dense(-h.matrix)
     times = np.linspace(0, 10, 101)
-    forward = trace(h, StateVector.basis(3, 0), one_spin_finals(), times)
-    backward = trace(h_neg, StateVector.basis(3, 0), one_spin_finals(), times)
+    forward = trace(h, StateVector.basis(3, 0), spin_finals(3), times)
+    backward = trace(h_neg, StateVector.basis(3, 0), spin_finals(3), times)
     for label in forward.series:
         assert np.max(np.abs(forward.series[label] - backward.series[label])) <= 1e-12
 
@@ -164,16 +179,16 @@ def test_two_atom_fidelity_invariant():
     target_tr = trace(
         build_h1t(TargetCouplings(u=1.0, x=0.5)),
         StateVector.basis(3, 0),
-        one_spin_finals(),
+        spin_finals(3),
         times,
     )
-    sim_tr = two_atom_system(-0.5, -0.5, 32.0).spin_trace(StateVector.basis(3, 0), times)
+    sim_tr = simulator_trace(two_atom_system(-0.5, -0.5, 32.0), StateVector.basis(3, 0), times)
     assert compare(target_tr, sim_tr).max_abs_dev <= 0.02
 
 
 def test_csv_and_json_serialization():
     h = build_h1t(TargetCouplings(u=1.0, x=0.5))
-    tr = trace(h, StateVector.basis(3, 0), one_spin_finals(), np.linspace(0, 1, 5))
+    tr = trace(h, StateVector.basis(3, 0), spin_finals(3), np.linspace(0, 1, 5))
     text = tr.to_csv_text()
     lines = text.split("\n")
     assert lines[0] == "t,m=1,m=0,m=-1"
@@ -185,7 +200,7 @@ def test_csv_and_json_serialization():
 
 
 def test_two_spin_finals_shapes():
-    finals = two_spin_finals()
+    finals = spin_finals(9)
     assert finals[0][0] == "00"
     assert finals[0][1].amplitudes[4] == 1.0
     h2 = build_h2t(TargetCouplings(u=1.0, x=1.2, y=0.2))

@@ -24,7 +24,7 @@ from cahm import (
     three_atom_residuals,
     two_atom_system,
 )
-from cahm.evolution import EvolutionTrace, one_spin_finals, trace, two_spin_finals
+from cahm.evolution import EvolutionTrace, simulator_trace, spin_finals, trace
 from cahm.matching import K_TOL, SIX_ATOM_N_TIMES, SIX_ATOM_T_MAX
 
 from helpers import (
@@ -89,13 +89,13 @@ def test_two_atom_spectral_exactness_bound():
 def test_two_atom_match_error_falls_as_the_blockade_grows():
     c = TargetCouplings(u=1.0, x=0.5)
     times = np.linspace(0.0, 10.0, 1001)
-    finals = one_spin_finals()
+    finals = spin_finals(3)
     for _, psi0 in finals:
         target = trace(build_h1t(c), psi0, finals, times)
         deviations = []
         for ratio in (16.0, 64.0, 256.0):
             system = two_atom_system(**match_two_atom(c, blockade_ratio=ratio).simulator_params)
-            sim = system.spin_trace(psi0, times)
+            sim = simulator_trace(system, psi0, times)
             deviations.append(
                 max(np.max(np.abs(sim.series[label] - target.series[label])) for label, _ in finals)
             )
@@ -313,8 +313,8 @@ def test_match_four_atom_v1_exactness_random():
 def test_fit_time_rescale_self_match():
     h = build_h1t(TargetCouplings(u=1.0, x=0.5))
     psi0 = StateVector.basis(3, 0)
-    tr = trace(h, psi0, one_spin_finals(), np.linspace(0, 10, 1001))
-    k, rms = fit_time_rescale(h, psi0, one_spin_finals(), tr, (0.8, 1.25))
+    tr = trace(h, psi0, spin_finals(3), np.linspace(0, 10, 1001))
+    k, rms = fit_time_rescale(h, psi0, spin_finals(3), tr, (0.8, 1.25))
     assert abs(k - 1.0) <= 1e-6
     assert rms < 1e-8
 
@@ -328,7 +328,7 @@ def test_rescaled_amplitudes_equal_propagate(n, t0):
     real = eig_hermitian(build_h2t(TargetCouplings(u=1.0, x=1.2, y=0.2)))
     cplx = eig_hermitian(sparse_from_dense(random_hermitian(rng, 9)))
     psi0 = StateVector.normalized(rng.normal(size=9) + 1j * rng.normal(size=9))
-    two = [f for _, f in two_spin_finals()]
+    two = [f for _, f in spin_finals(9)]
     two.append(StateVector.normalized(rng.normal(size=9) + 1j * rng.normal(size=9)))
     for spec in (real, cplx):
         for finals in (two[:1], two[1:], two):
@@ -342,10 +342,10 @@ def test_rescaled_amplitudes_equal_propagate(n, t0):
 def test_fit_time_rescale_checks_state_dimensions():
     h = build_h1t(TargetCouplings(u=1.0, x=0.5))
     psi0 = StateVector.basis(3, 0)
-    tr = trace(h, psi0, one_spin_finals(), np.linspace(0, 1, 5))
+    tr = trace(h, psi0, spin_finals(3), np.linspace(0, 1, 5))
     with pytest.raises(ContractViolationError, match="state dimension"):
-        fit_time_rescale(h, StateVector.basis(9, 0), one_spin_finals(), tr, (0.8, 1.25))
-    wrong = [(label, StateVector.basis(9, 0)) for label, _ in one_spin_finals()]
+        fit_time_rescale(h, StateVector.basis(9, 0), spin_finals(3), tr, (0.8, 1.25))
+    wrong = [(label, StateVector.basis(9, 0)) for label, _ in spin_finals(3)]
     with pytest.raises(ContractViolationError, match="state dimension"):
         fit_time_rescale(h, psi0, wrong, tr, (0.8, 1.25))
 
@@ -357,13 +357,13 @@ def test_fit_time_rescale_refuses_a_non_uniform_grid():
     bumped = times.copy()
     bumped[40] += 1e-9
     for grid in (np.geomspace(0.1, 10, 101), bumped):
-        tr = trace(h, psi0, one_spin_finals(), grid)
+        tr = trace(h, psi0, spin_finals(3), grid)
         with pytest.raises(ValueError, match="sim_trace.times are not uniform"):
-            fit_time_rescale(h, psi0, one_spin_finals(), tr, (0.8, 1.25))
+            fit_time_rescale(h, psi0, spin_finals(3), tr, (0.8, 1.25))
     # Grids uniform within rounding pass, whichever way they were built.
     for grid in (np.arange(101) * 0.1, 0.1 * np.arange(101) + 0.3):
-        tr = trace(h, psi0, one_spin_finals(), grid)
-        k, _ = fit_time_rescale(h, psi0, one_spin_finals(), tr, (0.8, 1.25))
+        tr = trace(h, psi0, spin_finals(3), grid)
+        k, _ = fit_time_rescale(h, psi0, spin_finals(3), tr, (0.8, 1.25))
         assert abs(k - 1.0) <= 1e-6
 
 
@@ -371,11 +371,11 @@ def test_fit_time_rescale_matches_the_propagate_oracle():
     h = build_h1t(TargetCouplings(u=1.0, x=0.5))
     psi0 = StateVector.basis(3, 0)
     for n, scale in ((1001, 1.07), (64, 0.93), (2, 1.0)):
-        slow = trace(h, psi0, one_spin_finals(), scale * np.linspace(0.5, 10.5, n))
+        slow = trace(h, psi0, spin_finals(3), scale * np.linspace(0.5, 10.5, n))
         kept = {label: v for label, v in slow.series.items() if label != "m=0"}
         sim = EvolutionTrace(slow.times / scale, kept)
-        got = fit_time_rescale(h, psi0, one_spin_finals(), sim, (0.8, 1.25))
-        want = propagate_fit_time_rescale(h, psi0, one_spin_finals(), sim, (0.8, 1.25))
+        got = fit_time_rescale(h, psi0, spin_finals(3), sim, (0.8, 1.25))
+        want = propagate_fit_time_rescale(h, psi0, spin_finals(3), sim, (0.8, 1.25))
         # Within one last golden-section bracket (see test_matching_fuzz).
         assert abs(got[0] - want[0]) <= K_TOL
         assert abs(got[1] - want[1]) <= 1e-14
@@ -394,9 +394,9 @@ def test_match_six_atom_fig8_k_equals_the_propagate_oracle():
     c = TargetCouplings(u=1.0, x=1.2, y=0.2)
     rep = match_six_atom(c, 1.0, 15.0, 30.0)
     system = six_atom_system(1.0, 15.0, 30.0, rep.simulator_params["rho"])
-    finals = two_spin_finals()
+    finals = spin_finals(9)
     psi0 = dict(finals)["00"]
-    sim = system.spin_trace(psi0, np.linspace(0.0, SIX_ATOM_T_MAX, SIX_ATOM_N_TIMES))
+    sim = simulator_trace(system, psi0, np.linspace(0.0, SIX_ATOM_T_MAX, SIX_ATOM_N_TIMES))
     k_e = 1.0 / 15.0
     k, rms = propagate_fit_time_rescale(build_h2t(c), psi0, finals, sim, (0.5 * k_e, 1.5 * k_e))
     assert abs(rep.time_rescale_k - k) <= 1e-12 * k

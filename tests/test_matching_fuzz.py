@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cahm import TargetCouplings, build_h2t, match_six_atom, six_atom_system
-from cahm.evolution import two_spin_finals
+from cahm.evolution import simulator_trace, spin_finals
 from cahm.matching import K_TOL, SIX_ATOM_N_TIMES, SIX_ATOM_T_MAX
 
 from helpers import propagate_fit_time_rescale
@@ -32,9 +32,9 @@ def test_match_six_atom_fits_the_oracle_k(scales):
     c = TargetCouplings(u=u, x=x, y=y)
     rep = match_six_atom(c, omega, delta, v0)
     system = six_atom_system(omega, delta, v0, rep.simulator_params["rho"])
-    finals = two_spin_finals()
+    finals = spin_finals(9)
     psi0 = dict(finals)["00"]
-    sim = system.spin_trace(psi0, np.linspace(0.0, SIX_ATOM_T_MAX, SIX_ATOM_N_TIMES))
+    sim = simulator_trace(system, psi0, np.linspace(0.0, SIX_ATOM_T_MAX, SIX_ATOM_N_TIMES))
     k_e = omega**2 / (delta * u)
     k, rms = propagate_fit_time_rescale(
         build_h2t(c), psi0, finals, sim, (0.5 * abs(k_e), 1.5 * abs(k_e))

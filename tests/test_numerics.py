@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -132,20 +133,35 @@ def _orientation_cases():
     return cases
 
 
+class _TwoSpinsIn:
+    """An array as `simulator_trace` reads it: `op`, with two spins on 9 spread basis states."""
+
+    def __init__(self, op):
+        self.op = op
+        self.spin_map = SimpleNamespace(indices=tuple(range(0, op.dim, op.dim // 9))[:9])
+
+    def hamiltonian(self):
+        return self.op
+
+    def embed(self, state):
+        out = np.zeros(self.op.dim, dtype=np.complex128)
+        out[list(self.spin_map.indices)] = state.amplitudes
+        return StateVector(out)
+
+
 def _orientation_sensitive_outputs(op, rng):
     """Spectrum.propagate, trace and simulator_trace of `op` from fixed random states."""
     dim = op.dim
 
-    def state():
-        return StateVector.normalized(rng.normal(size=dim) + 1j * rng.normal(size=dim))
+    def state(n=dim):
+        return StateVector.normalized(rng.normal(size=n) + 1j * rng.normal(size=n))
 
     psi0, times = state(), np.linspace(0.0, 5.0, 6)
     finals = [("basis", StateVector.basis(dim, dim // 2)), ("random", state())]
-    physical = range(0, dim, 3)
     return [
         eig_hermitian(op).propagate(psi0, times),
         *trace(op, psi0, finals, times).series.values(),
-        *simulator_trace(op, psi0, finals, physical, times).series.values(),
+        *simulator_trace(_TwoSpinsIn(op), state(9), times).series.values(),
     ]
 
 

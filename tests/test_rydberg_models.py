@@ -18,11 +18,11 @@ from cahm import (
     op_charge_conjugation,
     pair_interaction,
     six_atom_system,
-    symmetric_state_two_spin,
+    spin_finals,
     three_atom_system,
     two_atom_system,
 )
-from cahm.evolution import COMPLETENESS_ATOL, state_probabilities
+from cahm.evolution import COMPLETENESS_ATOL, simulator_trace, state_probabilities
 from cahm.numerics import ContractViolationError, symmetry_sectors
 from cahm.rydberg_models import _ladder_system, atom_permutation, ladder_cross_couplings
 from helpers import loop_couplings, loop_permutation_matrix, loop_rydberg_h, preset_systems
@@ -247,7 +247,7 @@ def test_two_spin_map_indices():
     assert pair6.indices[4] == 0b010010  # (0, 0)
     assert pair6.indices[1] == 0b100010  # (1, 0)
     assert pair6.indices[3] == 0b010001  # (0, 1)
-    s_embedded = four_atom_system(-1.2, -0.6, 64.0, 0.38).embed(symmetric_state_two_spin())
+    s_embedded = four_atom_system(-1.2, -0.6, 64.0, 0.38).embed(dict(spin_finals(9))["S"])
     support = {i for i, a in enumerate(s_embedded.amplitudes) if abs(a) > 0}
     assert support == {0b0001, 0b0010, 0b0100, 0b1000}
 
@@ -385,7 +385,7 @@ def test_encoded_probabilities_plus_leakage_sum_to_one(name, system):
         spin = StateVector.normalized(
             rng.normal(size=len(indices)) + 1j * rng.normal(size=len(indices))
         )
-        tr = system.spin_trace(spin, times)
+        tr = simulator_trace(system, spin, times)
         probs = state_probabilities(system.hamiltonian(), system.embed(spin), times)
         encoded = probs[indices].sum(axis=0)
         assert np.max(np.abs(encoded + tr.series["leakage"] - 1.0)) <= COMPLETENESS_ATOL

@@ -14,7 +14,7 @@ from cahm import (
     sample_shots,
     two_atom_system,
 )
-from cahm.evolution import one_spin_finals
+from cahm.evolution import simulator_trace, spin_finals
 from cahm.numerics import basis_digits
 from cahm.trotter import _apply_single, p_matrix, rx_matrix, trotter_step
 
@@ -32,7 +32,7 @@ FIG10 = {"omega": -1.5, "delta": -0.5, "v0": 10.0}
 def _fig10_pieces():
     system = two_atom_system(**FIG10)
     psi0 = system.embed(StateVector.basis(3, 0))
-    obs = [(label, system.embed(state)) for label, state in one_spin_finals()]
+    obs = [(label, system.embed(state)) for label, state in spin_finals(3)]
     return system, psi0, obs
 
 
@@ -198,7 +198,7 @@ def test_trotter_step_checks_the_atom_indices():
 
 def test_trotter_vs_exact_fig10():
     system, psi0, obs = _fig10_pieces()
-    exact = system.spin_trace(StateVector.basis(3, 0), [1.0])
+    exact = simulator_trace(system, StateVector.basis(3, 0), [1.0])
     probs = _trotter_probs(psi0, obs, 0.1, 1.0)
     for label, p in probs.items():
         assert abs(p - exact.series[label][0]) <= 0.05
@@ -207,7 +207,7 @@ def test_trotter_vs_exact_fig10():
 def test_trotter_error_scaling_on_window():
     system, psi0, obs = _fig10_pieces()
     times = np.arange(1, 21) * 0.1
-    exact = system.spin_trace(StateVector.basis(3, 0), times)
+    exact = simulator_trace(system, StateVector.basis(3, 0), times)
 
     def max_dev(dt):
         worst = 0.0

@@ -2,7 +2,7 @@
 
 Each preset runs through `cahm.cli.main` into a temporary directory, and so
 do the two `spectrum` configs of the paper's one- and two-spin figures
-(`SPECTRA`), one `match` config of each kind (`MATCHES`) and three `evolve`
+(`SPECTRA`), one `match` config of each kind (`MATCHES`) and five `evolve`
 configs (`EVOLVES`); one line `<sha256>  <run>/<file>` is printed per
 artifact, sorted, so that the output of two checkouts can be compared with
 `diff`.
@@ -54,13 +54,22 @@ MATCHES = {
 }
 
 
-# No preset runs `evolve`: a target, a named array and a `custom` array with
-# delta0 atoms and an override, the fields that every array manifest records.
+# No preset runs `evolve`: a one-spin and a two-spin target, a one-spin and a
+# two-spin named array, and a `custom` array with delta0 atoms and an override,
+# the fields that every array manifest records.
 EVOLVE_TIMES = {"start": 0.0, "stop": 2.0, "num": 21}
 EVOLVES = {
+    "evolve-one-spin": {
+        "target": {"kind": "one-spin", "U": 0.064, "X": 0.067},
+        "initial": "m=1",
+    },
     "evolve-two-spin": {
         "target": {"kind": "two-spin", "U": 1.0, "X": 1.2, "Y": 0.2},
         "initial": "00",
+    },
+    "evolve-three-atom": {
+        "simulator": {"kind": "three-atom", "omega": 1.0, "delta": 15.0, "delta0": 0.4, "v0": 30.0},
+        "initial": "m=1",
     },
     "evolve-six-atom": {
         "simulator": {
