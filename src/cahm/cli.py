@@ -295,23 +295,55 @@ def _time_grid(obj: dict, ctx: str) -> np.ndarray:
     return np.linspace(start, stop, num)
 
 
-# Coupling fields read by each target kind and each match kind.
-_COUPLING_FIELDS = {
-    "one-spin": "UX",
-    "two-spin": "UXY",
-    "chain": "UXY",
-    "two-atom": "UX",
-    "three-atom-newton": "UX",
-    "four-atom": "UXY",
-    "six-atom": "UXY",
+# The fields of each kind of config block, in reading order: `name: type` for a
+# required field, `name: (type, default)` for one that may be absent or null.
+_TARGETS = {
+    "one-spin": {"U": float, "X": float},
+    "two-spin": {"U": float, "X": float, "Y": float},
+    "chain": {"U": float, "X": float, "Y": float, "boundary": (str, "open"),
+              "m_max": int, "n_links": int},
+}
+_SIMULATORS = {
+    "two-atom": {"omega": float, "delta": float, "v0": float},
+    "three-atom": {"omega": float, "delta": float, "delta0": float, "v0": float},
+    "four-atom": {"omega": float, "delta": float, "v0": float, "rho": (float, None),
+                  "v1": (float, None), "v2_override": (float, None)},
+    "six-atom": {"omega": float, "delta": float, "v0": float, "rho": float,
+                 "delta0": (float, 0.0), "include_middle_pair": (bool, True)},
+    "custom": {"positions": list, "scale": float, "omega": float, "delta": float,
+               "delta0": (float, 0.0), "delta0_atoms": (list, ()), "overrides": (dict, {})},
+}
+_MATCHES = {
+    "two-atom": {"U": float, "X": float, "blockade_ratio": (float, 64.0)},
+    "three-atom-newton": {"U": float, "X": float, "unknowns": list, "fixed": dict,
+                          "guess": (dict, None), "equations": (list, (1, 2, 3))},
+    "three-atom-approx": {"omega": float, "delta": float},
+    "four-atom": {"U": float, "X": float, "Y": float, "v0": float},
+    "six-atom": {"U": float, "X": float, "Y": float, "omega": float, "delta": float,
+                 "v0": float, "rho_hint": (float, None), "include_middle_pair": (bool, True)},
 }
 
 
-def _couplings(spec: dict, ctx: str, kind: str) -> TargetCouplings:
-    """TargetCouplings from the U/X/Y fields of `kind`; chains also read `boundary`."""
-    values = [_require(spec, name, float, ctx) for name in _COUPLING_FIELDS[kind]]
-    boundary = _optional(spec, "boundary", str, ctx, "open") if kind == "chain" else "open"
-    return TargetCouplings(*values, boundary=boundary)
+def _block(spec: dict, ctx: str, kinds: dict) -> tuple[str, dict]:
+    """The kind of the config block `spec` and its fields, read by the table `kinds`."""
+    kind = _require(spec, "kind", str, ctx)
+    if kind not in kinds:
+        raise ConfigError(f"field {ctx}.kind has unknown value {kind!r}")
+    _only(spec, ctx, ("kind", *kinds[kind]))
+    fields = {}
+    for name, rule in kinds[kind].items():
+        if isinstance(rule, tuple):
+            fields[name] = _optional(spec, name, rule[0], ctx, rule[1])
+        else:
+            fields[name] = _require(spec, name, rule, ctx)
+    return kind, fields
+
+
+def _take_couplings(fields: dict) -> TargetCouplings:
+    """TargetCouplings of the read U, X and, where read, Y and boundary, taken out of `fields`."""
+    return TargetCouplings(
+        fields.pop("U"), fields.pop("X"), fields.pop("Y", 0.0), fields.pop("boundary", "open")
+    )
 
 
 def _build_target(spec: dict):
@@ -319,21 +351,13 @@ def _build_target(spec: dict):
 
     One- and two-spin targets are spin-1 chains of one and two links.
     """
-    ctx = "payload.target"
-    kind = _require(spec, "kind", str, ctx)
-    if kind not in ("one-spin", "two-spin", "chain"):
-        raise ConfigError(f"field {ctx}.kind has unknown value {kind!r}")
-    chain_fields = ("boundary", "m_max", "n_links") if kind == "chain" else ()
-    _only(spec, ctx, ("kind", *_COUPLING_FIELDS[kind], *chain_fields))
-    c = _couplings(spec, ctx, kind)
-    resolved = {name: getattr(c, name.lower()) for name in _COUPLING_FIELDS[kind]}
+    kind, resolved = _block(spec, "payload.target", _TARGETS)
+    c = _take_couplings(dict(resolved))
     if kind == "one-spin":
         return build_h1t(c), (SPIN1, 1), c, resolved
     if kind == "two-spin":
         return build_h2t(c), (SPIN1, 2), c, resolved
-    trunc = SpinTruncation(_require(spec, "m_max", int, ctx))
-    n_links = _require(spec, "n_links", int, ctx)
-    resolved.update(m_max=trunc.m_max, n_links=n_links, boundary=c.boundary)
+    trunc, n_links = SpinTruncation(resolved["m_max"]), resolved["n_links"]
     return build_chain_h(c, trunc, n_links), (trunc, n_links), c, resolved
 
 
@@ -348,96 +372,53 @@ def _labelled_target(spec: dict):
     return h, spin_finals(h.dim), resolved
 
 
-# Fields read by each simulator kind besides `kind`.
-_SIMULATOR_FIELDS = {
-    "two-atom": ("omega", "delta", "v0"),
-    "three-atom": ("omega", "delta", "delta0", "v0"),
-    "four-atom": ("omega", "delta", "v0", "rho", "v1", "v2_override"),
-    "six-atom": ("omega", "delta", "v0", "rho", "delta0", "include_middle_pair"),
-    "custom": ("positions", "scale", "omega", "delta", "delta0", "delta0_atoms", "overrides"),
-}
+_SYSTEMS = {"two-atom": two_atom_system, "three-atom": three_atom_system,
+            "four-atom": four_atom_system, "six-atom": six_atom_system}
 
 
 def _build_simulator(spec: dict):
     """Return (SimulatorSystem, resolved params dict)."""
     ctx = "payload.simulator"
-    kind = _require(spec, "kind", str, ctx)
-    if kind not in _SIMULATOR_FIELDS:
-        raise ConfigError(f"field {ctx}.kind has unknown value {kind!r}")
-    _only(spec, ctx, ("kind", *_SIMULATOR_FIELDS[kind]))
-    if kind == "two-atom":
-        system = two_atom_system(
-            _require(spec, "omega", float, ctx),
-            _require(spec, "delta", float, ctx),
-            _require(spec, "v0", float, ctx),
-        )
-    elif kind == "three-atom":
-        system = three_atom_system(
-            _require(spec, "omega", float, ctx),
-            _require(spec, "delta", float, ctx),
-            _require(spec, "delta0", float, ctx),
-            _require(spec, "v0", float, ctx),
-        )
-    elif kind == "four-atom":
-        v0 = _require(spec, "v0", float, ctx)
+    kind, fields = _block(spec, ctx, _SIMULATORS)
+    if kind == "four-atom":
+        # rho sets the column spacing, or else v1 does, which is then required.
         if "rho" in spec and "v1" in spec:
             raise ConfigError(f"fields {ctx}.rho and {ctx}.v1 both set the column spacing")
-        if "rho" in spec:
-            rho = _require(spec, "rho", float, ctx)
-        else:
-            v1 = _require(spec, "v1", float, ctx)
+        del fields["v1"]
+        if fields["rho"] is None:
+            v1, v0 = _require(spec, "v1", float, ctx), fields["v0"]
             if v0 == 0:
                 raise ConfigError(f"field {ctx}.v0 must be nonzero to derive rho from {ctx}.v1")
             if not 0 < v1 / v0 < 1:
                 raise ConfigError(f"field {ctx}.v1 must give 0 < v1/v0 < 1, got {v1 / v0!r}")
-            rho = (v1 / v0) ** (1.0 / 6.0)
-        system = four_atom_system(
-            _require(spec, "omega", float, ctx),
-            _require(spec, "delta", float, ctx),
-            v0,
-            rho,
-            v2_override=_optional(spec, "v2_override", float, ctx, None),
-        )
-    elif kind == "six-atom":
-        system = six_atom_system(
-            _require(spec, "omega", float, ctx),
-            _require(spec, "delta", float, ctx),
-            _require(spec, "v0", float, ctx),
-            _require(spec, "rho", float, ctx),
-            delta0=_optional(spec, "delta0", float, ctx, 0.0),
-            include_middle_pair=_optional(spec, "include_middle_pair", bool, ctx, True),
-        )
-    else:
-        system = _custom_layout(spec, ctx)
+            fields["rho"] = (v1 / v0) ** (1.0 / 6.0)
+    system = _custom_layout(ctx, **fields) if kind == "custom" else _SYSTEMS[kind](**fields)
     p = system.params
     resolved = {**spec, **{k: float(v) for k, v in system.derived.items()}}
     resolved.update(omega=p.omega, delta=p.delta, delta0=p.delta0)
     return system, resolved
 
 
-def _custom_layout(spec: dict, ctx: str) -> SimulatorSystem:
-    """A custom layout without spin map, each field read by name before any atom is placed.
+def _custom_layout(
+    ctx: str, positions, scale, omega, delta, delta0, delta0_atoms, overrides
+) -> SimulatorSystem:
+    """A custom layout without spin map, from its read fields; no atom is placed above the cap.
 
     The fields are those `_geometry_json` writes into every array manifest.
     """
-    positions = _require(spec, "positions", list, ctx)
     capped_dim(2, len(positions), "number of positions")
     rows = []
     for k, row in enumerate(positions):
         if not isinstance(row, list) or len(row) != 2:
             raise ConfigError(f"field {ctx}.positions[{k}] must be an [x, y] pair, got {row!r}")
         rows.append(_entries(row, float, f"{ctx}.positions[{k}]"))
-    scale, omega, delta = (_require(spec, key, float, ctx) for key in ("scale", "omega", "delta"))
-    atoms = _optional(spec, "delta0_atoms", list, ctx, [])
-    overrides = _optional(spec, "overrides", dict, ctx, {})
     pairs = {}
     for key, v in _entries(overrides, float, f"{ctx}.overrides").items():
         pair = re.fullmatch(r"(\d+)-(\d+)", key)
         if pair is None:
             raise ConfigError(f"field {ctx}.overrides key {key!r} must read 'i-j'")
         pairs[(int(pair[1]), int(pair[2]))] = v
-    delta0 = _optional(spec, "delta0", float, ctx, 0.0)
-    delta0_atoms = tuple(_entries(atoms, int, f"{ctx}.delta0_atoms"))
+    delta0_atoms = tuple(_entries(delta0_atoms, int, f"{ctx}.delta0_atoms"))
     with _set_by(f"{ctx}.overrides"):
         params = RydbergParams(omega, delta, delta0, delta0_atoms, pair_overrides=pairs)
     return SimulatorSystem(AtomGeometry(rows, scale), params, spin_map=None, mirror=())
@@ -514,55 +495,30 @@ def _run_spectrum(cfg: ExperimentConfig) -> int:
     return EXIT_OK
 
 
-# Fields read by each match kind besides `kind` and its `_COUPLING_FIELDS`.
-_MATCH_FIELDS = {
-    "two-atom": ("blockade_ratio",),
-    "three-atom-newton": ("unknowns", "fixed", "guess", "equations"),
-    "three-atom-approx": ("omega", "delta"),
-    "four-atom": ("v0",),
-    "six-atom": ("omega", "delta", "v0", "rho_hint", "include_middle_pair"),
-}
-
-
 def _run_match(cfg: ExperimentConfig) -> int:
     spec = _require(cfg.payload, "match", dict, "payload")
-    kind = _require(spec, "kind", str, "payload.match")
     ctx = "payload.match"
-    if kind not in _MATCH_FIELDS:
-        raise ConfigError(f"field {ctx}.kind has unknown value {kind!r}")
-    _only(spec, ctx, ("kind", *_COUPLING_FIELDS.get(kind, ""), *_MATCH_FIELDS[kind]))
+    kind, f = _block(spec, ctx, _MATCHES)
+    # Every kind but three-atom-approx matches the target couplings U, X and Y.
+    c = None if kind == "three-atom-approx" else _take_couplings(f)
     if kind == "two-atom":
-        report = match_two_atom(
-            _couplings(spec, ctx, kind),
-            blockade_ratio=_optional(spec, "blockade_ratio", float, ctx, 64.0),
-        )
+        report = match_two_atom(c, **f)
     elif kind == "three-atom-newton":
-        unknowns = _require(spec, "unknowns", list, ctx)
-        guess = _optional(spec, "guess", dict, ctx, None)
-        equations = _optional(spec, "equations", list, ctx, [1, 2, 3])
+        guess = f["guess"]
         problem = NewtonProblem(
-            targets=_couplings(spec, ctx, kind),
-            unknowns=tuple(_entries(unknowns, str, f"{ctx}.unknowns")),
-            fixed=_entries(_require(spec, "fixed", dict, ctx), float, f"{ctx}.fixed"),
+            targets=c,
+            unknowns=tuple(_entries(f["unknowns"], str, f"{ctx}.unknowns")),
+            fixed=_entries(f["fixed"], float, f"{ctx}.fixed"),
             initial_guess=None if guess is None else _entries(guess, float, f"{ctx}.guess"),
-            equations=tuple(_entries(equations, int, f"{ctx}.equations")),
+            equations=tuple(_entries(f["equations"], int, f"{ctx}.equations")),
         )
         report = solve_three_atom_newton(problem)
     elif kind == "three-atom-approx":
-        report = approx_three_atom_match(
-            _require(spec, "omega", float, ctx), _require(spec, "delta", float, ctx)
-        )
+        report = approx_three_atom_match(**f)
     elif kind == "four-atom":
-        report = match_four_atom(_couplings(spec, ctx, kind), _require(spec, "v0", float, ctx))
+        report = match_four_atom(c, **f)
     else:
-        report = match_six_atom(
-            _couplings(spec, ctx, kind),
-            _require(spec, "omega", float, ctx),
-            _require(spec, "delta", float, ctx),
-            _require(spec, "v0", float, ctx),
-            rho_hint=_optional(spec, "rho_hint", float, ctx, None),
-            include_middle_pair=_optional(spec, "include_middle_pair", bool, ctx, True),
-        )
+        report = match_six_atom(c, **f)
     _write_json(cfg.out_dir / "match_report.json", report.to_json_obj())
     _write_manifest(cfg, {"match": spec}, ["match_report.json"])
     return EXIT_OK if report.converged else EXIT_NUMERICAL

@@ -129,11 +129,13 @@ def simulator_trace(system: SimulatorSystem, psi0_spin: StateVector, times) -> E
     """Trace of the embedded `spin_finals` from the embedded `psi0_spin`, plus 'leakage'.
 
     Leakage aggregates the probability on every basis state outside the
-    encoded spin subspace of `system.spin_map`.
+    encoded spin subspace of `system.spin_map`.  An array without a spin map
+    raises ValueError.
     """
+    psi0 = system.embed(psi0_spin)
     physical = system.spin_map.indices
     observables = [(label, system.embed(state)) for label, state in spin_finals(len(physical))]
-    h, psi0 = system.hamiltonian(), system.embed(psi0_spin)
+    h = system.hamiltonian()
     amplitudes = eig_hermitian(h).propagate(psi0, times)
     probs = np.abs(overlaps([f for _, f in observables], amplitudes)) ** 2
     series = {label: probs[i] for i, (label, _) in enumerate(observables)}

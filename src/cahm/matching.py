@@ -530,8 +530,9 @@ def fit_time_rescale(
     coefficients A[f, j] = <f|v_j><v_j|psi0>, and each K reads its amplitudes
     as (outer * A_f) @ inner, with the phases factorised over the uniform grid
     as in `Spectrum.propagate`: a ValueError naming `sim_trace.times` refuses
-    any other grid.  A deterministic coarse scan over the bracket seeds a
-    golden-section refinement.  Returns (K, rms at K).
+    any other grid, and a non-finite hi max|w| max|t| raises
+    ContractViolationError before any exponential.  A deterministic coarse
+    scan over the bracket seeds a golden-section refinement.  Returns (K, rms at K).
     """
     lo, hi = bracket
     if not 0 < lo < hi:
@@ -545,6 +546,12 @@ def fit_time_rescale(
     spec = eig_hermitian(target_op)
     if any(s.dim != spec.dim for s in [psi0, *(f for _, f in used)]):
         raise ContractViolationError(f"state dimension does not match H ({spec.dim})")
+    # A product of Python floats: one that overflows is inf, with no numpy warning.
+    w_max, t_max = float(np.max(np.abs(spec.eigenvalues))), float(np.max(np.abs(sim_trace.times)))
+    if not math.isfinite(hi * w_max * t_max):
+        raise ContractViolationError(
+            "phases exp(-i K w t) overflow: K max|w| max|t| is not finite at the bracket's upper K"
+        )
     v = spec.eigenvectors
     coeffs = overlaps([f for _, f in used], v) * (v.conj().T @ psi0.amplitudes)
     sim_vals = np.vstack([sim_trace.series[label] for label, _ in used])
@@ -640,7 +647,13 @@ def match_six_atom(
     times = np.linspace(0.0, SIX_ATOM_T_MAX, SIX_ATOM_N_TIMES)
     sim_tr = simulator_trace(system, psi0_t, times)
     bracket = (0.5 * abs(k_e), 1.5 * abs(k_e))
-    k_opt, k_rms = fit_time_rescale(build_h2t(c), psi0_t, finals_t, sim_tr, bracket)
+    try:
+        k_opt, k_rms = fit_time_rescale(build_h2t(c), psi0_t, finals_t, sim_tr, bracket)
+    except ContractViolationError as exc:
+        raise ValueError(
+            f"{exc}; the target spectrum and K are set by U = {c.u!r}, X = {c.x!r}, "
+            f"Y = {c.y!r}, omega = {omega!r} and delta = {delta!r}"
+        ) from None
     residuals["trace_rms"] = k_rms
 
     return MatchReport(

@@ -241,11 +241,14 @@ def atom_permutation(perm) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SimulatorSystem:
-    """A ready-to-run array: geometry, drive parameters, spin map and mirror."""
+    """A ready-to-run array: geometry, drive parameters, spin map and mirror.
+
+    A custom array encodes no spins: its spin map is None.
+    """
 
     geometry: AtomGeometry
     params: RydbergParams
-    spin_map: SpinAtomMap
+    spin_map: SpinAtomMap | None
     mirror: tuple[int, ...]
     derived: dict = field(default_factory=dict)
 
@@ -254,6 +257,8 @@ class SimulatorSystem:
 
     def embed(self, state: StateVector) -> StateVector:
         """The spin-basis `state` copied onto the mapped product-basis indices."""
+        if self.spin_map is None:
+            raise ValueError("this array encodes no spins: its spin map is None")
         indices = self.spin_map.indices
         if state.dim != len(indices):
             raise ValueError(

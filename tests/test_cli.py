@@ -12,6 +12,9 @@ import pytest
 import cahm
 from cahm import StateVector
 from cahm.cli import (
+    _MATCHES,
+    _SIMULATORS,
+    _TARGETS,
     EXIT_CONFIG,
     EXIT_NUMERICAL,
     EXIT_OK,
@@ -858,6 +861,64 @@ def test_unread_field_names_it(tmp_path, capsys, config, name):
     assert _run_config(tmp_path, config) == EXIT_CONFIG
     assert name in capsys.readouterr().err
     assert not (tmp_path / "out" / "manifest.json").exists()
+
+
+# Each config block's mode and field table, and a value of each type the tables read.
+BLOCK_TABLES = {
+    "target": ("spectrum", _TARGETS),
+    "simulator": ("evolve", _SIMULATORS),
+    "match": ("match", _MATCHES),
+}
+TYPE_EXAMPLES = {float: 1.0, int: 1, str: "x", bool: True, list: [], dict: {}}
+
+
+def _required_fields_config(block: str, kind: str) -> dict:
+    """A config whose `block` of `kind` gives each required field an example of its type."""
+    mode, table = BLOCK_TABLES[block]
+    spec = {"kind": kind}
+    spec.update({k: TYPE_EXAMPLES[t] for k, t in table[kind].items() if not isinstance(t, tuple)})
+    config = {"mode": mode, block: spec}
+    if mode == "evolve":
+        config.update(initial="0", times={"start": 0.0, "stop": 1.0, "num": 2})
+    return config
+
+
+@pytest.mark.parametrize(
+    "block,kind,name",
+    [
+        (block, kind, name)
+        for block, (_, table) in BLOCK_TABLES.items()
+        for kind, fields in table.items()
+        for name, rule in fields.items()
+        if not isinstance(rule, tuple)
+    ],
+)
+def test_a_block_without_a_required_field_names_it(tmp_path, capsys, block, kind, name):
+    config = _required_fields_config(block, kind)
+    del config[block][name]
+    assert _run_config(tmp_path, config) == EXIT_CONFIG
+    assert capsys.readouterr().err == f"config error: missing field payload.{block}.{name}\n"
+
+
+@pytest.mark.parametrize(
+    "block,kind",
+    [(block, kind) for block, (_, table) in BLOCK_TABLES.items() for kind in table],
+)
+def test_a_block_with_an_unread_field_names_it(tmp_path, capsys, block, kind):
+    config = _with_field(_required_fields_config(block, kind), (block, "unread"), 1.0)
+    assert _run_config(tmp_path, config) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith(
+        f"config error: unknown field payload.{block}.unread; payload.{block} reads kind, "
+    )
+
+
+def test_six_atom_match_with_an_overflowing_k_fit_names_its_fields(tmp_path, capsys):
+    config = {"mode": "match", "match": {**MATCH_CONFIGS["six-atom"], "X": 1e308}}
+    assert _run_config(tmp_path, config) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "K max|w| max|t| is not finite" in err
+    assert "U = 1.0, X = 1e+308, Y = 0.2, omega = 1.0 and delta = 15.0" in err
+    assert "Warning" not in err
 
 
 @pytest.mark.parametrize(

@@ -17,6 +17,7 @@ from cahm.evolution import (
     simulator_trace,
     state_probabilities,
 )
+from cahm.rydberg_models import SimulatorSystem
 from cahm.target_models import SPIN1, op_charge_conjugation
 
 from helpers import one_spin_rabi_oracle, random_hermitian, sparse_from_dense
@@ -235,3 +236,13 @@ def test_state_probabilities_columns_sum_to_one(dim):
             p = state_probabilities(op, psi0, times)
             assert p.shape == (dim, times.size)
             assert np.max(np.abs(p.sum(axis=0) - 1.0)) <= 1e-12
+
+
+def test_an_array_without_spin_map_refuses_spin_states():
+    pair = two_atom_system(-0.5, -0.5, 32.0)
+    custom = SimulatorSystem(pair.geometry, pair.params, spin_map=None, mirror=())
+    psi0 = StateVector.basis(3, 0)
+    with pytest.raises(ValueError, match="encodes no spins"):
+        custom.embed(psi0)
+    with pytest.raises(ValueError, match="encodes no spins"):
+        simulator_trace(custom, psi0, np.linspace(0.0, 1.0, 11))

@@ -367,6 +367,23 @@ def test_fit_time_rescale_refuses_a_non_uniform_grid():
         assert abs(k - 1.0) <= 1e-6
 
 
+def test_fit_time_rescale_refuses_overflowing_phases_before_any_exponential():
+    h = build_h2t(TargetCouplings(u=1.0, x=1e308, y=0.2))
+    psi0 = dict(spin_finals(9))["00"]
+    times = np.linspace(0.0, 100.0, 11)
+    tr = EvolutionTrace(times, {"00": np.ones(11), "S": np.zeros(11)})
+    with np.errstate(over="raise", invalid="raise"):
+        with pytest.raises(ContractViolationError, match=r"K max\|w\| max\|t\| is not finite"):
+            fit_time_rescale(h, psi0, spin_finals(9), tr, (0.5 / 15.0, 1.5 / 15.0))
+
+
+def test_six_atom_match_with_an_overflowing_k_fit_names_its_fields():
+    with np.errstate(over="raise", invalid="raise"):
+        with pytest.raises(ValueError) as info:
+            match_six_atom(TargetCouplings(u=1.0, x=1e308, y=0.2), 1.0, 15.0, 30.0)
+    assert "U = 1.0, X = 1e+308, Y = 0.2, omega = 1.0 and delta = 15.0" in str(info.value)
+
+
 def test_fit_time_rescale_matches_the_propagate_oracle():
     h = build_h1t(TargetCouplings(u=1.0, x=0.5))
     psi0 = StateVector.basis(3, 0)

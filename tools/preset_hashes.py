@@ -1,11 +1,11 @@
 """Print the sha256 of every artifact that the built-in presets write.
 
 Each preset runs through `cahm.cli.main` into a temporary directory, and so
-do the two `spectrum` configs of the paper's one- and two-spin figures
-(`SPECTRA`), one `match` config of each kind (`MATCHES`) and five `evolve`
-configs (`EVOLVES`); one line `<sha256>  <run>/<file>` is printed per
-artifact, sorted, so that the output of two checkouts can be compared with
-`diff`.
+do the `spectrum` configs of the paper's one- and two-spin figures and of an
+open and a periodic chain (`SPECTRA`), one `match` config of each kind
+(`MATCHES`) and five `evolve` configs (`EVOLVES`); one line
+`<sha256>  <run>/<file>` is printed per artifact, sorted, so that the output
+of two checkouts can be compared with `diff`.
 Uses the `cahm` on the import path:
 
     PYTHONPATH=src python tools/preset_hashes.py
@@ -23,10 +23,14 @@ from pathlib import Path
 
 from cahm.cli import main, preset_config, presets
 
-# No preset runs `spectrum`; these are the one- and two-spin spectra of the paper's figures.
+# No preset runs `spectrum`; these are the one- and two-spin spectra of the paper's
+# figures, and a three-link m_max = 2 chain, open and closed into a ring.
+CHAIN = {"kind": "chain", "m_max": 2, "n_links": 3, "U": 1.0, "X": 0.9, "Y": 0.3}
 SPECTRA = {
     "spectrum-one-spin": {"kind": "one-spin", "U": 1.0, "X": 0.5},
     "spectrum-two-spin": {"kind": "two-spin", "U": 1.0, "X": 1.2, "Y": 0.2},
+    "spectrum-chain-open": CHAIN,
+    "spectrum-chain-periodic": {**CHAIN, "boundary": "periodic"},
 }
 
 # No preset runs `match`; these are the `figures` benchmark's configs, one per kind.
