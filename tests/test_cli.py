@@ -1,3 +1,5 @@
+import errno
+import importlib.util
 import json
 import os
 import shutil
@@ -35,17 +37,57 @@ def test_preset_list():
     assert presets() == EXPECTED_PRESETS
 
 
-@pytest.mark.parametrize("name", presets())
+def _load_tool(name: str):
+    path = Path(__file__).resolve().parents[1] / "tools" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+preset_hashes = _load_tool("preset_hashes")
+
+
+@pytest.mark.parametrize("name", [*presets(), *preset_hashes.CONFIGS])
 def test_preset_reruns_byte_identically(tmp_path, name):
+    """A run over longer junk at every artifact path writes the bytes of a fresh run."""
+    argv = preset_hashes.run_argvs(tmp_path)[name]
     out1, out2 = tmp_path / "a", tmp_path / "b"
-    mode = preset_config(name).mode
-    assert main([mode, "--preset", name, "--out", str(out1)]) == EXIT_OK
-    assert main([mode, "--preset", name, "--out", str(out2)]) == EXIT_OK
+    assert main([*argv, "--out", str(out1)]) == EXIT_OK
     files = sorted(p.name for p in out1.iterdir())
-    assert files == sorted(p.name for p in out2.iterdir())
     assert "manifest.json" in files
+    out2.mkdir()
     for file in files:
-        assert (out1 / file).read_bytes() == (out2 / file).read_bytes()
+        size = (out1 / file).stat().st_size
+        (out2 / file).write_bytes(b"junk\r\n" * (size // 6 + 10))
+    assert main([*argv, "--out", str(out2)]) == EXIT_OK
+    assert files == sorted(p.name for p in out2.iterdir())
+    for file in files:
+        assert (out1 / file).read_bytes() == (out2 / file).read_bytes(), file
+
+
+def test_write_text_overwrites_in_place(tmp_path):
+    from cahm.cli import _write_text
+
+    text = "t,m=1\n0,1\n0.5,0.25\n"
+    data = text.encode("utf-8")
+    paths = {
+        "longer": b"stale " * 20,
+        "same-length": b"x" * len(data),
+        "shorter": b"s",
+        "missing": None,
+        "hard-linked": b"linked " * 10,
+    }
+    for name, old in paths.items():
+        if old is not None:
+            (tmp_path / name).write_bytes(old)
+    os.link(tmp_path / "hard-linked", tmp_path / "link")
+    inodes = {name: os.stat(tmp_path / name).st_ino for name, old in paths.items() if old}
+    for name in paths:
+        _write_text(tmp_path / name, text)
+        assert (tmp_path / name).read_bytes() == data, name
+    assert (tmp_path / "link").read_bytes() == data
+    assert inodes == {name: os.stat(tmp_path / name).st_ino for name in inodes}
 
 
 @pytest.mark.parametrize("name", presets())
@@ -180,6 +222,47 @@ def test_config_error_names_field(tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == EXIT_CONFIG
     assert "target.X" in err
+
+
+def test_unreadable_config_exits_2_naming_the_flag(tmp_path, capsys):
+    code = main(["spectrum", "--config", str(tmp_path), "--out", str(tmp_path / "out")])
+    assert code == EXIT_CONFIG
+    assert "--config" in capsys.readouterr().err
+
+
+def test_out_naming_a_file_exits_2_naming_the_flag(tmp_path, capsys):
+    (tmp_path / "file").write_text("x")
+    for out in (tmp_path / "file", tmp_path / "file" / "sub"):
+        assert main(["compare", "--preset", "fig3-top", "--out", str(out)]) == EXIT_CONFIG
+        assert "--out" in capsys.readouterr().err
+    assert (tmp_path / "file").read_text() == "x"
+
+
+def test_artifact_path_that_is_a_directory_exits_2_naming_the_flag(tmp_path, capsys):
+    (tmp_path / "target.csv").mkdir()
+    assert main(["compare", "--preset", "fig3-top", "--out", str(tmp_path)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "--out" in err and "target.csv" in err
+    assert not (tmp_path / "manifest.json").exists()
+
+
+def test_rerun_cut_short_leaves_no_manifest(tmp_path, monkeypatch):
+    from cahm import cli
+
+    argv = ["compare", "--preset", "fig3-top", "--out", str(tmp_path)]
+    assert main(argv) == EXIT_OK
+    write_text = cli._write_text
+
+    def disk_full_after_first_write(path, text):
+        write_text(path, text)
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    monkeypatch.setattr(cli, "_write_text", disk_full_after_first_write)
+    with pytest.raises(OSError) as exc:
+        main(argv)
+    assert exc.value.errno == errno.ENOSPC
+    assert (tmp_path / "target.csv").exists()
+    assert not (tmp_path / "manifest.json").exists()
 
 
 def test_spectrum_config_run(tmp_path):
@@ -422,6 +505,29 @@ def test_four_atom_negative_v1_over_v0_names_field(tmp_path, capsys):
     config["simulator"]["v1"] = -0.2
     assert _run_config(tmp_path, config) == EXIT_CONFIG
     assert "simulator.v1" in capsys.readouterr().err
+
+
+def _four_atom_compare(**spacing) -> dict:
+    """FOUR_ATOM_COMPARE with the column spacing fields `spacing` in place of its v1."""
+    config = json.loads(json.dumps(FOUR_ATOM_COMPARE))
+    del config["simulator"]["v1"]
+    config["simulator"].update(spacing)
+    return config
+
+
+@pytest.mark.parametrize(
+    "spacing,message",
+    [
+        ({"rho": 0.5, "v1": 0.2},
+         "fields payload.simulator.rho and payload.simulator.v1 both set the column spacing"),
+        ({}, "missing field payload.simulator.v1"),
+        ({"rho": None, "v1": None}, "missing field payload.simulator.v1"),
+    ],
+    ids=["both", "neither", "both-null"],
+)
+def test_four_atom_spacing_needs_exactly_one_field(tmp_path, capsys, spacing, message):
+    assert _run_config(tmp_path, _four_atom_compare(**spacing)) == EXIT_CONFIG
+    assert message in capsys.readouterr().err
 
 
 def test_compare_with_mismatched_spin_counts_names_both_kinds(tmp_path, capsys):
@@ -1078,8 +1184,11 @@ def test_overflowing_propagation_names_its_fields(tmp_path, capsys, config, mess
         (CUSTOM_EVOLVE, "overrides", "trace.csv"),
         (SIX_ATOM_COMPARE, "delta0", "simulator.csv"),
         (SIX_ATOM_COMPARE, "include_middle_pair", "simulator.csv"),
+        (FOUR_ATOM_COMPARE, "rho", "simulator.csv"),
+        (_four_atom_compare(rho=0.5), "v1", "simulator.csv"),
     ],
-    ids=["custom-delta0", "custom-atoms", "custom-overrides", "six-delta0", "six-middle-pair"],
+    ids=["custom-delta0", "custom-atoms", "custom-overrides", "six-delta0", "six-middle-pair",
+         "four-rho", "four-v1"],
 )
 def test_null_optional_field_reads_as_absent(tmp_path, config, field, output):
     absent, null = tmp_path / "absent", tmp_path / "null"

@@ -102,20 +102,29 @@ EVOLVES = {
 }
 
 
+# Every run that is not a preset, by name: its config file as a JSON object.
+CONFIGS = {name: {"mode": "spectrum", "target": t} for name, t in SPECTRA.items()}
+CONFIGS.update({f"match-{k}": {"mode": "match", "match": m} for k, m in MATCHES.items()})
+CONFIGS.update({k: {"mode": "evolve", "times": EVOLVE_TIMES, **e} for k, e in EVOLVES.items()})
+
+
+def run_argvs(config_dir: Path) -> dict[str, list[str]]:
+    """`cahm.cli.main` arguments, without --out, of every preset and every run of CONFIGS.
+
+    The config files are written into `config_dir`.
+    """
+    runs = {name: [preset_config(name).mode, "--preset", name] for name in presets()}
+    for name, obj in CONFIGS.items():
+        config = config_dir / f"{name}.json"
+        config.write_text(json.dumps(obj), encoding="utf-8")
+        runs[name] = [obj["mode"], "--config", str(config)]
+    return runs
+
+
 def preset_hashes() -> list[str]:
     lines = []
     with tempfile.TemporaryDirectory() as tmp:
-        runs = {name: [preset_config(name).mode, "--preset", name] for name in presets()}
-        configs = {name: {"mode": "spectrum", "target": t} for name, t in SPECTRA.items()}
-        configs.update({f"match-{k}": {"mode": "match", "match": m} for k, m in MATCHES.items()})
-        configs.update(
-            {k: {"mode": "evolve", "times": EVOLVE_TIMES, **e} for k, e in EVOLVES.items()}
-        )
-        for name, obj in configs.items():
-            config = Path(tmp) / f"{name}.json"
-            config.write_text(json.dumps(obj), encoding="utf-8")
-            runs[name] = [obj["mode"], "--config", str(config)]
-        for name, argv in runs.items():
+        for name, argv in run_argvs(Path(tmp)).items():
             out = Path(tmp) / name
             with contextlib.redirect_stdout(io.StringIO()):
                 code = main([*argv, "--out", str(out)])
