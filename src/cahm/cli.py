@@ -75,8 +75,6 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 
-MODES = ("spectrum", "match", "evolve", "compare", "trotter")
-
 # Cap on the points of every time grid (`num` of times and sim_times, and the
 # t_max/dt + 1 Trotter steps); the presets use 1001.
 MAX_TIMES = 10_001
@@ -284,13 +282,23 @@ def _only(obj: dict, ctx: str, fields) -> None:
             raise ConfigError(f"unknown field {ctx}.{key}; {ctx} reads {', '.join(fields)}")
 
 
+def _fields(obj: dict, ctx: str, table: dict) -> dict:
+    """The fields of `obj` read by `table`, in its order, after refusing a field it lacks."""
+    _only(obj, ctx, table)
+    return {
+        name: _optional(obj, name, rule[0], ctx, rule[1])
+        if isinstance(rule, tuple)
+        else _require(obj, name, rule, ctx)
+        for name, rule in table.items()
+    }
+
+
 def _time_grid(obj: dict, ctx: str) -> np.ndarray:
-    _only(obj, ctx, ("start", "stop", "num"))
-    start = _require(obj, "start", float, ctx)
-    stop = _require(obj, "stop", float, ctx)
-    num = _require(obj, "num", int, ctx)
+    start, stop, num = _fields(obj, ctx, {"start": float, "stop": float, "num": int}).values()
     if num < 2 or stop <= start:
         raise ConfigError(f"field {ctx} must satisfy stop > start and num >= 2")
+    if not stop - start <= sys.float_info.max:
+        raise ConfigError(f"field {ctx} must have a finite stop - start, got {stop - start!r}")
     if num > MAX_TIMES:
         raise ConfigError(f"field {ctx}.num = {num} is above the cap of {MAX_TIMES} time points")
     return np.linspace(start, stop, num)
@@ -298,6 +306,7 @@ def _time_grid(obj: dict, ctx: str) -> np.ndarray:
 
 # The fields of each kind of config block, in reading order: `name: type` for a
 # required field, `name: (type, default)` for one that may be absent or null.
+# `_MODES` holds the payload fields of each mode in the same form.
 _TARGETS = {
     "one-spin": {"U": float, "X": float},
     "two-spin": {"U": float, "X": float, "Y": float},
@@ -330,14 +339,8 @@ def _block(spec: dict, ctx: str, kinds: dict) -> tuple[str, dict]:
     kind = _require(spec, "kind", str, ctx)
     if kind not in kinds:
         raise ConfigError(f"field {ctx}.kind has unknown value {kind!r}")
-    _only(spec, ctx, ("kind", *kinds[kind]))
-    fields = {}
-    for name, rule in kinds[kind].items():
-        if isinstance(rule, tuple):
-            fields[name] = _optional(spec, name, rule[0], ctx, rule[1])
-        else:
-            fields[name] = _require(spec, name, rule, ctx)
-    return kind, fields
+    fields = _fields(spec, ctx, {"kind": str, **kinds[kind]})
+    return fields.pop("kind"), fields
 
 
 def _take_couplings(fields: dict) -> TargetCouplings:
@@ -499,8 +502,7 @@ def _write_manifest(cfg: ExperimentConfig, parameters: dict, outputs: list[str])
     _write_json(cfg.out_dir / "manifest.json", manifest)
 
 
-def _run_spectrum(cfg: ExperimentConfig) -> int:
-    target = _require(cfg.payload, "target", dict, "payload")
+def _run_spectrum(cfg: ExperimentConfig, target) -> int:
     h, chain, c, resolved = _build_target(target)
     # One eigenvalue solve per symmetry sector; the sectors' union is the spectrum of H.
     sectors = symmetry_sectors(h, chain_symmetries(*chain))
@@ -516,10 +518,9 @@ def _run_spectrum(cfg: ExperimentConfig) -> int:
     return EXIT_OK
 
 
-def _run_match(cfg: ExperimentConfig) -> int:
-    spec = _require(cfg.payload, "match", dict, "payload")
+def _run_match(cfg: ExperimentConfig, match) -> int:
     ctx = "payload.match"
-    kind, f = _block(spec, ctx, _MATCHES)
+    kind, f = _block(match, ctx, _MATCHES)
     # Every kind but three-atom-approx matches the target couplings U, X and Y.
     c = None if kind == "three-atom-approx" else _take_couplings(f)
     if kind == "two-atom":
@@ -541,27 +542,23 @@ def _run_match(cfg: ExperimentConfig) -> int:
     else:
         report = match_six_atom(c, **f)
     _write_json(cfg.out_dir / "match_report.json", report.to_json_obj())
-    _write_manifest(cfg, {"match": spec}, ["match_report.json"])
+    _write_manifest(cfg, {"match": match}, ["match_report.json"])
     return EXIT_OK if report.converged else EXIT_NUMERICAL
 
 
-def _run_evolve(cfg: ExperimentConfig) -> int:
-    payload = cfg.payload
-    times = _time_grid(_require(payload, "times", dict, "payload"), "payload.times")
-    initial = _require(payload, "initial", str, "payload")
-    resolved: dict = {"initial": initial, "times": payload["times"]}
-    if ("target" in payload) == ("simulator" in payload):
+def _run_evolve(cfg: ExperimentConfig, times, initial, target, simulator) -> int:
+    grid = _time_grid(times, "payload.times")
+    resolved: dict = {"initial": initial, "times": times}
+    if (target is None) == (simulator is None):
         raise ConfigError(
             "evolve takes exactly one of the fields payload.target and payload.simulator"
         )
-    if "target" in payload:
-        target = _require(payload, "target", dict, "payload")
+    if target is not None:
         h, finals, resolved["target"] = _labelled_target(target)
         with _set_by("payload.times and payload.target"):
-            tr = trace(h, _initial_state(finals, initial), finals, times)
+            tr = trace(h, _initial_state(finals, initial), finals, grid)
     else:
-        spec = _require(payload, "simulator", dict, "payload")
-        system, resolved["simulator"] = _build_simulator(spec)
+        system, resolved["simulator"] = _build_simulator(simulator)
         if system.spin_map is None:
             # Custom layout: the initial state is a |g>/|r> bitstring and the
             # trace covers the complete product basis.
@@ -571,43 +568,38 @@ def _run_evolve(cfg: ExperimentConfig) -> int:
                 raise ConfigError(f"field initial: custom simulators take a bitstring of {n} atoms")
             psi0 = StateVector.basis(len(labels), labels.index(initial))
             with _set_by("payload.times and payload.simulator"):
-                probs = state_probabilities(system.hamiltonian(), psi0, times)
-            tr = EvolutionTrace(times, dict(zip(labels, probs)))
+                probs = state_probabilities(system.hamiltonian(), psi0, grid)
+            tr = EvolutionTrace(grid, dict(zip(labels, probs)))
         else:
             psi0 = _initial_state(spin_finals(len(system.spin_map.indices)), initial)
             with _set_by("payload.times and payload.simulator"):
-                tr = simulator_trace(system, psi0, times)
+                tr = simulator_trace(system, psi0, grid)
         resolved["geometry"] = _geometry_json(system)
     _write_text(cfg.out_dir / "trace.csv", tr.to_csv_text())
     _write_manifest(cfg, resolved, ["trace.csv"])
     return EXIT_OK
 
 
-def _run_compare(cfg: ExperimentConfig) -> int:
-    payload = cfg.payload
-    times = _time_grid(_require(payload, "times", dict, "payload"), "payload.times")
-    sim_grid = _optional(payload, "sim_times", dict, "payload", None)
-    sim_times = times if sim_grid is None else _time_grid(sim_grid, "payload.sim_times")
-    initial = _require(payload, "initial", str, "payload")
-    rescale_k = _optional(payload, "rescale_k", float, "payload", None)
-
-    target_spec = _require(payload, "target", dict, "payload")
-    sim_spec = _require(payload, "simulator", dict, "payload")
-    h, finals, target_params = _labelled_target(target_spec)
-    system, sim_params = _build_simulator(sim_spec)
+def _run_compare(
+    cfg: ExperimentConfig, times, sim_times, initial, rescale_k, target, simulator
+) -> int:
+    grid = _time_grid(times, "payload.times")
+    sim_grid = grid if sim_times is None else _time_grid(sim_times, "payload.sim_times")
+    h, finals, target_params = _labelled_target(target)
+    system, sim_params = _build_simulator(simulator)
     if system.spin_map is None:
         raise ConfigError("field payload.simulator: custom simulators run in evolve mode only")
     if h.dim != len(system.spin_map.indices):
         raise ConfigError(
-            f"fields payload.target.kind ({target_spec['kind']!r}) and payload.simulator.kind "
-            f"({sim_spec['kind']!r}) encode different numbers of spins: spin bases of "
+            f"fields payload.target.kind ({target['kind']!r}) and payload.simulator.kind "
+            f"({simulator['kind']!r}) encode different numbers of spins: spin bases of "
             f"{h.dim} and {len(system.spin_map.indices)} states"
         )
     psi0 = _initial_state(finals, initial)
     with _set_by("payload.times and payload.target"):
-        target_trace = trace(h, psi0, finals, times)
-    with _set_by(f"payload.{'times' if sim_grid is None else 'sim_times'} and payload.simulator"):
-        sim_trace = simulator_trace(system, psi0, sim_times)
+        target_trace = trace(h, psi0, finals, grid)
+    with _set_by(f"payload.{'times' if sim_times is None else 'sim_times'} and payload.simulator"):
+        sim_trace = simulator_trace(system, psi0, sim_grid)
     with _set_by("payload.rescale_k, payload.times and payload.sim_times"):
         comparison = compare(target_trace, sim_trace, rescale_k=rescale_k)
     _write_text(cfg.out_dir / "target.csv", target_trace.to_csv_text())
@@ -617,8 +609,8 @@ def _run_compare(cfg: ExperimentConfig) -> int:
         "target": target_params,
         "simulator": sim_params,
         "initial": initial,
-        "times": payload["times"],
-        "sim_times": payload["times"] if sim_grid is None else sim_grid,
+        "times": times,
+        "sim_times": times if sim_times is None else sim_times,
         "rescale_k": rescale_k,
         "geometry": _geometry_json(system),
     }
@@ -626,21 +618,12 @@ def _run_compare(cfg: ExperimentConfig) -> int:
     return EXIT_OK
 
 
-def _run_trotter(cfg: ExperimentConfig) -> int:
-    payload = cfg.payload
-    ctx = "payload"
-    omega = _require(payload, "omega", float, ctx)
-    delta = _require(payload, "delta", float, ctx)
-    v0 = _require(payload, "v0", float, ctx)
+def _run_trotter(cfg: ExperimentConfig, omega, delta, v0, dt, t_max, shots) -> int:
     # Default step 1/V0: large blockade energies need correspondingly small steps.
-    if "dt" in payload:
-        dt = _require(payload, "dt", float, ctx)
-    elif v0 != 0:
+    if dt is None:
+        if v0 == 0:
+            raise ConfigError("field payload.dt is required when v0 = 0")
         dt = 1.0 / abs(v0)
-    else:
-        raise ConfigError("field payload.dt is required when v0 = 0")
-    t_max = _require(payload, "t_max", float, ctx)
-    shots = _require(payload, "shots", int, ctx)
     if dt <= 0 or t_max < 0:
         raise ConfigError("field payload.dt must be positive and payload.t_max nonnegative")
     n_steps = round(min(t_max / dt, MAX_TIMES))
@@ -699,29 +682,27 @@ def _run_trotter(cfg: ExperimentConfig) -> int:
     return EXIT_OK
 
 
-# Payload fields read by each mode.
-_PAYLOAD_FIELDS = {
-    "spectrum": ("target",),
-    "match": ("match",),
-    "evolve": ("times", "initial", "target", "simulator"),
-    "compare": ("times", "sim_times", "initial", "rescale_k", "target", "simulator"),
-    "trotter": ("omega", "delta", "v0", "dt", "t_max", "shots"),
+# Each mode's runner and payload fields, in the form of the block tables; the
+# runner takes the read fields as keyword arguments.
+_MODES = {
+    "spectrum": (_run_spectrum, {"target": dict}),
+    "match": (_run_match, {"match": dict}),
+    "evolve": (_run_evolve, {"times": dict, "initial": str, "target": (dict, None),
+                             "simulator": (dict, None)}),
+    "compare": (_run_compare, {"times": dict, "sim_times": (dict, None), "initial": str,
+                               "rescale_k": (float, None), "target": dict, "simulator": dict}),
+    "trotter": (_run_trotter, {"omega": float, "delta": float, "v0": float,
+                               "dt": (float, None), "t_max": float, "shots": int}),
 }
-
-_RUNNERS = {
-    "spectrum": _run_spectrum,
-    "match": _run_match,
-    "evolve": _run_evolve,
-    "compare": _run_compare,
-    "trotter": _run_trotter,
-}
+MODES = tuple(_MODES)
 
 
 def run(cfg: ExperimentConfig) -> int:
     """Execute one experiment; writes artifacts into cfg.out_dir."""
-    if cfg.mode not in _RUNNERS:
+    if cfg.mode not in _MODES:
         raise ConfigError(f"unknown mode {cfg.mode!r}; expected one of {', '.join(MODES)}")
-    _only(cfg.payload, "payload", _PAYLOAD_FIELDS[cfg.mode])
+    runner, table = _MODES[cfg.mode]
+    fields = _fields(cfg.payload, "payload", table)
     try:
         cfg.out_dir.mkdir(parents=True, exist_ok=True)
         # A rerun that stops partway leaves no manifest, so it cannot pass for a whole run.
@@ -730,7 +711,7 @@ def run(cfg: ExperimentConfig) -> int:
         raise ConfigError(
             f"option --out: cannot use the directory {str(cfg.out_dir)!r}: {exc.strerror}"
         ) from None
-    return _RUNNERS[cfg.mode](cfg)
+    return runner(cfg, **fields)
 
 
 def _load_config_file(path: str) -> dict:
@@ -743,6 +724,8 @@ def _load_config_file(path: str) -> dict:
         raise ConfigError(f"option --config: cannot read {path!r}: {exc.strerror}") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config file {path!r} is not valid JSON: {exc}")
+    except (UnicodeDecodeError, RecursionError) as exc:
+        raise ConfigError(f"option --config: cannot read {path!r}: {exc}") from None
     if not isinstance(obj, dict):
         raise ConfigError("config file must contain a JSON object")
     return obj
@@ -801,6 +784,9 @@ def main(argv=None) -> int:
             )
         else:
             raise ConfigError("either --preset or --config is required")
+        if cfg.seed is not None and cfg.seed < 0:
+            source = "option --seed" if args.seed is not None else "field config.seed"
+            raise ConfigError(f"{source} must be nonnegative, got {cfg.seed}")
         return run(cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

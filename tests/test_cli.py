@@ -15,6 +15,7 @@ import cahm
 from cahm import StateVector
 from cahm.cli import (
     _MATCHES,
+    _MODES,
     _SIMULATORS,
     _TARGETS,
     EXIT_CONFIG,
@@ -206,6 +207,18 @@ def test_seed_flag_overrides_preset(tmp_path):
     assert json.loads((out1 / "manifest.json").read_text())["seed"] == 1
 
 
+def test_negative_seed_exits_2_naming_its_source(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["trotter", "--preset", "fig10", "--seed", "-5", "--out", str(out)]) == EXIT_CONFIG
+    assert capsys.readouterr().err == "config error: option --seed must be nonnegative, got -5\n"
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"seed": -3, "target": {"kind": "one-spin", "U": 1.0, "X": 0.5}}))
+    assert main(["spectrum", "--config", str(config), "--out", str(out)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err == "config error: field config.seed must be nonnegative, got -3\n"
+    assert not out.exists()
+
+
 def test_error_paths(tmp_path):
     assert main(["compare", "--preset", "nope", "--out", str(tmp_path)]) == EXIT_CONFIG
     assert main(["evolve", "--preset", "fig3-top", "--out", str(tmp_path)]) == EXIT_CONFIG
@@ -228,6 +241,21 @@ def test_unreadable_config_exits_2_naming_the_flag(tmp_path, capsys):
     code = main(["spectrum", "--config", str(tmp_path), "--out", str(tmp_path / "out")])
     assert code == EXIT_CONFIG
     assert "--config" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "content",
+    [b'{"target": ' + b"[" * 100_000 + b"]" * 100_000 + b"}", b"\xff\xfe{}"],
+    ids=["nested-100000-deep", "not-utf-8"],
+)
+def test_config_the_json_decoder_cannot_read_exits_2_naming_the_flag(tmp_path, capsys, content):
+    config = tmp_path / "config.json"
+    config.write_bytes(content)
+    code = main(["spectrum", "--config", str(config), "--out", str(tmp_path / "out")])
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: option --config: cannot read {str(config)!r}: ")
+    assert err.count("\n") == 1
 
 
 def test_out_naming_a_file_exits_2_naming_the_flag(tmp_path, capsys):
@@ -854,6 +882,10 @@ CUSTOM_EVOLVE = {
 }
 
 
+# A time grid whose stop - start overflows to inf.
+OVERFLOWING_SPAN = {"start": -1e308, "stop": 1e308, "num": 3}
+
+
 def _with_field(config: dict, path: tuple, value) -> dict:
     out = json.loads(json.dumps(config))
     parent = out
@@ -894,12 +926,16 @@ def _with_field(config: dict, path: tuple, value) -> dict:
          "simulator.positions[1]"),
         (CUSTOM_EVOLVE, ("simulator", "omega"), 10**400, "simulator.omega"),
         (CUSTOM_EVOLVE, ("times", "stop"), float("inf"), "payload.times.stop"),
+        (CUSTOM_EVOLVE, ("times",), OVERFLOWING_SPAN,
+         "field payload.times must have a finite stop - start, got inf"),
+        (FOUR_ATOM_COMPARE, ("sim_times",), OVERFLOWING_SPAN,
+         "field payload.sim_times must have a finite stop - start, got inf"),
     ],
     ids=[
         "rho_hint", "match-middle-pair", "blockade_ratio", "equations", "guess", "fixed",
         "unknowns", "v2_override", "sim_times", "rescale_k", "six-atom-delta0",
         "simulator-middle-pair", "position-entry", "position-ragged", "position-row",
-        "huge-int", "infinite",
+        "huge-int", "infinite", "times-span", "sim-times-span",
     ],
 )
 def test_bad_field_value_names_it(tmp_path, capsys, config, path, value, name):
@@ -1016,6 +1052,50 @@ def test_a_block_with_an_unread_field_names_it(tmp_path, capsys, block, kind):
     assert capsys.readouterr().err.startswith(
         f"config error: unknown field payload.{block}.unread; payload.{block} reads kind, "
     )
+
+
+def _required_payload_config(mode: str) -> dict:
+    """A `mode` config that gives each required payload field an example of its type."""
+    table = _MODES[mode][1]
+    config = {k: TYPE_EXAMPLES[t] for k, t in table.items() if not isinstance(t, tuple)}
+    return {"mode": mode, **config}
+
+
+def _kept_manifest(tmp_path) -> Path:
+    """The manifest of an earlier run in the config's --out, which a payload fault keeps."""
+    manifest = tmp_path / "out" / "manifest.json"
+    manifest.parent.mkdir()
+    manifest.write_text("{}\n")
+    return manifest
+
+
+@pytest.mark.parametrize(
+    "mode,name",
+    [
+        (mode, name)
+        for mode, (_, table) in _MODES.items()
+        for name, rule in table.items()
+        if not isinstance(rule, tuple)
+    ],
+)
+def test_a_payload_without_a_required_field_names_it(tmp_path, capsys, mode, name):
+    config = _required_payload_config(mode)
+    del config[name]
+    manifest = _kept_manifest(tmp_path)
+    assert _run_config(tmp_path, config) == EXIT_CONFIG
+    assert capsys.readouterr().err == f"config error: missing field payload.{name}\n"
+    assert manifest.read_text() == "{}\n"
+
+
+@pytest.mark.parametrize("mode", list(_MODES))
+def test_a_payload_with_an_unread_field_names_it(tmp_path, capsys, mode):
+    config = {**_required_payload_config(mode), "unread": 1.0}
+    manifest = _kept_manifest(tmp_path)
+    assert _run_config(tmp_path, config) == EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        f"config error: unknown field payload.unread; payload reads {', '.join(_MODES[mode][1])}\n"
+    )
+    assert manifest.read_text() == "{}\n"
 
 
 def test_six_atom_match_with_an_overflowing_k_fit_names_its_fields(tmp_path, capsys):
@@ -1176,27 +1256,40 @@ def test_overflowing_propagation_names_its_fields(tmp_path, capsys, config, mess
     assert err.count("\n") == 1
 
 
+TROTTER_WITHOUT_DT = {"mode": "trotter", "omega": -1.5, "delta": -0.5, "v0": 10.0, "t_max": 0.5,
+                      "shots": 10}
+TWO_ATOM_EVOLVE = {
+    "mode": "evolve",
+    "simulator": {"kind": "two-atom", "omega": -0.5, "delta": -0.5, "v0": 32.0},
+    "initial": "m=1",
+    "times": {"start": 0.0, "stop": 1.0, "num": 11},
+}
+
+
 @pytest.mark.parametrize(
-    "config,field,output",
+    "config,path,outputs",
     [
-        (CUSTOM_EVOLVE, "delta0", "trace.csv"),
-        (CUSTOM_EVOLVE, "delta0_atoms", "trace.csv"),
-        (CUSTOM_EVOLVE, "overrides", "trace.csv"),
-        (SIX_ATOM_COMPARE, "delta0", "simulator.csv"),
-        (SIX_ATOM_COMPARE, "include_middle_pair", "simulator.csv"),
-        (FOUR_ATOM_COMPARE, "rho", "simulator.csv"),
-        (_four_atom_compare(rho=0.5), "v1", "simulator.csv"),
+        (CUSTOM_EVOLVE, ("simulator", "delta0"), ["trace.csv"]),
+        (CUSTOM_EVOLVE, ("simulator", "delta0_atoms"), ["trace.csv"]),
+        (CUSTOM_EVOLVE, ("simulator", "overrides"), ["trace.csv"]),
+        (SIX_ATOM_COMPARE, ("simulator", "delta0"), ["simulator.csv"]),
+        (SIX_ATOM_COMPARE, ("simulator", "include_middle_pair"), ["simulator.csv"]),
+        (FOUR_ATOM_COMPARE, ("simulator", "rho"), ["simulator.csv"]),
+        (_four_atom_compare(rho=0.5), ("simulator", "v1"), ["simulator.csv"]),
+        (TROTTER_WITHOUT_DT, ("dt",), ["trotter.csv", "counts.json", "manifest.json"]),
+        (TWO_ATOM_EVOLVE, ("target",), ["trace.csv", "manifest.json"]),
     ],
     ids=["custom-delta0", "custom-atoms", "custom-overrides", "six-delta0", "six-middle-pair",
-         "four-rho", "four-v1"],
+         "four-rho", "four-v1", "trotter-dt", "evolve-target"],
 )
-def test_null_optional_field_reads_as_absent(tmp_path, config, field, output):
+def test_null_optional_field_reads_as_absent(tmp_path, config, path, outputs):
     absent, null = tmp_path / "absent", tmp_path / "null"
     absent.mkdir()
     null.mkdir()
     assert _run_config(absent, config) == EXIT_OK
-    assert _run_config(null, _with_field(config, ("simulator", field), None)) == EXIT_OK
-    assert (null / "out" / output).read_bytes() == (absent / "out" / output).read_bytes()
+    assert _run_config(null, _with_field(config, path, None)) == EXIT_OK
+    for output in outputs:
+        assert (null / "out" / output).read_bytes() == (absent / "out" / output).read_bytes()
 
 
 def test_custom_evolve_matches_the_complete_basis_trace(tmp_path):

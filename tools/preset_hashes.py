@@ -3,7 +3,8 @@
 Each preset runs through `cahm.cli.main` into a temporary directory, and so
 do the `spectrum` configs of the paper's one- and two-spin figures and of an
 open and a periodic chain (`SPECTRA`), one `match` config of each kind
-(`MATCHES`) and five `evolve` configs (`EVOLVES`); one line
+(`MATCHES`), five `evolve` configs (`EVOLVES`) and a `trotter` config without
+`dt` (`TROTTER_DEFAULT_DT`); one line
 `<sha256>  <run>/<file>` is printed per artifact, sorted, so that the output
 of two checkouts can be compared with `diff`.
 Uses the `cahm` on the import path:
@@ -102,10 +103,15 @@ EVOLVES = {
 }
 
 
+# The fig10 preset sets dt; this `trotter` config takes the default step 1/|v0| = 1/12.
+TROTTER_DEFAULT_DT = {"omega": -1.5, "delta": -0.5, "v0": 12.0, "t_max": 1.0, "shots": 200}
+
+
 # Every run that is not a preset, by name: its config file as a JSON object.
 CONFIGS = {name: {"mode": "spectrum", "target": t} for name, t in SPECTRA.items()}
 CONFIGS.update({f"match-{k}": {"mode": "match", "match": m} for k, m in MATCHES.items()})
 CONFIGS.update({k: {"mode": "evolve", "times": EVOLVE_TIMES, **e} for k, e in EVOLVES.items()})
+CONFIGS["trotter-default-dt"] = {"mode": "trotter", **TROTTER_DEFAULT_DT}
 
 
 def run_argvs(config_dir: Path) -> dict[str, list[str]]:
