@@ -19,9 +19,6 @@ from .target_models import (
     build_chain_h,
     build_h1t,
     build_h2t,
-    op_charge_conjugation,
-    op_lz,
-    op_ux,
     perturbative_one_spin,
 )
 from .rydberg_models import (

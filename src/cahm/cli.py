@@ -449,7 +449,7 @@ def _initial_state(finals, initial: str) -> StateVector:
     """The labeled state named by the `initial` field."""
     states = dict(finals)
     if initial not in states:
-        raise ConfigError(f"field initial: {initial!r} is not one of {list(states)}")
+        raise ConfigError(f"field payload.initial: {initial!r} is not one of {list(states)}")
     return states[initial]
 
 
@@ -565,7 +565,9 @@ def _run_evolve(cfg: ExperimentConfig, times, initial, target, simulator) -> int
             n = system.geometry.n_atoms
             labels = bitstring_labels(1 << n)
             if initial not in labels:
-                raise ConfigError(f"field initial: custom simulators take a bitstring of {n} atoms")
+                raise ConfigError(
+                    f"field payload.initial: custom simulators take a bitstring of {n} atoms"
+                )
             psi0 = StateVector.basis(len(labels), labels.index(initial))
             with _set_by("payload.times and payload.simulator"):
                 probs = state_probabilities(system.hamiltonian(), psi0, grid)
@@ -646,7 +648,8 @@ def _run_trotter(cfg: ExperimentConfig, omega, delta, v0, dt, t_max, shots) -> i
     for k in range(n_steps + 1):
         if k > 0:
             psi = apply_circuit(step, psi)
-        result = sample_shots(psi, shots, seed + k)
+        with _set_by("payload.shots"):
+            result = sample_shots(psi, shots, seed + k)
         states.append(psi.amplitudes)
         frequencies.append([result.frequency(label) for label in labels])
         counts_log.append({"t": float(times[k]), "seed": seed + k, "counts": result.counts})

@@ -35,9 +35,6 @@ UNIFORM_GRID_ULPS = 4
 
 # The one cap on every Hilbert-space dimension the package builds.
 MAX_DIM = 4096
-# An operator of at most this many states is checked for Hermiticity through
-# its matrix; ||H||_F is summed over blocks of this many rows.
-_BLOCK_DIM = 128
 
 
 class ContractViolationError(ValueError):
@@ -59,15 +56,6 @@ def _max_abs(m: np.ndarray) -> float:
     if np.iscomplexobj(m):
         return float(np.max(np.abs(m)))
     return abs(max(float(m.max()), -float(m.min())))
-
-
-def _require_hermitian(deviation: float, scale: float) -> None:
-    """Raise unless max|H - H^dagger| = `deviation` is within HERMITICITY_RTOL * max|H|."""
-    if scale > 0.0 and deviation > HERMITICITY_RTOL * scale:
-        raise ContractViolationError(
-            f"matrix is not Hermitian: max|H - H^dagger| = {deviation:.3e} "
-            f"exceeds {HERMITICITY_RTOL:.0e} * max|H| = {HERMITICITY_RTOL * scale:.3e}"
-        )
 
 
 @dataclass(frozen=True)
@@ -119,11 +107,12 @@ class SparseHermitian:
             a.setflags(write=False)
             object.__setattr__(self, name, a)
         with np.errstate(over="ignore"):
-            if self.dim <= _BLOCK_DIM:  # the matrix holds every mirror, in fewer numpy calls
-                deviation = _max_abs((m := self.matrix) - m.T.conj())
-            else:
-                deviation = _max_abs(v - self._at(cols, rows).conj())
-        _require_hermitian(deviation, scale)
+            deviation = _max_abs(v - self._at(cols, rows).conj())
+        if scale > 0.0 and deviation > HERMITICITY_RTOL * scale:
+            raise ContractViolationError(
+                f"matrix is not Hermitian: max|H - H^dagger| = {deviation:.3e} "
+                f"exceeds {HERMITICITY_RTOL:.0e} * max|H| = {HERMITICITY_RTOL * scale:.3e}"
+            )
 
     def _at(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
         """H[rows[k], cols[k]] for each k: the stored value, or 0 where none is stored."""
@@ -335,31 +324,38 @@ def eig_hermitian(op: SparseHermitian, *, eigvals_only: bool = False) -> Spectru
 
     Raises ContractViolationError unless the eigen-residual
     max_k ||H v_k - w_k v_k|| is finite and within RESIDUAL_RTOL * ||H||_F,
-    both taken in units of max|H|.
+    both taken in units of max|H|.  max|H|, ||H||_F and tr H are read from the
+    stored entries, before the matrix is formed.
 
     With `eigvals_only`, `numpy.linalg.eigvalsh` gives the eigenvalues and the
     Spectrum has no eigenvectors.  They must then be finite, ascending and
     meet two moment identities, sum w = tr H and sum w^2 = ||H||_F^2 (as
     |sqrt(sum w^2) - ||H||_F|), each within RESIDUAL_RTOL * ||H||_F in units
-    of max|H|.  That costs O(dim^2) against the residual's O(dim^3), but it
+    of max|H|.  That costs O(entries) against the residual's O(dim^3), but it
     checks the sum and the sum of squares, not each eigenvalue: errors that
     keep both, such as two eigenvalues moved together by the same amount in
     opposite directions about their mean, pass.  The full residual stays the
     oracle that tests compare the eigenvalues against.
     """
+    # ||H||_F, tr H and each check in units of max|H|: their squares neither
+    # overflow nor underflow at the ends of the float range.  ||H||_F sums the
+    # squares of one scaled copy of the entries, real and imaginary parts side
+    # by side, taken in place; the copy is dropped before the matrix is formed,
+    # so that the two are never held at once.
+    unit = _max_abs(op.values) or 1.0
+    squares = (op.values / unit).view(np.float64)
+    h_norm = math.sqrt(float(np.sum(np.square(squares, out=squares))))
+    del squares
+    h_trace = float(np.sum(op.values.real[op.rows == op.cols] / unit))
+    tolerance = RESIDUAL_RTOL * h_norm
     # The operator validated its entries once; eigh and eigvalsh read one triangle of the matrix.
     h = op.matrix
-    # ||H||_F and each check in units of max|H|: their squares neither
-    # overflow nor underflow at the ends of the float range.
-    unit = _max_abs(h) or 1.0
-    h_norm = _scaled_frobenius_norm(h, unit)
-    tolerance = RESIDUAL_RTOL * h_norm
     if eigvals_only:
         w = np.linalg.eigvalsh(h)
         # Eigenvalues that overflow fail closed below, so numpy need not warn.
         with np.errstate(over="ignore", invalid="ignore"):
             scaled = w / unit
-            trace_dev = abs(float(np.sum(scaled)) - float(np.sum(np.diagonal(h).real / unit)))
+            trace_dev = abs(float(np.sum(scaled)) - h_trace)
             norm_dev = abs(float(np.linalg.norm(scaled)) - h_norm)
         # A non-finite eigenvalue makes a deviation NaN or inf, which fails the comparison.
         if not (trace_dev <= tolerance and norm_dev <= tolerance):
@@ -381,12 +377,6 @@ def eig_hermitian(op: SparseHermitian, *, eigvals_only: bool = False) -> Spectru
             f"{RESIDUAL_RTOL:.0e} * ||H|| = {tolerance:.3e}, both in units of max|H|"
         )
     return Spectrum(w, v)
-
-
-def _scaled_frobenius_norm(m: np.ndarray, unit: float) -> float:
-    """||m / unit||_F, with rows scaled _BLOCK_DIM at a time: no full-size copy."""
-    blocks = (m[i : i + _BLOCK_DIM] / unit for i in range(0, m.shape[0], _BLOCK_DIM))
-    return math.sqrt(sum(float(np.vdot(b, b).real) for b in blocks))
 
 
 def symmetry_sectors(op: SparseHermitian, symmetries) -> list[SparseHermitian]:

@@ -82,24 +82,6 @@ class OneSpinSpectrum:
         return {"e0": self.e0, "eplus": self.eplus, "eminus": self.eminus, "phi": self.phi}
 
 
-def op_lz(trunc: SpinTruncation = SPIN1) -> SparseHermitian:
-    """Diagonal angular momentum diag(m_max, ..., -m_max)."""
-    index = np.arange(trunc.dim)
-    return SparseHermitian(trunc.dim, index, index, trunc.m_values())
-
-
-def op_ux(trunc: SpinTruncation = SPIN1) -> SparseHermitian:
-    """Truncated raising/lowering average (U+ + U-)/2: 1/2 on adjacent-m entries."""
-    lower = np.arange(trunc.dim - 1)
-    rows, cols = np.concatenate([lower, lower + 1]), np.concatenate([lower + 1, lower])
-    return SparseHermitian(trunc.dim, rows, cols, np.full(rows.size, 0.5))
-
-
-def op_charge_conjugation(trunc: SpinTruncation = SPIN1) -> np.ndarray:
-    """Unitary C with C|m> = |-m>: the anti-diagonal permutation, C^2 = 1."""
-    return np.fliplr(np.eye(trunc.dim, dtype=np.complex128)).copy()
-
-
 def chain_symmetries(trunc: SpinTruncation, n_links: int) -> tuple[np.ndarray, ...]:
     """Charge conjugation C and link reflection P of every chain, as index permutations.
 

@@ -10,7 +10,7 @@ from cahm.evolution import CSV_DIGITS
 from cahm.matching import K_SCAN_POINTS, K_TOL, _golden_min
 from cahm.numerics import SparseHermitian, _matmul, eig_hermitian, overlaps
 from cahm.numerics import basis_digits, site_strides
-from cahm.target_models import op_lz, op_ux
+from cahm.target_models import SPIN1
 from cahm.trotter import trotter_step
 
 
@@ -119,6 +119,24 @@ def dense_chain_h(c, trunc, n_links, end_terms):
         h[lower, lower + stride] = -0.5 * c.x
         h[lower + stride, lower] = -0.5 * c.x
     return h
+
+
+def op_lz(trunc=SPIN1):
+    """Diagonal angular momentum diag(m_max, ..., -m_max)."""
+    index = np.arange(trunc.dim)
+    return SparseHermitian(trunc.dim, index, index, trunc.m_values())
+
+
+def op_ux(trunc=SPIN1):
+    """Truncated raising/lowering average (U+ + U-)/2: 1/2 on adjacent-m entries."""
+    lower = np.arange(trunc.dim - 1)
+    rows, cols = np.concatenate([lower, lower + 1]), np.concatenate([lower + 1, lower])
+    return SparseHermitian(trunc.dim, rows, cols, np.full(rows.size, 0.5))
+
+
+def op_charge_conjugation(trunc=SPIN1):
+    """Unitary C with C|m> = |-m>: the anti-diagonal permutation, C^2 = 1."""
+    return np.fliplr(np.eye(trunc.dim, dtype=np.complex128)).copy()
 
 
 def kron_chain_h(c, trunc, n_links, end_terms=True):

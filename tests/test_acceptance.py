@@ -34,13 +34,14 @@ from cahm.evolution import (
     spin_finals,
     trace,
 )
-from cahm.target_models import SPIN1, SpinTruncation, op_charge_conjugation
+from cahm.target_models import SPIN1, SpinTruncation
 
 from helpers import (
     apply_steps,
     circuit_unitary,
     consistent_three_atom_point,
     loop_permutation_matrix,
+    op_charge_conjugation,
     random_hermitian,
     sparse_from_dense,
     two_atom_step,

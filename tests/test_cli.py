@@ -882,6 +882,14 @@ CUSTOM_EVOLVE = {
 }
 
 
+ONE_SPIN_EVOLVE = {
+    "mode": "evolve",
+    "target": {"kind": "one-spin", "U": 1.0, "X": 0.5},
+    "initial": "m=1",
+    "times": {"start": 0.0, "stop": 1.0, "num": 11},
+}
+
+
 # A time grid whose stop - start overflows to inf.
 OVERFLOWING_SPAN = {"start": -1e308, "stop": 1e308, "num": 3}
 
@@ -930,25 +938,26 @@ def _with_field(config: dict, path: tuple, value) -> dict:
          "field payload.times must have a finite stop - start, got inf"),
         (FOUR_ATOM_COMPARE, ("sim_times",), OVERFLOWING_SPAN,
          "field payload.sim_times must have a finite stop - start, got inf"),
+        ({"mode": "trotter", "omega": -1.5, "delta": -0.5, "v0": 10.0, "t_max": 0.5, "shots": 10},
+         ("shots",), 0, "shots must lie in 1..9223372036854775807, got 0 (set by payload.shots)"),
+        (FOUR_ATOM_COMPARE, ("initial",), "x",
+         "field payload.initial: 'x' is not one of ['00', 'S']"),
+        (ONE_SPIN_EVOLVE, ("initial",), "x",
+         "field payload.initial: 'x' is not one of ['m=1', 'm=0', 'm=-1']"),
+        (CUSTOM_EVOLVE, ("initial",), "2",
+         "field payload.initial: custom simulators take a bitstring of 2 atoms"),
     ],
     ids=[
         "rho_hint", "match-middle-pair", "blockade_ratio", "equations", "guess", "fixed",
         "unknowns", "v2_override", "sim_times", "rescale_k", "six-atom-delta0",
         "simulator-middle-pair", "position-entry", "position-ragged", "position-row",
-        "huge-int", "infinite", "times-span", "sim-times-span",
+        "huge-int", "infinite", "times-span", "sim-times-span", "shots", "compare-initial",
+        "evolve-target-initial", "evolve-custom-initial",
     ],
 )
 def test_bad_field_value_names_it(tmp_path, capsys, config, path, value, name):
     assert _run_config(tmp_path, _with_field(config, path, value)) == EXIT_CONFIG
     assert name in capsys.readouterr().err
-
-
-ONE_SPIN_EVOLVE = {
-    "mode": "evolve",
-    "target": {"kind": "one-spin", "U": 1.0, "X": 0.5},
-    "initial": "m=1",
-    "times": {"start": 0.0, "stop": 1.0, "num": 11},
-}
 
 
 @pytest.mark.parametrize(

@@ -18,9 +18,9 @@ from cahm.evolution import (
     state_probabilities,
 )
 from cahm.rydberg_models import SimulatorSystem
-from cahm.target_models import SPIN1, op_charge_conjugation
+from cahm.target_models import SPIN1
 
-from helpers import one_spin_rabi_oracle, random_hermitian, sparse_from_dense
+from helpers import op_charge_conjugation, one_spin_rabi_oracle, random_hermitian, sparse_from_dense
 
 
 def test_trace_t0_and_eigenstate():

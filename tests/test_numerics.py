@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 from types import SimpleNamespace
 
@@ -17,12 +18,10 @@ from cahm.numerics import (
     DEGENERACY_RTOL,
     HERMITICITY_RTOL,
     MAX_DIM,
-    _BLOCK_DIM,
     SparseHermitian,
     Spectrum,
     _matmul,
     _max_abs,
-    _scaled_frobenius_norm,
     _uniform_phases,
     basis_digits,
     bitstring_labels,
@@ -33,14 +32,13 @@ from cahm.rydberg_models import (
     RydbergParams,
     atom_permutation,
     build_rydberg_h,
+    ladder_geometry,
 )
 from cahm.target_models import (
     SPIN1,
     SpinTruncation,
     TargetCouplings,
     build_chain_h,
-    op_lz,
-    op_ux,
 )
 from cahm.trotter import Circuit
 
@@ -50,6 +48,8 @@ from helpers import (
     corrupting_eigvalsh,
     direct_amplitudes,
     expm_taylor,
+    op_lz,
+    op_ux,
     preset_systems,
     random_hermitian,
     sparse_from_dense,
@@ -190,16 +190,16 @@ def _hermitian_matrix(dim, kind):
 
 
 @pytest.mark.parametrize("kind", ["real", "complex"])
-@pytest.mark.parametrize("dim", [127, 128, 129, 300, 625])
+@pytest.mark.parametrize("dim", [2, 9, 64, 127, 128, 129, 300, 625])
 def test_tiled_hermiticity_check_rejects_one_perturbed_entry(dim, kind):
-    # The dims cross the switch at _BLOCK_DIM from the dense check to the mirror lookup.
+    # Every dim, small or large, is checked through the mirror lookup of its entries.
     h = _hermitian_matrix(dim, kind)
     sparse_from_dense(h)
     inside = 0.1 * HERMITICITY_RTOL * np.max(np.abs(h))
     last = dim - 1
-    # An early entry, both sides of 127/128 where the dim has them, and the last row.
-    for i, j in [(3, 50), (127, 128), (128, 127), (127, 127), (128, 128), (0, 128), (128, 0),
-                 (127, last), (last, 127), (last, 0), (last, last - 1)]:
+    # The first and an early entry, both sides of 127/128 where the dim has them, and the last row.
+    for i, j in [(0, 0), (3, 50), (127, 128), (128, 127), (127, 127), (128, 128), (0, 128),
+                 (128, 0), (127, last), (last, 127), (last, 0), (last, last - 1)]:
         if max(i, j) >= dim:
             continue
         for unit in (1.0, 1j) if kind == "complex" else (1.0,):
@@ -536,6 +536,25 @@ def test_eigvals_only_contract_rejects_corrupted_eigenvalues(monkeypatch, target
         eig_hermitian(op, eigvals_only=True)
 
 
+def test_eigvals_only_contract_reads_tr_h_from_an_operator_without_a_diagonal(monkeypatch):
+    # A ring of six hops stores no diagonal entry: tr H = 0 is the empty sum.
+    hops = np.arange(6)
+    rows, cols = np.concatenate([hops, (hops + 1) % 6]), np.concatenate([(hops + 1) % 6, hops])
+    op = SparseHermitian(6, rows, cols, np.full(12, 0.5))
+    assert not np.any(op.rows == op.cols)
+    spec = eig_hermitian(op, eigvals_only=True)
+    assert np.max(np.abs(spec.eigenvalues - eig_hermitian(op).eigenvalues)) <= 1e-12
+
+    def absolute_values(w, h):
+        # |w| in ascending order keeps sum w^2 = ||H||_F^2; only tr H = 0 tells,
+        # against sum |w| = 4 = 8 max|H|.
+        w[:] = np.sort(np.abs(w))
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", corrupting_eigvalsh(absolute_values))
+    with pytest.raises(ContractViolationError, match=r"\|sum w - tr H\| = 8\.000e\+00 and"):
+        eig_hermitian(op, eigvals_only=True)
+
+
 def test_a_spectrum_of_eigenvalues_only_cannot_propagate():
     spec = eig_hermitian(build_h1t(TargetCouplings(u=1.0, x=0.5)), eigvals_only=True)
     with pytest.raises(ContractViolationError, match="eigenvalues only"):
@@ -549,33 +568,55 @@ def _fsum_frobenius_norm(m):
     return scale * np.sqrt(math.fsum(np.concatenate([x.real**2, x.imag**2])))
 
 
+def _frobenius_norm_seen_by_eig_hermitian(monkeypatch, op, f):
+    """(f_w, |f_w - ||H||_F|) in units of max|H|, with ||H||_F as `eig_hermitian` takes it.
+
+    eigvalsh is made to return zeros and f max|H|, whose root sum of squares in
+    units of max|H| is f_w, and a negative tolerance makes the moment contract
+    fail and report |f_w - ||H||_F|.
+    """
+    unit = _max_abs(op.values)
+    w = np.zeros(op.dim)
+    w[-1] = f * unit
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda matrix: w.copy())
+    monkeypatch.setattr("cahm.numerics.RESIDUAL_RTOL", -1.0)
+    with pytest.raises(ContractViolationError, match="moment contract") as failure:
+        eig_hermitian(op, eigvals_only=True)
+    deviation = re.search(r"\|sqrt\(sum w\^2\) - \|\|H\|\|_F\| = (\S+) ", str(failure.value))
+    return float(np.linalg.norm(w / unit)), float(deviation.group(1))
+
+
 @pytest.mark.parametrize("dim", [1, 2, 9, 64, 127, 128, 129, 300, 1024])
 @pytest.mark.parametrize("scale", [1.0, 1e300, 1e-300])
-def test_frobenius_norm_is_taken_without_a_scaled_copy(dim, scale):
+def test_frobenius_norm_is_taken_without_a_scaled_copy(monkeypatch, dim, scale):
+    # ||H||_F is summed from the stored entries, with no scaled copy of the matrix.
     rng = np.random.default_rng(dim)
     a = rng.normal(size=(dim, dim))
     for m in (scale * (a + a.T), scale * random_hermitian(rng, dim)):
-        unit = _max_abs(m)
-        got = unit * _scaled_frobenius_norm(m, unit)
-        # Measured within 2 ulp of the exactly rounded sum at every dim here.
-        assert abs(got - _fsum_frobenius_norm(m)) <= 4 * np.spacing(got)
-        if dim <= 64:
-            # Above dim 64 the norm of the full scaled copy, the formula this
-            # replaces, itself drifts from the fsum value (by 12 ulp at dim 1024).
-            assert abs(got - unit * np.linalg.norm(m / unit)) <= 4 * np.spacing(got)
+        op = sparse_from_dense(m)
+        f = _fsum_frobenius_norm(m) / _max_abs(op.values)
+        f_w, deviation = _frobenius_norm_seen_by_eig_hermitian(monkeypatch, op, f)
+        # Measured within 1 ulp of the exactly rounded sum at every dim here.
+        assert abs(f_w - f) + deviation <= 4 * np.spacing(f)
 
 
 def test_frobenius_norm_forms_no_full_size_temporary():
-    m = np.random.default_rng(0).normal(size=(1024, 1024))
-    unit = _max_abs(m)
-    tracemalloc.start()
-    try:
-        _scaled_frobenius_norm(m, unit)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    # At most two scaled 128-row blocks are alive at once: 2 MB, against 8 MB for a copy.
-    assert peak <= 2 * 128 * m.shape[1] * m.itemsize + 4096
+    # Peaks of eig_hermitian in units of the matrix, on a dim-1024 operator that
+    # stores every entry and on a 9-atom array (dim 512).  The moments are read
+    # from the entries before the matrix is formed, so the eigenvalues-only path
+    # holds the matrix alone (1.004x and 1.009x measured); the full path 4.009x and 4.034x.
+    a = np.random.default_rng(0).normal(size=(1024, 1024))
+    nine_atoms = ladder_geometry(3, 3, 1.0, 1.0 / 0.326, 30.0)
+    for op in (sparse_from_dense(a + a.T), build_rydberg_h(nine_atoms, RydbergParams(1.0, 15.0))):
+        size = op.dim * op.dim * op.values.itemsize
+        for eigvals_only, bound in ((True, 1.05), (False, 4.05)):
+            tracemalloc.start()
+            try:
+                eig_hermitian(op, eigvals_only=eigvals_only)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= bound * size, (op.dim, eigvals_only, peak / size)
 
 
 def _scaled_spectra(rng, wt_max, t_max):
@@ -718,10 +759,15 @@ def test_propagate_refuses_overflowing_phases_before_any_exponential(monkeypatch
 
 
 def _sparse_entries(dim, dtype, rng):
-    """Shuffled (rows, cols, values) of a random Hermitian matrix with about 20% nonzeros."""
+    """Shuffled (rows, cols, values) of a random Hermitian matrix with about 20% nonzeros.
+
+    The last diagonal entry is always kept, so that even dim 2 stores an entry.
+    """
     h = random_hermitian(rng, dim)
     h = h.real if dtype == np.float64 else h
-    h[rng.random((dim, dim)) < 0.8] = 0.0
+    drop = rng.random((dim, dim)) < 0.8
+    drop[-1, -1] = False
+    h[drop] = 0.0
     h = np.triu(h) + np.triu(h, 1).conj().T
     rows, cols = np.nonzero(h)
     order = rng.permutation(rows.size)
@@ -768,9 +814,9 @@ def test_sparse_hermitian_rejects_bad_entries(case):
         SparseHermitian(*args)
 
 
-@pytest.mark.parametrize("dim", [_BLOCK_DIM, _BLOCK_DIM + 1])
+@pytest.mark.parametrize("dim", [2, 64, 128, 129])
 def test_sparse_checks_agree_on_both_sides_of_the_dense_mirror_check(dim):
-    # Up to one tile the mirrors are read from the matrix, above it by lookup.
+    # Small and large dims alike read the mirrors by lookup.
     rng = np.random.default_rng(dim)
     for dtype in (np.float64, np.complex128):
         h, rows, cols, values = _sparse_entries(dim, dtype, rng)

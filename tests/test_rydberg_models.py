@@ -15,7 +15,6 @@ from cahm import (
     four_atom_system,
     ladder_geometry,
     ladder_spin_map,
-    op_charge_conjugation,
     pair_interaction,
     six_atom_system,
     spin_finals,
@@ -25,7 +24,13 @@ from cahm import (
 from cahm.evolution import COMPLETENESS_ATOL, simulator_trace, state_probabilities
 from cahm.numerics import ContractViolationError, symmetry_sectors
 from cahm.rydberg_models import _ladder_system, atom_permutation, ladder_cross_couplings
-from helpers import loop_couplings, loop_permutation_matrix, loop_rydberg_h, preset_systems
+from helpers import (
+    loop_couplings,
+    loop_permutation_matrix,
+    loop_rydberg_h,
+    op_charge_conjugation,
+    preset_systems,
+)
 
 
 def test_pair_interaction_power_law():

@@ -10,14 +10,11 @@ from cahm import (
     build_h1t,
     build_h2t,
     eig_hermitian,
-    op_charge_conjugation,
-    op_lz,
-    op_ux,
     perturbative_one_spin,
 )
 from cahm.target_models import chain_symmetries, chain_terms
 
-from helpers import dense_chain_h, kron_chain_h
+from helpers import dense_chain_h, kron_chain_h, op_charge_conjugation, op_lz, op_ux
 
 
 def test_op_lz_values():
