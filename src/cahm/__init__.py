@@ -60,7 +60,6 @@ from .evolution import (
 from .trotter import (
     Circuit,
     Gate,
-    ShotResult,
     apply_circuit,
     sample_shots,
     trotter_step,

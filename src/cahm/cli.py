@@ -12,12 +12,13 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import functools
 import json
+import math
 import os
 import re
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -84,7 +85,7 @@ class ConfigError(ValueError):
     """Invalid experiment configuration; the message names the offending field."""
 
 
-@dataclass
+@dataclasses.dataclass
 class ExperimentConfig:
     mode: str
     payload: dict
@@ -355,13 +356,19 @@ def _build_target(spec: dict):
 
     One- and two-spin targets are spin-1 chains of one and two links.
     """
-    kind, resolved = _block(spec, "payload.target", _TARGETS)
-    c = _take_couplings(dict(resolved))
+    ctx = "payload.target"
+    kind, resolved = _block(spec, ctx, _TARGETS)
+    with _set_by(f"{ctx}.boundary"):
+        c = _take_couplings(dict(resolved))
     if kind == "one-spin":
         return build_h1t(c), (SPIN1, 1), c, resolved
     if kind == "two-spin":
         return build_h2t(c), (SPIN1, 2), c, resolved
-    trunc, n_links = SpinTruncation(resolved["m_max"]), resolved["n_links"]
+    with _set_by(f"{ctx}.m_max"):
+        trunc = SpinTruncation(resolved["m_max"])
+    n_links = resolved["n_links"]
+    if n_links < 1:
+        raise ConfigError(f"field {ctx}.n_links must be >= 1, got {n_links}")
     return build_chain_h(c, trunc, n_links), (trunc, n_links), c, resolved
 
 
@@ -397,6 +404,8 @@ def _build_simulator(spec: dict):
             if not 0 < v1 / v0 < 1:
                 raise ConfigError(f"field {ctx}.v1 must give 0 < v1/v0 < 1, got {v1 / v0!r}")
             fields["rho"] = (v1 / v0) ** (1.0 / 6.0)
+    if "rho" in fields and not 0 < fields["rho"] < 1:
+        raise ConfigError(f"field {ctx}.rho must lie in (0, 1), got {fields['rho']!r}")
     system = _custom_layout(ctx, **fields) if kind == "custom" else _SYSTEMS[kind](**fields)
     p = system.params
     resolved = {**spec, **{k: float(v) for k, v in system.derived.items()}}
@@ -424,9 +433,17 @@ def _custom_layout(
             raise ConfigError(f"field {ctx}.overrides key {key!r} must read 'i-j'")
         pairs[(int(pair[1]), int(pair[2]))] = v
     delta0_atoms = tuple(_entries(delta0_atoms, int, f"{ctx}.delta0_atoms"))
+    with _set_by(f"{ctx}.positions"):
+        geometry = AtomGeometry(rows, scale)
+    # `build_rydberg_h` refuses an atom outside the array too, but only once it runs.
+    atoms = {"delta0_atoms": delta0_atoms, "overrides": [i for pair in pairs for i in pair]}
+    for name, indices in atoms.items():
+        for i in indices:
+            if not 0 <= i < len(rows):
+                raise ConfigError(f"field {ctx}.{name}: atom {i} outside 0..{len(rows) - 1}")
     with _set_by(f"{ctx}.overrides"):
         params = RydbergParams(omega, delta, delta0, delta0_atoms, pair_overrides=pairs)
-    return SimulatorSystem(AtomGeometry(rows, scale), params, spin_map=None, mirror=())
+    return SimulatorSystem(geometry, params, spin_map=None, mirror=())
 
 
 def _geometry_json(system: SimulatorSystem) -> dict:
@@ -453,8 +470,13 @@ def _initial_state(finals, initial: str) -> StateVector:
     return states[initial]
 
 
-def _numpy_scalar(value):
-    """The Python value of a numpy scalar, for json.dumps; anything else is not JSON."""
+def _plain(value):
+    """A dataclass instance as `dataclasses.asdict`, a numpy scalar as its Python value.
+
+    The `default` of json.dumps; anything else is not JSON.
+    """
+    if dataclasses.is_dataclass(value) and not isinstance(value, type):
+        return dataclasses.asdict(value)
     for kind, python in ((np.bool_, bool), (np.floating, float), (np.integer, int)):
         if isinstance(value, kind):
             return python(value)
@@ -462,7 +484,9 @@ def _numpy_scalar(value):
 
 
 def _write_json(path: Path, obj) -> None:
-    _write_text(path, json.dumps(obj, indent=2, sort_keys=True, default=_numpy_scalar) + "\n")
+    """`obj` as JSON text; a non-finite float raises a ValueError, as JSON has none."""
+    text = json.dumps(obj, indent=2, sort_keys=True, default=_plain, allow_nan=False)
+    _write_text(path, text + "\n")
 
 
 # The OSErrors that a bad --out causes; any other (a full disk, say) propagates.
@@ -510,10 +534,11 @@ def _run_spectrum(cfg: ExperimentConfig, target) -> int:
     eigenvalues = np.sort(np.concatenate(blocks))
     out = {"eigenvalues": [float(w) for w in eigenvalues]}
     if target["kind"] == "one-spin":
-        out["analytic"] = analytic_one_spin(c).to_json_obj()
+        out["analytic"] = analytic_one_spin(c)
         if c.u != 0:
-            out["perturbative"] = perturbative_one_spin(c).to_json_obj()
-    _write_json(cfg.out_dir / "spectrum.json", out)
+            out["perturbative"] = perturbative_one_spin(c)
+    with _set_by("payload.target"):
+        _write_json(cfg.out_dir / "spectrum.json", out)
     _write_manifest(cfg, {"target": resolved}, ["spectrum.json"])
     return EXIT_OK
 
@@ -541,7 +566,8 @@ def _run_match(cfg: ExperimentConfig, match) -> int:
         report = match_four_atom(c, **f)
     else:
         report = match_six_atom(c, **f)
-    _write_json(cfg.out_dir / "match_report.json", report.to_json_obj())
+    with _set_by(ctx):
+        _write_json(cfg.out_dir / "match_report.json", report)
     _write_manifest(cfg, {"match": match}, ["match_report.json"])
     return EXIT_OK if report.converged else EXIT_NUMERICAL
 
@@ -606,7 +632,7 @@ def _run_compare(
         comparison = compare(target_trace, sim_trace, rescale_k=rescale_k)
     _write_text(cfg.out_dir / "target.csv", target_trace.to_csv_text())
     _write_text(cfg.out_dir / "simulator.csv", sim_trace.to_csv_text())
-    _write_json(cfg.out_dir / "comparison.json", comparison.to_json_obj())
+    _write_json(cfg.out_dir / "comparison.json", comparison)
     resolved = {
         "target": target_params,
         "simulator": sim_params,
@@ -623,11 +649,16 @@ def _run_compare(
 def _run_trotter(cfg: ExperimentConfig, omega, delta, v0, dt, t_max, shots) -> int:
     # Default step 1/V0: large blockade energies need correspondingly small steps.
     if dt is None:
-        if v0 == 0:
-            raise ConfigError("field payload.dt is required when v0 = 0")
-        dt = 1.0 / abs(v0)
+        dt = 1.0 / abs(v0) if v0 else math.inf
+        if dt == math.inf:
+            raise ConfigError(
+                f"field payload.dt is required when the default step 1/|payload.v0| is not "
+                f"finite, got v0 = {v0!r}"
+            )
     if dt <= 0 or t_max < 0:
         raise ConfigError("field payload.dt must be positive and payload.t_max nonnegative")
+    if 1.0 / dt == math.inf:
+        raise ConfigError(f"field payload.dt = {dt!r} puts 1/dt beyond the float range")
     n_steps = round(min(t_max / dt, MAX_TIMES))
     if n_steps + 1 > MAX_TIMES:
         raise ConfigError(
@@ -649,10 +680,11 @@ def _run_trotter(cfg: ExperimentConfig, omega, delta, v0, dt, t_max, shots) -> i
         if k > 0:
             psi = apply_circuit(step, psi)
         with _set_by("payload.shots"):
-            result = sample_shots(psi, shots, seed + k)
+            counts = sample_shots(psi, shots, seed + k).tolist()
         states.append(psi.amplitudes)
-        frequencies.append([result.frequency(label) for label in labels])
-        counts_log.append({"t": float(times[k]), "seed": seed + k, "counts": result.counts})
+        frequencies.append([n / shots for n in counts])
+        seen = {label: n for label, n in zip(labels, counts) if n > 0}
+        counts_log.append({"t": float(times[k]), "seed": seed + k, "counts": seen})
 
     # The two-atom encoding maps every spin state to one basis state.
     physical = system.spin_map.indices
@@ -679,7 +711,7 @@ def _run_trotter(cfg: ExperimentConfig, omega, delta, v0, dt, t_max, shots) -> i
         "shots": shots,
         "base_seed": seed,
         "steps_per_time_unit": 1.0 / dt,
-        "circuit_step": step.to_json_obj(),
+        "circuit_step": [{"gate": g.kind, "q": g.qubits, "angle": g.angle} for g in step.gates],
     }
     _write_manifest(cfg, resolved, ["trotter.csv", "counts.json"])
     return EXIT_OK

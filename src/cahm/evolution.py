@@ -97,16 +97,6 @@ class TraceComparison:
         if self.rms > self.max_abs_dev + 1e-12:
             raise ValueError("rms cannot exceed the maximum deviation")
 
-    def to_json_obj(self) -> dict:
-        return {
-            "max_abs_dev": float(self.max_abs_dev),
-            "rms": float(self.rms),
-            "per_label": {
-                label: {k: float(x) for k, x in d.items()} for label, d in self.per_label.items()
-            },
-            "time_window": [float(self.time_window[0]), float(self.time_window[1])],
-        }
-
 
 def trace(
     op: SparseHermitian,

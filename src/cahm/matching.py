@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -102,18 +102,6 @@ class MatchReport:
             raise ValueError("time rescale factor must be positive")
         self.notes = tuple(self.notes)
 
-    def to_json_obj(self) -> dict:
-        return {
-            "simulator_params": {k: float(v) for k, v in self.simulator_params.items()},
-            "residuals": {k: float(v) for k, v in self.residuals.items()},
-            "predicted": None
-            if self.predicted is None
-            else {k: float(v) for k, v in self.predicted.items()},
-            "time_rescale_k": None if self.time_rescale_k is None else float(self.time_rescale_k),
-            "notes": list(self.notes),
-            "converged": bool(self.converged),
-        }
-
 
 def _golden_min(f, a: float, b: float, tol: float) -> float:
     """Golden-section minimum of a unimodal function on [a, b]."""
@@ -154,7 +142,7 @@ def match_two_atom(c: TargetCouplings, blockade_ratio: float = 64.0) -> MatchRep
     return MatchReport(
         simulator_params={"omega": omega, "delta": delta, "v0": v0},
         residuals={"splitting": 0.0, "drive": 0.0},
-        predicted=analytic_one_spin(c).to_json_obj(),
+        predicted=asdict(analytic_one_spin(c)),
         notes=tuple(notes),
     )
 
@@ -511,7 +499,7 @@ def match_four_atom(c: TargetCouplings, v0: float) -> MatchReport:
             "v1_condition": v1 - c.y,
             "v2_condition": v2 - (-c.y),
         },
-        predicted=analytic_one_spin(c).to_json_obj(),
+        predicted=asdict(analytic_one_spin(c)),
         notes=tuple(notes),
     )
 

@@ -78,9 +78,6 @@ class OneSpinSpectrum:
         if self.e0 > self.eplus + 1e-12 * max(1.0, abs(self.eplus)):
             raise ValueError("one-spin spectrum requires E0 <= E+")
 
-    def to_json_obj(self) -> dict:
-        return {"e0": self.e0, "eplus": self.eplus, "eminus": self.eminus, "phi": self.phi}
-
 
 def chain_symmetries(trunc: SpinTruncation, n_links: int) -> tuple[np.ndarray, ...]:
     """Charge conjugation C and link reflection P of every chain, as index permutations.

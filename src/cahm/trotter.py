@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import StateVector, bitstring_labels, capped_dim
+from .numerics import StateVector, capped_dim
 from .rydberg_models import AtomGeometry, RydbergParams, array_couplings
 
 GATE_KINDS = ("RX", "P", "CP")
@@ -70,11 +70,6 @@ class Circuit:
                     raise ValueError(f"gate qubit {q} outside 0..{self.n_qubits - 1}")
         object.__setattr__(self, "gates", gates)
 
-    def to_json_obj(self) -> list:
-        return [
-            {"gate": g.kind, "q": list(g.qubits), "angle": float(g.angle)} for g in self.gates
-        ]
-
 
 def trotter_step(geom: AtomGeometry, params: RydbergParams, dt: float) -> Circuit:
     """One first-order step of the array `build_rydberg_h` builds: RX, P and CP layers.
@@ -118,23 +113,8 @@ def apply_circuit(circuit: Circuit, psi0: StateVector) -> StateVector:
     return StateVector(state)
 
 
-@dataclass(frozen=True)
-class ShotResult:
-    """Measurement counts per bitstring from a seeded multinomial draw."""
-
-    counts: dict
-    shots: int
-
-    def __post_init__(self):
-        if sum(self.counts.values()) != self.shots:
-            raise ValueError("counts must sum to the number of shots")
-
-    def frequency(self, bitstring: str) -> float:
-        return self.counts.get(bitstring, 0) / self.shots
-
-
-def sample_shots(psi: StateVector, shots: int, seed: int) -> ShotResult:
-    """Multinomial sampling of |amplitude|^2.
+def sample_shots(psi: StateVector, shots: int, seed: int) -> np.ndarray:
+    """Multinomial sampling of |amplitude|^2: the count of every basis state, in basis order.
 
     Uses numpy's PCG64 generator seeded with `seed`; identical
     (psi, shots, seed) always reproduce identical counts.
@@ -144,6 +124,4 @@ def sample_shots(psi: StateVector, shots: int, seed: int) -> ShotResult:
     probs = np.abs(psi.amplitudes) ** 2
     probs = probs / probs.sum()
     rng = np.random.default_rng(seed)
-    draws = rng.multinomial(shots, probs)
-    counts = {label: int(k) for label, k in zip(bitstring_labels(psi.dim), draws) if k > 0}
-    return ShotResult(counts=counts, shots=shots)
+    return rng.multinomial(shots, probs)

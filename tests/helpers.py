@@ -1,5 +1,6 @@
 """Shared test oracles, independent of the library's computation paths."""
 
+import dataclasses
 import itertools
 import json
 
@@ -260,7 +261,12 @@ def tensordot_apply_single(state, m, q, n):
 
 
 def jsonable(value):
-    """`value` with every numpy scalar, tuple and dict key walked into plain JSON types."""
+    """`value` with every dataclass, numpy scalar, tuple and dict key walked into plain JSON types.
+
+    A dataclass instance becomes the dict of its fields, read one by one.
+    """
+    if dataclasses.is_dataclass(value) and not isinstance(value, type):
+        return {f.name: jsonable(getattr(value, f.name)) for f in dataclasses.fields(value)}
     if isinstance(value, dict):
         return {str(k): jsonable(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
@@ -275,8 +281,8 @@ def jsonable(value):
 
 
 def jsonable_text(obj):
-    """JSON artifact text of `obj`, formed from the `jsonable` walk."""
-    return json.dumps(jsonable(obj), indent=2, sort_keys=True) + "\n"
+    """JSON artifact text of `obj`, formed from the `jsonable` walk; JSON has no inf or NaN."""
+    return json.dumps(jsonable(obj), indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def apply_steps(step, psi, n_steps):

@@ -233,13 +233,14 @@ def test_criterion_8_trotter():
     d_coarse, d_fine = max_dev(0.1), max_dev(0.05)
     scaling_ok = d_fine <= 0.55 * d_coarse
 
-    shots = sample_shots(psi_t1, 1000, 424242)
-    label_bits = {"m=1": "10", "m=0": "00", "m=-1": "01"}
+    counts = sample_shots(psi_t1, 1000, 424242)
+    # Basis index of each spin state in the two-atom encoding (bitstrings 10, 00, 01).
+    label_index = {"m=1": 0b10, "m=0": 0b00, "m=-1": 0b01}
     shots_ok = True
-    for label, bits in label_bits.items():
+    for label, b in label_index.items():
         p = probs_t1[label]
         sigma = np.sqrt(max(p * (1 - p), 1e-12) / 1000)
-        shots_ok &= abs(shots.frequency(bits) - p) <= 5 * sigma
+        shots_ok &= abs(counts[b] / 1000 - p) <= 5 * sigma
 
     ok = dev_t1 <= 0.05 and scaling_ok and shots_ok
     _report(

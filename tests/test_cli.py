@@ -1,6 +1,7 @@
 import errno
 import importlib.util
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -120,12 +121,36 @@ def test_json_numpy_scalars_equal_the_jsonable_oracle(tmp_path):
         "uint8": np.uint8(200),
         "bools": [np.bool_(True), np.bool_(False), True],
         "tuple": (np.float32(-0.0), np.int64(7)),
-        "nested": {"b": np.float32(np.inf), "a": [np.int64(1), {"x": np.bool_(True)}]},
+        "nested": {"b": np.float32(1e38), "a": [np.int64(1), {"x": np.bool_(True)}]},
+        "dataclass": [
+            cahm.TraceComparison(np.float64(0.5), 0.25, {"m=1": {"rms": np.float32(0.25)}},
+                                 (0.0, np.float64(2.0))),
+            cahm.OneSpinSpectrum(-1.0, np.float64(1.0), 0.5, 0.0),
+        ],
     }
     _write_json(tmp_path / "a.json", obj)
     assert (tmp_path / "a.json").read_text(encoding="utf-8") == jsonable_text(obj)
     with pytest.raises(TypeError, match="complex128"):
         _write_json(tmp_path / "b.json", {"z": np.complex128(1j)})
+    # JSON has no inf or NaN: each of these raises and writes no file.
+    non_finite = [np.float32(np.inf), -math.inf, math.nan, cahm.OneSpinSpectrum(-math.inf, 0, 0, 0)]
+    for value in non_finite:
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            _write_json(tmp_path / "c.json", {"nested": [value]})
+        assert not (tmp_path / "c.json").exists()
+
+
+@pytest.mark.parametrize("name", [*presets(), *preset_hashes.CONFIGS])
+def test_json_artifacts_parse_without_non_finite_constants(tmp_path, name):
+    def refuse(constant):
+        raise AssertionError(f"{name} writes {constant}")
+
+    argv = preset_hashes.run_argvs(tmp_path)[name]
+    assert main([*argv, "--out", str(tmp_path / "out")]) == EXIT_OK
+    paths = sorted((tmp_path / "out").glob("*.json"))
+    assert "manifest.json" in [p.name for p in paths]
+    for path in paths:
+        json.loads(path.read_text(encoding="utf-8"), parse_constant=refuse)
 
 
 def test_fig3_top_run(tmp_path):
@@ -946,18 +971,60 @@ def _with_field(config: dict, path: tuple, value) -> dict:
          "field payload.initial: 'x' is not one of ['m=1', 'm=0', 'm=-1']"),
         (CUSTOM_EVOLVE, ("initial",), "2",
          "field payload.initial: custom simulators take a bitstring of 2 atoms"),
+        (CUSTOM_EVOLVE, ("simulator", "positions"), [],
+         "(0,) (set by payload.simulator.positions)"),
+        (CUSTOM_EVOLVE, ("simulator", "positions"), [[0.0, 1.0], [0.0, 1.0]],
+         "atoms 0 and 1 coincide (set by payload.simulator.positions)"),
+        (CUSTOM_EVOLVE, ("simulator", "delta0_atoms"), [5],
+         "field payload.simulator.delta0_atoms: atom 5 outside 0..1"),
+        (CUSTOM_EVOLVE, ("simulator", "overrides"), {"0-7": 1.0},
+         "field payload.simulator.overrides: atom 7 outside 0..1"),
+        (FOUR_ATOM_COMPARE, ("simulator",), {"kind": "four-atom", "omega": -1.2, "delta": -0.6,
+                                             "v0": 64.0, "rho": 0.0},
+         "field payload.simulator.rho must lie in (0, 1), got 0.0"),
+        (FOUR_ATOM_COMPARE, ("simulator",), {"kind": "four-atom", "omega": -1.2, "delta": -0.6,
+                                             "v0": 64.0, "rho": 1.5},
+         "field payload.simulator.rho must lie in (0, 1), got 1.5"),
+        (SIX_ATOM_COMPARE, ("simulator", "rho"), 0.0,
+         "field payload.simulator.rho must lie in (0, 1), got 0.0"),
+        (SIX_ATOM_COMPARE, ("simulator", "rho"), 1.5,
+         "field payload.simulator.rho must lie in (0, 1), got 1.5"),
+        ({"mode": "spectrum", "target": CHAIN_TARGET}, ("target", "m_max"), 0,
+         "(set by payload.target.m_max)"),
+        ({"mode": "spectrum", "target": CHAIN_TARGET}, ("target", "n_links"), 0,
+         "field payload.target.n_links must be >= 1, got 0"),
+        ({"mode": "spectrum", "target": CHAIN_TARGET}, ("target", "boundary"), "x",
+         "(set by payload.target.boundary)"),
+        ({"mode": "match", "match": MATCH_CONFIGS["two-atom"]}, ("match",),
+         {"kind": "two-atom", "U": 1e308, "X": 1e308},
+         "not JSON compliant: -inf (set by payload.match)"),
+        ({"mode": "match", "match": MATCH_CONFIGS["four-atom"]}, ("match",),
+         {"kind": "four-atom", "U": 1e308, "X": 1.0, "Y": 1e308, "v0": 1.7e308},
+         "not JSON compliant: -inf (set by payload.match)"),
+        ({"mode": "spectrum", "target": CHAIN_TARGET}, ("target",),
+         {"kind": "one-spin", "U": 1e308, "X": 1e308},
+         "not JSON compliant: -inf (set by payload.target)"),
+        ({"mode": "trotter", "omega": 1, "delta": 1, "v0": 10, "t_max": 0, "shots": 10}, ("dt",),
+         1e-320, "field payload.dt = 1e-320 puts 1/dt beyond the float range"),
+        ({"mode": "trotter", "omega": 1, "delta": 1, "t_max": 1, "shots": 10}, ("v0",), 1e-310,
+         "field payload.dt is required when the default step 1/|payload.v0| is not finite"),
     ],
     ids=[
         "rho_hint", "match-middle-pair", "blockade_ratio", "equations", "guess", "fixed",
         "unknowns", "v2_override", "sim_times", "rescale_k", "six-atom-delta0",
         "simulator-middle-pair", "position-entry", "position-ragged", "position-row",
         "huge-int", "infinite", "times-span", "sim-times-span", "shots", "compare-initial",
-        "evolve-target-initial", "evolve-custom-initial",
+        "evolve-target-initial", "evolve-custom-initial", "no-positions", "coinciding-positions",
+        "delta0-atom-outside", "override-outside", "four-atom-rho-0", "four-atom-rho-1.5",
+        "six-atom-rho-0", "six-atom-rho-1.5", "chain-m_max",
+        "chain-n_links", "chain-boundary", "match-two-atom-inf", "match-four-atom-inf",
+        "spectrum-one-spin-inf", "trotter-tiny-dt", "trotter-tiny-v0",
     ],
 )
 def test_bad_field_value_names_it(tmp_path, capsys, config, path, value, name):
     assert _run_config(tmp_path, _with_field(config, path, value)) == EXIT_CONFIG
     assert name in capsys.readouterr().err
+    assert not (tmp_path / "out" / "manifest.json").exists()
 
 
 @pytest.mark.parametrize(

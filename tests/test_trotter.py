@@ -1,4 +1,5 @@
 import itertools
+import json
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from cahm import (
     sample_shots,
     two_atom_system,
 )
+from cahm.cli import main
 from cahm.evolution import simulator_trace, spin_finals
 from cahm.numerics import basis_digits
 from cahm.trotter import _apply_single, p_matrix, rx_matrix, trotter_step
@@ -225,15 +227,19 @@ def test_trotter_error_scaling_on_window():
     assert 0.1 <= d_fine / d_coarse
 
 
+# Basis index of each spin state in the two-atom encoding: |r g> = 10, |g g> = 00, |g r> = 01.
+SPIN_INDEX = {"m=1": 0b10, "m=0": 0b00, "m=-1": 0b01}
+
+
 def test_sample_shots_basis_state():
-    res = sample_shots(StateVector.basis(4, 2), 1000, 7)
-    assert res.counts == {"10": 1000}
-    assert res.frequency("10") == 1.0
+    counts = sample_shots(StateVector.basis(4, 2), 1000, 7)
+    assert counts.tolist() == [0, 0, 1000, 0]
+    assert counts[2] / 1000 == 1.0
 
 
 def test_sample_shots_counts_fit_numpy_integers():
     psi = StateVector.basis(3, 1)
-    assert sample_shots(psi, 2**63 - 1, 7).counts == {"01": 2**63 - 1}
+    assert sample_shots(psi, 2**63 - 1, 7).tolist() == [0, 2**63 - 1, 0]
     for shots in (0, 2**63):
         with pytest.raises(ValueError, match="shots"):
             sample_shots(psi, shots, 7)
@@ -241,36 +247,37 @@ def test_sample_shots_counts_fit_numpy_integers():
 
 def test_sample_shots_uniform_within_5_sigma():
     psi = StateVector.normalized(np.ones(4))
-    res = sample_shots(psi, 1000, 20240811)
+    counts = sample_shots(psi, 1000, 20240811)
     sigma = np.sqrt(1000 * 0.25 * 0.75)
-    for bits in ("00", "01", "10", "11"):
-        assert abs(res.counts[bits] - 250) <= 5 * sigma
-    assert sum(res.counts.values()) == 1000
+    assert counts.shape == (4,)
+    assert np.all(np.abs(counts - 250) <= 5 * sigma)
+    assert counts.sum() == 1000
 
 
 def test_sample_shots_deterministic():
     psi = StateVector.normalized([1.0, 0.5j, -0.25, 0.1])
     a = sample_shots(psi, 1000, 42)
     b = sample_shots(psi, 1000, 42)
-    assert a.counts == b.counts
+    assert np.array_equal(a, b)
     c = sample_shots(psi, 1000, 43)
-    assert c.counts != a.counts
+    assert not np.array_equal(c, a)
 
 
 def test_shot_frequencies_converge():
     system, psi0, obs = _fig10_pieces()
     probs = _trotter_probs(psi0, obs, 0.1, 1.0)
     psi = apply_steps(two_atom_step(**FIG10, dt=0.1), psi0, 10)
-    res = sample_shots(psi, 100_000, 5)
-    label_bits = {"m=1": "10", "m=0": "00", "m=-1": "01"}
-    for label, bits in label_bits.items():
-        assert abs(res.frequency(bits) - probs[label]) <= 0.01
+    counts = sample_shots(psi, 100_000, 5)
+    for label, b in SPIN_INDEX.items():
+        assert abs(counts[b] / 100_000 - probs[label]) <= 0.01
 
 
-def test_circuit_json_round_trip():
-    step = two_atom_step(-1.5, -0.5, 10.0, 0.1)
-    obj = step.to_json_obj()
-    assert obj[0]["gate"] == "RX" and obj[0]["q"] == [0]
+def test_circuit_json_round_trip(tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({**FIG10, "dt": 0.1, "t_max": 0.2, "shots": 10}))
+    assert main(["trotter", "--config", str(config), "--out", str(tmp_path)]) == 0
+    gates = json.loads((tmp_path / "manifest.json").read_text())["parameters"]["circuit_step"]
+    assert gates[0] == {"gate": "RX", "q": [0], "angle": -0.15000000000000002}
     # The manifest's circuit_step holds every gate field.
-    rebuilt = Circuit(2, tuple(Gate(d["gate"], tuple(d["q"]), d["angle"]) for d in obj))
-    assert rebuilt == step
+    rebuilt = Circuit(2, tuple(Gate(d["gate"], tuple(d["q"]), d["angle"]) for d in gates))
+    assert rebuilt == two_atom_step(**FIG10, dt=0.1)
