@@ -369,6 +369,8 @@ def _build_target(spec: dict):
     n_links = resolved["n_links"]
     if n_links < 1:
         raise ConfigError(f"field {ctx}.n_links must be >= 1, got {n_links}")
+    with _set_by(f"{ctx}.m_max and {ctx}.n_links"):
+        capped_dim(trunc.dim, n_links, "n_links")
     return build_chain_h(c, trunc, n_links), (trunc, n_links), c, resolved
 
 
@@ -435,6 +437,9 @@ def _custom_layout(
     delta0_atoms = tuple(_entries(delta0_atoms, int, f"{ctx}.delta0_atoms"))
     with _set_by(f"{ctx}.positions"):
         geometry = AtomGeometry(rows, scale)
+    # A pair too close to interact finitely is refused here, not once the Hamiltonian is built.
+    with _set_by(f"{ctx}.positions and {ctx}.scale"):
+        geometry.couplings()
     # `build_rydberg_h` refuses an atom outside the array too, but only once it runs.
     atoms = {"delta0_atoms": delta0_atoms, "overrides": [i for pair in pairs for i in pair]}
     for name, indices in atoms.items():
@@ -532,7 +537,7 @@ def _run_spectrum(cfg: ExperimentConfig, target) -> int:
     sectors = symmetry_sectors(h, chain_symmetries(*chain))
     blocks = [eig_hermitian(b, eigvals_only=True).eigenvalues for b in sectors]
     eigenvalues = np.sort(np.concatenate(blocks))
-    out = {"eigenvalues": [float(w) for w in eigenvalues]}
+    out = {"eigenvalues": eigenvalues.tolist()}
     if target["kind"] == "one-spin":
         out["analytic"] = analytic_one_spin(c)
         if c.u != 0:

@@ -98,16 +98,22 @@ class SparseHermitian:
         scale = _max_abs(v)
         if not math.isfinite(scale):
             raise ContractViolationError("matrix entries must be finite")
-        order = np.argsort(keys, kind="stable")
-        keys, v = keys[order], v[order]
-        if (keys[1:] == keys[:-1]).any():
-            raise ContractViolationError("entries repeat a (row, col) key")
+        # Strictly ascending keys are sorted and unique as they stand.
+        if not (keys[1:] > keys[:-1]).all():
+            order = np.argsort(keys, kind="stable")
+            keys, v = keys[order], v[order]
+            if (keys[1:] == keys[:-1]).any():
+                raise ContractViolationError("entries repeat a (row, col) key")
         rows, cols = np.divmod(keys, self.dim)
-        for name, a in (("rows", rows), ("cols", cols), ("values", v)):
+        for name, a in (("rows", rows), ("cols", cols), ("values", v), ("_keys", keys)):
             a.setflags(write=False)
             object.__setattr__(self, name, a)
+        # The row-major entries stably sorted by column are in ascending order of
+        # their mirror keys col * dim + row, so one search of sorted needles finds
+        # each mirror.  Columns lie below MAX_DIM, so they sort as uint16 (a radix sort).
+        by_col = np.argsort(cols.astype(np.uint16), kind="stable")
         with np.errstate(over="ignore"):
-            deviation = _max_abs(v - self._at(cols, rows).conj())
+            deviation = _max_abs(v[by_col] - self._at(cols[by_col], rows[by_col]).conj())
         if scale > 0.0 and deviation > HERMITICITY_RTOL * scale:
             raise ContractViolationError(
                 f"matrix is not Hermitian: max|H - H^dagger| = {deviation:.3e} "
@@ -116,10 +122,9 @@ class SparseHermitian:
 
     def _at(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
         """H[rows[k], cols[k]] for each k: the stored value, or 0 where none is stored."""
-        stored = self.rows * self.dim + self.cols
         keys = rows * self.dim + cols
-        pos = np.minimum(np.searchsorted(stored, keys), stored.size - 1)
-        return np.where(stored[pos] == keys, self.values[pos], 0.0)
+        pos = np.minimum(np.searchsorted(self._keys, keys), self._keys.size - 1)
+        return np.where(self._keys[pos] == keys, self.values[pos], 0.0)
 
     @property
     def matrix(self) -> np.ndarray:
@@ -456,29 +461,37 @@ def symmetry_sectors(op: SparseHermitian, symmetries) -> list[SparseHermitian]:
     element, term = np.nonzero(b >= 0)
     a, b, v = a[term], b[element, term], v[term]
 
+    # The keys of every sector's block entries, sorted once: the 0.0 diagonal
+    # of every orbit, so that every block has an entry, and every term.  bincount
+    # sums each key's terms in element order from 0.0, and a sector keeps the
+    # keys both of whose orbits it keeps, still in ascending order.
+    n_orbits = reps.size
+    keys, position = np.unique(
+        np.concatenate([np.arange(n_orbits) * (n_orbits + 1), a * n_orbits + b]),
+        return_inverse=True,
+    )
+    position = position[n_orbits:]
+    key_a, key_b = np.divmod(keys, n_orbits)
+
     blocks, total = [], 0
     for signs in itertools.product((1.0, -1.0), repeat=len(generators)):
         chi = np.prod(np.array(signs) ** exponents, axis=1)
         keep = ~np.any(fixed & (chi[:, None] < 0.0), axis=0)
         if not keep.any():
             continue
-        s = stab[keep]
-        # Row of each kept orbit in the block, -1 for the orbits chi drops.
-        slot = np.where(keep, np.cumsum(keep) - 1, -1)
-        n = s.size
-        sa, sb = slot[a], slot[b]
-        on = (sa >= 0) & (sb >= 0)
-        # A 0.0 diagonal first, so that every block has an entry, then the
-        # entries in element order: bincount sums each (a, b) in that order from 0.0.
-        keys = np.concatenate([np.arange(n) * (n + 1), sa[on] * n + sb[on]])
-        values = np.concatenate([np.zeros(n, v.dtype), chi[element[on]] * v[on]])
-        keys, position = np.unique(keys, return_inverse=True)
+        values = chi[element] * v
         summed = np.bincount(position, values.real, keys.size).astype(v.dtype)
         if np.iscomplexobj(v):
             summed.imag = np.bincount(position, values.imag, keys.size)
-        rows, cols = np.divmod(keys, n)
+        on = keep[key_a] & keep[key_b]
+        ka, kb = key_a[on], key_b[on]
+        # Row of each kept orbit in the block.
+        slot = np.cumsum(keep) - 1
+        n = int(np.count_nonzero(keep))
         # A sum that overflows fails SparseHermitian's finiteness check.
-        blocks.append(SparseHermitian(n, rows, cols, summed / np.sqrt(s[rows] * s[cols])))
+        blocks.append(
+            SparseHermitian(n, slot[ka], slot[kb], summed[on] / np.sqrt(stab[ka] * stab[kb]))
+        )
         total += n
     if total != dim:
         raise ContractViolationError(f"sector dimensions sum to {total}, not {dim}")

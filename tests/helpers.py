@@ -350,14 +350,16 @@ def dense_sector_bases(dim, symmetries):
     return bases
 
 
-def accumulated_sector_blocks(h, symmetries):
-    """Each sector block of the dense matrix h, summed element by element of the group.
+def accumulated_sector_blocks(h, symmetries, stored):
+    """(block, pattern) of each sector of the dense matrix h, summed element by element of the group.
 
     The sectors are those of `dense_sector_bases`: r_a is the smallest index
     of column a's support and |Stab_a| is 2**k over the support's size.
     Entry (a, b) is sum_g chi(g) h[r_a, g r_b], added into 0.0 over the
     elements g in order (element i applies generator j when bit j of i is
-    set), then divided by sqrt(|Stab_a| |Stab_b|).
+    set), then divided by sqrt(|Stab_a| |Stab_b|).  The pattern marks the
+    diagonal and every (a, b) that some (r_a, g r_b) marked in the boolean
+    matrix `stored` reaches: the entries a split of the stored entries keeps.
     """
     k, dim = len(symmetries), h.shape[0]
     elements = []
@@ -376,11 +378,31 @@ def accumulated_sector_blocks(h, symmetries):
         reps = np.array([np.flatnonzero(v)[0] for v in columns])
         stab = np.array([2**k // np.count_nonzero(v) for v in columns])
         block = np.zeros((reps.size, reps.size), dtype=h.dtype)
+        pattern = np.eye(reps.size, dtype=bool)
         for bits, g in elements:
             chi = float(np.prod([s for s, bit in zip(signs, bits) if bit]))
             block += chi * h[np.ix_(reps, g[reps])]
-        blocks.append(block / np.sqrt(np.outer(stab, stab)))
+            pattern |= stored[np.ix_(reps, g[reps])]
+        blocks.append((block / np.sqrt(np.outer(stab, stab)), pattern))
     return blocks
+
+
+def lookup_mirror_deviation(dim, rows, cols, values):
+    """max|H - H^dagger| over the stored entries, each mirror found by one unsorted search.
+
+    The entries are sorted by row * dim + col first; a mirror that is not
+    stored counts as 0.  This is the check `SparseHermitian` made before it
+    searched for the mirrors in sorted order.
+    """
+    stored = np.asarray(rows) * dim + np.asarray(cols)
+    order = np.argsort(stored, kind="stable")
+    stored, values = stored[order], np.asarray(values)[order]
+    rows, cols = np.divmod(stored, dim)
+    mirrors = cols * dim + rows
+    pos = np.minimum(np.searchsorted(stored, mirrors), stored.size - 1)
+    found = np.where(stored[pos] == mirrors, values[pos], 0.0)
+    with np.errstate(over="ignore"):
+        return float(np.max(np.abs(values - found.conj())))
 
 
 def per_value_csv_text(trace):

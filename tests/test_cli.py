@@ -975,6 +975,9 @@ def _with_field(config: dict, path: tuple, value) -> dict:
          "(0,) (set by payload.simulator.positions)"),
         (CUSTOM_EVOLVE, ("simulator", "positions"), [[0.0, 1.0], [0.0, 1.0]],
          "atoms 0 and 1 coincide (set by payload.simulator.positions)"),
+        (CUSTOM_EVOLVE, ("simulator", "positions"), [[0.0, 1e-60], [0.0, 0.0]],
+         "pair distance 1e-60 gives an infinite interaction at scale 32.0 "
+         "(set by payload.simulator.positions and payload.simulator.scale)"),
         (CUSTOM_EVOLVE, ("simulator", "delta0_atoms"), [5],
          "field payload.simulator.delta0_atoms: atom 5 outside 0..1"),
         (CUSTOM_EVOLVE, ("simulator", "overrides"), {"0-7": 1.0},
@@ -993,6 +996,9 @@ def _with_field(config: dict, path: tuple, value) -> dict:
          "(set by payload.target.m_max)"),
         ({"mode": "spectrum", "target": CHAIN_TARGET}, ("target", "n_links"), 0,
          "field payload.target.n_links must be >= 1, got 0"),
+        ({"mode": "spectrum", "target": CHAIN_TARGET}, ("target", "n_links"), 20,
+         "n_links = 20 gives dimension 3**20, above the supported maximum 4096 "
+         "(set by payload.target.m_max and payload.target.n_links)"),
         ({"mode": "spectrum", "target": CHAIN_TARGET}, ("target", "boundary"), "x",
          "(set by payload.target.boundary)"),
         ({"mode": "match", "match": MATCH_CONFIGS["two-atom"]}, ("match",),
@@ -1015,9 +1021,11 @@ def _with_field(config: dict, path: tuple, value) -> dict:
         "simulator-middle-pair", "position-entry", "position-ragged", "position-row",
         "huge-int", "infinite", "times-span", "sim-times-span", "shots", "compare-initial",
         "evolve-target-initial", "evolve-custom-initial", "no-positions", "coinciding-positions",
+        "infinite-interaction",
         "delta0-atom-outside", "override-outside", "four-atom-rho-0", "four-atom-rho-1.5",
         "six-atom-rho-0", "six-atom-rho-1.5", "chain-m_max",
-        "chain-n_links", "chain-boundary", "match-two-atom-inf", "match-four-atom-inf",
+        "chain-n_links", "chain-dimension-cap", "chain-boundary", "match-two-atom-inf",
+        "match-four-atom-inf",
         "spectrum-one-spin-inf", "trotter-tiny-dt", "trotter-tiny-v0",
     ],
 )

@@ -48,6 +48,7 @@ from helpers import (
     corrupting_eigvalsh,
     direct_amplitudes,
     expm_taylor,
+    lookup_mirror_deviation,
     op_lz,
     op_ux,
     preset_systems,
@@ -799,6 +800,9 @@ def _bad_sparse_cases():
     yield "negative-index", (2, np.array([0, -1, 1]), c, v), "outside 0..1"
     yield "index-at-dim", (2, r, np.array([1, 0, 2]), v), "outside 0..1"
     yield "repeated-key", (2, np.array([0, 1, 0]), np.array([1, 0, 1]), v), "repeat"
+    # Keys that ascend, but not strictly, are sorted and checked for repeats too.
+    yield "repeated-first-key-in-order", (2, np.array([0, 0, 1]), np.array([1, 1, 0]), v), "repeat"
+    yield "repeated-last-key-in-order", (2, np.array([0, 1, 1]), np.array([1, 1, 1]), v), "repeat"
     yield "nan", (2, r, c, np.array([2.0, 2.0, np.nan])), "finite"
     yield "inf", (2, r, c, np.array([np.inf, 2.0, 1.0])), "finite"
     yield "mirror-value", (2, r, c, np.array([2.0, 2.0 + 1e-9, 1.0])), "not Hermitian"
@@ -827,6 +831,80 @@ def test_sparse_checks_agree_on_both_sides_of_the_dense_mirror_check(dim):
         if message in ("repeat", "finite", "not Hermitian"):
             with pytest.raises(ContractViolationError, match=message):
                 SparseHermitian(dim, r + dim - 2, c + dim - 2, v)
+
+
+def _random_entries(rng, kind, dtype):
+    """(dim, rows, cols, values) in row-major order of a random operator of the given kind.
+
+    "hermitian" stores a Hermitian pattern exactly; "perturbed" moves one entry
+    by 1e-14..1e-10 max|H|; "unmatched-small" and "unmatched-large" add an
+    entry whose mirror is not stored, below 1e-12 max|H| and above 1e-11 max|H|;
+    "dropped-mirror" deletes one off-diagonal entry of the Hermitian pattern.
+    """
+    dim = int(rng.integers(2, 48))
+    h = random_hermitian(rng, dim, scale=10.0 ** rng.uniform(-200, 200))
+    h = h.real if dtype == np.float64 else h
+    stored = rng.random((dim, dim)) < rng.uniform(0.05, 1.0)
+    stored |= stored.T
+    stored[-1, -1] = True
+    if kind in ("unmatched-small", "unmatched-large"):
+        stored[0, dim - 1] = stored[dim - 1, 0] = False
+    rows, cols = np.nonzero(stored)
+    values = h[rows, cols]
+    top = np.max(np.abs(values))
+    unit = rng.choice([1.0, 1j]) if dtype == np.complex128 else 1.0
+    if kind == "perturbed":
+        values[rng.integers(values.size)] += top * 10.0 ** rng.uniform(-14, -10) * unit
+    elif kind == "dropped-mirror" and np.any(rows != cols):
+        k = rng.choice(np.flatnonzero(rows != cols))
+        rows, cols, values = np.delete(rows, k), np.delete(cols, k), np.delete(values, k)
+    elif kind.startswith("unmatched"):
+        low, high = (-15, -12.01) if kind == "unmatched-small" else (-11, 0)
+        keys = np.append(rows * dim + cols, dim - 1)
+        values = np.append(values, top * 10.0 ** rng.uniform(low, high) * unit)
+        order = np.argsort(keys)
+        (rows, cols), values = np.divmod(keys[order], dim), values[order]
+    return dim, rows, cols, values
+
+
+RANDOM_KINDS = ["hermitian", "perturbed", "unmatched-small", "unmatched-large", "dropped-mirror"]
+
+
+@pytest.mark.parametrize("order", ["sorted", "shuffled"])
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+@pytest.mark.parametrize("kind", RANDOM_KINDS)
+def test_sparse_hermiticity_check_agrees_with_the_dense_oracle(kind, dtype, order):
+    """Accepted or refused as max|H - H^dagger| of the dense matrix says, with that deviation."""
+    # Every (kind, dtype, order) draws its own operators.
+    rng = np.random.default_rng([RANDOM_KINDS.index(kind), np.dtype(dtype).itemsize, len(order)])
+    for _ in range(25):
+        dim, rows, cols, values = _random_entries(rng, kind, dtype)
+        if order == "shuffled":
+            shuffle = rng.permutation(rows.size)
+            rows, cols, values = rows[shuffle], cols[shuffle], values[shuffle]
+        h = np.zeros((dim, dim), dtype=dtype)
+        h[rows, cols] = values
+        deviation = float(np.max(np.abs(h - h.conj().T)))
+        tolerance = HERMITICITY_RTOL * float(np.max(np.abs(h)))
+        # The search of unsorted mirror keys reads the same deviation, bit for bit.
+        assert lookup_mirror_deviation(dim, rows, cols, values).hex() == deviation.hex()
+        if deviation > tolerance:
+            assert kind not in ("hermitian", "unmatched-small")
+            message = (
+                f"matrix is not Hermitian: max|H - H^dagger| = {deviation:.3e} "
+                f"exceeds 1e-12 * max|H| = {tolerance:.3e}"
+            )
+            with pytest.raises(ContractViolationError, match=re.escape(message)):
+                SparseHermitian(dim, rows, cols, values)
+        else:
+            assert kind != "unmatched-large"
+            assert np.array_equal(SparseHermitian(dim, rows, cols, values).matrix, h)
+
+
+def test_every_column_below_max_dim_sorts_as_uint16():
+    # The mirror lookup sorts the columns as uint16; a larger MAX_DIM would wrap them out
+    # of order, and the mirrors would no longer be searched for in sorted order.
+    assert MAX_DIM - 1 <= np.iinfo(np.uint16).max
 
 
 def test_sparse_hermiticity_is_relative_to_max_abs():

@@ -123,12 +123,17 @@ def test_blocks_equal_the_dense_change_of_basis(case):
 
 
 def _bitwise_cases():
-    # The `chain-spectrum` rungs (m_max, n_links) of the benchmark, at its X/U and Y/U and at Y = 0.
-    for m_max, n_links in ((1, 4), (1, 5), (2, 3), (2, 4), (3, 3)):
+    # Every chain of m_max 1-3 up to the `chain-spectrum` benchmark's largest, dim 625:
+    # open at its X/U and Y/U and at Y = 0, and periodic.
+    for m_max, max_links in ((1, 5), (2, 4), (3, 3)):
         trunc = SpinTruncation(m_max)
-        for y in (0.3, 0.0):
-            op = build_chain_h(TargetCouplings(1.0, 0.9, y), trunc, n_links)
-            yield f"chain-m{m_max}-n{n_links}-y{y}", op, chain_symmetries(trunc, n_links)
+        for n_links in range(1, max_links + 1):
+            symmetries = chain_symmetries(trunc, n_links)
+            for y in (0.3, 0.0):
+                op = build_chain_h(TargetCouplings(1.0, 0.9, y), trunc, n_links)
+                yield f"chain-m{m_max}-n{n_links}-y{y}", op, symmetries
+            op = build_chain_h(TargetCouplings(1.0, 0.9, 0.3, "periodic"), trunc, n_links)
+            yield f"chain-m{m_max}-n{n_links}-y0.3-periodic", op, symmetries
     for name, system in preset_systems().items():
         yield name, system.hamiltonian(), [atom_permutation(system.mirror)]
     # Generic entries, whose sums and quotients round differently in another order or form.
@@ -147,21 +152,26 @@ def test_blocks_are_the_dense_accumulation_bit_for_bit(name):
 
     The reference sums chi(g) H[r_a, g r_b] into a zero block over the group
     elements in order, from the full matrix, so it also adds the zeros of
-    unstored entries; those leave every sum unchanged.
+    unstored entries; those leave every sum unchanged.  Each block stores
+    its diagonal and every entry that a stored entry of H reaches, in order.
     """
     op, symmetries = BITWISE_CASES[name]
     h = op.matrix
+    stored = np.zeros(h.shape, dtype=bool)
+    stored[op.rows, op.cols] = True
     blocks = symmetry_sectors(op, symmetries)
-    expected = accumulated_sector_blocks(h, symmetries)
+    expected = accumulated_sector_blocks(h, symmetries, stored)
     assert len(blocks) == len(expected)
-    for block, want in zip(blocks, expected):
+    for block, (want, pattern) in zip(blocks, expected):
         assert block.matrix.dtype == want.dtype
         assert block.matrix.tobytes() == want.tobytes()
+        rows, cols = np.nonzero(pattern)
+        assert np.array_equal(block.rows, rows) and np.array_equal(block.cols, cols)
     # The reference itself is the change of basis to the sector bases.
     q = np.hstack(dense_sector_bases(op.dim, symmetries))
     rotated = q.T @ h @ q
     start = 0
-    for want in expected:
+    for want, _ in expected:
         stop = start + want.shape[0]
         assert np.max(np.abs(rotated[start:stop, start:stop] - want)) <= 1e-13 * np.max(np.abs(h))
         start = stop

@@ -1,8 +1,8 @@
 """Print the sha256 of every artifact that the built-in presets write.
 
 Each preset runs through `cahm.cli.main` into a temporary directory, and so
-do the `spectrum` configs of the paper's one- and two-spin figures and of an
-open and a periodic chain (`SPECTRA`), one `match` config of each kind
+do the `spectrum` configs of the paper's one- and two-spin figures and of four
+chains (`SPECTRA`), one `match` config of each kind
 (`MATCHES`), five `evolve` configs (`EVOLVES`) and a `trotter` config without
 `dt` (`TROTTER_DEFAULT_DT`); one line
 `<sha256>  <run>/<file>` is printed per artifact, sorted, so that the output
@@ -25,13 +25,17 @@ from pathlib import Path
 from cahm.cli import main, preset_config, presets
 
 # No preset runs `spectrum`; these are the one- and two-spin spectra of the paper's
-# figures, and a three-link m_max = 2 chain, open and closed into a ring.
+# figures, a three-link m_max = 2 chain, open and closed into a ring, and two
+# `chain-spectrum` benchmark sizes: the five-link spin-1 chain at Y = 0, whose
+# sectors hold large degenerate clusters, and the dim-625 four-link m_max = 2 chain.
 CHAIN = {"kind": "chain", "m_max": 2, "n_links": 3, "U": 1.0, "X": 0.9, "Y": 0.3}
 SPECTRA = {
     "spectrum-one-spin": {"kind": "one-spin", "U": 1.0, "X": 0.5},
     "spectrum-two-spin": {"kind": "two-spin", "U": 1.0, "X": 1.2, "Y": 0.2},
     "spectrum-chain-open": CHAIN,
     "spectrum-chain-periodic": {**CHAIN, "boundary": "periodic"},
+    "spectrum-chain-y0": {**CHAIN, "m_max": 1, "n_links": 5, "Y": 0.0},
+    "spectrum-chain-dim625": {**CHAIN, "n_links": 4},
 }
 
 # No preset runs `match`; these are the `figures` benchmark's configs, one per kind.
