@@ -488,10 +488,9 @@ def _plain(value):
     raise TypeError(f"{type(value).__name__} is not JSON serializable")
 
 
-def _write_json(path: Path, obj) -> None:
+def _json(obj) -> str:
     """`obj` as JSON text; a non-finite float raises a ValueError, as JSON has none."""
-    text = json.dumps(obj, indent=2, sort_keys=True, default=_plain, allow_nan=False)
-    _write_text(path, text + "\n")
+    return json.dumps(obj, indent=2, sort_keys=True, default=_plain, allow_nan=False) + "\n"
 
 
 # The OSErrors that a bad --out causes; any other (a full disk, say) propagates.
@@ -506,32 +505,16 @@ def _write_text(path: Path, text: str) -> None:
     truncates first costs about ten times as much on ext4, which flushes a
     file truncated to zero and written again as it is closed; writing in place
     gives that flush up, so a rewrite cut short can leave the old run's tail
-    behind the new bytes. `run` deletes the manifest before any artifact is
-    written and writes it last, so such a directory has no manifest.
+    behind the new bytes. `run`, its one caller, deletes the manifest first and
+    writes it last, so such a directory has no manifest.
     """
-    try:
-        fd = os.open(path, os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0), 0o666)
-    except _OUT_ERRORS as exc:
-        raise ConfigError(f"option --out: cannot write {str(path)!r}: {exc.strerror}") from None
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0), 0o666)
     with open(fd, "wb") as fh:
         fh.write(text.encode("utf-8"))
         fh.truncate()
 
 
-def _write_manifest(cfg: ExperimentConfig, parameters: dict, outputs: list[str]) -> None:
-    manifest = {
-        "tool": "cahm",
-        "version": __version__,
-        "mode": cfg.mode,
-        "preset": cfg.preset,
-        "seed": cfg.seed,
-        "parameters": parameters,
-        "outputs": outputs,
-    }
-    _write_json(cfg.out_dir / "manifest.json", manifest)
-
-
-def _run_spectrum(cfg: ExperimentConfig, target) -> int:
+def _run_spectrum(cfg: ExperimentConfig, target) -> tuple:
     h, chain, c, resolved = _build_target(target)
     # One eigenvalue solve per symmetry sector; the sectors' union is the spectrum of H.
     sectors = symmetry_sectors(h, chain_symmetries(*chain))
@@ -543,12 +526,10 @@ def _run_spectrum(cfg: ExperimentConfig, target) -> int:
         if c.u != 0:
             out["perturbative"] = perturbative_one_spin(c)
     with _set_by("payload.target"):
-        _write_json(cfg.out_dir / "spectrum.json", out)
-    _write_manifest(cfg, {"target": resolved}, ["spectrum.json"])
-    return EXIT_OK
+        return {"spectrum.json": _json(out)}, {"target": resolved}, EXIT_OK
 
 
-def _run_match(cfg: ExperimentConfig, match) -> int:
+def _run_match(cfg: ExperimentConfig, match) -> tuple:
     ctx = "payload.match"
     kind, f = _block(match, ctx, _MATCHES)
     # Every kind but three-atom-approx matches the target couplings U, X and Y.
@@ -572,12 +553,11 @@ def _run_match(cfg: ExperimentConfig, match) -> int:
     else:
         report = match_six_atom(c, **f)
     with _set_by(ctx):
-        _write_json(cfg.out_dir / "match_report.json", report)
-    _write_manifest(cfg, {"match": match}, ["match_report.json"])
-    return EXIT_OK if report.converged else EXIT_NUMERICAL
+        artifacts = {"match_report.json": _json(report)}
+    return artifacts, {"match": match}, EXIT_OK if report.converged else EXIT_NUMERICAL
 
 
-def _run_evolve(cfg: ExperimentConfig, times, initial, target, simulator) -> int:
+def _run_evolve(cfg: ExperimentConfig, times, initial, target, simulator) -> tuple:
     grid = _time_grid(times, "payload.times")
     resolved: dict = {"initial": initial, "times": times}
     if (target is None) == (simulator is None):
@@ -608,14 +588,12 @@ def _run_evolve(cfg: ExperimentConfig, times, initial, target, simulator) -> int
             with _set_by("payload.times and payload.simulator"):
                 tr = simulator_trace(system, psi0, grid)
         resolved["geometry"] = _geometry_json(system)
-    _write_text(cfg.out_dir / "trace.csv", tr.to_csv_text())
-    _write_manifest(cfg, resolved, ["trace.csv"])
-    return EXIT_OK
+    return {"trace.csv": tr.to_csv_text()}, resolved, EXIT_OK
 
 
 def _run_compare(
     cfg: ExperimentConfig, times, sim_times, initial, rescale_k, target, simulator
-) -> int:
+) -> tuple:
     grid = _time_grid(times, "payload.times")
     sim_grid = grid if sim_times is None else _time_grid(sim_times, "payload.sim_times")
     h, finals, target_params = _labelled_target(target)
@@ -635,9 +613,11 @@ def _run_compare(
         sim_trace = simulator_trace(system, psi0, sim_grid)
     with _set_by("payload.rescale_k, payload.times and payload.sim_times"):
         comparison = compare(target_trace, sim_trace, rescale_k=rescale_k)
-    _write_text(cfg.out_dir / "target.csv", target_trace.to_csv_text())
-    _write_text(cfg.out_dir / "simulator.csv", sim_trace.to_csv_text())
-    _write_json(cfg.out_dir / "comparison.json", comparison)
+    artifacts = {
+        "target.csv": target_trace.to_csv_text(),
+        "simulator.csv": sim_trace.to_csv_text(),
+        "comparison.json": _json(comparison),
+    }
     resolved = {
         "target": target_params,
         "simulator": sim_params,
@@ -647,11 +627,10 @@ def _run_compare(
         "rescale_k": rescale_k,
         "geometry": _geometry_json(system),
     }
-    _write_manifest(cfg, resolved, ["target.csv", "simulator.csv", "comparison.json"])
-    return EXIT_OK
+    return artifacts, resolved, EXIT_OK
 
 
-def _run_trotter(cfg: ExperimentConfig, omega, delta, v0, dt, t_max, shots) -> int:
+def _run_trotter(cfg: ExperimentConfig, omega, delta, v0, dt, t_max, shots) -> tuple:
     # Default step 1/V0: large blockade energies need correspondingly small steps.
     if dt is None:
         dt = 1.0 / abs(v0) if v0 else math.inf
@@ -702,11 +681,10 @@ def _run_trotter(cfg: ExperimentConfig, omega, delta, v0, dt, t_max, shots) -> i
     columns = {
         f"{label}:{run}": tr.series[label] for label in exact.labels for run, tr in runs.items()
     }
-    _write_text(cfg.out_dir / "trotter.csv", EvolutionTrace(times, columns).to_csv_text())
-    _write_json(
-        cfg.out_dir / "counts.json",
-        {"shots": shots, "base_seed": seed, "per_time": counts_log},
-    )
+    artifacts = {
+        "trotter.csv": EvolutionTrace(times, columns).to_csv_text(),
+        "counts.json": _json({"shots": shots, "base_seed": seed, "per_time": counts_log}),
+    }
     resolved = {
         "omega": omega,
         "delta": delta,
@@ -718,12 +696,12 @@ def _run_trotter(cfg: ExperimentConfig, omega, delta, v0, dt, t_max, shots) -> i
         "steps_per_time_unit": 1.0 / dt,
         "circuit_step": [{"gate": g.kind, "q": g.qubits, "angle": g.angle} for g in step.gates],
     }
-    _write_manifest(cfg, resolved, ["trotter.csv", "counts.json"])
-    return EXIT_OK
+    return artifacts, resolved, EXIT_OK
 
 
-# Each mode's runner and payload fields, in the form of the block tables; the
-# runner takes the read fields as keyword arguments.
+# Each mode's runner and payload fields, in the form of the block tables. The
+# runner takes the read fields as keyword arguments and returns its artifacts
+# ({file name: text}, in order), its manifest parameters and its exit code.
 _MODES = {
     "spectrum": (_run_spectrum, {"target": dict}),
     "match": (_run_match, {"match": dict}),
@@ -738,20 +716,30 @@ MODES = tuple(_MODES)
 
 
 def run(cfg: ExperimentConfig) -> int:
-    """Execute one experiment; writes artifacts into cfg.out_dir."""
+    """Execute one experiment, then write its artifacts and manifest.json into cfg.out_dir."""
     if cfg.mode not in _MODES:
         raise ConfigError(f"unknown mode {cfg.mode!r}; expected one of {', '.join(MODES)}")
     runner, table = _MODES[cfg.mode]
-    fields = _fields(cfg.payload, "payload", table)
+    artifacts, parameters, code = runner(cfg, **_fields(cfg.payload, "payload", table))
+    manifest = {
+        "tool": "cahm",
+        "version": __version__,
+        "mode": cfg.mode,
+        "preset": cfg.preset,
+        "seed": cfg.seed,
+        "parameters": parameters,
+        "outputs": list(artifacts),
+    }
+    artifacts["manifest.json"] = _json(manifest)
     try:
         cfg.out_dir.mkdir(parents=True, exist_ok=True)
         # A rerun that stops partway leaves no manifest, so it cannot pass for a whole run.
         (cfg.out_dir / "manifest.json").unlink(missing_ok=True)
+        for name, text in artifacts.items():
+            _write_text(cfg.out_dir / name, text)
     except _OUT_ERRORS as exc:
-        raise ConfigError(
-            f"option --out: cannot use the directory {str(cfg.out_dir)!r}: {exc.strerror}"
-        ) from None
-    return runner(cfg, **fields)
+        raise ConfigError(f"option --out: cannot write {exc.filename!r}: {exc.strerror}") from None
+    return code
 
 
 def _load_config_file(path: str) -> dict:
@@ -828,9 +816,6 @@ def main(argv=None) -> int:
             source = "option --seed" if args.seed is not None else "field config.seed"
             raise ConfigError(f"{source} must be nonnegative, got {cfg.seed}")
         return run(cfg)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
     except (MatchingError, SingularDenominatorError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL

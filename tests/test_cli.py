@@ -96,23 +96,21 @@ def test_write_text_overwrites_in_place(tmp_path):
 def test_json_artifacts_equal_the_jsonable_oracle(tmp_path, monkeypatch, name):
     from cahm import cli
 
-    written, write_json = [], cli._write_json
+    encoded, encode = [], cli._json
 
-    def recording(path, obj):
-        write_json(path, obj)
-        written.append((path, obj))
+    def recording(obj):
+        encoded.append(obj)
+        return encode(obj)
 
-    monkeypatch.setattr(cli, "_write_json", recording)
+    monkeypatch.setattr(cli, "_json", recording)
     assert main([preset_config(name).mode, "--preset", name, "--out", str(tmp_path)]) == EXIT_OK
-    assert sorted(path.name for path, _ in written) == sorted(
-        p.name for p in tmp_path.glob("*.json")
+    assert sorted(jsonable_text(obj) for obj in encoded) == sorted(
+        p.read_text(encoding="utf-8") for p in tmp_path.glob("*.json")
     )
-    for path, obj in written:
-        assert path.read_text(encoding="utf-8") == jsonable_text(obj)
 
 
-def test_json_numpy_scalars_equal_the_jsonable_oracle(tmp_path):
-    from cahm.cli import _write_json
+def test_json_numpy_scalars_equal_the_jsonable_oracle():
+    from cahm.cli import _json
 
     obj = {
         "float32": np.float32(0.1),
@@ -128,16 +126,14 @@ def test_json_numpy_scalars_equal_the_jsonable_oracle(tmp_path):
             cahm.OneSpinSpectrum(-1.0, np.float64(1.0), 0.5, 0.0),
         ],
     }
-    _write_json(tmp_path / "a.json", obj)
-    assert (tmp_path / "a.json").read_text(encoding="utf-8") == jsonable_text(obj)
+    assert _json(obj) == jsonable_text(obj)
     with pytest.raises(TypeError, match="complex128"):
-        _write_json(tmp_path / "b.json", {"z": np.complex128(1j)})
-    # JSON has no inf or NaN: each of these raises and writes no file.
+        _json({"z": np.complex128(1j)})
+    # JSON has no inf or NaN: each of these raises.
     non_finite = [np.float32(np.inf), -math.inf, math.nan, cahm.OneSpinSpectrum(-math.inf, 0, 0, 0)]
     for value in non_finite:
         with pytest.raises(ValueError, match="not JSON compliant"):
-            _write_json(tmp_path / "c.json", {"nested": [value]})
-        assert not (tmp_path / "c.json").exists()
+            _json({"nested": [value]})
 
 
 @pytest.mark.parametrize("name", [*presets(), *preset_hashes.CONFIGS])
@@ -316,6 +312,30 @@ def test_rerun_cut_short_leaves_no_manifest(tmp_path, monkeypatch):
     assert exc.value.errno == errno.ENOSPC
     assert (tmp_path / "target.csv").exists()
     assert not (tmp_path / "manifest.json").exists()
+
+
+# fig3-top's payload with a six-atom simulator whose rho lies outside (0, 1).
+FIG3_TOP_BAD_RHO = {
+    **preset_config("fig3-top").payload,
+    "mode": "compare",
+    "simulator": {"kind": "six-atom", "omega": 1.0, "delta": 15.0, "v0": 30.0, "rho": 1.5},
+}
+
+
+def test_failed_rerun_leaves_the_earlier_run_as_it_was(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["compare", "--preset", "fig3-top", "--out", str(out)]) == EXIT_OK
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    assert sorted(before) == ["comparison.json", "manifest.json", "simulator.csv", "target.csv"]
+    assert _run_config(tmp_path, FIG3_TOP_BAD_RHO) == EXIT_CONFIG
+    assert "payload.simulator.rho" in capsys.readouterr().err
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+
+def test_failed_run_makes_no_out_directory(tmp_path, capsys):
+    assert _run_config(tmp_path, FIG3_TOP_BAD_RHO) == EXIT_CONFIG
+    assert "payload.simulator.rho" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_spectrum_config_run(tmp_path):
@@ -1010,6 +1030,10 @@ def _with_field(config: dict, path: tuple, value) -> dict:
         ({"mode": "spectrum", "target": CHAIN_TARGET}, ("target",),
          {"kind": "one-spin", "U": 1e308, "X": 1e308},
          "not JSON compliant: -inf (set by payload.target)"),
+        # X*X overflows, so the analytic spectrum is not finite either.
+        ({"mode": "spectrum", "target": CHAIN_TARGET}, ("target",),
+         {"kind": "one-spin", "U": 1e-300, "X": 1e200},
+         "not JSON compliant: -inf (set by payload.target)"),
         ({"mode": "trotter", "omega": 1, "delta": 1, "v0": 10, "t_max": 0, "shots": 10}, ("dt",),
          1e-320, "field payload.dt = 1e-320 puts 1/dt beyond the float range"),
         ({"mode": "trotter", "omega": 1, "delta": 1, "t_max": 1, "shots": 10}, ("v0",), 1e-310,
@@ -1026,7 +1050,8 @@ def _with_field(config: dict, path: tuple, value) -> dict:
         "six-atom-rho-0", "six-atom-rho-1.5", "chain-m_max",
         "chain-n_links", "chain-dimension-cap", "chain-boundary", "match-two-atom-inf",
         "match-four-atom-inf",
-        "spectrum-one-spin-inf", "trotter-tiny-dt", "trotter-tiny-v0",
+        "spectrum-one-spin-inf", "spectrum-one-spin-x-overflow", "trotter-tiny-dt",
+        "trotter-tiny-v0",
     ],
 )
 def test_bad_field_value_names_it(tmp_path, capsys, config, path, value, name):

@@ -14,7 +14,6 @@ from cahm import (
     trace,
     two_atom_system,
 )
-from cahm.cli import _write_json
 from cahm.evolution import (
     complete_basis_finals,
     simulator_trace,
@@ -190,7 +189,9 @@ def test_two_atom_fidelity_invariant():
     assert compare(target_tr, sim_tr).max_abs_dev <= 0.02
 
 
-def test_csv_and_json_serialization(tmp_path):
+def test_csv_and_json_serialization():
+    from cahm.cli import _json
+
     h = build_h1t(TargetCouplings(u=1.0, x=0.5))
     tr = trace(h, StateVector.basis(3, 0), spin_finals(3), np.linspace(0, 1, 5))
     text = tr.to_csv_text()
@@ -198,8 +199,7 @@ def test_csv_and_json_serialization(tmp_path):
     assert lines[0] == "t,m=1,m=0,m=-1"
     assert len(lines) == 7  # header + 5 rows + trailing newline
     assert text.endswith("\n")
-    _write_json(tmp_path / "comparison.json", compare(tr, tr))
-    cobj = json.loads((tmp_path / "comparison.json").read_text())
+    cobj = json.loads(_json(compare(tr, tr)))
     assert cobj == {
         "max_abs_dev": 0.0,
         "per_label": {label: {"max_abs_dev": 0.0, "rms": 0.0} for label in tr.labels},
