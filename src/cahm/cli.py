@@ -534,25 +534,25 @@ def _run_match(cfg: ExperimentConfig, match) -> tuple:
     kind, f = _block(match, ctx, _MATCHES)
     # Every kind but three-atom-approx matches the target couplings U, X and Y.
     c = None if kind == "three-atom-approx" else _take_couplings(f)
-    if kind == "two-atom":
-        report = match_two_atom(c, **f)
-    elif kind == "three-atom-newton":
-        guess = f["guess"]
-        problem = NewtonProblem(
-            targets=c,
-            unknowns=tuple(_entries(f["unknowns"], str, f"{ctx}.unknowns")),
-            fixed=_entries(f["fixed"], float, f"{ctx}.fixed"),
-            initial_guess=None if guess is None else _entries(guess, float, f"{ctx}.guess"),
-            equations=tuple(_entries(f["equations"], int, f"{ctx}.equations")),
-        )
-        report = solve_three_atom_newton(problem)
-    elif kind == "three-atom-approx":
-        report = approx_three_atom_match(**f)
-    elif kind == "four-atom":
-        report = match_four_atom(c, **f)
-    else:
-        report = match_six_atom(c, **f)
     with _set_by(ctx):
+        if kind == "two-atom":
+            report = match_two_atom(c, **f)
+        elif kind == "three-atom-newton":
+            guess = f["guess"]
+            problem = NewtonProblem(
+                targets=c,
+                unknowns=tuple(_entries(f["unknowns"], str, f"{ctx}.unknowns")),
+                fixed=_entries(f["fixed"], float, f"{ctx}.fixed"),
+                initial_guess=None if guess is None else _entries(guess, float, f"{ctx}.guess"),
+                equations=tuple(_entries(f["equations"], int, f"{ctx}.equations")),
+            )
+            report = solve_three_atom_newton(problem)
+        elif kind == "three-atom-approx":
+            report = approx_three_atom_match(**f)
+        elif kind == "four-atom":
+            report = match_four_atom(c, **f)
+        else:
+            report = match_six_atom(c, **f)
         artifacts = {"match_report.json": _json(report)}
     return artifacts, {"match": match}, EXIT_OK if report.converged else EXIT_NUMERICAL
 

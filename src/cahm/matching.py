@@ -207,10 +207,12 @@ class NewtonProblem:
         unknowns = tuple(self.unknowns)
         object.__setattr__(self, "unknowns", unknowns)
         object.__setattr__(self, "equations", tuple(self.equations))
-        names = set(unknowns) | set(self.fixed)
+        for field, values in (("unknowns", unknowns), ("equations", self.equations)):
+            if len(set(values)) != len(values):
+                raise ValueError(f"{field} must not repeat, got {values!r}")
         if set(unknowns) & set(self.fixed):
             raise ValueError("a parameter cannot be both unknown and fixed")
-        if names != set(PARAM_NAMES):
+        if set(unknowns) | set(self.fixed) != set(PARAM_NAMES):
             raise ValueError(f"unknowns + fixed must cover exactly {PARAM_NAMES}")
         if not 1 <= len(unknowns) <= 3:
             raise ValueError("between 1 and 3 unknowns are supported")
@@ -218,52 +220,85 @@ class NewtonProblem:
             raise ValueError("need as many equations as unknowns")
         if any(e not in (1, 2, 3) for e in self.equations):
             raise ValueError("equations are numbered 1..3")
-        if self.initial_guess is not None and set(unknowns) - set(self.initial_guess):
-            raise ValueError(f"initial_guess must give every unknown of {unknowns}")
+        if self.initial_guess is None:
+            if "v0" in unknowns:
+                raise ValueError("an initial_guess is required when v0 is an unknown")
+        elif set(self.initial_guess) != set(unknowns):
+            raise ValueError(f"initial_guess must give exactly the unknowns {unknowns}")
 
 
-def _default_guess(prob: NewtonProblem) -> dict:
-    c = prob.targets
-    base = {"omega": -c.x, "delta": -0.5 * c.u, "delta0": 0.5 * c.u}
-    guess = {}
-    for name in prob.unknowns:
-        if name == "v0":
-            raise ValueError("an initial_guess is required when v0 is an unknown")
-        guess[name] = base[name]
-    return guess
+def _damped_newton(residuals, x: np.ndarray, r: np.ndarray) -> tuple:
+    """Damped Newton iteration from x, whose residuals are r, to max|r| <= NEWTON_TOL.
+
+    Jacobian by central finite differences (step 1e-6 * max(1, |x|)); each step
+    is halved (at most 20 times) until the residual norm decreases.  Returns
+    (x, r, failure): failure is None on convergence, else why the iteration
+    stopped, with x and r its last iterate.
+    """
+    for _ in range(NEWTON_MAX_ITER):
+        if float(np.max(np.abs(r))) <= NEWTON_TOL:
+            return x, r, None
+        jac = np.zeros((len(r), len(x)))
+        for j in range(len(x)):
+            step = 1e-6 * max(1.0, abs(x[j]))
+            xp, xm = x.copy(), x.copy()
+            xp[j] += step
+            xm[j] -= step
+            try:
+                jac[:, j] = (residuals(xp) - residuals(xm)) / (2.0 * step)
+            except SingularDenominatorError as exc:
+                return x, r, f"singular denominator while differentiating: {exc}"
+        try:
+            dx = np.linalg.solve(jac, -r)
+        except np.linalg.LinAlgError:
+            return x, r, "singular Jacobian"
+        lam, base_norm = 1.0, float(np.linalg.norm(r))
+        for _ in range(21):
+            try:
+                r_new = residuals(x + lam * dx)
+                if float(np.linalg.norm(r_new)) < base_norm:
+                    x, r = x + lam * dx, r_new
+                    break
+            except SingularDenominatorError:
+                pass
+            lam *= 0.5
+        else:
+            return x, r, "line search failed to reduce the residual norm"
+    if float(np.max(np.abs(r))) > NEWTON_TOL:
+        return x, r, f"no convergence within {NEWTON_MAX_ITER} iterations"
+    return x, r, None
 
 
 @_overflow_as_matching_error
 def solve_three_atom_newton(prob: NewtonProblem) -> MatchReport:
-    """Damped Newton iteration on the selected matching equations.
+    """Solve the selected matching equations for the unknowns by `_damped_newton`.
 
-    Jacobian by central finite differences (step 1e-6 * max(1, |x|)); each step
-    is halved (at most 20 times) until the residual norm decreases.  Returns a
-    diagnostic non-converged report instead of raising when the iteration
-    stalls, the Jacobian is singular, or a singular denominator blocks
-    progress.
+    The start is the initial guess, else omega = -X, delta = -U/2 and
+    delta0 = U/2.  Returns a non-converged report, the reason in its notes,
+    instead of raising when the residuals are not evaluable at the start or
+    the iteration stops short.
     """
-    eq_idx = [e - 1 for e in prob.equations]
+    c = prob.targets
     notes: list[str] = []
 
-    def residual_vec(x: np.ndarray) -> np.ndarray:
-        params = dict(prob.fixed)
-        params.update({name: float(v) for name, v in zip(prob.unknowns, x)})
-        full = three_atom_residuals(
-            params["omega"], params["delta"], params["delta0"], params["v0"], prob.targets
-        )
-        return np.array([full[i] for i in eq_idx], dtype=np.float64)
+    def params_at(x: np.ndarray) -> dict:
+        return {**prob.fixed, **{name: float(v) for name, v in zip(prob.unknowns, x)}}
+
+    def residuals(x: np.ndarray) -> np.ndarray:
+        p = params_at(x)
+        full = three_atom_residuals(p["omega"], p["delta"], p["delta0"], p["v0"], c)
+        return np.array([full[e - 1] for e in prob.equations], dtype=np.float64)
 
     if prob.initial_guess is not None:
         x = np.array([float(prob.initial_guess[name]) for name in prob.unknowns])
     else:
-        guess = _default_guess(prob)
-        x = np.array([guess[name] for name in prob.unknowns])
+        default = {"omega": -c.x, "delta": -0.5 * c.u, "delta0": 0.5 * c.u}
+        x = np.array([default[name] for name in prob.unknowns])
         # The textbook starting point delta = -U/2, delta0 = U/2 sits exactly on
         # the delta + delta0 = 0 pole; nudge deterministically until evaluable.
         for attempt in range(1, 11):
             try:
-                residual_vec(x)
+                residuals(x)
                 break
             except SingularDenominatorError:
                 for i, name in enumerate(prob.unknowns):
@@ -274,83 +309,32 @@ def solve_three_atom_newton(prob: NewtonProblem) -> MatchReport:
         else:
             notes.append("default initial guess could not avoid singular denominators")
 
-    def diagnostic(reason: str, x: np.ndarray, r: np.ndarray | None) -> MatchReport:
-        params = dict(prob.fixed)
-        params.update({name: float(v) for name, v in zip(prob.unknowns, x)})
-        residuals = {}
-        if r is not None:
-            residuals = {f"r{e}": float(v) for e, v in zip(prob.equations, r)}
-        return MatchReport(
-            simulator_params=params,
-            residuals=residuals,
-            converged=False,
-            notes=tuple(notes + [reason]),
-        )
-
     try:
-        r = residual_vec(x)
-    except (SingularDenominatorError, ValueError) as exc:
-        return diagnostic(f"residuals not evaluable at the initial guess: {exc}", x, None)
-
-    for _ in range(NEWTON_MAX_ITER):
-        if float(np.max(np.abs(r))) <= NEWTON_TOL:
-            break
-        jac = np.zeros((len(r), len(x)))
-        for j in range(len(x)):
-            step = 1e-6 * max(1.0, abs(x[j]))
-            xp, xm = x.copy(), x.copy()
-            xp[j] += step
-            xm[j] -= step
-            try:
-                jac[:, j] = (residual_vec(xp) - residual_vec(xm)) / (2.0 * step)
-            except SingularDenominatorError as exc:
-                return diagnostic(f"singular denominator while differentiating: {exc}", x, r)
-        try:
-            dx = np.linalg.solve(jac, -r)
-        except np.linalg.LinAlgError:
-            return diagnostic("singular Jacobian", x, r)
-        lam = 1.0
-        improved = False
-        base_norm = float(np.linalg.norm(r))
-        for _ in range(21):
-            try:
-                r_new = residual_vec(x + lam * dx)
-                if float(np.linalg.norm(r_new)) < base_norm:
-                    x = x + lam * dx
-                    r = r_new
-                    improved = True
-                    break
-            except SingularDenominatorError:
-                pass
-            lam *= 0.5
-        if not improved:
-            return diagnostic("line search failed to reduce the residual norm", x, r)
+        r = residuals(x)
+    except SingularDenominatorError as exc:
+        r, failure = None, f"residuals not evaluable at the initial guess: {exc}"
     else:
-        if float(np.max(np.abs(r))) > NEWTON_TOL:
-            return diagnostic(f"no convergence within {NEWTON_MAX_ITER} iterations", x, r)
-
-    params = dict(prob.fixed)
-    params.update({name: float(v) for name, v in zip(prob.unknowns, x)})
-    residuals = {f"r{e}": float(v) for e, v in zip(prob.equations, r)}
+        x, r, failure = _damped_newton(residuals, x, r)
+    params = params_at(x)
     predicted = None
-    try:
-        sector = three_atom_low_sector(
-            params["omega"], params["delta"], params["delta0"], params["v0"]
-        )
-        predicted = {
-            "gap_plus": sector["eplus"] - sector["e0"],
-            "gap_minus": sector["eminus"] - sector["e0"],
-        }
-        target = analytic_one_spin(prob.targets)
-        predicted["gap_plus_target"] = target.eplus - target.e0
-        predicted["gap_minus_target"] = target.eminus - target.e0
-    except (ValueError, np.linalg.LinAlgError, MatchingError):
-        notes.append("predicted spectrum unavailable at the solution parameters")
+    if failure is not None:
+        notes.append(failure)
+    else:
+        try:
+            target = analytic_one_spin(c)
+            predicted = {
+                **_exact_gaps(params["omega"], params["delta"], params["delta0"], params["v0"]),
+                "gap_plus_target": target.eplus - target.e0,
+                "gap_minus_target": target.eminus - target.e0,
+            }
+        except (ValueError, np.linalg.LinAlgError, MatchingError):
+            notes.append("predicted spectrum unavailable at the solution parameters")
     return MatchReport(
         simulator_params=params,
-        residuals=residuals,
+        residuals={} if r is None else {f"r{e}": float(v) for e, v in zip(prob.equations, r)},
         predicted=predicted,
         notes=tuple(notes),
+        converged=failure is None,
     )
 
 
@@ -412,6 +396,12 @@ def three_atom_low_sector(omega: float, delta: float, delta0: float, v0: float) 
     }
 
 
+def _exact_gaps(omega: float, delta: float, delta0: float, v0: float) -> dict:
+    """Exact gaps E+ - E0 and E- - E0 of the three-atom levels carrying the encoded spin."""
+    s = three_atom_low_sector(omega, delta, delta0, v0)
+    return {"gap_plus": s["eplus"] - s["e0"], "gap_minus": s["eminus"] - s["e0"]}
+
+
 @_overflow_as_matching_error
 def approx_three_atom_match(omega: float, delta: float) -> MatchReport:
     """Degenerate-level match at Delta0 = 0, V0 = 2 Delta.
@@ -435,17 +425,10 @@ def approx_three_atom_match(omega: float, delta: float) -> MatchReport:
     residuals = {}
     notes = ["scale match: U = Omega^2/Delta, accurate near X/U = 1"]
     if omega != 0.0:
-        sector = three_atom_low_sector(omega, delta, 0.0, v0)
-        gap_plus = sector["eplus"] - sector["e0"]
-        gap_minus = sector["eminus"] - sector["e0"]
-        predicted.update(
-            {
-                "gap_plus": gap_plus,
-                "gap_minus": gap_minus,
-                "gap_ratio": gap_plus / gap_minus,
-            }
-        )
-        residuals["gap_ratio"] = gap_plus / gap_minus - 1.5
+        gaps = _exact_gaps(omega, delta, 0.0, v0)
+        ratio = gaps["gap_plus"] / gaps["gap_minus"]
+        predicted.update({**gaps, "gap_ratio": ratio})
+        residuals["gap_ratio"] = ratio - 1.5
     else:
         notes.append("Omega = 0: encoded levels stay degenerate")
     return MatchReport(

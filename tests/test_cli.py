@@ -50,19 +50,24 @@ def _load_tool(name: str):
 preset_hashes = _load_tool("preset_hashes")
 
 
+def _tool_exit(name: str) -> int:
+    """The exit code that tools/preset_hashes.py requires of its run `name`."""
+    return EXIT_NUMERICAL if name in preset_hashes.STOPPED else EXIT_OK
+
+
 @pytest.mark.parametrize("name", [*presets(), *preset_hashes.CONFIGS])
 def test_preset_reruns_byte_identically(tmp_path, name):
     """A run over longer junk at every artifact path writes the bytes of a fresh run."""
     argv = preset_hashes.run_argvs(tmp_path)[name]
     out1, out2 = tmp_path / "a", tmp_path / "b"
-    assert main([*argv, "--out", str(out1)]) == EXIT_OK
+    assert main([*argv, "--out", str(out1)]) == _tool_exit(name)
     files = sorted(p.name for p in out1.iterdir())
     assert "manifest.json" in files
     out2.mkdir()
     for file in files:
         size = (out1 / file).stat().st_size
         (out2 / file).write_bytes(b"junk\r\n" * (size // 6 + 10))
-    assert main([*argv, "--out", str(out2)]) == EXIT_OK
+    assert main([*argv, "--out", str(out2)]) == _tool_exit(name)
     assert files == sorted(p.name for p in out2.iterdir())
     for file in files:
         assert (out1 / file).read_bytes() == (out2 / file).read_bytes(), file
@@ -142,7 +147,7 @@ def test_json_artifacts_parse_without_non_finite_constants(tmp_path, name):
         raise AssertionError(f"{name} writes {constant}")
 
     argv = preset_hashes.run_argvs(tmp_path)[name]
-    assert main([*argv, "--out", str(tmp_path / "out")]) == EXIT_OK
+    assert main([*argv, "--out", str(tmp_path / "out")]) == _tool_exit(name)
     paths = sorted((tmp_path / "out").glob("*.json"))
     assert "manifest.json" in [p.name for p in paths]
     for path in paths:
@@ -965,6 +970,22 @@ def _with_field(config: dict, path: tuple, value) -> dict:
          ("match", "fixed", "v0"), "a", "match.fixed.v0"),
         ({"mode": "match", "match": MATCH_CONFIGS["three-atom-newton"]}, ("match", "unknowns"),
          [["omega"]], "match.unknowns[0]"),
+        ({"mode": "match", "match": MATCH_CONFIGS["three-atom-newton"]}, ("match", "unknowns"),
+         ["omega", "omega", "delta"],
+         "unknowns must not repeat, got ('omega', 'omega', 'delta') (set by payload.match)"),
+        ({"mode": "match", "match": MATCH_CONFIGS["three-atom-newton"]}, ("match", "equations"),
+         [1, 1, 2], "equations must not repeat, got (1, 1, 2) (set by payload.match)"),
+        ({"mode": "match", "match": MATCH_CONFIGS["three-atom-newton"]}, ("match", "U"), 0,
+         "matching requires U != 0 (set by payload.match)"),
+        ({"mode": "match", "match": MATCH_CONFIGS["three-atom-newton"]}, ("match", "guess", "v0"),
+         30.0, "initial_guess must give exactly the unknowns ('omega', 'delta', 'delta0') "
+         "(set by payload.match)"),
+        ({"mode": "match", "match": MATCH_CONFIGS["three-atom-approx"]}, ("match", "delta"), 0,
+         "delta must be nonzero (set by payload.match)"),
+        ({"mode": "match", "match": MATCH_CONFIGS["four-atom"]}, ("match", "Y"), -0.2,
+         "the four-atom construction requires Y >= 0 (set by payload.match)"),
+        ({"mode": "match", "match": MATCH_CONFIGS["two-atom"]}, ("match", "blockade_ratio"), 0,
+         "blockade_ratio must be positive (set by payload.match)"),
         (FOUR_ATOM_COMPARE, ("simulator", "v2_override"), [1], "simulator.v2_override"),
         (FOUR_ATOM_COMPARE, ("sim_times",), 5, "payload.sim_times"),
         (FOUR_ATOM_COMPARE, ("rescale_k",), "a", "payload.rescale_k"),
@@ -1041,7 +1062,9 @@ def _with_field(config: dict, path: tuple, value) -> dict:
     ],
     ids=[
         "rho_hint", "match-middle-pair", "blockade_ratio", "equations", "guess", "fixed",
-        "unknowns", "v2_override", "sim_times", "rescale_k", "six-atom-delta0",
+        "unknowns", "newton-repeated-unknown", "newton-repeated-equation", "newton-u-0",
+        "newton-guess-for-fixed-v0", "approx-delta-0", "four-atom-negative-y",
+        "two-atom-blockade-ratio-0", "v2_override", "sim_times", "rescale_k", "six-atom-delta0",
         "simulator-middle-pair", "position-entry", "position-ragged", "position-row",
         "huge-int", "infinite", "times-span", "sim-times-span", "shots", "compare-initial",
         "evolve-target-initial", "evolve-custom-initial", "no-positions", "coinciding-positions",

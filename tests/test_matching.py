@@ -176,6 +176,46 @@ def test_newton_diagnostics_not_silent():
     assert any("singular" in note or "not evaluable" in note for note in rep.notes)
 
 
+# One problem per reason the Newton solve stops short, all at U = 1 and X = 0.5:
+# (unknowns, fixed, initial guess, equations, the reason note, the returned parameters).
+NEWTON_STOPS = {
+    "singular-jacobian": (
+        ("omega",), {"delta": 1.0, "delta0": 1.0, "v0": 0.0}, {"omega": 1.0}, (1,),
+        "singular Jacobian", {"omega": 1.0},
+    ),
+    "line-search": (
+        ("omega",), {"delta": 1.0, "delta0": 1.0, "v0": 15.0}, {"omega": 1.0}, (2,),
+        "line search failed to reduce the residual norm", {"omega": 0.00020879720170257276},
+    ),
+    "not-evaluable": (
+        ("omega",), {"delta": 0.0, "delta0": 1.0, "v0": 30.0}, None, (1,),
+        "residuals not evaluable at the initial guess: denominator delta = 0.0 is singular",
+        {"omega": -0.5},
+    ),
+    "differentiation-pole": (
+        ("delta",), {"omega": 1.0, "delta0": 1.0, "v0": 30.0}, {"delta": 1e-6}, (1,),
+        "singular denominator while differentiating: denominator delta = 0.0 is singular",
+        {"delta": 1e-6},
+    ),
+    "no-convergence": (
+        ("omega", "delta0"), {"delta": 30.0, "v0": 0.5}, {"omega": -2.0, "delta0": -15.0},
+        (3, 2), "no convergence within 100 iterations",
+        {"omega": -70.52388255148128, "delta0": 55.98086677255052},
+    ),
+}
+
+
+@pytest.mark.parametrize("case", NEWTON_STOPS.values(), ids=NEWTON_STOPS)
+def test_newton_reports_why_it_stopped(case):
+    unknowns, fixed, guess, equations, reason, solved = case
+    rep = solve_three_atom_newton(
+        NewtonProblem(TargetCouplings(u=1.0, x=0.5), unknowns, fixed, guess, equations)
+    )
+    assert not rep.converged and rep.predicted is None
+    assert rep.notes[-1] == reason
+    assert rep.simulator_params == pytest.approx({**fixed, **solved}, rel=1e-9)
+
+
 def test_newton_problem_validation():
     c = TargetCouplings(u=1.0, x=0.5)
     with pytest.raises(ValueError):

@@ -2,11 +2,14 @@
 
 Each preset runs through `cahm.cli.main` into a temporary directory, and so
 do the `spectrum` configs of the paper's one- and two-spin figures and of four
-chains (`SPECTRA`), one `match` config of each kind
-(`MATCHES`), five `evolve` configs (`EVOLVES`) and a `trotter` config without
-`dt` (`TROTTER_DEFAULT_DT`); one line
+chains (`SPECTRA`), one `match` config of each kind (`MATCHES`), one
+`three-atom-newton` match per reason that the solve stops short
+(`NEWTON_STOPS`), five `evolve` configs (`EVOLVES`) and a `trotter` config
+without `dt` (`TROTTER_DEFAULT_DT`); one line
 `<sha256>  <run>/<file>` is printed per artifact, sorted, so that the output
-of two checkouts can be compared with `diff`.
+of two checkouts can be compared with `diff`.  The `NEWTON_STOPS` runs must
+exit 3 (numerical failure) and every other run 0; any other exit code stops
+the tool.
 Uses the `cahm` on the import path:
 
     PYTHONPATH=src python tools/preset_hashes.py
@@ -63,6 +66,42 @@ MATCHES = {
 }
 
 
+# The Newton solve's non-converged reports, one per reason it stops, each at
+# U = 1 and X = 0.5: the run writes its report and exits 3.
+NEWTON_STOP = {"kind": "three-atom-newton", "U": 1.0, "X": 0.5}
+NEWTON_STOPS = {
+    "singular-jacobian": {
+        "unknowns": ["omega"],
+        "fixed": {"delta": 1.0, "delta0": 1.0, "v0": 0.0},
+        "guess": {"omega": 1.0},
+        "equations": [1],
+    },
+    "line-search": {
+        "unknowns": ["omega"],
+        "fixed": {"delta": 1.0, "delta0": 1.0, "v0": 15.0},
+        "guess": {"omega": 1.0},
+        "equations": [2],
+    },
+    "not-evaluable": {
+        "unknowns": ["omega"],
+        "fixed": {"delta": 0.0, "delta0": 1.0, "v0": 30.0},
+        "equations": [1],
+    },
+    "differentiation-pole": {
+        "unknowns": ["delta"],
+        "fixed": {"omega": 1.0, "delta0": 1.0, "v0": 30.0},
+        "guess": {"delta": 1e-6},
+        "equations": [1],
+    },
+    "no-convergence": {
+        "unknowns": ["omega", "delta0"],
+        "fixed": {"delta": 30.0, "v0": 0.5},
+        "guess": {"omega": -2.0, "delta0": -15.0},
+        "equations": [3, 2],
+    },
+}
+
+
 # No preset runs `evolve`: a one-spin and a two-spin target, a one-spin and a
 # two-spin named array, and a `custom` array with delta0 atoms and an override,
 # the fields that every array manifest records.
@@ -114,6 +153,9 @@ TROTTER_DEFAULT_DT = {"omega": -1.5, "delta": -0.5, "v0": 12.0, "t_max": 1.0, "s
 # Every run that is not a preset, by name: its config file as a JSON object.
 CONFIGS = {name: {"mode": "spectrum", "target": t} for name, t in SPECTRA.items()}
 CONFIGS.update({f"match-{k}": {"mode": "match", "match": m} for k, m in MATCHES.items()})
+STOPPED = {f"match-newton-{k}": {"mode": "match", "match": {**NEWTON_STOP, **m}}
+           for k, m in NEWTON_STOPS.items()}
+CONFIGS.update(STOPPED)
 CONFIGS.update({k: {"mode": "evolve", "times": EVOLVE_TIMES, **e} for k, e in EVOLVES.items()})
 CONFIGS["trotter-default-dt"] = {"mode": "trotter", **TROTTER_DEFAULT_DT}
 
@@ -138,8 +180,9 @@ def preset_hashes() -> list[str]:
             out = Path(tmp) / name
             with contextlib.redirect_stdout(io.StringIO()):
                 code = main([*argv, "--out", str(out)])
-            if code != 0:
-                raise SystemExit(f"{name} exited {code}")
+            expected = 3 if name in STOPPED else 0
+            if code != expected:
+                raise SystemExit(f"{name} exited {code}, not {expected}")
             for path in sorted(out.iterdir()):
                 digest = hashlib.sha256(path.read_bytes()).hexdigest()
                 lines.append(f"{digest}  {name}/{path.name}")
