@@ -27,13 +27,10 @@ from .rydberg_models import (
     SimulatorSystem,
     SpinAtomMap,
     build_rydberg_h,
-    four_atom_system,
     ladder_geometry,
     ladder_spin_map,
+    ladder_system,
     pair_interaction,
-    six_atom_system,
-    three_atom_system,
-    two_atom_system,
 )
 from .matching import (
     MatchReport,

@@ -54,10 +54,7 @@ from .rydberg_models import (
     AtomGeometry,
     RydbergParams,
     SimulatorSystem,
-    four_atom_system,
-    six_atom_system,
-    three_atom_system,
-    two_atom_system,
+    ladder_system,
 )
 from .target_models import (
     SPIN1,
@@ -385,8 +382,8 @@ def _labelled_target(spec: dict):
     return h, spin_finals(h.dim), resolved
 
 
-_SYSTEMS = {"two-atom": two_atom_system, "three-atom": three_atom_system,
-            "four-atom": four_atom_system, "six-atom": six_atom_system}
+# The (rows, columns) of the `ladder_system` of each named kind.
+_LADDERS = {"two-atom": (2, 1), "three-atom": (3, 1), "four-atom": (2, 2), "six-atom": (3, 2)}
 
 
 def _build_simulator(spec: dict):
@@ -408,7 +405,16 @@ def _build_simulator(spec: dict):
             fields["rho"] = (v1 / v0) ** (1.0 / 6.0)
     if "rho" in fields and not 0 < fields["rho"] < 1:
         raise ConfigError(f"field {ctx}.rho must lie in (0, 1), got {fields['rho']!r}")
-    system = _custom_layout(ctx, **fields) if kind == "custom" else _SYSTEMS[kind](**fields)
+    if kind == "custom":
+        system = _custom_layout(ctx, **fields)
+    else:
+        # The four-atom v2_override replaces both diagonals; the six-atom middle pair may be cut.
+        v2, overrides = fields.pop("v2_override", None), {}
+        if v2 is not None:
+            overrides = {(0, 3): v2, (1, 2): v2}
+        if not fields.pop("include_middle_pair", True):
+            overrides[(1, 4)] = 0.0
+        system = ladder_system(*_LADDERS[kind], overrides=overrides or None, **fields)
     p = system.params
     resolved = {**spec, **{k: float(v) for k, v in system.derived.items()}}
     resolved.update(omega=p.omega, delta=p.delta, delta0=p.delta0)
@@ -446,7 +452,7 @@ def _custom_layout(
         for i in indices:
             if not 0 <= i < len(rows):
                 raise ConfigError(f"field {ctx}.{name}: atom {i} outside 0..{len(rows) - 1}")
-    with _set_by(f"{ctx}.overrides"):
+    with _set_by(f"{ctx}.delta0_atoms and {ctx}.overrides"):
         params = RydbergParams(omega, delta, delta0, delta0_atoms, pair_overrides=pairs)
     return SimulatorSystem(geometry, params, spin_map=None, mirror=())
 
@@ -650,7 +656,7 @@ def _run_trotter(cfg: ExperimentConfig, omega, delta, v0, dt, t_max, shots) -> t
         )
     seed = cfg.seed if cfg.seed is not None else 0
 
-    system = two_atom_system(omega, delta, v0)
+    system = ladder_system(2, 1, v0, omega, delta)
     times = np.arange(n_steps + 1) * dt
     finals = spin_finals(len(system.spin_map.indices))
     psi0 = _initial_state(finals, "m=1")

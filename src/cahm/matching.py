@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -30,8 +30,7 @@ from .numerics import (
 from .rydberg_models import (
     atom_permutation,
     ladder_cross_couplings,
-    six_atom_system,
-    three_atom_system,
+    ladder_system,
 )
 from .target_models import TargetCouplings, analytic_one_spin, build_h2t
 
@@ -369,7 +368,7 @@ def three_atom_low_sector(omega: float, delta: float, delta0: float, v0: float) 
     neighbour (within DEGENERACY_RTOL * spectral radius): its weight and
     parity would then depend on the solver's choice of basis in the eigenspace.
     """
-    system = three_atom_system(omega, delta, delta0, v0)
+    system = ladder_system(3, 1, v0, omega, delta, delta0)
     spec = eig_hermitian(system.hamiltonian())
     weight = np.sum(np.abs(spec.eigenvectors[list(system.spin_map.indices), :]) ** 2, axis=0)
     picked = sorted(np.argsort(-weight, kind="stable")[:3])
@@ -568,15 +567,10 @@ def match_six_atom(
             "Y = 0: the conditions give V1 = V2 = V3, satisfied only as rho -> 0; "
             "columns decouple"
         )
-        rho = 0.0
         # rho -> 0 means infinite column separation; emulate the decoupled
         # limit by zeroing every cross-column coupling on a finite layout.
-        base = six_atom_system(omega, delta, v0, 0.1, include_middle_pair=include_middle_pair)
-        overrides = {
-            (i, j): 0.0 for (i, j) in base.geometry.couplings() if (i < 3) != (j < 3)
-        }
-        system = replace(base, params=replace(base.params, pair_overrides=overrides))
-        v1 = v2 = v3 = 0.0
+        rho, overrides = 0.0, {(i, j): 0.0 for i in range(3) for j in range(3, 6)}
+        system = ladder_system(3, 2, v0, omega, delta, rho=0.1, overrides=overrides)
     else:
         weight = k_e * c.y
 
@@ -601,8 +595,9 @@ def match_six_atom(
                 f"rho tuner pinned at the bracket edge ({rho:.6f} in [{lo}, {hi}]); "
                 "no interior minimum found"
             )
-        system = six_atom_system(omega, delta, v0, rho, include_middle_pair=include_middle_pair)
-        v1, v2, v3 = system.derived["v1"], system.derived["v2"], system.derived["v3"]
+        overrides = None if include_middle_pair else {(1, 4): 0.0}
+        system = ladder_system(3, 2, v0, omega, delta, rho=rho, overrides=overrides)
+    v1, v2, v3 = system.derived["v1"], system.derived["v2"], system.derived["v3"]
 
     residuals = {
         "v1_minus_v2": (v1 - v2) - 0.5 * k_e * c.y,

@@ -7,13 +7,15 @@ Atoms are two-level systems |g>, |r> at fixed 2D positions with repulsive
         - Delta0 sum_{i in designated} n_i + sum_{i<j} V_ij n_i n_j.
 
 The 2^n product basis is the bit table of `numerics.basis_digits` (atom 0 is
-the most significant bit) with |g> = 0 and |r> = 1.  Every named array is a
-ladder: columns of two or three atoms, each holding one encoded spin-1, with
-odd columns mirrored, so that reflecting every column realizes charge
-conjugation (spin sign flip) geometrically.  A spin map lists the
-product-basis index of every spin-basis state in the digit order of
-`basis_digits(3, n_spins)`, that is m = 1, 0, -1 with the left spin most
-significant.
+the most significant bit) with |g> = 0 and |r> = 1.  Every named array is
+one `ladder_system`: columns of two or three atoms, each holding one encoded
+spin-1, with odd columns mirrored, so that reflecting every column realizes
+charge conjugation (spin sign flip) geometrically.  Its derived couplings are
+those of `array_couplings`, overrides applied, read by row offset: v0 and
+v0_far within a column, v1..v{rows} from atom 0 to the next column, and the
+middle pair.  A spin map lists the product-basis index of every spin-basis
+state in the digit order of `basis_digits(3, n_spins)`, that is m = 1, 0, -1
+with the left spin most significant.
 """
 
 from __future__ import annotations
@@ -103,7 +105,10 @@ class RydbergParams:
         for name in ("omega", "delta", "delta0"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
-        object.__setattr__(self, "delta0_atoms", tuple(int(i) for i in self.delta0_atoms))
+        atoms = tuple(int(i) for i in self.delta0_atoms)
+        if len(set(atoms)) != len(atoms):
+            raise ValueError(f"delta0 atoms {atoms} repeat an atom")
+        object.__setattr__(self, "delta0_atoms", atoms)
         if self.pair_overrides is not None:
             normalized = {}
             for (i, j), v in self.pair_overrides.items():
@@ -145,7 +150,7 @@ def build_rydberg_h(geom: AtomGeometry, params: RydbergParams) -> SparseHermitia
     couplings = array_couplings(geom, params)
 
     n_excited = bits.sum(axis=1, dtype=np.float64)
-    n_extra = bits[:, sorted(set(params.delta0_atoms))].sum(axis=1, dtype=np.float64)
+    n_extra = bits[:, list(params.delta0_atoms)].sum(axis=1, dtype=np.float64)
     excited = bits.T.astype(bool)
     # An overflow is refused below, so numpy need not warn.
     with np.errstate(over="ignore", invalid="ignore"):
@@ -177,6 +182,8 @@ def ladder_geometry(rows: int, columns: int, a_r: float, a_s: float, scale: floa
     """
     if rows not in _COLUMN_PATTERNS:
         raise ValueError(f"rows must be 2 or 3, got {rows!r}")
+    if columns < 1:
+        raise ValueError(f"columns must be at least 1, got {columns!r}")
     if not (a_r > 0 and a_s > 0):
         raise ValueError("a_r and a_s must be positive")
     positions = [[c * a_s, a_r * (rows - 1 - r)] for c in range(columns) for r in range(rows)]
@@ -224,6 +231,8 @@ def ladder_spin_map(rows: int, n_spins: int) -> SpinAtomMap:
     """
     if rows not in _COLUMN_PATTERNS:
         raise ValueError(f"rows must be 2 or 3, got {rows!r}")
+    if n_spins < 1:
+        raise ValueError(f"n_spins must be at least 1, got {n_spins!r}")
     digits = basis_digits(3, n_spins, "n_spins")
     digits[:, 1::2] = 2 - digits[:, 1::2]  # digit d is m = 1 - d, and 2 - d is -m
     indices = np.array(_COLUMN_PATTERNS[rows])[digits] @ site_strides(2**rows, n_spins)
@@ -269,91 +278,51 @@ class SimulatorSystem:
         return StateVector(out)
 
 
-def _ladder_system(geometry: AtomGeometry, rows: int, derived: dict, **params) -> SimulatorSystem:
-    """The ladder `geometry` of `rows`-atom columns, one encoded spin per column.
+def ladder_system(
+    rows: int,
+    columns: int,
+    v0: float,
+    omega: float,
+    delta: float,
+    delta0: float = 0.0,
+    rho: float | None = None,
+    overrides: dict[tuple[int, int], float] | None = None,
+) -> SimulatorSystem:
+    """`columns` mirrored columns of `rows` atoms, one encoded spin each, at a_r = 1, a_s = 1/rho.
 
+    In-column neighbors couple by v0; rho = a_r/a_s in (0, 1) is given exactly
+    when there are two or more columns, and `overrides` replace geometric V_ij.
     The spin map, the mirror (every column reversed) and the delta0 atoms (the
     middle atom of every three-atom column) follow from rows and columns.
+    `derived` reads `array_couplings` by row offset: v0 and v0_far within a
+    column (offsets 1 and 2), rho and v1..v{rows} from atom 0 to column 1
+    (offsets 0..rows-1), v{k}_geometric for each of these an override replaced,
+    and middle_pair, the facing pair of row 1, on three rows.
     """
-    columns = [range(c, c + rows) for c in range(0, geometry.n_atoms, rows)]
+    if (rho is None) != (columns < 2):
+        raise ValueError(f"rho spaces two or more columns, got rho = {rho!r} for {columns} columns")
+    if rho is not None and not 0 < rho < 1:
+        raise ValueError(f"rho must lie in (0, 1), got {rho!r}")
+    geometry = ladder_geometry(rows, columns, 1.0, 1.0 if rho is None else 1.0 / rho, v0)
+    cols = [range(c * rows, (c + 1) * rows) for c in range(columns)]
+    params = RydbergParams(
+        omega, delta, delta0, tuple(col[1] for col in cols if rows == 3), overrides
+    )
+    couplings = array_couplings(geometry, params)
+    offsets = {"v0": (0, 1), "v0_far": (0, 2)} if rows == 3 else {"v0": (0, 1)}
+    if columns > 1:
+        offsets |= {f"v{k + 1}": (0, rows + k) for k in range(rows)}
+    geometric, replaced = geometry.couplings(), params.pair_overrides or {}
+    derived = {name: couplings[p] for name, p in offsets.items()}
+    derived |= {f"{name}_geometric": geometric[p] for name, p in offsets.items() if p in replaced}
+    if columns > 1:
+        derived["rho"] = rho
+        if rows == 3:
+            derived["middle_pair"] = couplings[(1, 4)]
     return SimulatorSystem(
         geometry=geometry,
-        params=RydbergParams(delta0_atoms=tuple(col[1] for col in columns if rows == 3), **params),
-        spin_map=ladder_spin_map(rows, len(columns)),
-        mirror=tuple(i for col in columns for i in reversed(col)),
+        params=params,
+        spin_map=ladder_spin_map(rows, columns),
+        mirror=tuple(i for col in cols for i in reversed(col)),
         derived=derived,
-    )
-
-
-def _two_columns(rows: int, v0: float, rho: float) -> AtomGeometry:
-    """Two columns of `rows` atoms at a_r = 1 and a_s = 1/rho, with 0 < rho < 1."""
-    if not 0 < rho < 1:
-        raise ValueError(f"rho must lie in (0, 1), got {rho!r}")
-    return ladder_geometry(rows, 2, 1.0, 1.0 / rho, v0)
-
-
-def two_atom_system(omega: float, delta: float, v0: float) -> SimulatorSystem:
-    """One encoded spin on a blockaded vertical pair (|0> = |gg>)."""
-    geom = ladder_geometry(2, 1, 1.0, 1.0, v0)
-    return _ladder_system(geom, 2, {"v0": v0}, omega=omega, delta=delta)
-
-
-def three_atom_system(omega: float, delta: float, delta0: float, v0: float) -> SimulatorSystem:
-    """One encoded spin on three atoms in a line; delta0 acts on the middle atom."""
-    geom = ladder_geometry(3, 1, 1.0, 1.0, v0)
-    derived = {"v0": v0, "v0_far": v0 / 64.0}
-    return _ladder_system(geom, 3, derived, omega=omega, delta=delta, delta0=delta0)
-
-
-def four_atom_system(
-    omega: float,
-    delta: float,
-    v0: float,
-    rho: float,
-    v2_override: float | None = None,
-) -> SimulatorSystem:
-    """Two coupled encoded spins on a 2x2 mirrored ladder.
-
-    `v2_override` replaces the geometric same-m coupling on both diagonals
-    (the exact match needs an attractive value no 1/r^6 geometry provides).
-    """
-    geom = _two_columns(2, v0, rho)
-    c = geom.couplings()
-    overrides = None
-    derived = {"v0": v0, "rho": rho, "v1": c[(0, 2)], "v2": c[(0, 3)]}
-    if v2_override is not None:
-        overrides = {(0, 3): v2_override, (1, 2): v2_override}
-        derived["v2"] = v2_override
-        derived["v2_geometric"] = c[(0, 3)]
-    return _ladder_system(geom, 2, derived, omega=omega, delta=delta, pair_overrides=overrides)
-
-
-def six_atom_system(
-    omega: float,
-    delta: float,
-    v0: float,
-    rho: float,
-    delta0: float = 0.0,
-    include_middle_pair: bool = True,
-) -> SimulatorSystem:
-    """Two coupled encoded spins on a 3x2 mirrored ladder.
-
-    The facing middle atoms interact with the full facing coupling V1; set
-    `include_middle_pair=False` to truncate to the three listed cross
-    couplings V1/V2/V3 only.
-    """
-    geom = _two_columns(3, v0, rho)
-    c = geom.couplings()
-    derived = {
-        "v0": v0,
-        "v0_far": v0 / 64.0,
-        "rho": rho,
-        "v1": c[(0, 3)],
-        "v2": c[(1, 3)],
-        "v3": c[(0, 5)],
-        "middle_pair": c[(1, 4)] if include_middle_pair else 0.0,
-    }
-    overrides = None if include_middle_pair else {(1, 4): 0.0}
-    return _ladder_system(
-        geom, 3, derived, omega=omega, delta=delta, delta0=delta0, pair_overrides=overrides
     )

@@ -81,8 +81,9 @@ def trotter_step(geom: AtomGeometry, params: RydbergParams, dt: float) -> Circui
         raise ValueError("dt must be positive")
     n = geom.n_atoms
     couplings = array_couplings(geom, params)
-    extra = set(params.delta0_atoms)
-    detunings = [params.delta + params.delta0 if q in extra else params.delta for q in range(n)]
+    detunings = [
+        params.delta + params.delta0 if q in params.delta0_atoms else params.delta for q in range(n)
+    ]
     gates = [Gate("RX", (q,), params.omega * dt) for q in range(n)]
     gates += [Gate("P", (q,), d * dt) for q, d in enumerate(detunings)]
     gates += [Gate("CP", pair, -v * dt) for pair, v in couplings.items()]

@@ -6,7 +6,7 @@ import json
 
 import numpy as np
 
-from cahm import StateVector, TargetCouplings, apply_circuit, six_atom_system, two_atom_system
+from cahm import StateVector, TargetCouplings, apply_circuit, ladder_system
 from cahm.evolution import CSV_DIGITS
 from cahm.matching import K_SCAN_POINTS, K_TOL, _golden_min
 from cahm.numerics import SparseHermitian, _matmul, eig_hermitian, overlaps
@@ -215,11 +215,11 @@ def preset_systems():
         if "simulator" in payload:
             systems[name] = _build_simulator(payload["simulator"])[0]
         else:
-            systems[name] = two_atom_system(payload["omega"], payload["delta"], payload["v0"])
-    systems["six-atom-truncated"] = six_atom_system(
-        1.0, 15.0, 30.0, 0.326, include_middle_pair=False
+            systems[name] = ladder_system(2, 1, payload["v0"], payload["omega"], payload["delta"])
+    systems["six-atom-truncated"] = ladder_system(
+        3, 2, 30.0, 1.0, 15.0, rho=0.326, overrides={(1, 4): 0.0}
     )
-    systems["six-atom-delta0"] = six_atom_system(1.0, 15.0, 30.0, 0.326, delta0=2.5)
+    systems["six-atom-delta0"] = ladder_system(3, 2, 30.0, 1.0, 15.0, 2.5, rho=0.326)
     return systems
 
 
@@ -293,8 +293,8 @@ def apply_steps(step, psi, n_steps):
 
 
 def two_atom_step(omega, delta, v0, dt):
-    """The `trotter_step` of `two_atom_system(omega, delta, v0)`, which `cahm trotter` runs."""
-    system = two_atom_system(omega, delta, v0)
+    """The `trotter_step` of `ladder_system(2, 1, v0, omega, delta)`, which `cahm trotter` runs."""
+    system = ladder_system(2, 1, v0, omega, delta)
     return trotter_step(system.geometry, system.params, dt)
 
 

@@ -18,15 +18,12 @@ from cahm import (
     compare,
     degenerate_matrix_m,
     eig_hermitian,
-    four_atom_system,
+    ladder_system,
     match_six_atom,
     sample_shots,
-    six_atom_system,
     solve_three_atom_newton,
     three_atom_low_sector,
     three_atom_residuals,
-    three_atom_system,
-    two_atom_system,
 )
 from cahm.evolution import (
     complete_basis_finals,
@@ -70,7 +67,8 @@ def test_criterion_2_two_atom_match():
     )
 
     def deviation_and_leakage(v0):
-        sim_tr = simulator_trace(two_atom_system(-0.5, -0.5, v0), StateVector.basis(3, 0), times)
+        system = ladder_system(2, 1, v0, -0.5, -0.5)
+        sim_tr = simulator_trace(system, StateVector.basis(3, 0), times)
         dev = compare(target_tr, sim_tr).max_abs_dev
         return dev, float(np.max(sim_tr.series["leakage"]))
 
@@ -113,7 +111,7 @@ def test_criterion_4_three_atom_approximate_match():
         spin_finals(3),
         times,
     )
-    system = three_atom_system(1.0, 15.0, 0.0, 30.0)
+    system = ladder_system(3, 1, 30.0, 1.0, 15.0, 0.0)
     sim_tr = simulator_trace(system, StateVector.basis(3, 0), times)
     dev = compare(target_tr, sim_tr).max_abs_dev
     ok = ratio_ok and dev <= 0.1
@@ -158,7 +156,8 @@ def _four_atom_deviation(v2_override, t_stop, n):
     times = np.linspace(0.0, t_stop, n)
     target_tr = trace(build_h2t(c), StateVector.basis(9, 4), spin_finals(9), times)
     rho = (c.y / 64.0) ** (1.0 / 6.0)
-    system = four_atom_system(-1.2, -0.6, 64.0, rho, v2_override=v2_override)
+    overrides = None if v2_override is None else {(0, 3): v2_override, (1, 2): v2_override}
+    system = ladder_system(2, 2, 64.0, -1.2, -0.6, rho=rho, overrides=overrides)
     return compare(target_tr, simulator_trace(system, StateVector.basis(9, 4), times)).max_abs_dev
 
 
@@ -204,7 +203,7 @@ def test_criterion_7_six_atom_match():
 
 def test_criterion_8_trotter():
     omega, delta, v0 = -1.5, -0.5, 10.0
-    system = two_atom_system(omega, delta, v0)
+    system = ladder_system(2, 1, v0, omega, delta)
     psi0 = system.embed(StateVector.basis(3, 0))
     obs = [(label, system.embed(state)) for label, state in spin_finals(3)]
 
@@ -282,11 +281,14 @@ def test_criterion_9_symmetry_suite():
 
     # Mirror permutation commutes with every mirrored-geometry Hamiltonian.
     for tag, system in (
-        ("two-atom", two_atom_system(-0.5, -0.5, 32.0)),
-        ("three-atom", three_atom_system(1.0, 15.0, 0.3, 30.0)),
-        ("four-atom", four_atom_system(-1.2, -0.6, 64.0, 0.382)),
-        ("six-atom", six_atom_system(1.0, 15.0, 30.0, 0.326)),
-        ("six-atom-truncated", six_atom_system(1.0, 15.0, 30.0, 0.326, include_middle_pair=False)),
+        ("two-atom", ladder_system(2, 1, 32.0, -0.5, -0.5)),
+        ("three-atom", ladder_system(3, 1, 30.0, 1.0, 15.0, 0.3)),
+        ("four-atom", ladder_system(2, 2, 64.0, -1.2, -0.6, rho=0.382)),
+        ("six-atom", ladder_system(3, 2, 30.0, 1.0, 15.0, rho=0.326)),
+        (
+            "six-atom-truncated",
+            ladder_system(3, 2, 30.0, 1.0, 15.0, rho=0.326, overrides={(1, 4): 0.0}),
+        ),
     ):
         h = system.hamiltonian().matrix
         m = loop_permutation_matrix(system.mirror)
@@ -297,10 +299,10 @@ def test_criterion_9_symmetry_suite():
     times = np.linspace(0.0, 10.0, 101)
     for tag, h, dim in (
         ("target", build_h1t(TargetCouplings(u=1.0, x=0.5)), 3),
-        ("two-atom", two_atom_system(-0.5, -0.5, 32.0).hamiltonian(), 4),
-        ("three-atom", three_atom_system(1.0, 15.0, 0.0, 30.0).hamiltonian(), 8),
-        ("four-atom", four_atom_system(-1.2, -0.6, 64.0, 0.382).hamiltonian(), 16),
-        ("six-atom", six_atom_system(1.0, 15.0, 30.0, 0.326).hamiltonian(), 64),
+        ("two-atom", ladder_system(2, 1, 32.0, -0.5, -0.5).hamiltonian(), 4),
+        ("three-atom", ladder_system(3, 1, 30.0, 1.0, 15.0, 0.0).hamiltonian(), 8),
+        ("four-atom", ladder_system(2, 2, 64.0, -1.2, -0.6, rho=0.382).hamiltonian(), 16),
+        ("six-atom", ladder_system(3, 2, 30.0, 1.0, 15.0, rho=0.326).hamiltonian(), 64),
     ):
         psi0 = StateVector.basis(dim, dim // 2)
         tr = trace(h, psi0, complete_basis_finals(dim), times)

@@ -838,8 +838,10 @@ def test_custom_simulator_missing_field_names_it(tmp_path, capsys, missing):
         ("overrides", [1.0]),
         ("delta0_atoms", ["x"]),
         ("delta0_atoms", 1),
+        ("delta0_atoms", [1, 1]),
     ],
-    ids=["delta0", "override-key", "override-value", "overrides-list", "atom", "atoms-int"],
+    ids=["delta0", "override-key", "override-value", "overrides-list", "atom", "atoms-int",
+         "atoms-repeated"],
 )
 def test_custom_simulator_bad_field_names_it(tmp_path, capsys, field, value):
     config = {

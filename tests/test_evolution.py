@@ -10,9 +10,9 @@ from cahm import (
     build_h1t,
     build_h2t,
     compare,
+    ladder_system,
     spin_finals,
     trace,
-    two_atom_system,
 )
 from cahm.evolution import (
     complete_basis_finals,
@@ -68,7 +68,7 @@ def test_complete_basis_normalization():
     total = np.sum(list(tr.series.values()), axis=0)
     assert np.max(np.abs(total - 1.0)) <= 1e-9
 
-    system = two_atom_system(-0.5, -0.5, 32.0)
+    system = ladder_system(2, 1, 32.0, -0.5, -0.5)
     tr2 = trace(
         system.hamiltonian(),
         system.embed(StateVector.basis(3, 0)),
@@ -85,17 +85,17 @@ def _peak_leakage(system, times):
 
 def test_blockade_leakage_two_atom():
     times = np.linspace(0, 10, 1001)
-    leak = _peak_leakage(two_atom_system(-0.5, -0.5, 32.0), times)
+    leak = _peak_leakage(ladder_system(2, 1, 32.0, -0.5, -0.5), times)
     assert leak < 0.02
-    assert _peak_leakage(two_atom_system(-0.5, -0.5, 64.0), times) < leak
+    assert _peak_leakage(ladder_system(2, 1, 64.0, -0.5, -0.5), times) < leak
 
 
 def test_blockade_leakage_omega_zero():
-    assert _peak_leakage(two_atom_system(0.0, -0.5, 32.0), np.linspace(0, 10, 51)) == 0.0
+    assert _peak_leakage(ladder_system(2, 1, 32.0, 0.0, -0.5), np.linspace(0, 10, 51)) == 0.0
 
 
 def test_simulator_trace_leakage_column():
-    system = two_atom_system(-0.5, -0.5, 32.0)
+    system = ladder_system(2, 1, 32.0, -0.5, -0.5)
     tr = simulator_trace(system, StateVector.basis(3, 0), np.linspace(0, 10, 101))
     spin_total = tr.series["m=1"] + tr.series["m=0"] + tr.series["m=-1"]
     assert np.max(np.abs(spin_total + tr.series["leakage"] - 1.0)) <= 1e-9
@@ -110,7 +110,7 @@ def test_simulator_trace_diagonalizes_once(monkeypatch):
         return eigh(h)
 
     monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
-    system = two_atom_system(-0.5, -0.5, 32.0)
+    system = ladder_system(2, 1, 32.0, -0.5, -0.5)
     simulator_trace(system, StateVector.basis(3, 0), np.linspace(0, 10, 11))
     assert calls == [(4, 4)]
 
@@ -185,7 +185,7 @@ def test_two_atom_fidelity_invariant():
         spin_finals(3),
         times,
     )
-    sim_tr = simulator_trace(two_atom_system(-0.5, -0.5, 32.0), StateVector.basis(3, 0), times)
+    sim_tr = simulator_trace(ladder_system(2, 1, 32.0, -0.5, -0.5), StateVector.basis(3, 0), times)
     assert compare(target_tr, sim_tr).max_abs_dev <= 0.02
 
 
@@ -247,7 +247,7 @@ def test_state_probabilities_columns_sum_to_one(dim):
 
 
 def test_an_array_without_spin_map_refuses_spin_states():
-    pair = two_atom_system(-0.5, -0.5, 32.0)
+    pair = ladder_system(2, 1, 32.0, -0.5, -0.5)
     custom = SimulatorSystem(pair.geometry, pair.params, spin_map=None, mirror=())
     psi0 = StateVector.basis(3, 0)
     with pytest.raises(ValueError, match="encodes no spins"):

@@ -15,14 +15,13 @@ from cahm import (
     degenerate_matrix_m,
     eig_hermitian,
     fit_time_rescale,
+    ladder_system,
     match_four_atom,
     match_six_atom,
     match_two_atom,
-    six_atom_system,
     solve_three_atom_newton,
     three_atom_low_sector,
     three_atom_residuals,
-    two_atom_system,
 )
 from cahm.evolution import EvolutionTrace, simulator_trace, spin_finals, trace
 from cahm.matching import K_TOL, SIX_ATOM_N_TIMES, SIX_ATOM_T_MAX
@@ -49,7 +48,7 @@ def test_match_two_atom_examples():
 
 def test_match_two_atom_x0_dynamics_diagonal():
     rep = match_two_atom(TargetCouplings(u=1.0, x=0.0))
-    system = two_atom_system(**rep.simulator_params)
+    system = ladder_system(2, 1, **rep.simulator_params)
     psi0 = system.embed(StateVector.basis(3, 0))
     tr = trace(
         system.hamiltonian(),
@@ -74,7 +73,7 @@ def test_two_atom_spectral_exactness_bound():
         omega, v0 = rep.simulator_params["omega"], rep.simulator_params["v0"]
 
         def discrepancy(v0_value):
-            system = two_atom_system(omega, rep.simulator_params["delta"], v0_value)
+            system = ladder_system(2, 1, v0_value, omega, rep.simulator_params["delta"])
             evals = eig_hermitian(system.hamiltonian()).eigenvalues
             return float(np.max(np.abs(evals[:3] - expected)))
 
@@ -94,7 +93,8 @@ def test_two_atom_match_error_falls_as_the_blockade_grows():
         target = trace(build_h1t(c), psi0, finals, times)
         deviations = []
         for ratio in (16.0, 64.0, 256.0):
-            system = two_atom_system(**match_two_atom(c, blockade_ratio=ratio).simulator_params)
+            rep = match_two_atom(c, blockade_ratio=ratio)
+            system = ladder_system(2, 1, **rep.simulator_params)
             sim = simulator_trace(system, psi0, times)
             deviations.append(
                 max(np.max(np.abs(sim.series[label] - target.series[label])) for label, _ in finals)
@@ -450,7 +450,7 @@ def test_match_six_atom_fig8_regime():
 def test_match_six_atom_fig8_k_equals_the_propagate_oracle():
     c = TargetCouplings(u=1.0, x=1.2, y=0.2)
     rep = match_six_atom(c, 1.0, 15.0, 30.0)
-    system = six_atom_system(1.0, 15.0, 30.0, rep.simulator_params["rho"])
+    system = ladder_system(3, 2, 30.0, 1.0, 15.0, rho=rep.simulator_params["rho"])
     finals = spin_finals(9)
     psi0 = dict(finals)["00"]
     sim = simulator_trace(system, psi0, np.linspace(0.0, SIX_ATOM_T_MAX, SIX_ATOM_N_TIMES))

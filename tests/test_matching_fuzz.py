@@ -16,7 +16,7 @@ pytest.importorskip("hypothesis")  # an optional test dependency
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cahm import TargetCouplings, build_h2t, match_six_atom, six_atom_system
+from cahm import TargetCouplings, build_h2t, ladder_system, match_six_atom
 from cahm.evolution import simulator_trace, spin_finals
 from cahm.matching import K_TOL, SIX_ATOM_N_TIMES, SIX_ATOM_T_MAX
 
@@ -31,7 +31,7 @@ def test_match_six_atom_fits_the_oracle_k(scales):
     u, x, y, omega, delta, v0 = (p * s for p, s in zip(FIG8, scales))
     c = TargetCouplings(u=u, x=x, y=y)
     rep = match_six_atom(c, omega, delta, v0)
-    system = six_atom_system(omega, delta, v0, rep.simulator_params["rho"])
+    system = ladder_system(3, 2, v0, omega, delta, rho=rep.simulator_params["rho"])
     finals = spin_finals(9)
     psi0 = dict(finals)["00"]
     sim = simulator_trace(system, psi0, np.linspace(0.0, SIX_ATOM_T_MAX, SIX_ATOM_N_TIMES))

@@ -12,18 +12,15 @@ from cahm import (
     SpinAtomMap,
     StateVector,
     build_rydberg_h,
-    four_atom_system,
     ladder_geometry,
     ladder_spin_map,
+    ladder_system,
     pair_interaction,
-    six_atom_system,
     spin_finals,
-    three_atom_system,
-    two_atom_system,
 )
 from cahm.evolution import COMPLETENESS_ATOL, simulator_trace, state_probabilities
 from cahm.numerics import ContractViolationError, symmetry_sectors
-from cahm.rydberg_models import _ladder_system, atom_permutation, ladder_cross_couplings
+from cahm.rydberg_models import array_couplings, atom_permutation, ladder_cross_couplings
 from helpers import (
     loop_couplings,
     loop_permutation_matrix,
@@ -71,7 +68,7 @@ def test_pair_interaction_diagonal_distance():
 
 
 def test_two_atom_diagonal_energies():
-    system = two_atom_system(omega=0.0, delta=-0.5, v0=32.0)
+    system = ladder_system(2, 1, omega=0.0, delta=-0.5, v0=32.0)
     diag = np.diag(system.hamiltonian().matrix).real
     # Basis order |gg>, |gr>, |rg>, |rr>.
     assert np.allclose(diag, [0.0, 0.5, 0.5, 1.0 + 32.0])
@@ -81,7 +78,7 @@ def test_three_atom_diagonal_energies_all_states():
     rng = np.random.default_rng(3)
     for _ in range(5):
         delta, delta0, v0 = rng.uniform(-5, 20, size=3)
-        system = three_atom_system(0.0, delta, delta0, v0)
+        system = ladder_system(3, 1, v0, 0.0, delta, delta0)
         h = system.hamiltonian().matrix
         assert np.max(np.abs(h - np.diag(np.diag(h)))) == 0.0
         for b in range(8):
@@ -91,14 +88,14 @@ def test_three_atom_diagonal_energies_all_states():
             expected += v0 / 64.0 * bits[0] * bits[2]
             assert abs(h[b, b].real - expected) < 1e-12
     # Named auxiliary states at (delta, delta0, v0).
-    system = three_atom_system(0.0, 1.25, 0.5, 30.0)
+    system = ladder_system(3, 1, 30.0, 0.0, 1.25, 0.5)
     diag = np.diag(system.hamiltonian().matrix).real
     assert abs(diag[0b101] - (-2 * 1.25 + 30.0 / 64.0)) < 1e-12
     assert abs(diag[0b111] - (-3 * 1.25 - 0.5 + 2 * 30.0 + 30.0 / 64.0)) < 1e-12
 
 
 def test_rydberg_h_hermitian_and_offdiagonal():
-    system = two_atom_system(omega=-0.5, delta=-0.5, v0=32.0)
+    system = ladder_system(2, 1, omega=-0.5, delta=-0.5, v0=32.0)
     h = system.hamiltonian().matrix
     assert np.max(np.abs(h - h.conj().T)) <= 1e-14
     assert h[0b00, 0b10] == -0.25
@@ -153,14 +150,16 @@ def test_ladder_geometry_places_the_hand_written_arrays(a_r, a_s):
         assert got.tobytes() == np.array(positions).tobytes()
     with pytest.raises(ValueError, match="positive"):
         ladder_geometry(2, 2, 1.0, 0.0, 30.0)
+    with pytest.raises(ValueError, match="columns must be at least 1, got 0"):
+        ladder_geometry(2, 0, 1.0, 1.0, 1.0)
 
 
 def test_factories_derive_the_former_mirrors_and_delta0_atoms():
     cases = [
-        (two_atom_system(-0.5, -0.5, 32.0), (1, 0), ()),
-        (three_atom_system(1.0, 15.0, 0.7, 30.0), (2, 1, 0), (1,)),
-        (four_atom_system(-1.2, -0.6, 64.0, 0.38), (1, 0, 3, 2), ()),
-        (six_atom_system(1.0, 15.0, 30.0, 0.326), (2, 1, 0, 5, 4, 3), (1, 4)),
+        (ladder_system(2, 1, 32.0, -0.5, -0.5), (1, 0), ()),
+        (ladder_system(3, 1, 30.0, 1.0, 15.0, 0.7), (2, 1, 0), (1,)),
+        (ladder_system(2, 2, 64.0, -1.2, -0.6, rho=0.38), (1, 0, 3, 2), ()),
+        (ladder_system(3, 2, 30.0, 1.0, 15.0, rho=0.326), (2, 1, 0, 5, 4, 3), (1, 4)),
     ]
     for system, mirror, delta0_atoms in cases:
         assert system.mirror == mirror
@@ -170,16 +169,59 @@ def test_factories_derive_the_former_mirrors_and_delta0_atoms():
 @pytest.mark.parametrize("columns", [1, 2, 3])
 @pytest.mark.parametrize("rows", [2, 3])
 def test_every_ladder_commutes_with_its_derived_mirror(rows, columns):
-    geom = ladder_geometry(rows, columns, 1.0, 1.0 / 0.326, 30.0)
-    system = _ladder_system(geom, rows, {}, omega=1.0, delta=15.0, delta0=2.5)
+    system = ladder_system(rows, columns, 30.0, 1.0, 15.0, 2.5, rho=0.326 if columns > 1 else None)
     assert len(system.params.delta0_atoms) == (columns if rows == 3 else 0)
     assert system.spin_map == ladder_spin_map(rows, columns)
     blocks = symmetry_sectors(system.hamiltonian(), [atom_permutation(system.mirror)])
-    assert sum(b.dim for b in blocks) == 2**geom.n_atoms
+    assert sum(b.dim for b in blocks) == 2**system.geometry.n_atoms
     # A delta0 on a top atom breaks the mirror.
     tilted = replace(system, params=replace(system.params, delta0_atoms=(0,)))
     with pytest.raises(ContractViolationError, match="does not commute"):
         symmetry_sectors(tilted.hamiltonian(), [atom_permutation(system.mirror)])
+
+
+# The derived keys of each named kind, also under the overrides that its config fields set.
+SIX_ATOM_KEYS = {"v0", "v0_far", "rho", "v1", "v2", "v3", "middle_pair"}
+NAMED_KEYS = {
+    "two-atom": (2, 1, None, {"v0"}),
+    "three-atom": (3, 1, None, {"v0", "v0_far"}),
+    "four-atom": (2, 2, None, {"v0", "rho", "v1", "v2"}),
+    "four-atom-v2-override": (
+        2, 2, {(0, 3): -0.2, (1, 2): -0.2}, {"v0", "rho", "v1", "v2", "v2_geometric"}
+    ),
+    "six-atom": (3, 2, None, SIX_ATOM_KEYS),
+    "six-atom-truncated": (3, 2, {(1, 4): 0.0}, SIX_ATOM_KEYS),
+}
+
+
+def test_derived_couplings_are_the_array_couplings_at_their_row_offsets():
+    for name, (rows, columns, overrides, keys) in NAMED_KEYS.items():
+        rho = 0.326 if columns > 1 else None
+        system = ladder_system(rows, columns, 30.0, 1.0, 15.0, rho=rho, overrides=overrides)
+        assert set(system.derived) == keys, name
+    for rows, columns in itertools.product((2, 3), (1, 2, 3)):
+        rho = 0.326 if columns > 1 else None
+        # The atom pair of each derived coupling: its row offsets within a column and to column 1.
+        pairs = {"v0": (0, 1), "v0_far": (0, 2)} if rows == 3 else {"v0": (0, 1)}
+        override_sets = [None, {(1, 0): 25.0}]
+        if columns > 1:
+            pairs |= {f"v{k + 1}": (0, rows + k) for k in range(rows)}
+            # Both diagonals one row apart; the facing pair of row 1 cut, and V1 replaced.
+            override_sets += [
+                {(0, rows + 1): -0.2, (1, rows): -0.2},
+                {(1, rows + 1): 0.0, (rows, 0): 0.1},
+            ]
+        for overrides in override_sets:
+            system = ladder_system(rows, columns, 30.0, 1.0, 15.0, rho=rho, overrides=overrides)
+            couplings = array_couplings(system.geometry, system.params)
+            geometric, replaced = system.geometry.couplings(), system.params.pair_overrides or {}
+            expected = {n: couplings[p] for n, p in pairs.items()}
+            expected |= {f"{n}_geometric": geometric[p] for n, p in pairs.items() if p in replaced}
+            if columns > 1:
+                expected["rho"] = rho
+            if rows == 3 and columns > 1:
+                expected["middle_pair"] = couplings[(1, 4)]
+            assert system.derived == expected, (rows, columns, overrides)
 
 
 def test_ladder_coupling_ordering():
@@ -190,10 +232,10 @@ def test_ladder_coupling_ordering():
 
 def test_mirror_commutes_with_hamiltonian():
     systems = [
-        two_atom_system(-0.5, -0.5, 32.0),
-        three_atom_system(1.0, 15.0, 0.7, 30.0),
-        four_atom_system(-1.2, -0.6, 64.0, 0.38),
-        six_atom_system(1.0, 15.0, 30.0, 0.326, delta0=0.4),
+        ladder_system(2, 1, 32.0, -0.5, -0.5),
+        ladder_system(3, 1, 30.0, 1.0, 15.0, 0.7),
+        ladder_system(2, 2, 64.0, -1.2, -0.6, rho=0.38),
+        ladder_system(3, 2, 30.0, 1.0, 15.0, 0.4, rho=0.326),
     ]
     for system in systems:
         h = system.hamiltonian().matrix
@@ -216,7 +258,8 @@ def test_pair_override_given_twice_is_refused():
 
 
 def test_four_atom_override_changes_only_v2_pairs():
-    system = four_atom_system(-1.2, -0.6, 64.0, 0.382, v2_override=-0.2)
+    overrides = {(0, 3): -0.2, (1, 2): -0.2}
+    system = ladder_system(2, 2, 64.0, -1.2, -0.6, rho=0.382, overrides=overrides)
     h = system.hamiltonian().matrix
     # |rggr> has both same-m atoms (0, 3) excited: energy 2*0.6 + v2_override.
     idx = 0b1001
@@ -230,10 +273,10 @@ def test_spin_maps_and_embedding():
     assert ladder_spin_map(2, 1) == SpinAtomMap(2, (0b10, 0b00, 0b01))
     assert ladder_spin_map(3, 1) == SpinAtomMap(3, (0b100, 0b010, 0b001))
 
-    embedded = three_atom_system(1.0, 15.0, 0.0, 30.0).embed(StateVector.basis(3, 0))
+    embedded = ladder_system(3, 1, 30.0, 1.0, 15.0, 0.0).embed(StateVector.basis(3, 0))
     assert embedded.amplitudes[0b100] == 1.0
     plus = StateVector.normalized([1.0, 0.0, 1.0])
-    out = two_atom_system(-0.5, -0.5, 32.0).embed(plus)
+    out = ladder_system(2, 1, 32.0, -0.5, -0.5).embed(plus)
     assert abs(out.amplitudes[0b10] - 1 / np.sqrt(2)) < 1e-15
     assert abs(out.amplitudes[0b01] - 1 / np.sqrt(2)) < 1e-15
     assert abs(np.sum(np.abs(out.amplitudes) ** 2) - 1.0) < 1e-12
@@ -252,7 +295,7 @@ def test_two_spin_map_indices():
     assert pair6.indices[4] == 0b010010  # (0, 0)
     assert pair6.indices[1] == 0b100010  # (1, 0)
     assert pair6.indices[3] == 0b010001  # (0, 1)
-    s_embedded = four_atom_system(-1.2, -0.6, 64.0, 0.38).embed(dict(spin_finals(9))["S"])
+    s_embedded = ladder_system(2, 2, 64.0, -1.2, -0.6, rho=0.38).embed(dict(spin_finals(9))["S"])
     support = {i for i, a in enumerate(s_embedded.amplitudes) if abs(a) > 0}
     assert support == {0b0001, 0b0010, 0b0100, 0b1000}
 
@@ -271,10 +314,12 @@ def test_ladder_spin_map_equals_the_column_loop():
             assert ladder_spin_map(n_col, n_spins).indices == tuple(expected)
     with pytest.raises(ValueError):
         ladder_spin_map(4, 1)
+    with pytest.raises(ValueError, match="n_spins must be at least 1, got 0"):
+        ladder_spin_map(2, 0)
 
 
 def test_embed_rejects_unmapped_support():
-    system = two_atom_system(-0.5, -0.5, 32.0)
+    system = ladder_system(2, 1, 32.0, -0.5, -0.5)
     with pytest.raises(ValueError, match="injective"):
         SpinAtomMap(n_atoms=2, indices=(0b10, 0b00, 0b10))
     with pytest.raises(ValueError, match="outside"):
@@ -292,10 +337,10 @@ def test_embed_rejects_unmapped_support():
 def test_mirror_permutation_matches_charge_conjugation():
     # The vertical flip of every column acts on the encoded spins as C on each spin.
     systems = [
-        two_atom_system(-0.5, -0.5, 32.0),
-        three_atom_system(1.0, 15.0, 0.7, 30.0),
-        four_atom_system(-1.2, -0.6, 64.0, 0.38),
-        six_atom_system(1.0, 15.0, 30.0, 0.326),
+        ladder_system(2, 1, 32.0, -0.5, -0.5),
+        ladder_system(3, 1, 30.0, 1.0, 15.0, 0.7),
+        ladder_system(2, 2, 64.0, -1.2, -0.6, rho=0.38),
+        ladder_system(3, 2, 30.0, 1.0, 15.0, rho=0.326),
     ]
     c = op_charge_conjugation()
     for system in systems:
@@ -314,7 +359,7 @@ def test_geometry_validation():
     with pytest.raises(ValueError):
         ladder_geometry(4, 2, 1.0, 2.0, 1.0)
     with pytest.raises(ValueError):
-        four_atom_system(1.0, 1.0, 64.0, 1.5)
+        ladder_system(2, 2, 64.0, 1.0, 1.0, rho=1.5)
 
 
 def test_coinciding_atoms_match_the_pairwise_reference():
@@ -361,7 +406,8 @@ def test_custom_hamiltonians_equal_the_loop_reference_bitwise(n_atoms):
             omega=rng.uniform(-2.0, 2.0),
             delta=rng.uniform(-5.0, 20.0),
             delta0=rng.uniform(-3.0, 3.0),
-            delta0_atoms=tuple(int(i) for i in extra),
+            # A repeated delta0 atom is refused: each atom drawn is kept once, in draw order.
+            delta0_atoms=tuple(dict.fromkeys(int(i) for i in extra)),
             pair_overrides={pair: rng.uniform(-1.0, 1.0) for pair in pairs},
         )
         # Omega = -0.0 as well: the drive entries keep the loop's sign of zero.

@@ -7,7 +7,7 @@ import pytest
 
 from cahm import AtomGeometry, ContractViolationError, SparseHermitian, StateVector, eig_hermitian
 from cahm.numerics import symmetry_sectors
-from cahm.rydberg_models import atom_permutation, six_atom_system
+from cahm.rydberg_models import atom_permutation, ladder_system
 from cahm.target_models import (
     SPIN1,
     SpinTruncation,
@@ -68,7 +68,7 @@ def test_a_sector_without_stored_entries_is_a_zero_block():
 
 
 def test_a_jittered_ladder_has_no_mirror_sectors():
-    system = six_atom_system(1.0, 15.0, 30.0, 0.326)
+    system = ladder_system(3, 2, 30.0, 1.0, 15.0, rho=0.326)
     geom = system.geometry
     jitter = np.random.default_rng(9).normal(scale=1e-3, size=geom.positions.shape)
     positions = geom.positions + jitter

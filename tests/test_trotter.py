@@ -12,8 +12,8 @@ from cahm import (
     StateVector,
     apply_circuit,
     eig_hermitian,
+    ladder_system,
     sample_shots,
-    two_atom_system,
 )
 from cahm.cli import main
 from cahm.evolution import simulator_trace, spin_finals
@@ -32,7 +32,7 @@ FIG10 = {"omega": -1.5, "delta": -0.5, "v0": 10.0}
 
 
 def _fig10_pieces():
-    system = two_atom_system(**FIG10)
+    system = ladder_system(2, 1, **FIG10)
     psi0 = system.embed(StateVector.basis(3, 0))
     obs = [(label, system.embed(state)) for label, state in spin_finals(3)]
     return system, psi0, obs
@@ -187,7 +187,7 @@ def test_p_and_cp_layers_are_the_diagonal_of_the_array(name, system):
 
 
 def test_trotter_step_checks_the_atom_indices():
-    system = two_atom_system(**FIG10)
+    system = ladder_system(2, 1, **FIG10)
     for params in (
         RydbergParams(1.0, 0.5, delta0=0.1, delta0_atoms=(2,)),
         RydbergParams(1.0, 0.5, pair_overrides={(0, 2): 1.0}),

@@ -4,7 +4,7 @@ Each preset runs through `cahm.cli.main` into a temporary directory, and so
 do the `spectrum` configs of the paper's one- and two-spin figures and of four
 chains (`SPECTRA`), one `match` config of each kind (`MATCHES`), one
 `three-atom-newton` match per reason that the solve stops short
-(`NEWTON_STOPS`), five `evolve` configs (`EVOLVES`) and a `trotter` config
+(`NEWTON_STOPS`), seven `evolve` configs (`EVOLVES`) and a `trotter` config
 without `dt` (`TROTTER_DEFAULT_DT`); one line
 `<sha256>  <run>/<file>` is printed per artifact, sorted, so that the output
 of two checkouts can be compared with `diff`.  The `NEWTON_STOPS` runs must
@@ -103,8 +103,9 @@ NEWTON_STOPS = {
 
 
 # No preset runs `evolve`: a one-spin and a two-spin target, a one-spin and a
-# two-spin named array, and a `custom` array with delta0 atoms and an override,
-# the fields that every array manifest records.
+# two-spin named array, a four-atom array spaced by `rho` with its `v2_override`,
+# a six-atom array without its middle pair, and a `custom` array with delta0
+# atoms and an override, the fields that every array manifest records.
 EVOLVE_TIMES = {"start": 0.0, "stop": 2.0, "num": 21}
 EVOLVES = {
     "evolve-one-spin": {
@@ -127,6 +128,28 @@ EVOLVES = {
             "v0": 30.0,
             "rho": 0.326,
             "delta0": 0.4,
+        },
+        "initial": "00",
+    },
+    "evolve-four-atom-rho": {
+        "simulator": {
+            "kind": "four-atom",
+            "omega": -1.2,
+            "delta": -0.6,
+            "v0": 64.0,
+            "rho": 0.382,
+            "v2_override": -0.2,
+        },
+        "initial": "00",
+    },
+    "evolve-six-atom-truncated": {
+        "simulator": {
+            "kind": "six-atom",
+            "omega": 1.0,
+            "delta": 15.0,
+            "v0": 30.0,
+            "rho": 0.326,
+            "include_middle_pair": False,
         },
         "initial": "00",
     },
