@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .evolution import simulator_trace, spin_finals
+from .evolution import spin_finals, trace
 from .numerics import (
     DEGENERACY_RTOL,
     UNIFORM_GRID_ULPS,
@@ -529,8 +529,11 @@ def fit_time_rescale(
     def rms(k: float) -> float:
         outer, inner = phases(k * spec.eigenvalues)
         blocks = (outer.T * coeffs[:, None, :]).reshape(-1, spec.dim) @ inner
-        probs = np.abs(blocks.reshape(len(used), -1)[:, : sim_vals.shape[1]]) ** 2
-        return float(np.sqrt(np.mean((probs - sim_vals) ** 2)))
+        d = np.abs(blocks.reshape(len(used), -1)[:, : sim_vals.shape[1]])
+        np.square(d, out=d)
+        np.subtract(d, sim_vals, out=d)
+        np.square(d, out=d)
+        return math.sqrt(np.add.reduce(d, axis=None) / d.size)
 
     ks = np.linspace(lo, hi, K_SCAN_POINTS)
     values = [rms(float(k)) for k in ks]
@@ -556,7 +559,9 @@ def match_six_atom(
     charge-term conditions V1 - V2 = Y/2 and V1 - V3 = 2Y at the simulator
     energy scale K_e = Omega^2 / (Delta U); the time-rescale factor K then
     minimizes the RMS between the rescaled simulator trace and the target
-    trace for P(0,0) and P(S).
+    trace for P(0,0) and P(S).  A K within K_TOL of an edge of its bracket
+    [0.5 |K_e|, 1.5 |K_e|] is no interior minimum: the report is then not
+    converged, with a note that names the bracket.
     """
     if c.u == 0.0 or delta == 0.0 or omega == 0.0:
         raise ValueError("matching requires U != 0, Delta != 0 and omega != 0")
@@ -608,19 +613,27 @@ def match_six_atom(
     )
     notes.append("Delta0 = 0: the electric splitting emerges from second-order level repulsion")
 
+    # The fit reads the simulator's 00 and S series only: no leakage series.
     finals_t = spin_finals(9)
     psi0_t = dict(finals_t)["00"]
     times = np.linspace(0.0, SIX_ATOM_T_MAX, SIX_ATOM_N_TIMES)
-    sim_tr = simulator_trace(system, psi0_t, times)
-    bracket = (0.5 * abs(k_e), 1.5 * abs(k_e))
+    embedded = [(label, system.embed(state)) for label, state in finals_t]
+    sim_tr = trace(system.hamiltonian(), system.embed(psi0_t), embedded, times)
+    lo, hi = 0.5 * abs(k_e), 1.5 * abs(k_e)
     try:
-        k_opt, k_rms = fit_time_rescale(build_h2t(c), psi0_t, finals_t, sim_tr, bracket)
+        k_opt, k_rms = fit_time_rescale(build_h2t(c), psi0_t, finals_t, sim_tr, (lo, hi))
     except ContractViolationError as exc:
         raise ValueError(
             f"{exc}; the target spectrum and K are set by U = {c.u!r}, X = {c.x!r}, "
             f"Y = {c.y!r}, omega = {omega!r} and delta = {delta!r}"
         ) from None
     residuals["trace_rms"] = k_rms
+    pinned = min(k_opt - lo, hi - k_opt) <= K_TOL
+    if pinned:
+        notes.append(
+            f"time rescale K = {k_opt!r} pinned at the edge of its bracket [{lo!r}, {hi!r}] "
+            "(0.5 and 1.5 |K_e|); no interior minimum found"
+        )
 
     return MatchReport(
         simulator_params={
@@ -637,4 +650,5 @@ def match_six_atom(
         predicted={"k_energy_scale": k_e},
         time_rescale_k=k_opt,
         notes=tuple(notes),
+        converged=not pinned,
     )

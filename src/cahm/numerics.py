@@ -220,11 +220,18 @@ class Spectrum:
 
         One row per basis state when `finals` is None, or one per state in
         `finals`: its `overlaps` with the basis amplitudes, so a basis final
-        reads exactly its row of the complete basis.  On a uniform grid of
-        n > 1 distinct times the phases are factorised (`_uniform_phases`),
-        which reads each time at its place t0 + kh on the grid.  A spectrum
-        without eigenvectors, or a non-finite max|w| max|t|, raises
-        ContractViolationError before any exponential.
+        reads exactly its row of the complete basis.  When the finals are
+        zero outside at least two but not all basis rows, only those rows of
+        V are multiplied out and the others stay 0, which `overlaps` adds as
+        exact zeros.  The rows keep the bits of the full product where BLAS
+        computes a row of a few-row product as it does in the full one:
+        OpenBLAS 0.3.31 (Haswell) does so for complex spectra and for the
+        six-atom match's grid, but a real dim-64 product can differ by an ulp
+        in its last columns when their count is not a multiple of four.  On
+        a uniform grid of n > 1 distinct times the phases are factorised
+        (`_uniform_phases`), which reads each time at its place t0 + kh on
+        the grid.  A spectrum without eigenvectors, or a non-finite
+        max|w| max|t|, raises ContractViolationError before any exponential.
         """
         v = self.eigenvectors
         if v is None:
@@ -242,8 +249,16 @@ class Spectrum:
         else:
             outer, inner = phases(self.eigenvalues)
             phased = ((outer * c)[:, :, None] * inner[:, None, :]).reshape(self.dim, -1)
-        amplitudes = _matmul(v, phased)[:, : t.size]
-        return amplitudes if finals is None else overlaps(finals, amplitudes)
+        if finals is None:
+            return _matmul(v, phased)[:, : t.size]
+        rows = np.flatnonzero(np.any([f.amplitudes for f in finals], axis=0))
+        # numpy hands a one-row product to gemv, whose sums are not gemm's.
+        if 1 < rows.size < self.dim:
+            amplitudes = np.zeros((self.dim, t.size), dtype=np.complex128)
+            amplitudes[rows] = _matmul(v[rows], phased)[:, : t.size]
+        else:
+            amplitudes = _matmul(v, phased)[:, : t.size]
+        return overlaps(finals, amplitudes)
 
 
 def _uniform_phases(times: np.ndarray):
@@ -253,7 +268,8 @@ def _uniform_phases(times: np.ndarray):
     as linspace and t0 + arange(n) * dt grids are, so reading a time at its place only rounds it.
     With B = ceil(sqrt(n)) and M = ceil(n / B), t_{mB+k} = T_m + tau_k for
     T_m = t0 + mBh and tau_k = kh, so exp(-i w_j t_{mB+k}) is outer[j, m] *
-    inner[j, k]: len(w) (M + B) exponentials instead of len(w) n.  The product
+    inner[j, k]: len(w) (M + B) exponentials instead of len(w) n, taken by one
+    exp over both grids side by side and returned as two views.  The product
     has MB >= n columns; the caller drops those past the last time.
     """
     n = times.size
@@ -265,9 +281,14 @@ def _uniform_phases(times: np.ndarray):
     if not deviation <= UNIFORM_GRID_ULPS * np.spacing(float(np.max(np.abs(times)))):
         return None
     b = math.isqrt(n - 1) + 1
-    outer_t = times[0] + h * b * np.arange(-(-n // b))
-    inner_t = h * np.arange(b)
-    return lambda w: (np.exp(-1j * np.outer(w, outer_t)), np.exp(-1j * np.outer(w, inner_t)))
+    m = -(-n // b)
+    grid = np.concatenate([times[0] + h * b * np.arange(m), h * np.arange(b)])
+
+    def phases(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        z = np.exp(-1j * np.outer(w, grid))
+        return z[:, :m], z[:, m:]
+
+    return phases
 
 
 def overlaps(states, amplitudes: np.ndarray) -> np.ndarray:

@@ -3,6 +3,7 @@
 import dataclasses
 import itertools
 import json
+import math
 
 import numpy as np
 
@@ -442,6 +443,42 @@ def propagate_fit_time_rescale(target_op, psi0, finals, sim_trace, bracket):
 
     def rms(k: float) -> float:
         probs = np.abs(direct_amplitudes(spec, psi0, k * sim_trace.times, used_finals)) ** 2
+        return float(np.sqrt(np.mean((probs - sim_vals) ** 2)))
+
+    ks = np.linspace(lo, hi, K_SCAN_POINTS)
+    values = [rms(float(k)) for k in ks]
+    best = int(np.argmin(values))
+    a = float(ks[max(best - 1, 0)])
+    b = float(ks[min(best + 1, K_SCAN_POINTS - 1)])
+    k_opt = _golden_min(rms, a, b, K_TOL)
+    return k_opt, rms(k_opt)
+
+
+def factorised_fit_time_rescale(target_op, psi0, finals, sim_trace, bracket):
+    """`fit_time_rescale` with the factorised objective it had before its lean rewrite.
+
+    Each K takes two exponentials, exp(-i K w T_m) and exp(-i K w tau_k), on
+    the uniform grid t_{mB+k} = T_m + tau_k (B = ceil(sqrt(n))), and the RMS
+    as np.sqrt(np.mean(...)) of fresh temporaries.
+    """
+    lo, hi = bracket
+    used = [(label, f) for label, f in finals if label in sim_trace.series]
+    spec = eig_hermitian(target_op)
+    v = spec.eigenvectors
+    coeffs = overlaps([f for _, f in used], v) * (v.conj().T @ psi0.amplitudes)
+    sim_vals = np.vstack([sim_trace.series[label] for label, _ in used])
+    times = sim_trace.times
+    n = times.size
+    h = float(times[-1] - times[0]) / (n - 1)
+    b = math.isqrt(n - 1) + 1
+    outer_t = times[0] + h * b * np.arange(-(-n // b))
+    inner_t = h * np.arange(b)
+
+    def rms(k: float) -> float:
+        w = k * spec.eigenvalues
+        outer, inner = np.exp(-1j * np.outer(w, outer_t)), np.exp(-1j * np.outer(w, inner_t))
+        blocks = (outer.T * coeffs[:, None, :]).reshape(-1, spec.dim) @ inner
+        probs = np.abs(blocks.reshape(len(used), -1)[:, :n]) ** 2
         return float(np.sqrt(np.mean((probs - sim_vals) ** 2)))
 
     ks = np.linspace(lo, hi, K_SCAN_POINTS)

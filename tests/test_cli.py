@@ -1275,6 +1275,17 @@ def test_rho_hint_bracket_without_the_minimum_is_a_numerical_failure(tmp_path, c
     assert "pinned at the bracket edge" in capsys.readouterr().err
 
 
+def test_six_atom_match_with_k_pinned_at_its_bracket_edge_writes_its_report_and_exits_3(tmp_path):
+    match = {**MATCH_CONFIGS["six-atom"], "X": 0.6, "Y": 0.05}
+    del match["rho_hint"]
+    assert _run_config(tmp_path, {"mode": "match", "match": match}) == EXIT_NUMERICAL
+    report = json.loads((tmp_path / "out" / "match_report.json").read_text())
+    assert report["converged"] is False
+    assert "pinned at the edge of its bracket [0.03333333333333333, 0.1]" in report["notes"][-1]
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    assert manifest["outputs"] == ["match_report.json"]
+
+
 def test_repeated_override_pair_names_the_field(tmp_path, capsys):
     overrides = {"0-1": 1.0, "1-0": 2.0}
     config = _with_field(CUSTOM_EVOLVE, ("simulator", "overrides"), overrides)

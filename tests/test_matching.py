@@ -29,6 +29,7 @@ from cahm.matching import K_TOL, SIX_ATOM_N_TIMES, SIX_ATOM_T_MAX
 from helpers import (
     consistent_three_atom_point,
     direct_amplitudes,
+    factorised_fit_time_rescale,
     propagate_fit_time_rescale,
     random_hermitian,
     sparse_from_dense,
@@ -445,6 +446,56 @@ def test_match_six_atom_fig8_regime():
     assert abs(rep.time_rescale_k - 0.0546) <= 0.002
     assert rep.residuals["trace_rms"] <= 0.1
     assert rep.simulator_params["v1"] > rep.simulator_params["v2"] > rep.simulator_params["v3"]
+    assert rep.converged
+
+
+# (X, Y, the bracket edge K is pinned at) at U = Omega = 1, Delta = 15, V0 = 30,
+# where K_e = 1/15 and the bracket is [1/30, 1/10].
+K_PINNED = {"upper": (0.6, 0.05, 0.1), "lower": (2.0, 1.0, 1.0 / 30.0)}
+
+
+@pytest.mark.parametrize("case", K_PINNED.values(), ids=K_PINNED)
+def test_match_six_atom_with_k_pinned_at_its_bracket_edge_is_not_converged(case):
+    x, y, edge = case
+    rep = match_six_atom(TargetCouplings(u=1.0, x=x, y=y), 1.0, 15.0, 30.0)
+    assert not rep.converged
+    assert abs(rep.time_rescale_k - edge) <= K_TOL
+    assert rep.notes[-1] == (
+        f"time rescale K = {rep.time_rescale_k!r} pinned at the edge of its bracket "
+        f"[{0.5 / 15.0!r}, {1.5 / 15.0!r}] (0.5 and 1.5 |K_e|); no interior minimum found"
+    )
+
+
+def test_six_atom_k_fit_equals_the_factorised_oracle():
+    """K and its RMS, == the pre-rewrite objective on the full-basis simulator trace.
+
+    Twenty seeded draws near the fig8 point (U = 1, X ~ 1.2, Y ~ 0.2, Delta = 15,
+    V0 = 30) and thirty over U = Omega = 1, X in [0.1, 3], Y in [0.02, 1],
+    Delta in [5, 30] and V0 in [10, 60], some with K pinned at a bracket edge.
+    """
+    rng = np.random.default_rng(3201)
+    finals = spin_finals(9)
+    psi0 = dict(finals)["00"]
+    times = np.linspace(0.0, SIX_ATOM_T_MAX, SIX_ATOM_N_TIMES)
+    draws = [
+        (rng.uniform(1.0, 1.4), rng.uniform(0.15, 0.25), 15.0, 30.0) for _ in range(20)
+    ] + [
+        (rng.uniform(0.1, 3.0), rng.uniform(0.02, 1.0), rng.uniform(5, 30), rng.uniform(10, 60))
+        for _ in range(30)
+    ]
+    pinned = 0
+    for x, y, delta, v0 in draws:
+        c = TargetCouplings(u=1.0, x=x, y=y)
+        rep = match_six_atom(c, 1.0, delta, v0)
+        system = ladder_system(3, 2, v0, 1.0, delta, rho=rep.simulator_params["rho"])
+        sim = simulator_trace(system, psi0, times)
+        k_e = 1.0 / delta
+        bracket = (0.5 * k_e, 1.5 * k_e)
+        want = factorised_fit_time_rescale(build_h2t(c), psi0, finals, sim, bracket)
+        assert fit_time_rescale(build_h2t(c), psi0, finals, sim, bracket) == want
+        assert (rep.time_rescale_k, rep.residuals["trace_rms"]) == want
+        pinned += not rep.converged
+    assert pinned > 0
 
 
 def test_match_six_atom_fig8_k_equals_the_propagate_oracle():

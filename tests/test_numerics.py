@@ -13,7 +13,7 @@ from cahm import (
     build_h2t,
     eig_hermitian,
 )
-from cahm.evolution import simulator_trace, trace
+from cahm.evolution import simulator_trace, spin_finals, trace
 from cahm.numerics import (
     DEGENERACY_RTOL,
     HERMITICITY_RTOL,
@@ -25,6 +25,7 @@ from cahm.numerics import (
     _uniform_phases,
     basis_digits,
     bitstring_labels,
+    overlaps,
     site_strides,
 )
 from cahm.rydberg_models import (
@@ -33,6 +34,7 @@ from cahm.rydberg_models import (
     atom_permutation,
     build_rydberg_h,
     ladder_geometry,
+    ladder_system,
 )
 from cahm.target_models import (
     SPIN1,
@@ -668,6 +670,55 @@ def test_propagate_equals_the_direct_formula(n, t0):
                 for grid in direct:
                     got = spec.propagate(psi0, grid, rows)
                     assert np.array_equal(got, direct_amplitudes(spec, psi0, grid, rows))
+
+
+def test_propagate_of_finals_equals_their_overlaps_with_the_full_amplitudes():
+    """propagate(psi0, t, finals) is overlaps(finals, propagate(psi0, t)) bit for bit.
+
+    Finals that are zero outside two or more, but not all, basis rows multiply
+    out only those rows of V.  That keeps the bits only where BLAS computes a
+    row of a few-row product as it does in the full one, which this pins: for
+    basis, sparse (the two-spin 00 and S, embedded in the six-atom ladder)
+    and dense finals, on real and complex spectra and on uniform and
+    non-uniform grids.  The one exception measured with OpenBLAS 0.3.31
+    (Haswell) is the real dim-64 product on a grid whose column count leaves
+    a remainder past a multiple of four: its last columns differ by under one
+    eps, as checked at the end.
+    """
+    rng = np.random.default_rng(32)
+    system = ladder_system(3, 2, 30.0, 1.0, 15.0, rho=0.326)
+    ladder = eig_hermitian(system.hamiltonian())
+    spectra = [
+        ladder,
+        eig_hermitian(build_h2t(TargetCouplings(u=1.0, x=1.2, y=0.2))),
+        eig_hermitian(sparse_from_dense(random_hermitian(rng, 64))),
+        eig_hermitian(sparse_from_dense(random_hermitian(rng, 9))),
+    ]
+    # Factorised grids of 32 * 32 and 6 * 6 columns; direct grids of one column per time.
+    uniform = [np.linspace(0.0, 100.0, 1001), np.linspace(-3.7, 12.5, 31)]
+    direct = [np.array([2.5]), *(np.geomspace(0.1, 100.0, n) for n in (2, 5, 64, 1001))]
+
+    def finals_of(dim):
+        spin = [state for _, state in spin_finals(9)]
+        labelled = [system.embed(state) for state in spin] if dim == 64 else spin
+        dense = StateVector.normalized(rng.normal(size=dim) + 1j * rng.normal(size=dim))
+        basis = [StateVector.basis(dim, b) for b in (dim - 1, 4, 0)]
+        return labelled[0], [basis[:1], basis, labelled[1:], labelled, [dense], [labelled[1], dense]]
+
+    for spec in spectra:
+        psi0, finals_sets = finals_of(spec.dim)
+        for grid in uniform if spec is ladder else uniform + direct:
+            full = spec.propagate(psi0, grid)
+            for finals in finals_sets:
+                assert np.array_equal(spec.propagate(psi0, grid, finals), overlaps(finals, full))
+    psi0, finals_sets = finals_of(64)
+    for grid in direct:
+        full = ladder.propagate(psi0, grid)
+        whole = grid.size // 4 * 4
+        for finals in finals_sets:
+            got, want = ladder.propagate(psi0, grid, finals), overlaps(finals, full)
+            assert np.array_equal(got[:, :whole], want[:, :whole])
+            assert np.max(np.abs(got - want)) < np.finfo(float).eps
 
 
 def test_a_grid_jittered_above_rounding_is_propagated_at_its_own_times():

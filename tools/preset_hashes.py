@@ -2,7 +2,8 @@
 
 Each preset runs through `cahm.cli.main` into a temporary directory, and so
 do the `spectrum` configs of the paper's one- and two-spin figures and of four
-chains (`SPECTRA`), one `match` config of each kind (`MATCHES`), one
+chains (`SPECTRA`), one `match` config of each kind and three more six-atom
+matches (`MATCHES`), one
 `three-atom-newton` match per reason that the solve stops short
 (`NEWTON_STOPS`), seven `evolve` configs (`EVOLVES`) and a `trotter` config
 without `dt` (`TROTTER_DEFAULT_DT`); one line
@@ -41,7 +42,9 @@ SPECTRA = {
     "spectrum-chain-dim625": {**CHAIN, "n_links": 4},
 }
 
-# No preset runs `match`; these are the `figures` benchmark's configs, one per kind.
+# No preset runs `match`; these are the `figures` benchmark's configs, one per kind,
+# and three more six-atom matches whose K fits read other traces: Y = 0, no middle
+# pair, and a `rho_hint`.
 MATCHES = {
     "two-atom": {"kind": "two-atom", "U": 1.0, "X": 0.5},
     "three-atom-newton": {
@@ -64,6 +67,12 @@ MATCHES = {
         "v0": 30.0,
     },
 }
+SIX_ATOM = MATCHES["six-atom"]
+MATCHES.update({
+    "six-atom-y0": {**SIX_ATOM, "Y": 0.0},
+    "six-atom-no-middle-pair": {**SIX_ATOM, "include_middle_pair": False},
+    "six-atom-rho-hint": {**SIX_ATOM, "rho_hint": 0.33},
+})
 
 
 # The Newton solve's non-converged reports, one per reason it stops, each at
