@@ -28,7 +28,6 @@ from .rydberg_models import (
     SpinAtomMap,
     build_rydberg_h,
     ladder_geometry,
-    ladder_spin_map,
     ladder_system,
     pair_interaction,
 )

@@ -23,8 +23,6 @@ from .numerics import (
 from .rydberg_models import SimulatorSystem
 from .target_models import SPIN1
 
-# Complete-basis probability series must sum to 1 within this tolerance.
-COMPLETENESS_ATOL = 1e-9
 # Significant digits of every CSV value.
 CSV_DIGITS = 12
 # Values formatted per block of CSV rows.

@@ -13,9 +13,10 @@ spin-1, with odd columns mirrored, so that reflecting every column realizes
 charge conjugation (spin sign flip) geometrically.  Its derived couplings are
 those of `array_couplings`, overrides applied, read by row offset: v0 and
 v0_far within a column, v1..v{rows} from atom 0 to the next column, and the
-middle pair.  A spin map lists the product-basis index of every spin-basis
-state in the digit order of `basis_digits(3, n_spins)`, that is m = 1, 0, -1
-with the left spin most significant.
+middle pair.  Its spin map, `SpinAtomMap(rows, n_spins)`, follows from the
+rows and the number of columns: it lists the product-basis index of every
+spin-basis state in the digit order of `basis_digits(3, n_spins)`, that is
+m = 1, 0, -1 with the left spin most significant.
 """
 
 from __future__ import annotations
@@ -175,10 +176,8 @@ def ladder_geometry(rows: int, columns: int, a_r: float, a_s: float, scale: floa
     """Vertical columns of `rows` atoms, spacing a_r within and a_s across.
 
     Atom c*rows + r (row r counted from the top) sits at (c a_s, a_r (rows-1-r)).
-    In-column neighbors couple by V0 = scale/a_r^6.  With rho = a_r/a_s,
-    neighboring columns couple by V1 = V0 rho^6 (facing),
-    V2 = V0 (rho/sqrt(1+rho^2))^6 (one row apart) and, for three rows,
-    V3 = V0 (rho/sqrt(1+4 rho^2))^6 (two rows apart).
+    In-column neighbors couple by V0 = scale/a_r^6; neighboring columns couple
+    by the `ladder_cross_couplings` of rho = a_r/a_s.
     """
     if rows not in _COLUMN_PATTERNS:
         raise ValueError(f"rows must be 2 or 3, got {rows!r}")
@@ -190,53 +189,43 @@ def ladder_geometry(rows: int, columns: int, a_r: float, a_s: float, scale: floa
     return AtomGeometry(np.array(positions), scale)
 
 
-def ladder_cross_couplings(v0: float, rho: float, n_per_rung: int) -> dict[str, float]:
-    """Cross-column couplings of a mirrored ladder as functions of rho = a_r/a_s."""
+def ladder_cross_couplings(v0: float, rho: float, rows: int) -> dict[str, float]:
+    """Cross-column couplings of a mirrored ladder as functions of rho = a_r/a_s.
+
+    v{k+1} = V0 (rho/sqrt(1+k^2 rho^2))^6 couples neighboring columns' atoms k rows apart.
+    """
     if not 0 <= rho < 1:
         raise ValueError(f"rho must lie in [0, 1), got {rho!r}")
-    out = {
-        "v1": v0 * rho**6,
-        "v2": v0 * (rho / math.sqrt(1.0 + rho**2)) ** 6 if rho else 0.0,
-    }
-    if n_per_rung == 3:
-        out["v3"] = v0 * (rho / math.sqrt(1.0 + 4.0 * rho**2)) ** 6 if rho else 0.0
-    return out
+    return {f"v{k + 1}": v0 * (rho / math.sqrt(1.0 + k * k * rho**2)) ** 6 for k in range(rows)}
 
 
 @dataclass(frozen=True)
 class SpinAtomMap:
-    """Injective map from the spin basis to product-basis indices of n_atoms atoms.
+    """Map of n_spins encoded spins on columns of `rows` atoms, spin k in column k.
 
     `indices[k]` is the atom-basis index of spin-basis state k, in the digit
-    order of `basis_digits(3, n_spins)`.
+    order of `basis_digits(3, n_spins)`.  Odd columns are vertically mirrored,
+    so m there has the bit pattern of -m.
     """
 
-    n_atoms: int
-    indices: tuple[int, ...]
+    rows: int
+    n_spins: int
+    indices: tuple[int, ...] = field(init=False, repr=False)
 
     def __post_init__(self):
-        indices = tuple(int(i) for i in self.indices)
-        if len(set(indices)) != len(indices):
-            raise ValueError("spin state map must be injective")
-        for v in indices:
-            if not 0 <= v < (1 << self.n_atoms):
-                raise ValueError(f"mapped index {v} outside the {self.n_atoms}-atom basis")
-        object.__setattr__(self, "indices", indices)
+        if self.rows not in _COLUMN_PATTERNS:
+            raise ValueError(f"rows must be 2 or 3, got {self.rows!r}")
+        if self.n_spins < 1:
+            raise ValueError(f"n_spins must be at least 1, got {self.n_spins!r}")
+        digits = basis_digits(3, self.n_spins, "n_spins")
+        digits[:, 1::2] = 2 - digits[:, 1::2]  # digit d is m = 1 - d, and 2 - d is -m
+        strides = site_strides(2**self.rows, self.n_spins)
+        indices = np.array(_COLUMN_PATTERNS[self.rows])[digits] @ strides
+        object.__setattr__(self, "indices", tuple(indices.tolist()))
 
-
-def ladder_spin_map(rows: int, n_spins: int) -> SpinAtomMap:
-    """Spin map of n_spins encoded spins on columns of `rows` atoms, spin k in column k.
-
-    Odd columns are vertically mirrored, so m there has the bit pattern of -m.
-    """
-    if rows not in _COLUMN_PATTERNS:
-        raise ValueError(f"rows must be 2 or 3, got {rows!r}")
-    if n_spins < 1:
-        raise ValueError(f"n_spins must be at least 1, got {n_spins!r}")
-    digits = basis_digits(3, n_spins, "n_spins")
-    digits[:, 1::2] = 2 - digits[:, 1::2]  # digit d is m = 1 - d, and 2 - d is -m
-    indices = np.array(_COLUMN_PATTERNS[rows])[digits] @ site_strides(2**rows, n_spins)
-    return SpinAtomMap(n_atoms=rows * n_spins, indices=tuple(indices.tolist()))
+    @property
+    def n_atoms(self) -> int:
+        return self.rows * self.n_spins
 
 
 def atom_permutation(perm) -> np.ndarray:
@@ -252,7 +241,9 @@ def atom_permutation(perm) -> np.ndarray:
 class SimulatorSystem:
     """A ready-to-run array: geometry, drive parameters, spin map and mirror.
 
-    A custom array encodes no spins: its spin map is None.
+    A ladder's spin map is `SpinAtomMap(rows, columns)`; a custom array encodes
+    no spins: its spin map is None and its mirror ().  A spin map or a mirror
+    that does not fit the geometry's atoms is refused.
     """
 
     geometry: AtomGeometry
@@ -260,6 +251,13 @@ class SimulatorSystem:
     spin_map: SpinAtomMap | None
     mirror: tuple[int, ...]
     derived: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        n = self.geometry.n_atoms
+        if self.spin_map is not None and self.spin_map.n_atoms != n:
+            raise ValueError(f"a {self.spin_map.n_atoms}-atom spin map on a {n}-atom geometry")
+        if self.mirror and sorted(self.mirror) != list(range(n)):
+            raise ValueError(f"mirror {self.mirror} is not a permutation of the {n} atoms")
 
     def hamiltonian(self) -> SparseHermitian:
         return build_rydberg_h(self.geometry, self.params)
@@ -322,7 +320,7 @@ def ladder_system(
     return SimulatorSystem(
         geometry=geometry,
         params=params,
-        spin_map=ladder_spin_map(rows, columns),
+        spin_map=SpinAtomMap(rows, columns),
         mirror=tuple(i for col in cols for i in reversed(col)),
         derived=derived,
     )

@@ -101,6 +101,17 @@ def consistent_three_atom_point(rng):
     raise RuntimeError("no consistent three-atom point found")
 
 
+def closed_form_cross_couplings(v0, rho, rows):
+    """V1, V2 and, on three rows, V3 of a mirrored ladder, each in its own closed form."""
+    out = {
+        "v1": v0 * rho**6,
+        "v2": v0 * (rho / math.sqrt(1.0 + rho**2)) ** 6 if rho else 0.0,
+    }
+    if rows == 3:
+        out["v3"] = v0 * (rho / math.sqrt(1.0 + 4.0 * rho**2)) ** 6 if rho else 0.0
+    return out
+
+
 def fig7_target_couplings():
     return TargetCouplings(u=1.0, x=1.2, y=0.2)
 

@@ -1,5 +1,7 @@
 import itertools
+import math
 import re
+import struct
 from dataclasses import replace
 
 import numpy as np
@@ -13,21 +15,24 @@ from cahm import (
     StateVector,
     build_rydberg_h,
     ladder_geometry,
-    ladder_spin_map,
     ladder_system,
     pair_interaction,
     spin_finals,
 )
-from cahm.evolution import COMPLETENESS_ATOL, simulator_trace, state_probabilities
+from cahm.evolution import simulator_trace, state_probabilities
 from cahm.numerics import ContractViolationError, symmetry_sectors
 from cahm.rydberg_models import array_couplings, atom_permutation, ladder_cross_couplings
 from helpers import (
+    closed_form_cross_couplings,
     loop_couplings,
     loop_permutation_matrix,
     loop_rydberg_h,
     op_charge_conjugation,
     preset_systems,
 )
+
+# Complete-basis probability series must sum to 1 within this tolerance.
+COMPLETENESS_ATOL = 1e-9
 
 
 def test_pair_interaction_power_law():
@@ -171,7 +176,7 @@ def test_factories_derive_the_former_mirrors_and_delta0_atoms():
 def test_every_ladder_commutes_with_its_derived_mirror(rows, columns):
     system = ladder_system(rows, columns, 30.0, 1.0, 15.0, 2.5, rho=0.326 if columns > 1 else None)
     assert len(system.params.delta0_atoms) == (columns if rows == 3 else 0)
-    assert system.spin_map == ladder_spin_map(rows, columns)
+    assert system.spin_map == SpinAtomMap(rows, columns)
     blocks = symmetry_sectors(system.hamiltonian(), [atom_permutation(system.mirror)])
     assert sum(b.dim for b in blocks) == 2**system.geometry.n_atoms
     # A delta0 on a top atom breaks the mirror.
@@ -230,6 +235,28 @@ def test_ladder_coupling_ordering():
         assert cc["v1"] > cc["v2"] > cc["v3"] > 0.0
 
 
+def test_ladder_cross_couplings_equal_their_closed_forms_bit_for_bit():
+    def bits(couplings):
+        return {name: struct.pack("<d", v) for name, v in couplings.items()}
+
+    rng = np.random.default_rng(3303)
+    # Seeded draws of rho in [0, 1) and V0 of either sign over six decades, plus
+    # the edges of rho (zero, subnormal, fig7's, the six-atom fig8 point, below 1).
+    rhos = rng.uniform(0.0, 1.0, 10_000)
+    v0s = rng.choice([-1.0, 1.0], 10_000) * 10.0 ** rng.uniform(-3.0, 3.0, 10_000)
+    draws = list(zip(rhos.tolist(), v0s.tolist()))
+    edges = [0.0, -0.0, 5e-324, 1e-160, (0.2 / 64.0) ** (1.0 / 6.0), 0.326, math.nextafter(1.0, 0)]
+    draws += itertools.product(edges, [0.0, 1e-3, 30.0, 64.0, 1e300])
+    for rho, v0 in draws:
+        for rows in (2, 3):
+            expected = closed_form_cross_couplings(v0, rho, rows)
+            assert bits(ladder_cross_couplings(v0, rho, rows)) == bits(expected)
+    # At rho = 0 every V_k is V0 * 0.0; the closed forms' +0.0 for V2 and V3 differs from it
+    # only for V0 < 0, which no match passes at rho = 0 (the four-atom match refuses V0 <= 0,
+    # the six-atom rho bracket starts at 0.02).
+    assert bits(ladder_cross_couplings(-30.0, 0.0, 3)) == bits({"v1": -0.0, "v2": -0.0, "v3": -0.0})
+
+
 def test_mirror_commutes_with_hamiltonian():
     systems = [
         ladder_system(2, 1, 32.0, -0.5, -0.5),
@@ -270,8 +297,8 @@ def test_four_atom_override_changes_only_v2_pairs():
 
 def test_spin_maps_and_embedding():
     # Spin-basis order m = 1, 0, -1.
-    assert ladder_spin_map(2, 1) == SpinAtomMap(2, (0b10, 0b00, 0b01))
-    assert ladder_spin_map(3, 1) == SpinAtomMap(3, (0b100, 0b010, 0b001))
+    assert SpinAtomMap(2, 1).indices == (0b10, 0b00, 0b01)
+    assert SpinAtomMap(3, 1).indices == (0b100, 0b010, 0b001)
 
     embedded = ladder_system(3, 1, 30.0, 1.0, 15.0, 0.0).embed(StateVector.basis(3, 0))
     assert embedded.amplitudes[0b100] == 1.0
@@ -285,12 +312,12 @@ def test_spin_maps_and_embedding():
 def test_two_spin_map_indices():
     # Two-spin states (m_left, m_right) in the order (1, 1), (1, 0), ..., (-1, -1);
     # the mirrored right column carries the pattern of -m_right.
-    pair = ladder_spin_map(2, 2)
+    pair = SpinAtomMap(2, 2)
     assert pair.n_atoms == 4
     assert pair.indices[4] == 0b0000  # (0, 0)
     assert pair.indices[0] == 0b1001  # (1, 1)
     assert pair.indices[2] == 0b1010  # (1, -1)
-    pair6 = ladder_spin_map(3, 2)
+    pair6 = SpinAtomMap(3, 2)
     assert pair6.n_atoms == 6
     assert pair6.indices[4] == 0b010010  # (0, 0)
     assert pair6.indices[1] == 0b100010  # (1, 0)
@@ -301,37 +328,47 @@ def test_two_spin_map_indices():
 
 
 def test_ladder_spin_map_equals_the_column_loop():
-    # Column k reads the one-column pattern of m, or of -m when k is odd.
-    for n_col in (2, 3):
-        column = dict(zip((1, 0, -1), ladder_spin_map(n_col, 1).indices))
-        for n_spins in (1, 2, 3):
+    # Column k reads the one-column pattern of m, or of -m when k is odd, up to the
+    # 3**7 = 2187-state spin basis under the 4096 cap; the map is injective and in range.
+    for rows in (2, 3):
+        column = dict(zip((1, 0, -1), SpinAtomMap(rows, 1).indices))
+        for n_spins in range(1, 8):
+            spin_map = SpinAtomMap(rows, n_spins)
             expected = []
             for ms in itertools.product((1, 0, -1), repeat=n_spins):
                 index = 0
                 for k, m in enumerate(ms):
-                    index = (index << n_col) | column[-m if k % 2 else m]
+                    index = (index << rows) | column[-m if k % 2 else m]
                 expected.append(index)
-            assert ladder_spin_map(n_col, n_spins).indices == tuple(expected)
+            assert spin_map.indices == tuple(expected)
+            assert spin_map.n_atoms == rows * n_spins
+            assert len(set(spin_map.indices)) == len(spin_map.indices)
+            assert min(spin_map.indices) >= 0
+            assert max(spin_map.indices) < 2**spin_map.n_atoms
     with pytest.raises(ValueError):
-        ladder_spin_map(4, 1)
+        SpinAtomMap(4, 1)
     with pytest.raises(ValueError, match="n_spins must be at least 1, got 0"):
-        ladder_spin_map(2, 0)
+        SpinAtomMap(2, 0)
+    with pytest.raises(ValueError, match=r"n_spins = 8 gives dimension 3\*\*8"):
+        SpinAtomMap(2, 8)
 
 
 def test_embed_rejects_unmapped_support():
-    system = ladder_system(2, 1, 32.0, -0.5, -0.5)
-    with pytest.raises(ValueError, match="injective"):
-        SpinAtomMap(n_atoms=2, indices=(0b10, 0b00, 0b10))
-    with pytest.raises(ValueError, match="outside"):
-        SpinAtomMap(n_atoms=2, indices=(0b10, 0b00, 0b100))
-    # A map shorter than the spin basis leaves a spin state unmapped.
-    partial = SimulatorSystem(
-        system.geometry, system.params, SpinAtomMap(n_atoms=2, indices=(0b10, 0b00)), (1, 0)
-    )
-    with pytest.raises(ValueError):
-        partial.embed(StateVector.basis(3, 2))
-    with pytest.raises(ValueError):
-        system.embed(StateVector.basis(4, 0))
+    two = ladder_system(2, 1, 32.0, -0.5, -0.5)
+    with pytest.raises(ValueError, match="state dimension 4 does not match the 3-state"):
+        two.embed(StateVector.basis(4, 0))
+    # A spin map or mirror that does not fit the geometry is refused when the system is
+    # built, not later by a propagation whose state does not match H.
+    six = ladder_system(3, 2, 30.0, 1.0, 15.0, rho=0.326)
+    for spin_map, mirror in [(two.spin_map, two.mirror), (two.spin_map, six.mirror)]:
+        with pytest.raises(ValueError, match="a 2-atom spin map on a 6-atom geometry"):
+            SimulatorSystem(six.geometry, six.params, spin_map, mirror)
+    for mirror in [two.mirror, (0, 1, 2, 3, 4, 4), (0, 1, 2, 3, 4, 6)]:
+        with pytest.raises(ValueError, match=r"is not a permutation of the 6 atoms"):
+            SimulatorSystem(six.geometry, six.params, six.spin_map, mirror)
+    with pytest.raises(ValueError, match=r"mirror \(0, 0\) is not a permutation of the 2 atoms"):
+        SimulatorSystem(two.geometry, two.params, two.spin_map, (0, 0))
+    assert SimulatorSystem(six.geometry, six.params, None, ()).spin_map is None
 
 
 def test_mirror_permutation_matches_charge_conjugation():

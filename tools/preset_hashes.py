@@ -2,8 +2,8 @@
 
 Each preset runs through `cahm.cli.main` into a temporary directory, and so
 do the `spectrum` configs of the paper's one- and two-spin figures and of four
-chains (`SPECTRA`), one `match` config of each kind and three more six-atom
-matches (`MATCHES`), one
+chains (`SPECTRA`), one `match` config of each kind, three more six-atom
+matches and a `three-atom-newton` match from the default start (`MATCHES`), one
 `three-atom-newton` match per reason that the solve stops short
 (`NEWTON_STOPS`), seven `evolve` configs (`EVOLVES`) and a `trotter` config
 without `dt` (`TROTTER_DEFAULT_DT`); one line
@@ -43,8 +43,9 @@ SPECTRA = {
 }
 
 # No preset runs `match`; these are the `figures` benchmark's configs, one per kind,
-# and three more six-atom matches whose K fits read other traces: Y = 0, no middle
-# pair, and a `rho_hint`.
+# three more six-atom matches whose K fits read other traces: Y = 0, no middle
+# pair, and a `rho_hint`, and a Newton solve without a guess, whose default start
+# delta = -U/2, delta0 = U/2 sits on the delta + delta0 = 0 pole and must be nudged off it.
 MATCHES = {
     "two-atom": {"kind": "two-atom", "U": 1.0, "X": 0.5},
     "three-atom-newton": {
@@ -72,6 +73,14 @@ MATCHES.update({
     "six-atom-y0": {**SIX_ATOM, "Y": 0.0},
     "six-atom-no-middle-pair": {**SIX_ATOM, "include_middle_pair": False},
     "six-atom-rho-hint": {**SIX_ATOM, "rho_hint": 0.33},
+    "three-atom-newton-default-start": {
+        "kind": "three-atom-newton",
+        "U": 5.12169,
+        "X": 0.07421,
+        "unknowns": ["delta", "delta0"],
+        "fixed": {"v0": 30.0, "omega": 1.0},
+        "equations": [1, 2],
+    },
 })
 
 
