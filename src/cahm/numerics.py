@@ -1,8 +1,9 @@
 """Linear algebra for small real symmetric or complex Hermitian systems.
 
 Every operator, from a built Hamiltonian to a symmetry-sector block, is the
-list of its nonzero entries (`SparseHermitian`, dim <= 4096), validated once
-when constructed.  The module also holds state vectors, a contract-checked
+list of its nonzero entries (`SparseHermitian`, dim <= 4096), validated when
+constructed: its keys once, as a `SparsePattern` that operators of one
+structure share, and its values on every construction.  The module also holds state vectors, a contract-checked
 eigendecomposition, spectral time evolution exp(-iHt), symmetry sectors and
 the digit layout of product bases.  Operators and eigenvectors keep their
 input's kind: real stays float64, so a real symmetric H is diagonalised in
@@ -15,7 +16,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -41,6 +42,9 @@ class ContractViolationError(ValueError):
     """An input or result violates a documented invariant."""
 
 
+_SHAPE_MESSAGE = "expected integer rows and cols and values as 1d arrays of one nonzero length"
+
+
 def _real_or_complex(entries) -> np.ndarray:
     """A copy of `entries` as float64, or as complex128 when their dtype is complex."""
     m = np.array(entries)
@@ -58,6 +62,87 @@ def _max_abs(m: np.ndarray) -> float:
     return abs(max(float(m.max()), -float(m.min())))
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
+class SparsePattern:
+    """The validated (row, col) keys of a `SparseHermitian`, shared by every operator on them.
+
+    Built once from entries given in any order, it checks their structure:
+    a dimension in 1..MAX_DIM, integer rows and cols as 1d arrays of one
+    nonzero length, indices in range and no (row, col) key twice.  It keeps,
+    read-only and as int32 (bool for masks), what the value checks read
+    (`ndarray.take` gathers by an int32 index as fast as by an intp one,
+    where plain indexing converts the index first):
+
+    - `rows` and `cols`, in ascending order of their keys row * dim + col,
+      and those `keys`;
+    - `order`, the stable sort that puts the given entries in that order,
+      or None when they arrived strictly ascending;
+    - `by_col`, the entries stably sorted by column, which is ascending
+      order of their mirror keys col * dim + row;
+    - `mirror` and `hit`: the position of each `by_col` entry's mirror and
+      whether that mirror is stored.
+
+    `sectors` holds the plan of the last `symmetry_sectors` call on the
+    pattern, which depends on the keys and the symmetries only.
+    """
+
+    def __init__(self, dim, rows, cols):
+        if not (isinstance(dim, (int, np.integer)) and 1 <= dim <= MAX_DIM):
+            raise ContractViolationError(f"dimension {dim!r} outside 1..{MAX_DIM}")
+        self.dim = dim = int(dim)
+        rows, cols = np.asarray(rows), np.asarray(cols)
+        if not (
+            rows.ndim == 1
+            and rows.size > 0
+            and rows.shape == cols.shape
+            and rows.dtype.kind in "iu"
+            and cols.dtype.kind in "iu"
+        ):
+            raise ContractViolationError(_SHAPE_MESSAGE)
+        # One call checks the index range and forms the keys row * dim + col.
+        try:
+            keys = np.ravel_multi_index((rows, cols), (dim, dim))
+        except ValueError:
+            raise ContractViolationError(f"entry indices outside 0..{dim - 1}") from None
+        self.order = None
+        # Strictly ascending keys are sorted and unique as they stand.
+        if not (keys[1:] > keys[:-1]).all():
+            order = np.argsort(keys, kind="stable")
+            keys = keys[order]
+            if (keys[1:] == keys[:-1]).any():
+                raise ContractViolationError("entries repeat a (row, col) key")
+            self.order = _read_only(order.astype(np.int32))
+        # Keys lie below MAX_DIM**2 < 2**31.
+        self.keys = _read_only(keys.astype(np.int32))
+        rows, cols = np.divmod(self.keys, dim)
+        self.rows, self.cols = _read_only(rows), _read_only(cols)
+        # The row-major entries stably sorted by column are in ascending order of
+        # their mirror keys col * dim + row, so one search of sorted needles finds
+        # each mirror.  Columns lie below MAX_DIM, so they sort as uint16 (a radix sort).
+        by_col = np.argsort(cols.astype(np.uint16), kind="stable")
+        self.by_col = _read_only(by_col.astype(np.int32))
+        self.mirror, self.hit = self.find(cols[by_col], rows[by_col])
+        self.sectors = None
+
+    @property
+    def size(self) -> int:
+        return self.keys.size
+
+    def find(self, rows: np.ndarray, cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(position, stored) of each (rows[k], cols[k]) among the keys, read-only.
+
+        Where the entry is not stored, its position is that of another entry.
+        """
+        # In int64: row * dim + col of a narrow integer dtype such as uint8 would wrap.
+        keys = np.asarray(rows).astype(np.int64) * self.dim + cols
+        pos = np.minimum(np.searchsorted(self.keys, keys), self.keys.size - 1)
+        return _read_only(pos.astype(np.int32)), _read_only(self.keys[pos] == keys)
+
+
 @dataclass(frozen=True)
 class SparseHermitian:
     """H from its stored entries H[rows[k], cols[k]] = values[k]; every other entry is 0.
@@ -67,64 +152,61 @@ class SparseHermitian:
     stored entries, an entry whose mirror is not stored counting against a
     mirror of 0.  Values are float64 for real input and complex128 for complex
     input.  `matrix` is the read-only dim x dim array.
+
+    The keys are checked once, as the operator's `pattern`; `from_pattern`
+    puts new values on a pattern without checking it again.  Both
+    constructors check every value by one function, `_hold`.
     """
 
     dim: int
     rows: np.ndarray
     cols: np.ndarray
     values: np.ndarray
+    pattern: SparsePattern = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not (isinstance(self.dim, (int, np.integer)) and 1 <= self.dim <= MAX_DIM):
-            raise ContractViolationError(f"dimension {self.dim!r} outside 1..{MAX_DIM}")
-        object.__setattr__(self, "dim", int(self.dim))
-        rows, cols, v = np.asarray(self.rows), np.asarray(self.cols), _real_or_complex(self.values)
-        if not (
-            v.ndim == 1
-            and v.size > 0
-            and rows.shape == cols.shape == v.shape
-            and rows.dtype.kind in "iu"
-            and cols.dtype.kind in "iu"
-        ):
-            raise ContractViolationError(
-                "expected integer rows and cols and values as 1d arrays of one nonzero length"
-            )
-        # One call checks the index range and forms the keys row * dim + col.
-        try:
-            keys = np.ravel_multi_index((rows, cols), (self.dim, self.dim))
-        except ValueError:
-            raise ContractViolationError(f"entry indices outside 0..{self.dim - 1}") from None
+        pattern = SparsePattern(self.dim, self.rows, self.cols)
+        v = _real_or_complex(self.values)
+        if pattern.order is not None and v.shape == pattern.order.shape:
+            v = v.take(pattern.order)
+        self._hold(pattern, v)
+
+    @classmethod
+    def from_pattern(cls, pattern: SparsePattern, values) -> "SparseHermitian":
+        """The operator of `pattern`'s entries with `values`, given in their stored order."""
+        op = object.__new__(cls)
+        op._hold(pattern, _real_or_complex(values))
+        return op
+
+    def _hold(self, pattern: SparsePattern, v: np.ndarray) -> None:
+        """Check the values `v` of `pattern`'s stored entries, then hold both, read-only.
+
+        `v` is the caller's own copy: one value per entry, finite, and H = H^dagger
+        within HERMITICITY_RTOL * max|H| through the pattern's mirror positions.
+        """
+        if v.shape != (pattern.size,):
+            raise ContractViolationError(_SHAPE_MESSAGE)
         # max|H| is not finite exactly when an entry is not.
         scale = _max_abs(v)
         if not math.isfinite(scale):
             raise ContractViolationError("matrix entries must be finite")
-        # Strictly ascending keys are sorted and unique as they stand.
-        if not (keys[1:] > keys[:-1]).all():
-            order = np.argsort(keys, kind="stable")
-            keys, v = keys[order], v[order]
-            if (keys[1:] == keys[:-1]).any():
-                raise ContractViolationError("entries repeat a (row, col) key")
-        rows, cols = np.divmod(keys, self.dim)
-        for name, a in (("rows", rows), ("cols", cols), ("values", v), ("_keys", keys)):
-            a.setflags(write=False)
-            object.__setattr__(self, name, a)
-        # The row-major entries stably sorted by column are in ascending order of
-        # their mirror keys col * dim + row, so one search of sorted needles finds
-        # each mirror.  Columns lie below MAX_DIM, so they sort as uint16 (a radix sort).
-        by_col = np.argsort(cols.astype(np.uint16), kind="stable")
         with np.errstate(over="ignore"):
-            deviation = _max_abs(v[by_col] - self._at(cols[by_col], rows[by_col]).conj())
+            mirrors = np.where(pattern.hit, v.take(pattern.mirror), 0.0)
+            deviation = _max_abs(v.take(pattern.by_col) - mirrors.conj())
         if scale > 0.0 and deviation > HERMITICITY_RTOL * scale:
             raise ContractViolationError(
                 f"matrix is not Hermitian: max|H - H^dagger| = {deviation:.3e} "
                 f"exceeds {HERMITICITY_RTOL:.0e} * max|H| = {HERMITICITY_RTOL * scale:.3e}"
             )
-
-    def _at(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-        """H[rows[k], cols[k]] for each k: the stored value, or 0 where none is stored."""
-        keys = rows * self.dim + cols
-        pos = np.minimum(np.searchsorted(self._keys, keys), self._keys.size - 1)
-        return np.where(self._keys[pos] == keys, self.values[pos], 0.0)
+        v.setflags(write=False)
+        for name, a in (
+            ("dim", pattern.dim),
+            ("rows", pattern.rows),
+            ("cols", pattern.cols),
+            ("values", v),
+            ("pattern", pattern),
+        ):
+            object.__setattr__(self, name, a)
 
     @property
     def matrix(self) -> np.ndarray:
@@ -430,11 +512,69 @@ def symmetry_sectors(op: SparseHermitian, symmetries) -> list[SparseHermitian]:
     Raises ContractViolationError unless every symmetry is an involutive
     permutation of range(dim), the symmetries commute pairwise, H commutes
     with each within HERMITICITY_RTOL * max|H| and the sector dimensions sum
-    to dim.
+    to dim.  Everything that depends on the keys and the symmetries alone,
+    their checks included, is planned once and kept on `op.pattern` for the
+    next call with identical symmetries (dtype, shape and entries); the
+    checks of the values, and every block's, run on every call.
     """
-    dim = op.dim
-    identity = np.arange(dim)
     generators = [np.asarray(g) for g in symmetries]
+    key = tuple((g.dtype.str, g.shape, g.tobytes()) for g in generators)
+    plan = op.pattern.sectors
+    if plan is None or plan.key != key:
+        plan = op.pattern.sectors = _plan_sectors(op.pattern, generators, key)
+    # max|gHg - H| per symmetry, as H[g r, g c] against each stored H[r, c].  An
+    # unstored entry whose image is stored is the image of that image (g is an
+    # involution), so this is the maximum over the whole matrix.  An exact
+    # symmetry gives exact zeros; a difference that overflows is a violation.
+    v = op.values
+    scale = _max_abs(v)
+    for k, (pos, hit) in enumerate(plan.images):
+        with np.errstate(over="ignore"):
+            deviation = _max_abs(np.where(hit, v.take(pos), 0.0) - v)
+        if not deviation <= HERMITICITY_RTOL * scale:
+            raise ContractViolationError(
+                f"H does not commute with symmetry {k}: max|gHg - H| = {deviation:.3e} "
+                f"exceeds {HERMITICITY_RTOL:.0e} * max|H| = {HERMITICITY_RTOL * scale:.3e}"
+            )
+    # bincount sums each key's terms in element order from 0.0.
+    v = v.take(plan.take)
+    blocks = []
+    for chi, on, norms, pattern in plan.sectors:
+        values = chi.take(plan.element) * v
+        summed = np.bincount(plan.position, values.real, plan.n_keys).astype(v.dtype)
+        if np.iscomplexobj(v):
+            summed.imag = np.bincount(plan.position, values.imag, plan.n_keys)
+        # A sum that overflows fails SparseHermitian's finiteness check.
+        blocks.append(SparseHermitian.from_pattern(pattern, summed[on] / norms))
+    return blocks
+
+
+@dataclass(frozen=True)
+class _SectorPlan:
+    """What `symmetry_sectors` reads of one pattern under one set of symmetries.
+
+    `key` names the symmetries; `images` holds, per symmetry g, the position
+    of each stored entry's image (g r, g c) and whether it is stored.  Term t
+    of the block sums is the value at `take[t]`, moved by group element
+    `element[t]` onto key `position[t]` of the `n_keys` keys that every sector
+    shares.  Each nonempty sector is (its character chi(g) per element, the
+    mask of the shared keys it keeps, the norms sqrt(|Stab_a| |Stab_b|) of
+    those keys, its block's pattern).
+    """
+
+    key: tuple
+    images: tuple
+    take: np.ndarray
+    element: np.ndarray
+    position: np.ndarray
+    n_keys: int
+    sectors: tuple
+
+
+def _plan_sectors(pattern: SparsePattern, generators: list, key: tuple) -> _SectorPlan:
+    """Check the symmetries of `symmetry_sectors` against `pattern` and plan its sums."""
+    dim = pattern.dim
+    identity = np.arange(dim)
     for k, g in enumerate(generators):
         if not (
             g.shape == (dim,)
@@ -447,19 +587,7 @@ def symmetry_sectors(op: SparseHermitian, symmetries) -> list[SparseHermitian]:
         for j, f in enumerate(generators[:k]):
             if not np.array_equal(g[f], f[g]):
                 raise ContractViolationError(f"symmetries {j} and {k} do not commute")
-    # max|gHg - H| per symmetry, as H[g r, g c] against each stored H[r, c].  An
-    # unstored entry whose image is stored is the image of that image (g is an
-    # involution), so this is the maximum over the whole matrix.  An exact
-    # symmetry gives exact zeros; a difference that overflows is a violation.
-    scale = _max_abs(op.values)
-    for k, g in enumerate(generators):
-        with np.errstate(over="ignore"):
-            deviation = _max_abs(op._at(g[op.rows], g[op.cols]) - op.values)
-        if not deviation <= HERMITICITY_RTOL * scale:
-            raise ContractViolationError(
-                f"H does not commute with symmetry {k}: max|gHg - H| = {deviation:.3e} "
-                f"exceeds {HERMITICITY_RTOL:.0e} * max|H| = {HERMITICITY_RTOL * scale:.3e}"
-            )
+    images_of_entries = tuple(pattern.find(g[pattern.rows], g[pattern.cols]) for g in generators)
 
     # The group elements as permutations: element i applies generator j when bit j of i is set.
     elements = [identity]
@@ -476,44 +604,45 @@ def symmetry_sectors(op: SparseHermitian, symmetries) -> list[SparseHermitian]:
     # The stored entries (r_a, g r_b) as (a, b, value) of each element g, one
     # element after another: since g is an involution, entry (r_a, c) belongs
     # to r_b = g c.  For one g the entries land on distinct (a, b).
-    in_rep_row = orbit[op.rows] >= 0
-    a, c, v = orbit[op.rows[in_rep_row]], op.cols[in_rep_row], op.values[in_rep_row]
+    in_rep_row = np.flatnonzero(orbit[pattern.rows] >= 0)
+    a, c = orbit[pattern.rows[in_rep_row]], pattern.cols[in_rep_row]
     b = orbit[images[:, c]]
     element, term = np.nonzero(b >= 0)
-    a, b, v = a[term], b[element, term], v[term]
+    a, b = a[term], b[element, term]
 
     # The keys of every sector's block entries, sorted once: the 0.0 diagonal
-    # of every orbit, so that every block has an entry, and every term.  bincount
-    # sums each key's terms in element order from 0.0, and a sector keeps the
-    # keys both of whose orbits it keeps, still in ascending order.
+    # of every orbit, so that every block has an entry, and every term.  A
+    # sector keeps the keys both of whose orbits it keeps, still in ascending order.
     n_orbits = reps.size
     keys, position = np.unique(
         np.concatenate([np.arange(n_orbits) * (n_orbits + 1), a * n_orbits + b]),
         return_inverse=True,
     )
-    position = position[n_orbits:]
     key_a, key_b = np.divmod(keys, n_orbits)
 
-    blocks, total = [], 0
+    sectors, total = [], 0
     for signs in itertools.product((1.0, -1.0), repeat=len(generators)):
         chi = np.prod(np.array(signs) ** exponents, axis=1)
         keep = ~np.any(fixed & (chi[:, None] < 0.0), axis=0)
         if not keep.any():
             continue
-        values = chi[element] * v
-        summed = np.bincount(position, values.real, keys.size).astype(v.dtype)
-        if np.iscomplexobj(v):
-            summed.imag = np.bincount(position, values.imag, keys.size)
         on = keep[key_a] & keep[key_b]
         ka, kb = key_a[on], key_b[on]
         # Row of each kept orbit in the block.
         slot = np.cumsum(keep) - 1
         n = int(np.count_nonzero(keep))
-        # A sum that overflows fails SparseHermitian's finiteness check.
-        blocks.append(
-            SparseHermitian(n, slot[ka], slot[kb], summed[on] / np.sqrt(stab[ka] * stab[kb]))
-        )
+        norms = np.sqrt(stab[ka] * stab[kb])
+        block = SparsePattern(n, slot[ka], slot[kb])
+        sectors.append((_read_only(chi), _read_only(on), _read_only(norms), block))
         total += n
     if total != dim:
         raise ContractViolationError(f"sector dimensions sum to {total}, not {dim}")
-    return blocks
+    return _SectorPlan(
+        key,
+        images_of_entries,
+        _read_only(in_rep_row[term].astype(np.int32)),
+        _read_only(element.astype(np.int32)),
+        _read_only(position[n_orbits:].astype(np.int32)),
+        keys.size,
+        tuple(sectors),
+    )

@@ -703,12 +703,15 @@ def test_seven_link_chain_spectrum_without_the_dense_matrix(tmp_path):
 
 
 def _record_checks(monkeypatch):
-    """The dim of every SparseHermitian validated from now on, in order."""
+    """The dim of every SparseHermitian whose values are checked from now on, in order.
+
+    Both constructors check values through `_hold`, on a new pattern or a kept one.
+    """
     from cahm.numerics import SparseHermitian
 
-    dims, post_init = [], SparseHermitian.__post_init__
+    dims, hold = [], SparseHermitian._hold
     monkeypatch.setattr(
-        SparseHermitian, "__post_init__", lambda op: dims.append(op.dim) or post_init(op)
+        SparseHermitian, "_hold", lambda op, p, v: dims.append(p.dim) or hold(op, p, v)
     )
     return dims
 
@@ -1044,6 +1047,8 @@ def _with_field(config: dict, path: tuple, value) -> dict:
          "(set by payload.target.m_max and payload.target.n_links)"),
         ({"mode": "spectrum", "target": CHAIN_TARGET}, ("target", "boundary"), "x",
          "(set by payload.target.boundary)"),
+        ({"mode": "spectrum", "target": {**CHAIN_TARGET, "m_max": 2}}, ("target", "U"), 1e308,
+         "couplings U = 1e+308 and Y = 0.2 give diagonal energies beyond the float range"),
         ({"mode": "match", "match": MATCH_CONFIGS["two-atom"]}, ("match",),
          {"kind": "two-atom", "U": 1e308, "X": 1e308},
          "not JSON compliant: -inf (set by payload.match)"),
@@ -1073,13 +1078,18 @@ def _with_field(config: dict, path: tuple, value) -> dict:
         "infinite-interaction",
         "delta0-atom-outside", "override-outside", "four-atom-rho-0", "four-atom-rho-1.5",
         "six-atom-rho-0", "six-atom-rho-1.5", "chain-m_max",
-        "chain-n_links", "chain-dimension-cap", "chain-boundary", "match-two-atom-inf",
+        "chain-n_links", "chain-dimension-cap", "chain-boundary", "chain-u-overflow",
+        "match-two-atom-inf",
         "match-four-atom-inf",
         "spectrum-one-spin-inf", "spectrum-one-spin-x-overflow", "trotter-tiny-dt",
         "trotter-tiny-v0",
     ],
 )
 def test_bad_field_value_names_it(tmp_path, capsys, config, path, value, name):
+    if config["mode"] == "spectrum" and config["target"]["kind"] == "chain":
+        # The good chain runs first, so that the bad value meets its kept structure.
+        (tmp_path / "good").mkdir()
+        assert _run_config(tmp_path / "good", config) == EXIT_OK
     assert _run_config(tmp_path, _with_field(config, path, value)) == EXIT_CONFIG
     assert name in capsys.readouterr().err
     assert not (tmp_path / "out" / "manifest.json").exists()

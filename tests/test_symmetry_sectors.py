@@ -1,11 +1,16 @@
 """Symmetry sectors: blocks of H under commuting involutive index permutations."""
 
+import contextlib
+import io
+import json
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from cahm import AtomGeometry, ContractViolationError, SparseHermitian, StateVector, eig_hermitian
+from cahm import target_models
+from cahm.cli import main
 from cahm.numerics import symmetry_sectors
 from cahm.rydberg_models import atom_permutation, ladder_system
 from cahm.target_models import (
@@ -122,18 +127,20 @@ def test_blocks_equal_the_dense_change_of_basis(case):
     assert np.max(np.abs(rotated - expected)) <= 1e-13 * np.max(np.abs(h))
 
 
+# Every chain of m_max 1-3 up to the `chain-spectrum` benchmark's largest, dim 625.
+BITWISE_CHAINS = [(m, n) for m, links in ((1, 5), (2, 4), (3, 3)) for n in range(1, links + 1)]
+
+
 def _bitwise_cases():
-    # Every chain of m_max 1-3 up to the `chain-spectrum` benchmark's largest, dim 625:
-    # open at its X/U and Y/U and at Y = 0, and periodic.
-    for m_max, max_links in ((1, 5), (2, 4), (3, 3)):
+    # Every chain size open at its X/U and Y/U and at Y = 0, and periodic.
+    for m_max, n_links in BITWISE_CHAINS:
         trunc = SpinTruncation(m_max)
-        for n_links in range(1, max_links + 1):
-            symmetries = chain_symmetries(trunc, n_links)
-            for y in (0.3, 0.0):
-                op = build_chain_h(TargetCouplings(1.0, 0.9, y), trunc, n_links)
-                yield f"chain-m{m_max}-n{n_links}-y{y}", op, symmetries
-            op = build_chain_h(TargetCouplings(1.0, 0.9, 0.3, "periodic"), trunc, n_links)
-            yield f"chain-m{m_max}-n{n_links}-y0.3-periodic", op, symmetries
+        symmetries = chain_symmetries(trunc, n_links)
+        for y in (0.3, 0.0):
+            op = build_chain_h(TargetCouplings(1.0, 0.9, y), trunc, n_links)
+            yield f"chain-m{m_max}-n{n_links}-y{y}", op, symmetries
+        op = build_chain_h(TargetCouplings(1.0, 0.9, 0.3, "periodic"), trunc, n_links)
+        yield f"chain-m{m_max}-n{n_links}-y0.3-periodic", op, symmetries
     for name, system in preset_systems().items():
         yield name, system.hamiltonian(), [atom_permutation(system.mirror)]
     # Generic entries, whose sums and quotients round differently in another order or form.
@@ -144,6 +151,22 @@ def _bitwise_cases():
 
 
 BITWISE_CASES = {name: (op, symmetries) for name, op, symmetries in _bitwise_cases()}
+
+
+def _assert_accumulated_bit_for_bit(op, symmetries):
+    """symmetry_sectors(op) against the dense accumulation, to the last bit and entry."""
+    h = op.matrix
+    stored = np.zeros(h.shape, dtype=bool)
+    stored[op.rows, op.cols] = True
+    blocks = symmetry_sectors(op, symmetries)
+    expected = accumulated_sector_blocks(h, symmetries, stored)
+    assert len(blocks) == len(expected)
+    for block, (want, pattern) in zip(blocks, expected):
+        assert block.matrix.dtype == want.dtype
+        assert block.matrix.tobytes() == want.tobytes()
+        rows, cols = np.nonzero(pattern)
+        assert np.array_equal(block.rows, rows) and np.array_equal(block.cols, cols)
+    return blocks, expected
 
 
 @pytest.mark.parametrize("name", list(BITWISE_CASES))
@@ -157,16 +180,7 @@ def test_blocks_are_the_dense_accumulation_bit_for_bit(name):
     """
     op, symmetries = BITWISE_CASES[name]
     h = op.matrix
-    stored = np.zeros(h.shape, dtype=bool)
-    stored[op.rows, op.cols] = True
-    blocks = symmetry_sectors(op, symmetries)
-    expected = accumulated_sector_blocks(h, symmetries, stored)
-    assert len(blocks) == len(expected)
-    for block, (want, pattern) in zip(blocks, expected):
-        assert block.matrix.dtype == want.dtype
-        assert block.matrix.tobytes() == want.tobytes()
-        rows, cols = np.nonzero(pattern)
-        assert np.array_equal(block.rows, rows) and np.array_equal(block.cols, cols)
+    _, expected = _assert_accumulated_bit_for_bit(op, symmetries)
     # The reference itself is the change of basis to the sector bases.
     q = np.hstack(dense_sector_bases(op.dim, symmetries))
     rotated = q.T @ h @ q
@@ -175,6 +189,56 @@ def test_blocks_are_the_dense_accumulation_bit_for_bit(name):
         stop = start + want.shape[0]
         assert np.max(np.abs(rotated[start:stop, start:stop] - want)) <= 1e-13 * np.max(np.abs(h))
         start = stop
+
+
+@pytest.mark.parametrize("boundary", ["open", "periodic"])
+@pytest.mark.parametrize("m_max,n_links", BITWISE_CHAINS)
+def test_a_kept_chain_structure_splits_new_couplings_bit_for_bit(m_max, n_links, boundary):
+    """Chains solved again on their kept pattern and sector plan, other chains built in between."""
+    trunc = SpinTruncation(m_max)
+    symmetries = chain_symmetries(trunc, n_links)
+    first = build_chain_h(TargetCouplings(1.0, 0.9, 0.3, boundary), trunc, n_links)
+    symmetry_sectors(first, symmetries)
+    plan = first.pattern.sectors
+    # Three other structures, fewer than the cache keeps: the other boundary, and a
+    # chain one link shorter (or, at one link, longer) with both.
+    other = n_links - 1 if n_links > 1 else 2
+    for size, ring in ((n_links, "open"), (other, "open"), (other, "periodic")):
+        if (size, ring) != (n_links, boundary):
+            op = build_chain_h(TargetCouplings(1.2, 0.5, 0.2, ring), trunc, size)
+            symmetry_sectors(op, chain_symmetries(trunc, size))
+    for u, x, y in ((0.7, -1.3, 0.45), (1.6, 0.2, 0.0)):
+        op = build_chain_h(TargetCouplings(u, x, y, boundary), trunc, n_links)
+        assert op.pattern is first.pattern
+        blocks, _ = _assert_accumulated_bit_for_bit(op, symmetries)
+        assert op.pattern.sectors is plan
+        assert [b.pattern for b in blocks] == [sector[-1] for sector in plan.sectors]
+
+
+def test_spectrum_is_byte_identical_cold_and_warm(tmp_path):
+    """`cahm spectrum` writes the same bytes on a structure built for it and on a kept one."""
+    config = tmp_path / "config.json"
+    target = {"kind": "chain", "m_max": 2, "n_links": 4, "U": 0.8, "X": 1.1, "Y": 0.05}
+    config.write_text(json.dumps({"mode": "spectrum", "target": target}))
+    written = []
+    for run in ("cold", "warm"):
+        if run == "cold":
+            target_models._chain_structure.cache_clear()
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["spectrum", "--config", str(config), "--out", str(tmp_path / run)]) == 0
+        written.append((tmp_path / run / "spectrum.json").read_bytes())
+    assert target_models._chain_structure.cache_info().hits >= 1
+    assert written[0] == written[1]
+
+
+@pytest.mark.parametrize("dtype", [np.uint8, np.int16, np.int32, np.uint64])
+def test_symmetries_of_any_integer_dtype_give_the_same_blocks(dtype):
+    # row * dim + col of a uint8 image would wrap above 255; the lookup keys are int64.
+    op = build_chain_h(TargetCouplings(1.0, 0.7, 0.3), SPIN1, 3)
+    symmetries = chain_symmetries(SPIN1, 3)
+    want = [b.matrix.tobytes() for b in symmetry_sectors(op, symmetries)]
+    narrow = [g.astype(dtype) for g in symmetries]
+    assert [b.matrix.tobytes() for b in symmetry_sectors(op, narrow)] == want
 
 
 def test_real_input_gives_real_blocks():

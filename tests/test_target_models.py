@@ -1,8 +1,12 @@
+import json
+
 import numpy as np
 import pytest
 
 from cahm import (
     SPIN1,
+    ContractViolationError,
+    SparseHermitian,
     SpinTruncation,
     TargetCouplings,
     analytic_one_spin,
@@ -11,7 +15,10 @@ from cahm import (
     build_h2t,
     eig_hermitian,
     perturbative_one_spin,
+    target_models,
 )
+from cahm.cli import main
+from cahm.numerics import symmetry_sectors
 from cahm.target_models import chain_symmetries, chain_terms
 
 from helpers import dense_chain_h, kron_chain_h, op_charge_conjugation, op_lz, op_ux
@@ -264,3 +271,146 @@ def test_truncation_guards():
         SpinTruncation(6)
     with pytest.raises(ValueError):
         TargetCouplings(u=1.0, x=0.0, boundary="twisted")
+
+
+# Kept chain structures: one pattern and sector plan per (truncation, links, boundary,
+# end terms), every value checked on every call.
+
+
+def _fresh(op):
+    """The operator of op's entries and values, built and checked without a kept pattern."""
+    return SparseHermitian(op.dim, np.array(op.rows), np.array(op.cols), np.array(op.values))
+
+
+def _message(build) -> str:
+    with pytest.raises(ContractViolationError) as error:
+        build()
+    return str(error.value)
+
+
+def test_values_on_a_kept_pattern_meet_the_constructors_checks():
+    op = build_chain_h(TargetCouplings(1.0, 0.8, 0.3), SpinTruncation(2), 3)
+    assert build_chain_h(TargetCouplings(1.1, 0.5, 0.2), SpinTruncation(2), 3).pattern is op.pattern
+    scale = np.max(np.abs(op.values))
+    off = np.flatnonzero(op.rows != op.cols)[7]
+    for bad in (np.nan, np.inf, -np.inf):
+        values = op.values.copy()
+        values[off] = bad
+        kept = _message(lambda: SparseHermitian.from_pattern(op.pattern, values))
+        assert kept == "matrix entries must be finite"
+        assert kept == _message(lambda: SparseHermitian(op.dim, op.rows, op.cols, values))
+    # One entry moved without its mirror: above 1e-11 max|H| refused, below 1e-12 kept.
+    for shift, refused in ((2e-11, True), (5e-13, False)):
+        values = op.values.copy()
+        values[off] += shift * scale
+        if refused:
+            kept = _message(lambda: SparseHermitian.from_pattern(op.pattern, values))
+            assert kept.startswith("matrix is not Hermitian: max|H - H^dagger| = ")
+            assert kept == _message(lambda: SparseHermitian(op.dim, op.rows, op.cols, values))
+        else:
+            on_pattern = SparseHermitian.from_pattern(op.pattern, values)
+            assert on_pattern.matrix.tobytes() == _fresh(on_pattern).matrix.tobytes()
+    # A value of the wrong count or shape is refused as the constructor refuses it.
+    for values in (op.values[:-1], op.values[:, None]):
+        kept = _message(lambda: SparseHermitian.from_pattern(op.pattern, values))
+        assert kept == _message(lambda: SparseHermitian(op.dim, op.rows, op.cols, values))
+
+
+def test_values_that_break_p_fail_on_a_kept_sector_plan():
+    symmetries = chain_symmetries(SPIN1, 2)
+    op = build_chain_h(TargetCouplings(1.0, 0.7, 0.3), SPIN1, 2)
+    symmetry_sectors(op, symmetries)
+    plan = op.pattern.sectors
+    scale = np.max(np.abs(op.values))
+    # |1,0> and its C image |-1,0> (indices 1 and 7) move together: C holds, P breaks.
+    diagonal = np.flatnonzero(op.rows == op.cols)
+    for shift, refused in ((1e-9, True), (1e-13, False)):
+        values = op.values.copy()
+        values[diagonal[[1, 7]]] += shift * scale
+        broken = SparseHermitian.from_pattern(op.pattern, values)
+        if refused:
+            kept = _message(lambda: symmetry_sectors(broken, symmetries))
+            assert kept.startswith("H does not commute with symmetry 1: max|gHg - H| = ")
+            assert kept == _message(lambda: symmetry_sectors(_fresh(broken), symmetries))
+        else:
+            blocks = symmetry_sectors(broken, symmetries)
+            fresh = symmetry_sectors(_fresh(broken), symmetries)
+            assert [b.matrix.tobytes() for b in blocks] == [b.matrix.tobytes() for b in fresh]
+        assert broken.pattern.sectors is plan
+
+
+def test_a_sector_plan_is_kept_for_identical_symmetries_only():
+    op = build_chain_h(TargetCouplings(1.0, 0.7, 0.3), SPIN1, 3)
+    c, p = chain_symmetries(SPIN1, 3)
+    symmetry_sectors(op, (c, p))
+    plan = op.pattern.sectors
+    symmetry_sectors(op, (c.copy(), p.copy()))
+    assert op.pattern.sectors is plan
+    # Other symmetries, or the same entries as another dtype, are planned and checked anew.
+    for other in ((c,), (p, c), (c.astype(np.int32), p)):
+        symmetry_sectors(op, other)
+        assert op.pattern.sectors is not plan
+        plan = op.pattern.sectors
+    # The bytes of a kept plan's symmetries, read as floats, are not a permutation.
+    symmetry_sectors(op, (c, p))
+    with pytest.raises(ContractViolationError, match="symmetry 0 is not a permutation"):
+        symmetry_sectors(op, (c.view(np.float64), p))
+
+
+def _kept_arrays(op):
+    structure = target_models._chain_structure(SPIN1, 3, "open", True)
+    plan = op.pattern.sectors
+    yield from (structure.m_squared, structure.charge, structure.diagonal)
+    for pattern in (op.pattern, *(sector[-1] for sector in plan.sectors)):
+        yield from (pattern.rows, pattern.cols, pattern.keys, pattern.by_col)
+        yield from (pattern.mirror, pattern.hit)
+        if pattern.order is not None:
+            yield pattern.order
+    for pos, hit in plan.images:
+        yield from (pos, hit)
+    yield from (plan.take, plan.element, plan.position)
+    for chi, on, norms, _ in plan.sectors:
+        yield from (chi, on, norms)
+
+
+def test_kept_arrays_are_read_only_and_values_are_not_shared():
+    a = build_chain_h(TargetCouplings(1.0, 0.7, 0.3), SPIN1, 3)
+    b = build_chain_h(TargetCouplings(0.4, -0.2, 0.9), SPIN1, 3)
+    symmetry_sectors(a, chain_symmetries(SPIN1, 3))
+    assert a.pattern is b.pattern and a.rows is b.rows
+    assert not np.shares_memory(a.values, b.values)
+    assert not np.array_equal(a.values, b.values)
+    kept = list(_kept_arrays(a))
+    assert a.pattern.order is not None and len(kept) > 20
+    for array in [*kept, a.values, b.values]:
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = array[0]
+
+
+def test_the_structure_cache_keeps_the_last_structures_used():
+    target_models._chain_structure.cache_clear()
+    c = TargetCouplings(1.0, 0.7, 0.3)
+    # CHAIN_CACHE_SIZE distinct structures, then one more.
+    sizes = [(m, n) for m in (1, 2) for n in (1, 2, 3, 4)]
+    assert len(sizes) == target_models.CHAIN_CACHE_SIZE
+    ops = [build_chain_h(c, SpinTruncation(m), n) for m, n in sizes]
+    assert target_models._chain_structure.cache_info().currsize == len(sizes)
+    build_chain_h(c, SPIN1, 5)
+    assert target_models._chain_structure.cache_info().currsize == len(sizes)
+    # The second is still kept; the first, the oldest, was evicted and is built anew.
+    assert build_chain_h(c, SpinTruncation(1), 2).pattern is ops[1].pattern
+    rebuilt = build_chain_h(c, SpinTruncation(1), 1)
+    assert rebuilt.pattern is not ops[0].pattern
+    assert rebuilt.matrix.tobytes() == ops[0].matrix.tobytes()
+
+
+def test_a_chain_above_the_dimension_cap_adds_no_structure(tmp_path, capsys):
+    before = target_models._chain_structure.cache_info().currsize
+    with pytest.raises(ValueError, match="n_links = 20 gives dimension 3\\*\\*20"):
+        build_chain_h(TargetCouplings(1.0, 0.7, 0.3), SPIN1, 20)
+    config = tmp_path / "config.json"
+    target = {"kind": "chain", "m_max": 1, "n_links": 20, "U": 1.0, "X": 0.7, "Y": 0.3}
+    config.write_text(json.dumps({"mode": "spectrum", "target": target}))
+    assert main(["spectrum", "--config", str(config), "--out", str(tmp_path / "out")]) == 2
+    assert "n_links = 20 gives dimension 3**20" in capsys.readouterr().err
+    assert target_models._chain_structure.cache_info().currsize == before

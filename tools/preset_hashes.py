@@ -2,11 +2,11 @@
 
 Each preset runs through `cahm.cli.main` into a temporary directory, and so
 do the `spectrum` configs of the paper's one- and two-spin figures and of four
-chains (`SPECTRA`), one `match` config of each kind, three more six-atom
-matches and a `three-atom-newton` match from the default start (`MATCHES`), one
-`three-atom-newton` match per reason that the solve stops short
-(`NEWTON_STOPS`), seven `evolve` configs (`EVOLVES`) and a `trotter` config
-without `dt` (`TROTTER_DEFAULT_DT`); one line
+chains, two of them solved again at other couplings (`SPECTRA`), one `match`
+config of each kind, three more six-atom matches and a `three-atom-newton`
+match from the default start (`MATCHES`), one `three-atom-newton` match per
+reason that the solve stops short (`NEWTON_STOPS`), seven `evolve` configs
+(`EVOLVES`) and a `trotter` config without `dt` (`TROTTER_DEFAULT_DT`); one line
 `<sha256>  <run>/<file>` is printed per artifact, sorted, so that the output
 of two checkouts can be compared with `diff`.  The `NEWTON_STOPS` runs must
 exit 3 (numerical failure) and every other run 0; any other exit code stops
@@ -32,14 +32,20 @@ from cahm.cli import main, preset_config, presets
 # figures, a three-link m_max = 2 chain, open and closed into a ring, and two
 # `chain-spectrum` benchmark sizes: the five-link spin-1 chain at Y = 0, whose
 # sectors hold large degenerate clusters, and the dim-625 four-link m_max = 2 chain.
+# The ring and the dim-625 chain are each solved once more at other couplings, right
+# after the first solve of their structure, so that a solve on a kept structure is hashed.
 CHAIN = {"kind": "chain", "m_max": 2, "n_links": 3, "U": 1.0, "X": 0.9, "Y": 0.3}
 SPECTRA = {
     "spectrum-one-spin": {"kind": "one-spin", "U": 1.0, "X": 0.5},
     "spectrum-two-spin": {"kind": "two-spin", "U": 1.0, "X": 1.2, "Y": 0.2},
     "spectrum-chain-open": CHAIN,
     "spectrum-chain-periodic": {**CHAIN, "boundary": "periodic"},
+    "spectrum-chain-periodic-recoupled": {
+        **CHAIN, "boundary": "periodic", "U": 1.3, "X": -0.7, "Y": 0.45
+    },
     "spectrum-chain-y0": {**CHAIN, "m_max": 1, "n_links": 5, "Y": 0.0},
     "spectrum-chain-dim625": {**CHAIN, "n_links": 4},
+    "spectrum-chain-dim625-recoupled": {**CHAIN, "n_links": 4, "U": 0.8, "X": 1.1, "Y": 0.05},
 }
 
 # No preset runs `match`; these are the `figures` benchmark's configs, one per kind,
