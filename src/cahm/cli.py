@@ -19,6 +19,7 @@ import math
 import os
 import re
 import sys
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
@@ -482,12 +483,12 @@ def _initial_state(finals, initial: str) -> StateVector:
 
 
 def _plain(value):
-    """A dataclass instance as `dataclasses.asdict`, a numpy scalar as its Python value.
+    """A dataclass instance as the dict of its fields, a numpy scalar as its Python value.
 
-    The `default` of json.dumps; anything else is not JSON.
+    Anything else is not JSON.
     """
     if dataclasses.is_dataclass(value) and not isinstance(value, type):
-        return dataclasses.asdict(value)
+        return {f.name: getattr(value, f.name) for f in dataclasses.fields(value)}
     for kind, python in ((np.bool_, bool), (np.floating, float), (np.integer, int)):
         if isinstance(value, kind):
             return python(value)
@@ -495,8 +496,69 @@ def _plain(value):
 
 
 def _json(obj) -> str:
-    """`obj` as JSON text; a non-finite float raises a ValueError, as JSON has none."""
-    return json.dumps(obj, indent=2, sort_keys=True, default=_plain, allow_nan=False) + "\n"
+    """`obj` as JSON text; a non-finite float raises a ValueError, as JSON has none.
+
+    The text is that of `json.dumps(obj, indent=2, sort_keys=True,
+    default=_plain, allow_nan=False)` and a newline, for objects whose dict
+    keys are all str; any other key raises a TypeError.  With an indent,
+    json.dumps runs its pure-Python encoder, which costs more than `repr` per
+    float; here a list of plain floats, such as a spectrum, is joined from
+    their `repr`s in one call.
+    """
+    out = []
+    _encode(obj, "\n", out)
+    out.append("\n")
+    return "".join(out)
+
+
+def _encode(value, newline: str, out: list) -> None:
+    """Append the JSON text of `value` to `out`; `newline` starts each line at its depth."""
+    if isinstance(value, str):
+        out.append(encode_basestring_ascii(value))
+    elif value is None:
+        out.append("null")
+    elif value is True or value is False:
+        out.append("true" if value else "false")
+    elif isinstance(value, int):
+        out.append(int.__repr__(value))
+    elif isinstance(value, float):
+        if not math.isfinite(value):
+            # json.dumps raises the ValueError that its indented encoder raises for `value`.
+            json.dumps(value, indent=2, allow_nan=False)
+        out.append(float.__repr__(value))
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        if set(map(type, value)) == {float}:
+            text = f",{inner}".join(map(repr, value))
+            # A float's repr has a letter n only as inf or nan.
+            if "n" not in text:
+                out.append(f"[{inner}{text}{newline}]")
+                return
+        separator = "[" + inner
+        for item in value:
+            out.append(separator)
+            _encode(item, inner, out)
+            separator = "," + inner
+        out.append(newline + "]")
+    elif isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        for key in value:
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+        inner = newline + "  "
+        separator = "{" + inner
+        for key in sorted(value):
+            out.append(f"{separator}{encode_basestring_ascii(key)}: ")
+            _encode(value[key], inner, out)
+            separator = "," + inner
+        out.append(newline + "}")
+    else:
+        _encode(_plain(value), newline, out)
 
 
 # The OSErrors that a bad --out causes; any other (a full disk, say) propagates.

@@ -84,7 +84,8 @@ class SparsePattern:
     - `by_col`, the entries stably sorted by column, which is ascending
       order of their mirror keys col * dim + row;
     - `mirror` and `hit`: the position of each `by_col` entry's mirror and
-      whether that mirror is stored.
+      whether that mirror is stored;
+    - `diagonal`, the positions of the diagonal entries, in ascending row.
 
     `sectors` holds the plan of the last `symmetry_sectors` call on the
     pattern, which depends on the keys and the symmetries only.
@@ -126,6 +127,7 @@ class SparsePattern:
         by_col = np.argsort(cols.astype(np.uint16), kind="stable")
         self.by_col = _read_only(by_col.astype(np.int32))
         self.mirror, self.hit = self.find(cols[by_col], rows[by_col])
+        self.diagonal = _read_only(np.flatnonzero(rows == cols).astype(np.int32))
         self.sectors = None
 
     @property
@@ -446,15 +448,15 @@ def eig_hermitian(op: SparseHermitian, *, eigvals_only: bool = False) -> Spectru
     oracle that tests compare the eigenvalues against.
     """
     # ||H||_F, tr H and each check in units of max|H|: their squares neither
-    # overflow nor underflow at the ends of the float range.  ||H||_F sums the
-    # squares of one scaled copy of the entries, real and imaginary parts side
-    # by side, taken in place; the copy is dropped before the matrix is formed,
-    # so that the two are never held at once.
+    # overflow nor underflow at the ends of the float range.  ||H||_F is one
+    # dot product of a scaled copy of the entries (vdot conjugates the first
+    # factor of a complex one); the copy is dropped before the matrix is
+    # formed, so that the two are never held at once.
     unit = _max_abs(op.values) or 1.0
-    squares = (op.values / unit).view(np.float64)
-    h_norm = math.sqrt(float(np.sum(np.square(squares, out=squares))))
-    del squares
-    h_trace = float(np.sum(op.values.real[op.rows == op.cols] / unit))
+    scaled = op.values / unit
+    h_norm = math.sqrt(float(np.vdot(scaled, scaled).real))
+    del scaled
+    h_trace = float(np.sum(op.values.real.take(op.pattern.diagonal) / unit))
     tolerance = RESIDUAL_RTOL * h_norm
     # The operator validated its entries once; eigh and eigvalsh read one triangle of the matrix.
     h = op.matrix
@@ -464,7 +466,7 @@ def eig_hermitian(op: SparseHermitian, *, eigvals_only: bool = False) -> Spectru
         with np.errstate(over="ignore", invalid="ignore"):
             scaled = w / unit
             trace_dev = abs(float(np.sum(scaled)) - h_trace)
-            norm_dev = abs(float(np.linalg.norm(scaled)) - h_norm)
+            norm_dev = abs(math.sqrt(float(np.dot(scaled, scaled))) - h_norm)
         # A non-finite eigenvalue makes a deviation NaN or inf, which fails the comparison.
         if not (trace_dev <= tolerance and norm_dev <= tolerance):
             raise ContractViolationError(

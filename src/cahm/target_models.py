@@ -80,6 +80,13 @@ class OneSpinSpectrum:
             raise ValueError("one-spin spectrum requires E0 <= E+")
 
 
+# Chain structures that `chain_terms` keeps, least recently used first out: one
+# takes 0.3 MiB at dim 625 and 2 MiB at dim 3125, its sector plan included.
+# `chain_symmetries` keeps as many (truncation, links) pairs' permutations.
+CHAIN_CACHE_SIZE = 8
+
+
+@lru_cache(maxsize=CHAIN_CACHE_SIZE, typed=True)
 def chain_symmetries(trunc: SpinTruncation, n_links: int) -> tuple[np.ndarray, ...]:
     """Charge conjugation C and link reflection P of every chain, as index permutations.
 
@@ -87,18 +94,16 @@ def chain_symmetries(trunc: SpinTruncation, n_links: int) -> tuple[np.ndarray, .
     -m on every link, which in the descending-m digit layout reverses the
     index; P reverses the order of the links.  Open chains (with or without
     end terms) and periodic rings commute with both.  At one link P is the
-    identity and is left out.
+    identity and is left out.  The arrays are read-only and kept for the
+    last CHAIN_CACHE_SIZE (truncation, links) pairs asked for.
     """
     digits = basis_digits(trunc.dim, n_links, "n_links")
-    conjugation = np.arange(len(digits))[::-1].copy()
-    if n_links == 1:
-        return (conjugation,)
-    return conjugation, digits[:, ::-1] @ site_strides(trunc.dim, n_links)
-
-
-# Chain structures that `chain_terms` keeps, least recently used first out: one
-# takes 0.3 MiB at dim 625 and 2 MiB at dim 3125, its sector plan included.
-CHAIN_CACHE_SIZE = 8
+    permutations = [np.arange(len(digits))[::-1].copy()]
+    if n_links > 1:
+        permutations.append(digits[:, ::-1] @ site_strides(trunc.dim, n_links))
+    for g in permutations:
+        g.setflags(write=False)
+    return tuple(permutations)
 
 
 @dataclass(frozen=True)
@@ -106,13 +111,12 @@ class _ChainStructure:
     """What a chain's terms share at every coupling, read-only.
 
     `m_squared` is sum_i m_i^2 and `charge` the Y term's sum of squares, per
-    basis index; `diagonal` is the position of each basis index's diagonal
-    entry in the validated `pattern`, whose other entries are the hops.
+    basis index; the validated `pattern` stores every diagonal entry, and
+    its other entries are the hops.
     """
 
     m_squared: np.ndarray
     charge: np.ndarray
-    diagonal: np.ndarray
     pattern: SparsePattern
 
 
@@ -135,8 +139,7 @@ def _chain_structure(
         rows += [lower, lower + stride]
         cols += [lower + stride, lower]
     pattern = SparsePattern(len(index), np.concatenate(rows), np.concatenate(cols))
-    diagonal = np.flatnonzero(pattern.rows == pattern.cols).astype(np.int32)
-    tables = (m**2).sum(axis=1), charge, diagonal
+    tables = (m**2).sum(axis=1), charge
     for a in tables:
         a.setflags(write=False)
     return _ChainStructure(*tables, pattern)
@@ -170,7 +173,7 @@ def chain_terms(
             f"couplings U = {c.u!r} and Y = {c.y!r} give diagonal energies beyond the float range"
         )
     values = np.full(s.pattern.size, -0.5 * c.x)
-    values[s.diagonal] = diagonal
+    values[s.pattern.diagonal] = diagonal
     return SparseHermitian.from_pattern(s.pattern, values)
 
 

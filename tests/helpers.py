@@ -297,6 +297,21 @@ def jsonable_text(obj):
     return json.dumps(jsonable(obj), indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
+def asdict_plain(value):
+    """A dataclass instance as `dataclasses.asdict`, a numpy scalar as its Python value."""
+    if dataclasses.is_dataclass(value) and not isinstance(value, type):
+        return dataclasses.asdict(value)
+    for kind, python in ((np.bool_, bool), (np.floating, float), (np.integer, int)):
+        if isinstance(value, kind):
+            return python(value)
+    raise TypeError(f"{type(value).__name__} is not JSON serializable")
+
+
+def json_dumps_text(obj):
+    """JSON artifact text of `obj` from json.dumps and `asdict_plain`, the oracle of `cli._json`."""
+    return json.dumps(obj, indent=2, sort_keys=True, default=asdict_plain, allow_nan=False) + "\n"
+
+
 def apply_steps(step, psi, n_steps):
     """`step` applied n_steps times by `apply_circuit`, one step at a time as `cahm trotter` does."""
     for _ in range(n_steps):

@@ -30,7 +30,7 @@ from cahm.cli import (
     run,
 )
 
-from helpers import EIGENVALUE_MUTATIONS, corrupting_eigvalsh, jsonable_text
+from helpers import EIGENVALUE_MUTATIONS, corrupting_eigvalsh, json_dumps_text, jsonable_text
 
 EXPECTED_PRESETS = ["fig3-top", "fig3-bottom", "fig4", "fig7-top", "fig7-bottom", "fig8", "fig10"]
 
@@ -139,6 +139,99 @@ def test_json_numpy_scalars_equal_the_jsonable_oracle():
     for value in non_finite:
         with pytest.raises(ValueError, match="not JSON compliant"):
             _json({"nested": [value]})
+
+
+def _json_objects(st, non_finite: bool):
+    """Nested dicts, lists and tuples of the values that artifacts hold, drawn by hypothesis.
+
+    With `non_finite`, float leaves may be NaN or +-inf.
+    """
+    text = st.text(st.characters() | st.sampled_from('"\\\x00\x1f\x7f\u2028\xe9\U0001f600'))
+    finite = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+        [-0.0, 5e-324, 1.7976931348623157e308, 1e16]
+    )
+    floats = st.floats() if non_finite else finite
+    numpy_scalars = st.one_of(
+        floats.map(np.float64),
+        st.floats(width=32, allow_nan=non_finite, allow_infinity=non_finite).map(np.float32),
+        st.integers(-(2**63), 2**63 - 1).map(np.int64),
+        st.integers(0, 255).map(np.uint8),
+        st.booleans().map(np.bool_),
+    )
+    results = st.one_of(
+        st.builds(
+            lambda devs, labels, window: cahm.TraceComparison(max(devs), min(devs), labels, window),
+            st.tuples(finite, finite).map(lambda d: tuple(abs(x) for x in d)),
+            st.dictionaries(text, st.dictionaries(text, floats | numpy_scalars, max_size=3)),
+            st.tuples(floats, floats),
+        ),
+        st.lists(finite, min_size=4, max_size=4).map(lambda w: cahm.OneSpinSpectrum(*sorted(w))),
+    )
+    leaves = st.one_of(
+        text,
+        st.integers() | st.sampled_from([2**64, -(2**64) - 1, 3**80]),
+        st.booleans(),
+        st.none(),
+        floats,
+        numpy_scalars,
+        results,
+        st.lists(floats, min_size=50, max_size=100),
+        st.lists(floats | floats.map(np.float64), min_size=2, max_size=40),
+    )
+    return st.recursive(
+        leaves,
+        lambda children: st.lists(children, max_size=5)
+        | st.lists(children, max_size=5).map(tuple)
+        | st.dictionaries(text, children, max_size=5),
+        max_leaves=20,
+    )
+
+
+def test_json_writes_the_text_of_json_dumps():
+    hypothesis = pytest.importorskip("hypothesis")  # an optional test dependency
+    from hypothesis import strategies as st
+
+    from cahm.cli import _json
+
+    examples = hypothesis.settings(max_examples=120, derandomize=True, deadline=None, database=None)
+
+    @examples
+    @hypothesis.given(_json_objects(st, non_finite=False))
+    def finite(obj):
+        assert _json(obj) == json_dumps_text(obj)
+        with pytest.raises(TypeError, match="complex128"):
+            _json([obj, {"z": np.complex128(1j)}])
+        with pytest.raises(TypeError, match="keys must be str, not int"):
+            _json({"a": obj, 1: obj})
+
+    non_finite = [
+        math.nan,
+        -math.inf,
+        np.float64(np.inf),
+        np.float64(np.nan),
+        np.float32(-np.inf),
+        cahm.OneSpinSpectrum(-math.inf, 0.0, 0.0, 0.0),
+        cahm.TraceComparison(0.5, 0.25, {"m=1": {"rms": 0.25}}, (0.0, np.float64(np.nan))),
+    ]
+
+    @examples
+    @hypothesis.given(
+        _json_objects(st, non_finite=True),
+        st.sampled_from(non_finite),
+        st.lists(st.sampled_from([list, tuple, dict]), max_size=4),
+    )
+    def any_float(obj, bad, wrappers):
+        # `bad` at the depth of `wrappers`, after `obj`, which may hold NaN or inf itself.
+        for wrap in wrappers:
+            bad = {"k": bad} if wrap is dict else wrap([bad])
+        with pytest.raises(ValueError) as expected:
+            json_dumps_text([obj, bad])
+        with pytest.raises(ValueError) as raised:
+            _json([obj, bad])
+        assert str(raised.value) == str(expected.value)
+
+    finite()
+    any_float()
 
 
 @pytest.mark.parametrize("name", [*presets(), *preset_hashes.CONFIGS])

@@ -360,10 +360,10 @@ def test_a_sector_plan_is_kept_for_identical_symmetries_only():
 def _kept_arrays(op):
     structure = target_models._chain_structure(SPIN1, 3, "open", True)
     plan = op.pattern.sectors
-    yield from (structure.m_squared, structure.charge, structure.diagonal)
+    yield from (structure.m_squared, structure.charge, *chain_symmetries(SPIN1, 3))
     for pattern in (op.pattern, *(sector[-1] for sector in plan.sectors)):
         yield from (pattern.rows, pattern.cols, pattern.keys, pattern.by_col)
-        yield from (pattern.mirror, pattern.hit)
+        yield from (pattern.mirror, pattern.hit, pattern.diagonal)
         if pattern.order is not None:
             yield pattern.order
     for pos, hit in plan.images:
@@ -376,8 +376,11 @@ def _kept_arrays(op):
 def test_kept_arrays_are_read_only_and_values_are_not_shared():
     a = build_chain_h(TargetCouplings(1.0, 0.7, 0.3), SPIN1, 3)
     b = build_chain_h(TargetCouplings(0.4, -0.2, 0.9), SPIN1, 3)
-    symmetry_sectors(a, chain_symmetries(SPIN1, 3))
+    symmetries = chain_symmetries(SPIN1, 3)
+    blocks = symmetry_sectors(a, symmetries)
     assert a.pattern is b.pattern and a.rows is b.rows
+    assert chain_symmetries(SPIN1, 3) is symmetries and len(symmetries) == 2
+    assert np.array_equal(a.pattern.diagonal, np.flatnonzero(a.rows == a.cols))
     assert not np.shares_memory(a.values, b.values)
     assert not np.array_equal(a.values, b.values)
     kept = list(_kept_arrays(a))
@@ -385,6 +388,31 @@ def test_kept_arrays_are_read_only_and_values_are_not_shared():
     for array in [*kept, a.values, b.values]:
         with pytest.raises(ValueError, match="read-only"):
             array[0] = array[0]
+
+    # Writable copies of the kept permutations name the same plan, which refuses
+    # a copy that is no longer an involution and stays kept.
+    plan = a.pattern.sectors
+    copies = [g.copy() for g in symmetries]
+    again = symmetry_sectors(a, copies)
+    assert a.pattern.sectors is plan
+    assert [x.values.tobytes() for x in again] == [x.values.tobytes() for x in blocks]
+    copies[0][[0, 1]] = copies[0][[1, 0]]
+    with pytest.raises(ContractViolationError, match="symmetry 0 is not an involution"):
+        symmetry_sectors(a, copies)
+    symmetry_sectors(a, symmetries)
+    assert a.pattern.sectors is plan
+
+    # The permutations of CHAIN_CACHE_SIZE (truncation, links) pairs are kept;
+    # one more evicts the oldest, which is built anew.
+    target_models.chain_symmetries.cache_clear()
+    sizes = [(m, n) for m in (1, 2) for n in (1, 2, 3, 4)]
+    assert len(sizes) == target_models.CHAIN_CACHE_SIZE
+    held = [chain_symmetries(SpinTruncation(m), n) for m, n in sizes]
+    chain_symmetries(SPIN1, 5)
+    assert target_models.chain_symmetries.cache_info().currsize == len(sizes)
+    assert chain_symmetries(SpinTruncation(1), 2) is held[1]
+    rebuilt = chain_symmetries(SpinTruncation(1), 1)
+    assert rebuilt is not held[0] and rebuilt[0].tobytes() == held[0][0].tobytes()
 
 
 def test_the_structure_cache_keeps_the_last_structures_used():
